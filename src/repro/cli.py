@@ -633,15 +633,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "'Fault tolerance and multi-process execution')",
     )
     parser.add_argument(
-        "--pool",
-        choices=("keep", "per-call"),
-        default="keep",
-        help="parallel-executor lifecycle with --workers > 1: 'keep' "
-        "(default) reuses one persistent process pool for the whole sweep "
-        "(worker caches stay warm across chunks), 'per-call' spawns a "
-        "fresh pool per chunk; results are bit-for-bit identical",
-    )
-    parser.add_argument(
         "--chunk-target",
         type=float,
         default=None,
@@ -810,7 +801,6 @@ def _sweep_main(argv: list[str]) -> int:
             progress=progress,
             executor=args.executor,
             lease_ttl=args.lease_ttl,
-            pool=args.pool,
             chunk_target_s=args.chunk_target,
         )
     except KeyboardInterrupt:
@@ -1106,14 +1096,6 @@ def build_work_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes per claimed chunk (1 = serial; default: 1)",
     )
-    parser.add_argument(
-        "--pool",
-        choices=("keep", "per-call"),
-        default="keep",
-        help="with --workers > 1: 'keep' reuses one persistent process "
-        "pool across every chunk this worker drains, 'per-call' spawns a "
-        "fresh pool per chunk; identical results (default: keep)",
-    )
     _add_scenario_argument(parser)
     parser.add_argument(
         "--quiet",
@@ -1177,7 +1159,6 @@ def _work_main(argv: list[str]) -> int:
             registry=registry,
             kernel=args.kernel,
             max_workers=args.workers,
-            pool=args.pool,
             ttl=args.ttl if args.ttl is not None else DEFAULT_LEASE_TTL,
             poll=args.poll if args.poll is not None else DEFAULT_POLL_INTERVAL,
             deadline_s=args.deadline,
@@ -1222,32 +1203,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="sweep mode only: JSON sweep specification file to time",
-    )
-    parser.add_argument(
-        "--pool-compare",
-        action="store_true",
-        help="sweep mode only: instead of kernels, compare per-call "
-        "process pools against one persistent execution engine over a "
-        "chunked sweep (cold and warm passes, identical results)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="--pool-compare: worker processes per pool (default: 2)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=4,
-        help="--pool-compare: points per dispatched chunk (default: 4)",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="--pool-compare: also write the JSON record to FILE",
     )
     parser.add_argument(
         "--algorithm",
@@ -1467,139 +1422,13 @@ def _bench_sweep(
     return 1 if failures else 0
 
 
-def _bench_sweep_engine(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> int:
-    """Compare per-call pools against one persistent execution engine.
-
-    The sweep is dispatched in fixed-size chunks, the way ``run_sweep``
-    and the queue workers actually drive the batch layer. The per-call
-    mode pays a fresh ``ProcessPoolExecutor`` (spawn + import + cold
-    worker caches) for every chunk; the persistent mode spawns once and
-    keeps worker-resident memo tables warm across chunks. Each pass uses
-    a fresh parent-side cache so pool lifetime — not parent memoization —
-    is the measured effect, and both modes must produce identical
-    outcomes.
-    """
-    from .estimator.engine import ExecutionEngine
-
-    if args.sweep is None:
-        parser.error("bench sweep requires --sweep FILE")
-    if args.workers < 2:
-        parser.error(f"--pool-compare needs --workers >= 2, got {args.workers}")
-    if args.chunk_size < 1:
-        parser.error(f"--chunk-size must be >= 1, got {args.chunk_size}")
-    registry = _load_scenarios(args.scenario)
-    try:
-        document = json.loads(args.sweep.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read sweep file: {exc}")
-    try:
-        sweep = SweepSpec.from_dict(document)
-        points = sweep.expand()
-    except ValueError as exc:
-        raise SystemExit(f"error: invalid sweep spec: {exc}")
-    specs = [point.spec for point in points]
-    if not specs:
-        raise SystemExit("error: sweep expands to zero points")
-
-    def run_chunked(engine: "ExecutionEngine | None") -> tuple[list, float, int]:
-        cache = EstimateCache()
-        outcomes: list = []
-        chunks = 0
-        start = time.perf_counter()
-        for position in range(0, len(specs), args.chunk_size):
-            chunk = specs[position : position + args.chunk_size]
-            try:
-                outcomes.extend(
-                    run_specs(
-                        chunk,
-                        registry=registry,
-                        cache=cache,
-                        max_workers=args.workers,
-                        engine=engine,
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise SystemExit(f"error: {exc}")
-            chunks += 1
-        return outcomes, max(time.perf_counter() - start, 1e-9), chunks
-
-    def portable(outcomes: list) -> list:
-        return [
-            outcome.result.to_dict() if outcome.result is not None else None
-            for outcome in outcomes
-        ]
-
-    passes: dict[str, dict[str, dict[str, float]]] = {}
-    baseline: list | None = None
-    results_equal = True
-    engine_stats: dict[str, object] = {}
-    with ExecutionEngine(max_workers=args.workers) as engine:
-        for mode, handle in (("perCall", None), ("persistent", engine)):
-            passes[mode] = {}
-            for phase in ("cold", "warm"):
-                outcomes, seconds, chunks = run_chunked(handle)
-                passes[mode][phase] = {
-                    "time_s": seconds,
-                    "points_per_s": len(specs) / seconds,
-                    "chunks_per_s": chunks / seconds,
-                }
-                if baseline is None:
-                    baseline = portable(outcomes)
-                elif portable(outcomes) != baseline:
-                    results_equal = False
-        engine_stats = engine.stats()
-
-    warm_speedup = (
-        passes["perCall"]["warm"]["time_s"] / passes["persistent"]["warm"]["time_s"]
-    )
-    record = {
-        "mode": "sweep-engine",
-        "sweep": str(args.sweep),
-        "points": len(specs),
-        "workers": args.workers,
-        "chunkSize": args.chunk_size,
-        "perCall": passes["perCall"],
-        "persistent": passes["persistent"],
-        "warmSpeedup": warm_speedup,
-        "resultsEqual": results_equal,
-        "engineStats": engine_stats,
-    }
-    if args.out is not None:
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
-    if args.json:
-        print(json.dumps(record, indent=2))
-    else:
-        print(
-            f"{args.sweep}: {len(specs)} points, chunks of {args.chunk_size}, "
-            f"{args.workers} workers"
-        )
-        print(f"{'pool':<12} {'pass':<6} {'time[s]':>10} {'points/sec':>12}")
-        print("-" * 44)
-        for mode in ("perCall", "persistent"):
-            for phase in ("cold", "warm"):
-                timing = passes[mode][phase]
-                print(
-                    f"{mode:<12} {phase:<6} {timing['time_s']:>10.3f} "
-                    f"{timing['points_per_s']:>12.1f}"
-                )
-        print(f"warm speedup (persistent vs per-call): {warm_speedup:.1f}x")
-        print(f"results equal: {results_equal}")
-    return 0 if results_equal else 1
-
-
 def _bench_main(argv: list[str]) -> int:
     parser = build_bench_parser()
     args = parser.parse_args(argv)
     if args.mode == "sweep":
-        if args.pool_compare:
-            return _bench_sweep_engine(parser, args)
         return _bench_sweep(parser, args)
     if args.sweep is not None:
         parser.error("--sweep only applies to 'repro bench sweep'")
-    if args.pool_compare:
-        parser.error("--pool-compare only applies to 'repro bench sweep'")
     if args.bits < 1:
         raise SystemExit(f"error: --bits must be >= 1, got {args.bits}")
     registry = _load_scenarios(args.scenario)
@@ -1937,15 +1766,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "latency for dead workers (default: 30)",
     )
     parser.add_argument(
-        "--pool",
-        choices=("keep", "per-call"),
-        default=None,
-        help="parallel-executor lifecycle with --workers > 1: 'keep' "
-        "shares one persistent process pool across every request and job "
-        "for the server's lifetime, 'per-call' spawns a fresh pool per "
-        "batch; identical results (default: keep)",
-    )
-    parser.add_argument(
         "--chunk-target",
         type=float,
         default=None,
@@ -2023,7 +1843,6 @@ def _serve_main(argv: list[str]) -> int:
             store_max_bytes=args.store_max_bytes,
             metrics_ttl=args.metrics_ttl,
             verbose=args.verbose,
-            pool=args.pool,
             chunk_target_s=args.chunk_target,
         )
     except ValueError as exc:

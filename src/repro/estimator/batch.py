@@ -17,16 +17,17 @@ paid once per sweep instead of once per point:
   are memoized per (scheme, qubit, required error) — the inner loop of the
   C<->D fixed point.
 
-Parallelism knobs
------------------
+Parallelism
+-----------
 ``max_workers=1`` (the default) runs serially with one shared
-:class:`EstimateCache`. ``max_workers=None`` or ``> 1`` fans contiguous
-request chunks out over a ``ProcessPoolExecutor``; each worker process
-keeps a process-global cache, and chunk pickling preserves shared program
-objects so in-chunk deduplication still applies. Pool start-up failures
-(sandboxes without process spawning) and unpicklable requests fall back to
-serial execution with identical results — determinism is asserted by the
-tests.
+:class:`EstimateCache`. ``max_workers=None`` or ``> 1`` hands the batch to
+an :class:`~repro.estimator.engine.ExecutionEngine` — the caller's, or a
+short-lived one for this call — which fans contiguous request chunks out
+over worker processes; each worker keeps a process-global cache, and
+chunk pickling preserves shared program objects so in-chunk deduplication
+still applies. Pool start-up failures (sandboxes without process
+spawning) and unpicklable requests fall back to serial execution with
+identical results — determinism is asserted by the tests.
 
 Programs may be :class:`~repro.counts.LogicalCounts`, any object with a
 ``logical_counts()`` method, or a zero-argument callable returning either
@@ -37,10 +38,6 @@ artifact through the parent.
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
@@ -52,6 +49,7 @@ from ..qec import LogicalQubit, QECScheme
 from ..qubits import PhysicalQubitParams
 from ..synthesis import RotationSynthesis
 from .constraints import Constraints
+from .engine import ExecutionEngine, engine_scope
 from .result import PhysicalResourceEstimates
 from .stages import (
     DEFAULT_DESIGNER,
@@ -305,9 +303,10 @@ _SHARED_CACHE = EstimateCache()
 #: Per-worker-process cache for parallel runs (initialized lazily).
 _WORKER_CACHE: EstimateCache | None = None
 
-#: Structured logger for executor degradation events. Disabled by
-#: default; the serve/work CLI entry points install theirs so fallback
-#: events land in the operator's JSON log stream.
+#: Structured logger of the short-lived engines :func:`estimate_batch`
+#: creates when no engine is passed (fallback events, pool lifecycle).
+#: Disabled by default; the serve/work CLI entry points install theirs so
+#: those events land in the operator's JSON log stream.
 _EXECUTOR_LOG = StructuredLogger.disabled()
 
 
@@ -318,18 +317,11 @@ def set_executor_log(log: StructuredLogger | None) -> None:
 
 
 def _note_fallback(
-    cache: EstimateCache,
-    reason: str,
-    exc: BaseException | None = None,
-    log: StructuredLogger | None = None,
+    cache: EstimateCache, reason: str, exc: BaseException, log: StructuredLogger
 ) -> None:
     """Record one parallel-to-serial degradation (counter + log event)."""
     cache.record_executor_fallback(reason)
-    (log or _EXECUTOR_LOG).event(
-        "executor.fallback",
-        reason=reason,
-        error=str(exc) if exc is not None else None,
-    )
+    log.event("executor.fallback", reason=reason, error=str(exc))
 
 
 def _init_worker(store_root: str | None = None) -> None:
@@ -405,6 +397,9 @@ def _run_chunk(
     same cache produces serially.
     """
     global _WORKER_CACHE
+    from .queue import ENGINE_FAULT_STAGE, _fault_point
+
+    _fault_point(ENGINE_FAULT_STAGE)  # test-only kill-point; no-op unless armed
     start, requests, designer, backend = payload
     if designer is not None:
         cache = EstimateCache(designer=designer)
@@ -456,7 +451,7 @@ def estimate_batch(
     max_workers: int | None = 1,
     cache: EstimateCache | None = None,
     backend: str = "auto",
-    engine: "object | None" = None,
+    engine: ExecutionEngine | None = None,
 ) -> list[BatchOutcome]:
     """Evaluate many estimation points, preserving input order.
 
@@ -492,67 +487,15 @@ def estimate_batch(
     infeasibility is captured per point.
 
     When ``engine`` (an :class:`~repro.estimator.engine.ExecutionEngine`)
-    is given, parallel execution reuses its persistent process pool
-    instead of spawning a fresh per-call pool, keeping worker-resident
-    caches warm across batches; ``max_workers`` is then ignored in favor
-    of the engine's worker count.
+    is given, the batch runs through its persistent process pool, keeping
+    worker-resident caches warm across batches; ``max_workers`` is then
+    ignored in favor of the engine's worker count. Without one, a
+    short-lived engine with ``max_workers`` workers runs this call.
     """
-    requests = list(requests)
-    shared = cache is None
-    cache = cache if cache is not None else _SHARED_CACHE
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1 or None, got {max_workers}")
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"backend must be one of {BACKEND_CHOICES}, got {backend!r}"
-        )
-    if engine is not None:
+    with engine_scope(engine, max_workers=max_workers, log=_EXECUTOR_LOG) as runner:
         # The engine owns serial/parallel routing, fallback recording,
         # and (shared-cache) pruning for the whole batch.
-        return engine.run(requests, cache=cache if not shared else None, backend=backend)
-    try:
-        if max_workers == 1 or len(requests) <= 1:
-            return _run_serial(requests, cache, backend=backend)
-
-        # One chunk per worker so in-chunk pickling preserves shared
-        # program objects (identity deduplication inside each worker).
-        num_workers = max_workers if max_workers is not None else os.cpu_count() or 1
-        # A non-default designer must travel with the chunks — workers'
-        # process-global caches only know the shared default.
-        designer = cache.designer if cache.designer is not DEFAULT_DESIGNER else None
-        pieces = [
-            (start, chunk, designer, backend)
-            for start, chunk in _chunks(requests, num_workers)
-        ]
-        try:
-            # Probe picklability up front: unpicklable programs (lambdas,
-            # open handles) run serially instead of dying in the pool.
-            pickle.dumps(pieces)
-        except Exception as exc:
-            _note_fallback(cache, "unpicklable", exc)
-            return _run_serial(requests, cache, backend=backend)
-        try:
-            with ProcessPoolExecutor(max_workers=num_workers) as pool:
-                results: list[tuple[PhysicalResourceEstimates | None, str | None]] = (
-                    [None] * len(requests)  # type: ignore[list-item]
-                )
-                for start, payloads in pool.map(_run_chunk, pieces):
-                    for offset, payload in enumerate(payloads):
-                        results[start + offset] = payload
-        except (OSError, PermissionError, BrokenProcessPool) as exc:
-            # Sandboxes without process spawning fall back to serial
-            # execution; genuine worker exceptions propagate unchanged.
-            # The degradation is recorded so operators can tell "parallel"
-            # from "quietly serial" in cacheStats / the structured log.
-            _note_fallback(cache, f"pool-unavailable:{type(exc).__name__}", exc)
-            return _run_serial(requests, cache, backend=backend)
-        return [
-            BatchOutcome(request=request, result=result, error=error)
-            for request, (result, error) in zip(requests, results)
-        ]
-    finally:
-        if shared:
-            cache.prune_unkeyed_counts()
+        return runner.run(requests, cache=cache, backend=backend)
 
 
 def request_grid(

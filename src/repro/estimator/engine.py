@@ -1,14 +1,13 @@
 """Persistent warm-worker execution engine for chunked estimation.
 
-:func:`~repro.estimator.batch.estimate_batch` historically spun up a
-fresh ``ProcessPoolExecutor`` per call, so a chunked sweep paid pool
-spawn + interpreter warm-up + cold worker memo tables for *every*
-chunk. :class:`ExecutionEngine` owns one pool for a whole sweep /
-optimize run / service lifetime instead: workers are initialized once
-(pre-creating their process-global :class:`~repro.estimator.batch.EstimateCache`
-and, when a store root is known, the per-process
-:class:`~repro.estimator.store.ResultStore` handle) and keep those
-memo tables warm across every chunk they evaluate.
+:class:`ExecutionEngine` is the only code that fans estimation out over
+worker processes. It owns one pool for a whole batch / sweep / optimize
+run / service lifetime: workers are initialized once (pre-creating
+their process-global :class:`~repro.estimator.batch.EstimateCache` and,
+when a store root is known, the per-process
+:class:`~repro.estimator.store.ResultStore` handle) and keep those memo
+tables warm across every chunk they evaluate. An engine built with one
+worker never spawns a pool and runs every batch serially in-process.
 
 Crash safety: a worker dying mid-chunk marks the pool broken. The
 engine harvests every chunk that already completed, rebuilds the pool,
@@ -16,7 +15,7 @@ and replays only the chunks that were lost — estimation is pure and
 deterministic, so replayed results are bit-for-bit identical to an
 uninterrupted (or serial) run. After ``max_rebuilds`` consecutive
 failures within one batch the engine degrades to serial execution for
-the remaining chunks, recording the reason like the per-call path does.
+the remaining chunks, recording the reason as an executor fallback.
 
 The engine never changes *results*, only where and how often processes
 are spawned; chunking never participates in content hashes.
@@ -29,15 +28,13 @@ import pickle
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..jsonlog import StructuredLogger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .batch import BatchOutcome, EstimateCache, EstimateRequest
-
-#: Pool lifecycle modes accepted by sweep/optimize/serve entry points.
-POOL_CHOICES = ("keep", "per-call")
 
 #: Bound on pool rebuilds within a single run() before degrading to
 #: serial execution — guards against a chunk that deterministically
@@ -167,7 +164,7 @@ class ExecutionEngine:
                     self.log.event("engine.close_forced", timeout_s=timeout)
             else:
                 pool.shutdown(wait=False, cancel_futures=True)
-        if not already_closed:
+        if not already_closed and self._spawns:
             self.log.event("engine.closed", rebuilds=self._rebuilds)
 
     def __enter__(self) -> "ExecutionEngine":
@@ -187,7 +184,6 @@ class ExecutionEngine:
         alive = self.workers_alive()
         with self._lock:
             return {
-                "pool": "keep",
                 "maxWorkers": self.max_workers,
                 "workersAlive": alive,
                 "poolSpawns": self._spawns,
@@ -210,10 +206,11 @@ class ExecutionEngine:
     ) -> list["BatchOutcome"]:
         """Evaluate a batch through the persistent pool.
 
-        Mirrors :func:`~repro.estimator.batch.estimate_batch` semantics
-        exactly — same chunking, same serial short-circuits, same
-        fallback behavior — so results are bit-for-bit interchangeable
-        with the per-call pool and with serial execution.
+        One chunk per worker, so in-chunk pickling preserves shared
+        program objects (identity deduplication inside each worker).
+        Single-worker engines and one-point batches run serially; an
+        unpicklable batch or an unavailable pool falls back to serial
+        execution — results are bit-for-bit identical either way.
         """
         from .batch import (
             _SHARED_CACHE,
@@ -239,6 +236,8 @@ class ExecutionEngine:
             if self.max_workers == 1 or len(requests) <= 1:
                 return _run_serial(requests, cache, backend=backend)
 
+            # A non-default designer must travel with the chunks — workers'
+            # process-global caches only know the shared default.
             designer = (
                 cache.designer if cache.designer is not DEFAULT_DESIGNER else None
             )
@@ -247,6 +246,8 @@ class ExecutionEngine:
                 for start, chunk in _chunks(requests, self.max_workers)
             ]
             try:
+                # Probe up front: unpicklable programs (lambdas, open
+                # handles) run serially instead of dying in the pool.
                 pickle.dumps(pieces)
             except Exception as exc:
                 _note_fallback(cache, "unpicklable", exc, log=self.log)
@@ -333,3 +334,28 @@ class ExecutionEngine:
         finally:
             if shared:
                 cache.prune_unkeyed_counts()
+
+
+@contextmanager
+def engine_scope(
+    engine: ExecutionEngine | None,
+    *,
+    max_workers: int | None,
+    store_root: str | os.PathLike[str] | None = None,
+    log: StructuredLogger | None = None,
+) -> Iterator[ExecutionEngine]:
+    """Yield the caller's ``engine``, or one owned for the block.
+
+    A caller-supplied engine is shared (the service's lifetime engine)
+    and left open; otherwise a fresh engine is created with the given
+    settings and closed on exit. Engines spawn their pool only on the
+    first parallel run, so an owned engine that never fans out costs
+    nothing.
+    """
+    if engine is not None:
+        yield engine
+        return
+    with ExecutionEngine(
+        max_workers=max_workers, store_root=store_root, log=log
+    ) as owned:
+        yield owned

@@ -54,6 +54,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
+from .engine import ExecutionEngine, engine_scope
 from .result import PhysicalResourceEstimates
 from .spec import run_specs
 from .store import OPTIMIZE_DOC_SCHEMA
@@ -68,7 +69,6 @@ from .sweep import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
     from .batch import EstimateCache
-    from .engine import ExecutionEngine
     from .store import ResultStore
 
 __all__ = [
@@ -875,8 +875,7 @@ def run_optimize(
     lease_ttl: float | None = None,
     progress: Callable[[OptimizeProgress], None] | None = None,
     lock: Any | None = None,
-    engine: "ExecutionEngine | None" = None,
-    pool: str = "keep",
+    engine: ExecutionEngine | None = None,
 ) -> OptimizeResult:
     """Answer an inverse-design question adaptively over its grid.
 
@@ -899,10 +898,10 @@ def run_optimize(
 
     ``progress`` is called after each round; ``lock`` (any context
     manager) serializes probe batches with other users of a shared cache,
-    exactly like ``run_sweep``. ``engine`` / ``pool`` likewise mirror
-    ``run_sweep``: with parallel workers the default ``pool="keep"``
-    reuses one persistent process pool across every probe round (closed
-    on return unless the ``engine`` was supplied by the caller).
+    exactly like ``run_sweep``. ``engine`` likewise mirrors
+    ``run_sweep``: every probe round runs through one engine — with
+    parallel workers, one persistent process pool — closed on return
+    unless the ``engine`` was supplied by the caller.
     """
     from ..registry import default_registry
 
@@ -911,8 +910,6 @@ def run_optimize(
         raise ValueError(f"unknown executor {executor!r}: use 'local' or 'queue'")
     if executor == "queue" and store is None:
         raise ValueError("executor='queue' requires a result store")
-    if pool not in ("keep", "per-call"):
-        raise ValueError(f"unknown pool mode {pool!r}: use 'keep' or 'per-call'")
     optimize_hash = spec.content_hash(resolved_registry)
     if store is not None:
         trace = store.get_optimize(optimize_hash)
@@ -933,30 +930,7 @@ def run_optimize(
     spec_document = spec.to_dict()
     rounds: list[dict[str, Any]] = []
     evaluations = from_store_total = 0
-    owned_engine: list[Any] = [None]
-
-    def probe_engine() -> Any:
-        """The persistent engine shared by every local probe round.
-
-        Created lazily on the first round that actually evaluates, so a
-        warm re-ask (``from_trace``) or all-store-hit run never spawns a
-        pool; a caller-supplied ``engine`` is used as-is and never closed
-        here.
-        """
-        if engine is not None:
-            return engine
-        if pool != "keep" or (max_workers is not None and max_workers <= 1):
-            return None
-        if owned_engine[0] is None:
-            from .engine import ExecutionEngine
-
-            owned_engine[0] = ExecutionEngine(
-                max_workers=max_workers,
-                store_root=store.root if store is not None else None,
-            )
-        return owned_engine[0]
-
-    def evaluate(indices: list[int]) -> tuple[int, int]:
+    def evaluate(indices: list[int], runner: ExecutionEngine) -> tuple[int, int]:
         """Probe a deduped batch of grid points; returns (evals, hits)."""
         specs = [search.points[index].spec for index in indices]
         if executor == "queue":
@@ -991,8 +965,7 @@ def run_optimize(
                 executor="queue",
                 lease_ttl=lease_ttl,
                 lock=lock,
-                engine=engine,
-                pool=pool,
+                engine=runner,
             )
             outcomes = [
                 (point.spec_hash, point.result, point.error, hit)
@@ -1006,9 +979,8 @@ def run_optimize(
                     registry=resolved_registry,
                     store=store,
                     cache=cache,
-                    max_workers=max_workers,
                     kernel=kernel,
-                    engine=probe_engine(),
+                    engine=runner,
                 )
             ]
         hits = 0
@@ -1053,7 +1025,13 @@ def run_optimize(
         except StopIteration as stop:
             collected[position] = stop.value
     round_number = 0
-    try:
+    # One engine serves every probe round; it spawns a pool only on the
+    # first parallel batch, so a warm or all-store-hit run never does.
+    with engine_scope(
+        engine,
+        max_workers=max_workers,
+        store_root=store.root if store is not None else None,
+    ) as runner:
         while pending:
             round_number += 1
             requested = sorted(
@@ -1065,7 +1043,7 @@ def run_optimize(
                 }
             )
             if requested:
-                round_evals, round_hits = evaluate(requested)
+                round_evals, round_hits = evaluate(requested, runner)
                 evaluations += round_evals
                 from_store_total += round_hits
                 rounds.append(
@@ -1096,9 +1074,6 @@ def run_optimize(
                 except StopIteration as stop:
                     collected[position] = stop.value
                     del pending[position]
-    finally:
-        if owned_engine[0] is not None:
-            owned_engine[0].close()
 
     candidates: set[int] = set()
     for winner in collected:

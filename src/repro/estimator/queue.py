@@ -62,7 +62,11 @@ environment, a worker calls :func:`os._exit` at the named stage —
 the chunk, before persisting it), or ``persisted`` (after persisting,
 before releasing the lease). ``tests/faults.py`` drives real worker
 subprocesses through these, and the chaos property test asserts the
-survivors' result equals the serial run bit for bit.
+survivors' result equals the serial run bit for bit. The same variable
+arms one kill-point inside the execution engine's pool workers:
+``engine-chunk:<marker path>`` makes the first worker to start a chunk
+exit, once — it atomically creates the marker file, and every later
+chunk (including the engine's replay of the lost one) sees it and runs.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from .engine import ExecutionEngine, engine_scope
 from .store import (
     JOBS_SCHEMA,
     QUEUE_SCHEMA,
@@ -100,7 +105,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..jsonlog import StructuredLogger
     from ..registry import Registry
     from .batch import EstimateCache
-    from .engine import ExecutionEngine
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -131,13 +135,17 @@ FAULT_EXIT_CODE = 70
 #: Ordered kill-point stages a worker passes through per chunk.
 FAULT_STAGES = ("claimed", "evaluated", "persisted")
 
+#: One-shot kill-point inside an execution-engine pool worker, armed as
+#: ``engine-chunk:<marker path>`` (see the module docstring).
+ENGINE_FAULT_STAGE = "engine-chunk"
+
 #: Journal lifecycle states. There is deliberately no ``running`` state:
 #: liveness is conveyed by leases, so a crashed worker cannot wedge a
 #: job in a stale status — anything not ``finished`` is resumable.
 JOB_STATUSES = ("submitted", "finished")
 
 
-def _fault_point(stage: str, chunk_index: int) -> None:
+def _fault_point(stage: str, chunk_index: int | None = None) -> None:
     """Die here iff the environment names this (stage, chunk) kill-point.
 
     ``os._exit`` specifically: no atexit handlers, no finally blocks —
@@ -151,7 +159,12 @@ def _fault_point(stage: str, chunk_index: int) -> None:
         name, _, target = clause.strip().partition(":")
         if name != stage:
             continue
-        if target and target != str(chunk_index):
+        if stage == ENGINE_FAULT_STAGE:
+            try:
+                os.close(os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                continue  # already fired once
+        elif target and target != str(chunk_index):
             continue
         os._exit(FAULT_EXIT_CODE)
 
@@ -693,8 +706,7 @@ def run_worker(
     deadline_s: float | None = None,
     heartbeat: bool = True,
     log: "StructuredLogger | None" = None,
-    engine: "ExecutionEngine | None" = None,
-    pool: str = "keep",
+    engine: ExecutionEngine | None = None,
 ) -> WorkerReport:
     """Drain queued sweep chunks from a shared store; one worker process.
 
@@ -724,35 +736,23 @@ def run_worker(
     so ``repro work`` output joins the service's request/job records on
     ``jobId``. Defaults to disabled.
 
-    ``engine`` / ``pool`` control the parallel-executor lifecycle when
-    ``max_workers`` enables process fan-out, exactly as in
-    :func:`~repro.estimator.sweep.run_sweep`: the default ``pool="keep"``
-    creates one persistent pool for this worker's whole drain (closed on
-    return); a caller-supplied ``engine`` is shared and left open.
+    Every claimed chunk runs through one
+    :class:`~repro.estimator.engine.ExecutionEngine`, exactly as in
+    :func:`~repro.estimator.sweep.run_sweep`: a caller-supplied
+    ``engine`` is shared and left open; otherwise one with
+    ``max_workers`` workers serves this worker's whole drain (one
+    persistent pool when ``max_workers`` enables process fan-out) and
+    is closed on return.
     """
     from ..jsonlog import StructuredLogger
     from ..registry import default_registry
 
     resolved_registry = registry if registry is not None else default_registry()
-    if pool not in ("keep", "per-call"):
-        raise ValueError(f"unknown pool mode {pool!r}: use 'keep' or 'per-call'")
     queue = SweepQueue(store, owner=owner, ttl=ttl, clock=clock)
     report = WorkerReport(owner=queue.owner)
     guard = lock if lock is not None else nullcontext()
     logger = log if log is not None else StructuredLogger.disabled()
     started = time.monotonic()
-    owned_engine = None
-    if (
-        engine is None
-        and pool == "keep"
-        and (max_workers is None or max_workers > 1)
-    ):
-        from .engine import ExecutionEngine
-
-        owned_engine = ExecutionEngine(
-            max_workers=max_workers, store_root=store.root, log=logger
-        )
-        engine = owned_engine
 
     def out_of_time() -> bool:
         return deadline_s is not None and time.monotonic() - started >= deadline_s
@@ -774,7 +774,9 @@ def run_worker(
         jobs=len(jobs),
         jobId=job_id,
     )
-    try:
+    with engine_scope(
+        engine, max_workers=max_workers, store_root=store.root, log=logger
+    ) as runner:
         for job in jobs:
             report.jobs_seen += 1
             done = _drain_job(
@@ -783,7 +785,6 @@ def run_worker(
                 report,
                 registry=resolved_registry,
                 cache=cache,
-                max_workers=max_workers,
                 kernel=kernel,
                 guard=guard,
                 progress=progress,
@@ -792,13 +793,10 @@ def run_worker(
                 out_of_time=out_of_time,
                 heartbeat=heartbeat,
                 log=logger,
-                engine=engine,
+                engine=runner,
             )
             if not done:
                 report.incomplete_jobs.append(job.job_id)
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
     logger.event(
         "worker.done",
         owner=queue.owner,
@@ -819,7 +817,6 @@ def _drain_job(
     *,
     registry: "Registry",
     cache: "EstimateCache | None",
-    max_workers: int | None,
     kernel: str,
     guard: Any,
     progress: Callable[[SweepProgress], None] | None,
@@ -827,8 +824,8 @@ def _drain_job(
     poll: float,
     out_of_time: Callable[[], bool],
     heartbeat: bool,
+    engine: ExecutionEngine,
     log: "StructuredLogger | None" = None,
-    engine: "ExecutionEngine | None" = None,
 ) -> bool:
     """Work one job to completion (or until blocked); True when finished."""
     if queue.store.get_sweep(job.job_id) is not None:
@@ -889,7 +886,6 @@ def _drain_job(
                             registry=registry,
                             store=queue.store,
                             cache=cache,
-                            max_workers=max_workers,
                             kernel=kernel,
                             engine=engine,
                         )

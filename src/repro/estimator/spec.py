@@ -562,9 +562,10 @@ def run_specs(
     bit-for-bit interchangeable, so stored documents and spec hashes do
     not depend on this choice.
 
-    ``engine`` routes parallel evaluation through a persistent
-    :class:`~repro.estimator.engine.ExecutionEngine` pool instead of a
-    per-call pool; results are identical either way. Successful misses
+    ``engine`` runs the misses through a caller-owned
+    :class:`~repro.estimator.engine.ExecutionEngine` (one persistent
+    pool across calls) instead of a short-lived one sized by
+    ``max_workers``; results are identical either way. Successful misses
     are persisted with one :meth:`ResultStore.put_many` batch write per
     call rather than per-point writes.
     """

@@ -58,13 +58,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
+from .engine import ExecutionEngine, engine_scope
 from .result import PhysicalResourceEstimates
 from .spec import SPEC_SCHEMA, EstimateSpec, run_specs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
     from .batch import EstimateCache
-    from .engine import ExecutionEngine
     from .store import ResultStore
 
 __all__ = [
@@ -790,8 +790,7 @@ def run_sweep(
     kernel: str = "auto",
     executor: str = "local",
     lease_ttl: float | None = None,
-    engine: "ExecutionEngine | None" = None,
-    pool: str = "keep",
+    engine: ExecutionEngine | None = None,
     chunk_target_s: float | None = None,
 ) -> SweepResult:
     """Execute a sweep in store-backed chunks and reduce its frontiers.
@@ -830,16 +829,14 @@ def run_sweep(
     executors produce bit-for-bit identical results; ``lease_ttl``
     (queue only) tunes crash-detection latency.
 
-    ``pool`` selects the parallel-executor lifecycle when
-    ``max_workers`` enables process fan-out: ``"keep"`` (default) runs
-    every chunk through one persistent
-    :class:`~repro.estimator.engine.ExecutionEngine` pool created for
-    the whole sweep (workers keep their memo tables and store handles
-    warm across chunks), ``"per-call"`` restores the historical
-    fresh-pool-per-chunk behavior. An explicit ``engine`` overrides
-    ``pool`` and is *not* closed by this call — the estimation service
-    shares one engine across jobs. Results are identical for every
-    combination.
+    Every chunk runs through one
+    :class:`~repro.estimator.engine.ExecutionEngine`. Without an
+    ``engine``, one with ``max_workers`` workers is created for the
+    whole sweep and closed on return; when ``max_workers`` enables
+    process fan-out its pool is spawned once, and workers keep their
+    memo tables and store handles warm across chunks. An explicit
+    ``engine`` is *not* closed by this call — the estimation service
+    shares one engine across jobs. Results are identical either way.
 
     ``chunk_target_s`` enables adaptive chunk sizing: starting from the
     resolved ``chunk_size``, each subsequent chunk grows or shrinks
@@ -853,8 +850,6 @@ def run_sweep(
     resolved_registry = registry if registry is not None else default_registry()
     if executor not in ("local", "queue"):
         raise ValueError(f"unknown executor {executor!r}: use 'local' or 'queue'")
-    if pool not in ("keep", "per-call"):
-        raise ValueError(f"unknown pool mode {pool!r}: use 'keep' or 'per-call'")
     if chunk_target_s is not None and chunk_target_s <= 0:
         raise ValueError(
             f"chunk_target_s must be positive, got {chunk_target_s}"
@@ -878,7 +873,6 @@ def run_sweep(
                 progress=progress,
                 lock=lock,
                 engine=engine,
-                pool=pool,
             )
         document = store.get_sweep(job.job_id)
         if document is not None:
@@ -902,28 +896,17 @@ def run_sweep(
         size = DEFAULT_CHUNK_SIZE if store is not None else max(len(points), 1)
     guard = lock if lock is not None else nullcontext()
 
-    # Parallel sweeps default to one persistent pool for the whole run;
-    # an engine passed in by the caller (the service) is shared, not owned.
-    owned_engine = None
-    if (
-        engine is None
-        and pool == "keep"
-        and (max_workers is None or max_workers > 1)
-        and len(points) > 1
-    ):
-        from .engine import ExecutionEngine
-
-        owned_engine = ExecutionEngine(
-            max_workers=max_workers,
-            store_root=store.root if store is not None else None,
-        )
-        engine = owned_engine
-
     outcomes: list[SweepPointOutcome] = []
     ok = failed = from_store = 0
     chunk_index = 0
     position = 0
-    try:
+    # One engine for the whole run (one persistent pool when parallel);
+    # an engine passed in by the caller (the service) is shared, not owned.
+    with engine_scope(
+        engine,
+        max_workers=max_workers,
+        store_root=store.root if store is not None else None,
+    ) as runner:
         while position < len(points):
             chunk = points[position : position + size]
             started = time.perf_counter()
@@ -933,9 +916,8 @@ def run_sweep(
                     registry=resolved_registry,
                     store=store,
                     cache=cache,
-                    max_workers=max_workers,
                     kernel=kernel,
-                    engine=engine,
+                    engine=runner,
                 )
             elapsed = time.perf_counter() - started
             position += len(chunk)
@@ -960,8 +942,7 @@ def run_sweep(
                     from_store += 1
             if chunk_target_s is not None and position < len(points):
                 size = _next_chunk_size(size, len(chunk), elapsed, chunk_target_s)
-            if engine is not None:
-                engine.note_chunk_size(size)
+            runner.note_chunk_size(size)
             if progress is not None:
                 remaining_chunks = -(-(len(points) - position) // size)
                 progress(
@@ -975,9 +956,6 @@ def run_sweep(
                         from_store=from_store,
                     )
                 )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
 
     frontiers = (
         _reduce_frontiers(spec.frontier, outcomes)

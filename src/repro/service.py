@@ -217,7 +217,10 @@ class EstimationService:
     cache:
         In-memory cross-point memo cache shared by all submissions.
     max_workers:
-        Fan-out for each submitted batch (see :func:`estimate_batch`).
+        Worker processes of the one
+        :class:`~repro.estimator.engine.ExecutionEngine` that evaluates
+        every submission, sweep chunk and optimize probe for the
+        service's lifetime (``1`` runs serially and never spawns a pool).
     sweep_workers:
         Size of the async sweep job thread pool. Sweep chunks take the
         same engine lock as interactive submissions, so jobs make
@@ -273,7 +276,6 @@ class EstimationService:
         metrics: MetricsRegistry | None = None,
         metrics_ttl: float = 10.0,
         log: StructuredLogger | None = None,
-        pool: str = "keep",
         chunk_target_s: float | None = None,
     ) -> None:
         if executor not in ("auto", "local", "queue"):
@@ -282,10 +284,6 @@ class EstimationService:
             )
         if executor == "queue" and store is None:
             raise ValueError("executor='queue' requires a result store")
-        if pool not in ("keep", "per-call"):
-            raise ValueError(
-                f"unknown pool mode {pool!r}: use 'keep' or 'per-call'"
-            )
         self.registry = registry if registry is not None else default_registry()
         self.store = store
         self.cache = cache if cache is not None else EstimateCache()
@@ -293,20 +291,17 @@ class EstimationService:
         self.kernel = kernel
         self.executor = executor
         self.lease_ttl = lease_ttl
-        self.pool = pool
         self.chunk_target_s = chunk_target_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.log = log if log is not None else StructuredLogger.disabled()
-        # One persistent process pool shared by every request and job
-        # for the service's lifetime (closed in close()); per-call mode
-        # or a single worker keep the engine off entirely.
-        self._engine: ExecutionEngine | None = None
-        if pool == "keep" and (max_workers is None or max_workers > 1):
-            self._engine = ExecutionEngine(
-                max_workers=max_workers,
-                store_root=store.root if store is not None else None,
-                log=self.log,
-            )
+        # One engine shared by every request and job for the service's
+        # lifetime (closed in close()); it spawns its process pool on the
+        # first parallel batch, never with a single worker.
+        self._engine = ExecutionEngine(
+            max_workers=max_workers,
+            store_root=store.root if store is not None else None,
+            log=self.log,
+        )
         self._lock = threading.Lock()
         self._jobs: dict[str, SweepJob] = {}
         self._jobs_lock = threading.Lock()
@@ -349,7 +344,6 @@ class EstimationService:
             metrics=metrics,
             metrics_ttl=settings.metrics_ttl,
             log=log,
-            pool=settings.pool,
             chunk_target_s=settings.chunk_target_s,
         )
 
@@ -485,42 +479,22 @@ class EstimationService:
                 )
         samples.append(("repro_optimize_probes_total", None, probes))
         samples.append(("repro_optimize_evaluations_total", None, evaluations))
-        engine_stats = self._engine.stats() if self._engine is not None else None
-        samples.append(
-            (
-                "repro_pool_workers",
-                None,
-                engine_stats["workersAlive"] if engine_stats else 0,
-            )
-        )
-        samples.append(
-            (
-                "repro_pool_rebuilds_total",
-                None,
-                engine_stats["rebuilds"] if engine_stats else 0,
-            )
-        )
-        samples.append(
+        engine_stats = self._engine.stats()
+        samples += [
+            ("repro_pool_workers", None, engine_stats["workersAlive"]),
+            ("repro_pool_rebuilds_total", None, engine_stats["rebuilds"]),
             (
                 "repro_pool_chunks_total",
                 {"kind": "dispatched"},
-                engine_stats["chunksDispatched"] if engine_stats else 0,
-            )
-        )
-        samples.append(
+                engine_stats["chunksDispatched"],
+            ),
             (
                 "repro_pool_chunks_total",
                 {"kind": "replayed"},
-                engine_stats["chunksReplayed"] if engine_stats else 0,
-            )
-        )
-        samples.append(
-            (
-                "repro_pool_chunk_size",
-                None,
-                engine_stats["lastChunkSize"] if engine_stats else 0,
-            )
-        )
+                engine_stats["chunksReplayed"],
+            ),
+            ("repro_pool_chunk_size", None, engine_stats["lastChunkSize"]),
+        ]
         samples.append(
             (
                 "repro_executor_fallbacks_total",
@@ -623,8 +597,7 @@ class EstimationService:
         """
         self._stopping.set()
         self._sweep_pool.shutdown(wait=wait, cancel_futures=True)
-        if self._engine is not None:
-            self._engine.close(wait=wait)
+        self._engine.close(wait=wait)
 
     # -- request handling --------------------------------------------------
 
@@ -676,7 +649,6 @@ class EstimationService:
                     registry=self.registry,
                     store=self.store,
                     cache=self.cache,
-                    max_workers=self.max_workers,
                     kernel=self.kernel,
                     engine=self._engine,
                 )
@@ -785,14 +757,12 @@ class EstimationService:
                 registry=self.registry,
                 store=self.store,
                 cache=self.cache,
-                max_workers=self.max_workers,
                 progress=on_progress,
                 lock=self._lock,
                 kernel=self.kernel,
                 executor=self.sweep_executor,
                 lease_ttl=self.lease_ttl,
                 engine=self._engine,
-                pool=self.pool,
                 chunk_target_s=self.chunk_target_s,
             )
             document = result.to_dict()
@@ -916,14 +886,12 @@ class EstimationService:
                 registry=self.registry,
                 store=self.store,
                 cache=self.cache,
-                max_workers=self.max_workers,
                 progress=on_progress,
                 lock=self._lock,
                 kernel=self.kernel,
                 executor=self.sweep_executor,
                 lease_ttl=self.lease_ttl,
                 engine=self._engine,
-                pool=self.pool,
             )
             document = result.to_dict()
             with self._jobs_lock:
@@ -1002,14 +970,8 @@ class EstimationService:
         """
         stats: dict[str, Any] = self.cache.stats()
         # The cache-level executor record (serial fallbacks) merged with
-        # the shared engine's pool counters; per-call mode reports its
-        # lifecycle so "no pool stats" is distinguishable from "no pool".
-        executor_stats = dict(stats.get("executor") or {})
-        if self._engine is not None:
-            executor_stats.update(self._engine.stats())
-        else:
-            executor_stats["pool"] = self.pool
-        stats["executor"] = executor_stats
+        # the shared engine's pool counters.
+        stats["executor"] = {**stats["executor"], **self._engine.stats()}
         with self._jobs_lock:
             stats["optimize"] = dict(self._optimize_counters)
         queue_depth = 0
@@ -1087,6 +1049,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # Each response goes out in two writes (headers, body); with Nagle on,
+    # the body waits for the client's delayed ACK (~40 ms per keep-alive
+    # request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

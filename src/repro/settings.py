@@ -43,7 +43,6 @@ DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _KERNELS = ("auto", "scalar", "vectorized")
 _EXECUTORS = ("auto", "local", "queue")
-_POOLS = ("keep", "per-call")
 
 
 def _camel(name: str) -> str:
@@ -74,7 +73,6 @@ class ServerSettings:
     store_max_bytes: int | None = None
     metrics_ttl: float = 10.0
     verbose: bool = False
-    pool: str = "keep"
     chunk_target_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -117,8 +115,6 @@ class ServerSettings:
             raise ValueError(f"metrics_ttl must be >= 0, got {self.metrics_ttl!r}")
         if not isinstance(self.verbose, bool):
             raise ValueError(f"verbose must be a bool, got {self.verbose!r}")
-        if self.pool not in _POOLS:
-            raise ValueError(f"pool must be one of {_POOLS}, got {self.pool!r}")
         if self.chunk_target_s is not None and (
             not isinstance(self.chunk_target_s, (int, float))
             or self.chunk_target_s <= 0

@@ -339,11 +339,14 @@ class TestExecutorFallbackObservability:
             "serialFallbacks": 1,
             "lastFallbackReason": "unpicklable",
         }
+        # The batch's engine may log its own lifecycle; exactly one
+        # fallback must be recorded.
         events = [
-            jsonlib.loads(line) for line in stream.getvalue().splitlines()
+            record
+            for record in map(jsonlib.loads, stream.getvalue().splitlines())
+            if record["event"] == "executor.fallback"
         ]
         assert len(events) == 1
-        assert events[0]["event"] == "executor.fallback"
         assert events[0]["reason"] == "unpicklable"
 
     def test_fresh_cache_reports_zero_fallbacks(self):

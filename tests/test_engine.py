@@ -2,18 +2,20 @@
 
 The load-bearing assertions extend the PR 4/7 equality properties to
 pool reuse and mid-run worker death: a chunked sweep driven through one
-persistent pool — including a pool whose worker is SIGKILLed mid-run —
-produces results and stored documents bit-for-bit equal to a serial
-run. The engine changes *where processes are spawned*, never *what is
-computed*.
+persistent pool — including a pool whose worker dies mid-chunk — produces
+results and stored documents bit-for-bit equal to a serial run. The
+engine changes *where processes are spawned*, never *what is computed*.
+
+Worker death is deterministic: the one-shot ``engine-chunk`` kill-point
+(armed through ``REPRO_QUEUE_FAULT``) makes the first pool worker to
+start a chunk exit, instead of racing ``os.kill`` against pool internals.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
-import signal
-import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,8 @@ from hypothesis import strategies as st
 
 from repro import LogicalCounts, Registry, ResultStore
 from repro.estimator.batch import EstimateCache
-from repro.estimator.engine import (
-    DEFAULT_MAX_REBUILDS,
-    POOL_CHOICES,
-    ExecutionEngine,
-)
+from repro.estimator.engine import DEFAULT_MAX_REBUILDS, ExecutionEngine
+from repro.estimator.queue import ENGINE_FAULT_STAGE, FAULT_ENV
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.sweep import (
     ADAPTIVE_MAX_CHUNK,
@@ -75,21 +74,16 @@ def store_documents(store: ResultStore) -> dict[str, bytes]:
     }
 
 
-def wait_for_worker_pids(engine: ExecutionEngine) -> list[int]:
-    """PIDs of the engine's live pool workers (pool must be spawned)."""
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        pool = engine._pool
-        processes = getattr(pool, "_processes", None) if pool is not None else None
-        pids = [
-            pid
-            for pid, proc in list((processes or {}).items())
-            if proc.is_alive()
-        ]
-        if pids:
-            return pids
-        time.sleep(0.05)
-    raise AssertionError("pool workers never came up")
+@contextlib.contextmanager
+def worker_dies_once(marker_dir: Path):
+    """Arm the one-shot kill-point: the first pool worker to start a chunk
+    exits, and every later chunk (the replay included) runs. Engines must
+    spawn their pool inside the block — workers inherit the environment
+    when they fork. Yields the marker file the dying worker creates."""
+    marker = marker_dir / "worker-died"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(FAULT_ENV, f"{ENGINE_FAULT_STAGE}:{marker}")
+        yield marker
 
 
 class TestEngineLifecycle:
@@ -142,7 +136,7 @@ class TestEngineLifecycle:
         engine.close()
         stats = engine.stats()
         assert stats["workersAlive"] == 0
-        assert stats["pool"] == "keep"
+        assert stats["maxWorkers"] == 2
 
     def test_closed_engine_refuses_parallel_work(self):
         engine = ExecutionEngine(max_workers=2)
@@ -165,7 +159,6 @@ class TestEngineLifecycle:
             engine.note_chunk_size(7)
             stats = engine.stats()
         assert set(stats) == {
-            "pool",
             "maxWorkers",
             "workersAlive",
             "poolSpawns",
@@ -177,7 +170,6 @@ class TestEngineLifecycle:
             "lastChunkSize",
         }
         assert stats["lastChunkSize"] == 7
-        assert POOL_CHOICES == ("keep", "per-call")
 
 
 class TestAdaptiveChunkSizing:
@@ -212,39 +204,29 @@ class TestAdaptiveChunkSizing:
             cache=EstimateCache(),
             chunk_size=2,
             chunk_target_s=0.25,
-            pool="per-call",
         )
         assert adaptive.to_dict() == fixed.to_dict()
 
 
 class TestWorkerDeathChaos:
-    def test_sigkill_mid_run_rebuilds_and_matches_serial(self):
+    def test_sigkill_mid_run_rebuilds_and_matches_serial(self, tmp_path):
         registry = Registry()
         specs = some_specs((1e-4, 1e-3, 1e-2, 1e-5, 1e-6, 3e-4))
         serial = portable(
             run_specs(list(specs), registry=registry, cache=EstimateCache())
         )
-        with ExecutionEngine(max_workers=2) as engine:
-            # Warm the pool, then kill a worker so the next dispatch hits
-            # a broken pool and must rebuild + replay.
-            run_specs(
-                list(specs[:2]),
-                registry=registry,
-                cache=EstimateCache(),
-                max_workers=2,
-                engine=engine,
-            )
-            os.kill(wait_for_worker_pids(engine)[0], signal.SIGKILL)
-            outcomes = run_specs(
-                list(specs),
-                registry=registry,
-                cache=EstimateCache(),
-                max_workers=2,
-                engine=engine,
-            )
-            stats = engine.stats()
+        with worker_dies_once(tmp_path) as marker:
+            with ExecutionEngine(max_workers=2) as engine:
+                outcomes = run_specs(
+                    list(specs),
+                    registry=registry,
+                    cache=EstimateCache(),
+                    engine=engine,
+                )
+                stats = engine.stats()
+        assert marker.exists()
         assert portable(outcomes) == serial
-        assert stats["rebuilds"] >= 1
+        assert stats["rebuilds"] == 1
         assert stats["chunksReplayed"] >= 1
 
     def test_sigkill_mid_sweep_store_bytes_equal_serial(self, tmp_path):
@@ -258,61 +240,43 @@ class TestWorkerDeathChaos:
             chunk_size=2,
         )
         chaos_store = ResultStore(tmp_path / "chaos")
-        killed = {"done": False}
-        with ExecutionEngine(max_workers=2) as engine:
-
-            def kill_one_worker(event) -> None:
-                if not killed["done"] and engine._pool is not None:
-                    os.kill(wait_for_worker_pids(engine)[0], signal.SIGKILL)
-                    killed["done"] = True
-
-            survivor = run_sweep(
-                small_sweep(),
-                registry=registry,
-                store=chaos_store,
-                cache=EstimateCache(),
-                max_workers=2,
-                chunk_size=2,
-                engine=engine,
-                progress=kill_one_worker,
-            )
-            stats = engine.stats()
-        assert killed["done"], "progress callback never saw a live pool"
-        assert stats["rebuilds"] >= 1
+        with worker_dies_once(tmp_path) as marker:
+            with ExecutionEngine(max_workers=2) as engine:
+                survivor = run_sweep(
+                    small_sweep(),
+                    registry=registry,
+                    store=chaos_store,
+                    cache=EstimateCache(),
+                    chunk_size=2,
+                    engine=engine,
+                )
+                stats = engine.stats()
+        assert marker.exists()
+        assert stats["rebuilds"] == 1
         assert survivor.to_dict() == baseline.to_dict()
         assert store_documents(chaos_store) == store_documents(serial_store)
 
-    def test_rebuild_budget_degrades_to_serial_not_forever(self):
-        # A pool that is re-killed on every dispatch must not loop: after
-        # max_rebuilds the engine finishes serially with correct results
-        # and records an executor fallback.
+    def test_rebuild_budget_degrades_to_serial_not_forever(self, tmp_path):
+        # Once the rebuild budget is spent the engine must not keep
+        # respawning: it finishes serially with correct results and
+        # records an executor fallback.
         registry = Registry()
         specs = some_specs()
         serial = portable(
             run_specs(list(specs), registry=registry, cache=EstimateCache())
         )
         cache = EstimateCache()
-        with ExecutionEngine(max_workers=2, max_rebuilds=1) as engine:
-            run_specs(
-                list(specs[:2]),
-                registry=registry,
-                cache=EstimateCache(),
-                max_workers=2,
-                engine=engine,
-            )
-            os.kill(wait_for_worker_pids(engine)[0], signal.SIGKILL)
-            os.kill(wait_for_worker_pids(engine)[-1], signal.SIGKILL)
-            outcomes = run_specs(
-                list(specs),
-                registry=registry,
-                cache=cache,
-                max_workers=2,
-                engine=engine,
-            )
+        with worker_dies_once(tmp_path):
+            with ExecutionEngine(max_workers=2, max_rebuilds=1) as engine:
+                outcomes = run_specs(
+                    list(specs), registry=registry, cache=cache, engine=engine
+                )
+                stats = engine.stats()
         assert portable(outcomes) == serial
+        assert stats["rebuilds"] == 1
         executor = cache.stats()["executor"]
-        if executor["serialFallbacks"]:
-            assert executor["lastFallbackReason"] == "pool-broken"
+        assert executor["serialFallbacks"] == 1
+        assert executor["lastFallbackReason"] == "pool-broken"
         assert DEFAULT_MAX_REBUILDS >= 1
 
 
@@ -326,7 +290,7 @@ class TestExecutionEquivalenceProperty:
             unique=True,
         )
     )
-    def test_serial_percall_persistent_killed_all_store_identical(
+    def test_serial_persistent_killed_store_identical(
         self, tmp_path_factory, budgets
     ):
         registry = Registry()
@@ -353,26 +317,14 @@ class TestExecutionEquivalenceProperty:
             return result.to_dict()
 
         serial = sweep_into("serial")
-        per_call = sweep_into("per-call", max_workers=2, pool="per-call")
         with ExecutionEngine(max_workers=2) as engine:
-            persistent = sweep_into("persistent", max_workers=2, engine=engine)
-        with ExecutionEngine(max_workers=2) as engine:
-            killed = {"done": False}
-
-            def kill_one_worker(event) -> None:
-                if not killed["done"] and engine._pool is not None:
-                    os.kill(wait_for_worker_pids(engine)[0], signal.SIGKILL)
-                    killed["done"] = True
-
-            after_kill = sweep_into(
-                "killed",
-                max_workers=2,
-                engine=engine,
-                progress=kill_one_worker,
-            )
-        assert per_call == serial
+            persistent = sweep_into("persistent", engine=engine)
+        with worker_dies_once(tmp_path_factory.mktemp("marker")) as marker:
+            with ExecutionEngine(max_workers=2) as engine:
+                after_kill = sweep_into("killed", engine=engine)
+        assert marker.exists()
         assert persistent == serial
         assert after_kill == serial
         baseline_docs = store_documents(stores["serial"])
-        for name in ("per-call", "persistent", "killed"):
+        for name in ("persistent", "killed"):
             assert store_documents(stores[name]) == baseline_docs, name

@@ -483,15 +483,16 @@ class TestPoolMetrics:
         assert "repro_executor_fallbacks_total 0" in body
         # The idle engine has not spawned its pool yet: alive gauge is 0.
         assert "repro_pool_workers 0" in body
-        assert executor["pool"] == "keep"
+        assert "pool" not in executor
         assert executor["maxWorkers"] == 2
         assert executor["serialFallbacks"] == 0
 
-    def test_pool_samples_zero_without_engine(self, tmp_path):
-        with live_service(tmp_path, max_workers=1, pool="per-call") as (
-            service,
-            base_url,
-        ):
+    def test_pool_samples_zero_with_single_worker(self, tmp_path):
+        # A one-worker engine runs serially and never spawns a pool.
+        with live_service(tmp_path, max_workers=1) as (service, base_url):
+            client = ServiceClient(base_url)
+            spec = EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3")
+            assert client.submit(spec)["ok"]
             body, _ = scrape(base_url)
             executor = service.cache_stats()["executor"]
         assert_valid_exposition(body)
@@ -499,5 +500,6 @@ class TestPoolMetrics:
         assert 'repro_pool_chunks_total{kind="dispatched"} 0' in body
         assert 'repro_pool_chunks_total{kind="replayed"} 0' in body
         assert "repro_pool_chunk_size 0" in body
-        assert executor["pool"] == "per-call"
-        assert "maxWorkers" not in executor
+        assert executor["maxWorkers"] == 1
+        assert executor["poolSpawns"] == 0
+        assert executor["runs"] == 1

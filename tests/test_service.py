@@ -211,6 +211,27 @@ class TestIntrospection:
         assert health["status"] == "ok"
         assert health["store"] is not None
 
+    def test_keep_alive_requests_do_not_stall(self, client):
+        # Each response leaves in two writes (headers, body); with Nagle's
+        # algorithm on, every keep-alive response waited ~40 ms for the
+        # client's delayed ACK.
+        import http.client
+        from urllib.parse import urlsplit
+
+        url = urlsplit(client.base_url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
 
 class TestProtocolErrors:
     def test_bad_json_body_is_400(self, client):

@@ -95,6 +95,9 @@ class TestScenarioSection:
     def test_unknown_key_is_an_error(self):
         with pytest.raises(ValueError, match="sweepWorker"):
             ServerSettings().updated_from_dict({"sweepWorker": 4})
+        # A removed setting is just another unknown key.
+        with pytest.raises(ValueError, match=r"unknown server settings \['pool'\]"):
+            ServerSettings().updated_from_dict({"pool": "keep"})
 
     def test_null_values_are_ignored(self):
         settings = ServerSettings().updated_from_dict({"port": None})
