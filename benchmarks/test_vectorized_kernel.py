@@ -2,13 +2,17 @@
 
 The acceptance check for the kernel: evaluating a dense 10k-point grid
 (budget ladder x profiles x workloads) through
-``estimate_batch(backend="vectorized")`` must process points at least
-**10x** faster than the scalar per-point walk — the CI floor; a local
-run on an idle machine clears ~50x. The scalar baseline is measured on
-an interleaved stride-subset of the same grid and expressed as
-points/sec (timing the scalar path over all 10k points would dominate
-the suite's runtime for no extra information), and results on that
-subset are asserted bit-for-bit identical between both kernels.
+``estimate_batch(backend="vectorized")`` must give results bit-for-bit
+identical to the scalar per-point walk on every point, and process
+points at least **1.5x** faster than it — the CI floor; a local run on
+a 2-core VM clears ~2-2.5x. Each side is timed over the whole grid,
+best of three.
+
+The floor was 10x (~50x locally) while the scalar walk's factory design
+scanned all ~10k catalog factories per point. ``design()`` is now one
+bisection over the catalog staircase the kernel reads too, so the
+scalar walk runs at ~60 us a point and the kernel's lead comes only
+from the array fixed point and shared per-point preparation.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ WORKLOADS = (
     ),
 )
 
-#: Every Nth grid point forms the scalar baseline subset (interleaved so
-#: the subset sees the same budget/profile/workload mix as the full grid).
-SCALAR_STRIDE = 20
+#: Timings per side; the best one counts, which filters out host noise.
+REPEATS = 3
+
+#: Required vectorized / scalar points-per-second ratio.
+FLOOR = 1.5
 
 
 def _grid_requests() -> list[EstimateRequest]:
@@ -60,7 +66,18 @@ def _grid_requests() -> list[EstimateRequest]:
     ]
 
 
-def test_vectorized_kernel_10x_points_per_sec_floor():
+def _best_of(requests, backend):
+    """(best seconds, outcomes) of REPEATS fresh-cache batch runs."""
+    best = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        outcomes = estimate_batch(requests, cache=EstimateCache(), backend=backend)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, outcomes
+
+
+def test_vectorized_kernel_points_per_sec_floor():
     requests = _grid_requests()
     assert len(requests) == 10_000
 
@@ -72,37 +89,24 @@ def test_vectorized_kernel_10x_points_per_sec_floor():
         estimate(WORKLOADS[0], qubit_params(profile), budget=1e-4)
     estimate_batch(requests[:2], cache=EstimateCache(), backend="vectorized")
 
-    subset = requests[::SCALAR_STRIDE]
-    start = time.perf_counter()
-    scalar_outcomes = estimate_batch(
-        subset, cache=EstimateCache(), backend="scalar"
-    )
-    scalar_s = time.perf_counter() - start
+    scalar_s, scalar_outcomes = _best_of(requests, "scalar")
+    vector_s, vector_outcomes = _best_of(requests, "vectorized")
 
-    start = time.perf_counter()
-    vector_outcomes = estimate_batch(
-        requests, cache=EstimateCache(), backend="vectorized"
-    )
-    vector_s = time.perf_counter() - start
-
-    # Bit-for-bit equality on the shared subset.
-    for s, v in zip(scalar_outcomes, vector_outcomes[::SCALAR_STRIDE]):
+    # Bit-for-bit equality on every point.
+    for s, v in zip(scalar_outcomes, vector_outcomes):
         assert s.ok and v.ok, (s.error, v.error)
         assert s.result.to_dict() == v.result.to_dict()
 
-    scalar_rate = len(subset) / scalar_s
+    scalar_rate = len(requests) / scalar_s
     vector_rate = len(requests) / vector_s
     speedup = vector_rate / scalar_rate
     print(
-        f"\nscalar: {scalar_rate:,.0f} points/sec "
-        f"({len(subset)} points in {scalar_s:.2f}s); "
-        f"vectorized: {vector_rate:,.0f} points/sec "
-        f"({len(requests)} points in {vector_s:.2f}s); "
+        f"\nscalar: {scalar_rate:,.0f} points/sec ({scalar_s:.2f}s); "
+        f"vectorized: {vector_rate:,.0f} points/sec ({vector_s:.2f}s); "
         f"speedup: {speedup:.1f}x"
     )
-    # CI floor. Locally (idle machine, warm numpy) this clears ~50x.
-    assert speedup >= 10.0, (
+    assert speedup >= FLOOR, (
         f"vectorized kernel at {vector_rate:,.0f} points/sec is only "
         f"{speedup:.1f}x the scalar {scalar_rate:,.0f} points/sec "
-        "(floor: 10x)"
+        f"(floor: {FLOOR}x)"
     )

@@ -18,6 +18,7 @@ Both share the 15-to-1 error model: failure probability
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -170,7 +171,9 @@ class DistillationUnit:
 
         Failure probability is clamped into [0, 1]; a clamp to 1 means the
         unit can never succeed at these error rates, which the pipeline
-        evaluator treats as infeasible.
+        evaluator treats as infeasible. A non-finite failure probability
+        or a negative or non-finite output error is a definition error:
+        a NaN would compare as meeting every error target.
         """
         env = {
             "inputErrorRate": input_error_rate,
@@ -178,7 +181,11 @@ class DistillationUnit:
         }
         failure = self.failure_probability.evaluate(env)
         output = self.output_error_rate.evaluate(env)
-        if output < 0:
+        if not math.isfinite(failure):
+            raise DistillationUnitError(
+                f"unit {self.name!r}: failure probability formula produced {failure}"
+            )
+        if not (math.isfinite(output) and output >= 0):
             raise DistillationUnitError(
                 f"unit {self.name!r}: output error formula produced {output}"
             )

@@ -14,11 +14,12 @@ points or expressible as one array operation:
   per-distance attributes (cycle time, footprint) are tabulated once per
   batch instead of re-evaluating the scheme formulas per point.
 * **T-factory design** (stage D): the designer's per-(qubit, scheme)
-  catalog is sorted once by the scalar tie-break key ``(physical_qubits,
-  duration_ns, catalog index)``; the running minimum of output error
-  rates along that order is non-increasing, so "first feasible candidate
-  in preference order" — provably the same factory the linear scan in
-  :meth:`TFactoryDesigner.design` keeps — is again one ``searchsorted``.
+  catalog carries a staircase — the entries, in the scalar preference
+  order ``(physical_qubits, duration_ns, enumeration index)``, whose
+  output error undercuts every earlier one — so "first feasible
+  candidate in preference order", the factory
+  :meth:`TFactoryDesigner.design` returns, is one ``searchsorted`` over
+  the same table the scalar bisection reads.
 * **The C<->D fixed point** (the genuinely iterative part): each sweep of
   the loop runs as array ops over the *not-yet-converged* subset (masked
   convergence). The depth only ever grows, so points leave the active set
@@ -253,23 +254,17 @@ def _run_group(
     cycle_tab = np.array([scheme.cycle_time_ns(qubit, d) for d in distances])
     ppl_tab = [scheme.physical_qubits(qubit, d) for d in distances]
 
-    # Factory candidates, sorted by the designer's preference key. The
-    # scalar scan keeps the first feasible candidate in (physical_qubits,
-    # duration_ns, catalog index) order — its replacement test is a strict
-    # ``<`` on (qubits, duration), so earlier catalog entries win ties.
-    # Along this order the prefix minimum of output error rates is
-    # non-increasing, which turns "first feasible" into a searchsorted.
+    # Factory selection reads the designer's staircase: catalog entries
+    # in preference order (physical_qubits, duration_ns, enumeration
+    # index) whose output error undercuts every earlier one. "First
+    # feasible candidate in preference order" is then one searchsorted
+    # over the increasing negated errors, the same bisection
+    # TFactoryDesigner.design performs.
     catalog = group.points[0].ctx.factory_designer._catalog(qubit, scheme)
-    order = sorted(
-        range(len(catalog)),
-        key=lambda k: (catalog[k].physical_qubits, catalog[k].duration_ns, k),
-    )
-    err_sorted = np.array([catalog[k].output_error_rate for k in order])
-    neg_prefix_min = (
-        -np.minimum.accumulate(err_sorted) if order else np.empty(0)
-    )  # non-decreasing
-    dur_sorted = np.array([float(catalog[k].duration_ns) for k in order])
-    out_sorted = np.array([float(catalog[k].output_t_states) for k in order])
+    staircase = catalog.staircase
+    neg_errors = np.array(catalog.neg_errors, dtype=float)
+    dur_sorted = np.array([float(f.duration_ns) for f in staircase])
+    out_sorted = np.array([float(f.output_t_states) for f in staircase])
 
     # Struct-of-arrays columns over the group's points (stage B). All
     # integer-valued columns are exact: prep guarded their magnitudes.
@@ -316,8 +311,8 @@ def _run_group(
         defer(fidx[bad])
         fidx = fidx[~bad]
     if fidx.size:
-        pos = np.searchsorted(neg_prefix_min, -req_t_err[fidx], side="left")
-        infeasible = pos >= len(order)  # scalar raises the exact message
+        pos = np.searchsorted(neg_errors, -req_t_err[fidx], side="left")
+        infeasible = pos >= len(staircase)  # scalar raises the exact message
         defer(fidx[infeasible])
         fidx, pos = fidx[~infeasible], pos[~infeasible]
         fac_pos[fidx] = pos
@@ -434,7 +429,7 @@ def _run_group(
             physical_per_logical=ppl_tab[out_didx[i]],
             depth=int(depth[i]),
             runtime_ns=float(out_runtime[i]),
-            factory=catalog[order[fac_pos[i]]] if has_factory[i] else None,
+            factory=staircase[fac_pos[i]] if has_factory[i] else None,
             copies=int(out_copies[i]),
             runs_per_copy=int(out_rpc[i]),
             total_runs=int(total_runs[i]),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +22,13 @@ from repro.distillation import (
     evaluate_pipeline,
 )
 from repro.formulas import Formula
-from repro.qec import FLOQUET_CODE, SURFACE_CODE_GATE_BASED
-from repro.qubits import QUBIT_GATE_NS_E3, QUBIT_GATE_NS_E4, QUBIT_MAJ_NS_E4
+from repro.qec import FLOQUET_CODE, SURFACE_CODE_GATE_BASED, default_scheme_for
+from repro.qubits import (
+    PREDEFINED_PROFILES,
+    QUBIT_GATE_NS_E3,
+    QUBIT_GATE_NS_E4,
+    QUBIT_MAJ_NS_E4,
+)
 
 
 class TestUnits:
@@ -64,6 +72,25 @@ class TestUnits:
                 output_error_rate=Formula("inputErrorRate"),
                 logical_spec=LogicalUnitSpec(num_logical_qubits=1, duration_in_cycles=1),
             )
+
+    @pytest.mark.parametrize(
+        "field, source, shown",
+        [
+            ("output_error_rate", "1e308 * 10 - 1e308 * 10", "nan"),
+            ("output_error_rate", "1e308 * 10", "inf"),
+            ("failure_probability", "1e308 * 10 - 1e308 * 10", "nan"),
+            ("failure_probability", "1e308 * 10", "inf"),
+        ],
+    )
+    def test_non_finite_formula_rejected(self, field, source, shown):
+        # A NaN output error would compare as meeting every target.
+        bad = T15_RM_PREP.customized(**{field: source})
+        message = f"formula produced {shown}"
+        with pytest.raises(DistillationUnitError, match=message):
+            bad.evaluate(0.01, 1e-4)
+        designer = TFactoryDesigner(units=(bad,), max_rounds=1)
+        with pytest.raises(DistillationUnitError, match=message):
+            designer.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, 1e-30)
 
     def test_customized(self):
         fatter = T15_SPACE_EFFICIENT.customized(
@@ -207,3 +234,193 @@ class TestDesigner:
     def test_property_design_always_meets_requirement(self, req):
         factory = design_t_factory(QUBIT_MAJ_NS_E4, FLOQUET_CODE, req)
         assert factory.output_error_rate <= req
+
+
+# -- exactness of the pruned catalog against brute force ----------------------
+
+#: Every predefined profile on its default scheme, plus one customized
+#: designer. Its unit library holds an exact copy of RM prep under
+#: another name, so many candidates tie on (qubits, duration) and only
+#: the enumeration-order tie-break tells them apart.
+CASES = [(name, "default") for name in sorted(PREDEFINED_PROFILES)] + [
+    ("qubit_gate_ns_e3", "custom")
+]
+EXACTNESS_CASES = [
+    pytest.param(profile, kind, id=f"{profile}-{kind}") for profile, kind in CASES
+]
+
+
+@lru_cache(maxsize=None)
+def make_designer(kind: str) -> TFactoryDesigner:
+    """One designer per kind, shared by the tests (its catalogs are cached)."""
+    if kind == "default":
+        return TFactoryDesigner()
+    twin = T15_RM_PREP.customized(name="15-to-1 RM prep twin")
+    squat = T15_SPACE_EFFICIENT.customized(
+        logical_spec=LogicalUnitSpec(num_logical_qubits=24, duration_in_cycles=15),
+        output_error_rate=Formula("30 * inputErrorRate^3 + 8 * cliffordErrorRate"),
+    )
+    return TFactoryDesigner(
+        units=(T15_RM_PREP, twin, squat), max_rounds=2, max_code_distance=15
+    )
+
+
+def all_factories(designer, qubit, scheme):
+    """Every feasible factory, in enumeration order: ``evaluate_pipeline``
+    over all candidate pipelines."""
+    return [
+        factory
+        for pipeline in designer.candidate_pipelines(qubit, scheme)
+        if (factory := evaluate_pipeline(pipeline, qubit, scheme)) is not None
+    ]
+
+
+@lru_cache(maxsize=None)
+def brute_force(profile: str, kind: str):
+    """(qubit, scheme, all factories) for one exactness case."""
+    qubit = PREDEFINED_PROFILES[profile]
+    scheme = default_scheme_for(qubit)
+    return qubit, scheme, all_factories(make_designer(kind), qubit, scheme)
+
+
+def no_factory_message(required, qubit, scheme) -> str:
+    return (
+        f"no T factory in the search space reaches output error rate "
+        f"{required:.3e} on {qubit.name!r} with "
+        f"scheme {scheme.name!r}; consider more rounds or a larger "
+        "max code distance"
+    )
+
+
+def better(a, b) -> bool:
+    """Prefer fewer physical qubits, then shorter duration."""
+    return (a.physical_qubits, a.duration_ns) < (b.physical_qubits, b.duration_ns)
+
+
+def linear_scan(factories, required):
+    """The reference selection: first feasible factory, replaced only by a
+    strictly better one, so an earlier factory wins a tie."""
+    best = None
+    for factory in factories:
+        if factory.output_error_rate > required:
+            continue
+        if best is None or better(factory, best):
+            best = factory
+    return best
+
+
+def sweep_scan(factories, targets):
+    """``linear_scan`` for many targets at once.
+
+    Walks the targets in increasing order and folds in each factory as it
+    becomes feasible, with the same preference and tie-break (earlier
+    enumeration index), so the answer per target is the one the linear
+    scan would give.
+    """
+    def rank(k):
+        return factories[k].physical_qubits, factories[k].duration_ns, k
+
+    errors = [f.output_error_rate for f in factories]
+    by_error = sorted(range(len(factories)), key=errors.__getitem__)
+    answers, best, j = {}, None, 0
+    for required in sorted(set(targets)):
+        while j < len(by_error) and errors[by_error[j]] <= required:
+            if best is None or rank(by_error[j]) < rank(best):
+                best = by_error[j]
+            j += 1
+        answers[required] = None if best is None else factories[best]
+    return answers
+
+
+def brute_frontier(factories, required):
+    feasible = [f for f in factories if f.output_error_rate <= required]
+    frontier = []
+    for f in sorted(feasible, key=lambda f: (f.physical_qubits, f.duration_ns)):
+        if all(f.duration_ns < g.duration_ns for g in frontier):
+            frontier.append(f)
+    return frontier
+
+
+def designed(designer, qubit, scheme, required):
+    """``design()`` as a comparable value: a factory or an error text."""
+    try:
+        return designer.design(qubit, scheme, required)
+    except TFactoryError as exc:
+        return str(exc)
+
+
+class TestCatalogExactness:
+    """The pruned catalog answers exactly as a linear scan over all pipelines."""
+
+    @pytest.mark.parametrize("profile, kind", EXACTNESS_CASES)
+    def test_design_equals_brute_force_at_every_boundary(self, profile, kind):
+        qubit, scheme, factories = brute_force(profile, kind)
+        errors = sorted({f.output_error_rate for f in factories})
+        targets = [errors[0] / 2, errors[-1] * 2, 1.0]
+        for error in errors:
+            targets += [error, math.nextafter(error, 0.0), math.nextafter(error, 1.0)]
+        expected = sweep_scan(factories, targets)
+        designer = make_designer(kind)
+        as_dict: dict[int, dict] = {}  # id -> to_dict(), for the few distinct answers
+        for required in targets:
+            want = expected[required]
+            got = designed(designer, qubit, scheme, required)
+            if want is None:
+                assert got == no_factory_message(required, qubit, scheme)
+                continue
+            assert not isinstance(got, str), (required, got)
+            for factory in (want, got):
+                if id(factory) not in as_dict:
+                    as_dict[id(factory)] = factory.to_dict()
+            assert as_dict[id(got)] == as_dict[id(want)], required
+
+    @pytest.mark.parametrize("profile, kind", EXACTNESS_CASES)
+    def test_frontier_equals_brute_force(self, profile, kind):
+        qubit, scheme, factories = brute_force(profile, kind)
+        designer = make_designer(kind)
+        errors = sorted({f.output_error_rate for f in factories})
+        for required in (errors[0], errors[len(errors) // 2], errors[-1], 1e-9, 1e-15):
+            got = designer.frontier(qubit, scheme, required)
+            want = brute_frontier(factories, required)
+            assert [f.to_dict() for f in got] == [f.to_dict() for f in want]
+
+    @pytest.mark.parametrize("bad_distance, raises", [(1, False), (7, True)])
+    def test_raising_scheme_formula_matches_brute_force(self, bad_distance, raises):
+        # On qubit_gate_ns_e3 distance 1 appears only in pipelines whose
+        # forward pass is infeasible, so its cycle time is never needed;
+        # distance 7 reaches the footprint step and raises there.
+        qubit = QUBIT_GATE_NS_E3
+        scheme = SURFACE_CODE_GATE_BASED.customized(
+            logical_cycle_time="(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime)"
+            f" * codeDistance / (codeDistance - {bad_distance})"
+        )
+
+        def outcome(call):
+            try:
+                return call().to_dict()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        designer = TFactoryDesigner()
+        want = outcome(
+            lambda: linear_scan(all_factories(designer, qubit, scheme), 1e-12)
+        )
+        got = outcome(lambda: designer.design(qubit, scheme, 1e-12))
+        assert got == want
+        assert isinstance(got, tuple) == raises
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        case=st.sampled_from(CASES),
+        exponent=st.floats(min_value=-45.0, max_value=0.0),
+    )
+    def test_design_equals_linear_scan_log_uniform(self, case, exponent):
+        qubit, scheme, factories = brute_force(*case)
+        required = 10.0**exponent
+        want = linear_scan(factories, required)
+        got = designed(make_designer(case[1]), qubit, scheme, required)
+        if want is None:
+            assert got == no_factory_message(required, qubit, scheme)
+        else:
+            assert got.to_dict() == want.to_dict()
+

@@ -10,11 +10,12 @@ The property-based equality sweep lives in ``test_invariants.py``.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
 
-from repro import Constraints, LogicalCounts, qubit_params
+from repro import Constraints, ErrorBudget, LogicalCounts, qubit_params
 from repro.estimator.batch import (
     AUTO_BATCH_THRESHOLD,
     BACKEND_CHOICES,
@@ -22,7 +23,8 @@ from repro.estimator.batch import (
     EstimateRequest,
     estimate_batch,
 )
-from repro.qec import PREDEFINED_SCHEMES
+from repro.estimator.stages import DEFAULT_DESIGNER
+from repro.qec import PREDEFINED_SCHEMES, default_scheme_for
 
 WORKLOAD = LogicalCounts(
     num_qubits=50, t_count=50_000, ccz_count=10_000, measurement_count=2_000
@@ -208,3 +210,47 @@ class TestBitForBitSpotChecks:
         assert stats["vectorized"] + stats["scalarFallback"] == 6
         # The infeasible-factory point at least is replayed scalar-side.
         assert stats["scalarFallback"] >= 1
+
+
+class TestFactoryStaircaseBoundaries:
+    """T-state requirements exactly on the designer's staircase errors.
+
+    With a single T state the requirement is the pinned T-state budget
+    itself, so each point asks for exactly a staircase error or one of
+    its floating-point neighbours — where the kernel's searchsorted and
+    the scalar bisection could first disagree.
+    """
+
+    def boundary_requests(self, qubit) -> list[EstimateRequest]:
+        catalog = DEFAULT_DESIGNER._catalog(qubit, default_scheme_for(qubit))
+        errors = [f.output_error_rate for f in catalog.staircase]
+        targets = [errors[-1] / 2]  # below the best: no factory
+        for error in errors:
+            targets += [math.nextafter(error, 0.0), error, math.nextafter(error, 1.0)]
+        counts = LogicalCounts(num_qubits=50, t_count=1, measurement_count=100)
+        return [
+            EstimateRequest(
+                program=counts,
+                qubit=qubit,
+                budget=ErrorBudget.explicit(
+                    logical=1e-4, t_states=required, rotations=0.0
+                ),
+            )
+            for required in targets
+        ]
+
+    @pytest.mark.parametrize("qubit", [MAJ, GATE], ids=lambda q: q.name)
+    def test_vectorized_equals_scalar_on_staircase(self, qubit):
+        requests = self.boundary_requests(qubit)
+        scalar = estimate_batch(requests, cache=EstimateCache(), backend="scalar")
+        cache = EstimateCache()
+        vectorized = estimate_batch(requests, cache=cache, backend="vectorized")
+        assert [s.error for s in scalar] == [v.error for v in vectorized]
+        for s, v in zip(scalar, vectorized):
+            if s.ok:
+                assert s.result.to_dict() == v.result.to_dict()
+        # Only the points below the best staircase error find no factory;
+        # the kernel hands exactly those to the scalar path.
+        ok = sum(s.ok for s in scalar)
+        assert ok == len(requests) - 2
+        assert kernel_stats(cache)["vectorized"] == ok
