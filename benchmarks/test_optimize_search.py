@@ -10,16 +10,12 @@ RSA-2048 problem (2 qubit profiles x 128-budget geometric ladder,
   (cold store; a local run measures ~16x), and
 * a warm re-run against the same store answers from the persisted
   ``repro-optimize-v1`` probe trace with **zero** evaluations.
-
-Measured numbers are emitted to ``BENCH_optimize.json`` next to the
-repository root for trend tracking.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro import ResultStore
 from repro.distillation import TFactoryDesigner
@@ -42,8 +38,6 @@ REFERENCE_DOC = {
     "objective": "min-qubits",
     "constraints": {"maxPhysicalQubits": 60_000_000},
 }
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_optimize.json"
 
 
 def _fresh_cache() -> EstimateCache:
@@ -94,10 +88,9 @@ def test_optimize_reaches_dense_answer_10x_cheaper(tmp_path):
         f"({ratio:.1f}x fewer), cold {cold_s:.2f}s "
         f"(dense sweep {dense_s:.2f}s), warm {warm_s:.4f}s (0 evaluations)"
     )
-    BENCH_PATH.write_text(
+    print(
         json.dumps(
             {
-                "problem": REFERENCE_DOC,
                 "gridPoints": grid,
                 "evaluations": cold.num_evaluations,
                 "probes": len(cold.probes),
@@ -107,8 +100,6 @@ def test_optimize_reaches_dense_answer_10x_cheaper(tmp_path):
                 "denseSweepSeconds": round(dense_s, 3),
                 "warmSeconds": round(warm_s, 4),
                 "warmEvaluations": warm.num_evaluations,
-            },
-            indent=2,
+            }
         )
-        + "\n"
     )

@@ -11,6 +11,13 @@ and the (possibly negated) address bit. Leaves write their table entry
 with CNOTs. Cost for a ``w``-bit address: ``2^(w+1) - 4`` CCiX (``w >= 2``)
 and as many measurements; zero CCZ/T.
 
+:func:`lookup_counts` evaluates that cost without walking the tree. A
+subtree over ``2^b`` entries that all exist costs ``2^(b+1) - 2`` ANDs
+under a control (two per branch, recursively) and ``2^(b+1) - 4`` at the
+uncontrolled top level. Only the one partial subtree per level, on the
+path to the table's last entry, still recurses; where its upper half holds
+no entry at all, it descends into the lower half behind a single AND.
+
 Uncomputation (:func:`unlookup_adjoint`) replays the recorded tape in
 reverse. The data-write CNOTs undo for free; the select-tree ANDs that
 the forward pass already uncomputed internally are re-computed and
@@ -140,29 +147,39 @@ def unlookup_adjoint(builder: Builder, tape: list[Instruction]) -> None:
 
 
 def lookup_counts(address_bits: int, num_entries: int) -> GateTally:
-    """Gate tally of :func:`lookup` (mirrors the recursion exactly)."""
+    """Gate tally of :func:`lookup` (mirrors the recursion exactly).
+
+    A subtree whose entries all exist has a closed form (see the module
+    docstring), so only the one partial subtree per level, on the path
+    to the last entry, is walked: O(``address_bits``) steps.
+    """
     if num_entries > (1 << address_bits):
         raise ValueError("table larger than the address space")
     if num_entries == 0:
         return GateTally()
 
-    def select_ands(control: bool, bits: int, lo: int, span: int) -> int:
-        if span == 1 or bits == 0:
+    def select_ands(control: bool, bits: int, lo: int) -> int:
+        if bits == 0:
             return 0
-        half = span // 2
+        if lo + (1 << bits) <= num_entries:
+            return _complete_select_ands(control, bits)
+        half = 1 << (bits - 1)
         if lo + half >= num_entries:
-            inner = select_ands(True, bits - 1, lo, half)
+            inner = select_ands(True, bits - 1, lo)
             return (1 + inner) if control else inner
-        if not control:
-            return select_ands(True, bits - 1, lo, half) + select_ands(
-                True, bits - 1, lo + half, half
-            )
-        return 2 + select_ands(True, bits - 1, lo, half) + select_ands(
-            True, bits - 1, lo + half, half
-        )
+        lower = _complete_select_ands(True, bits - 1)
+        upper = select_ands(True, bits - 1, lo + half)
+        return (2 if control else 0) + lower + upper
 
-    ands = select_ands(False, address_bits, 0, 1 << address_bits)
+    ands = select_ands(False, address_bits, 0)
     return GateTally(ccix=ands, measurements=ands)
+
+
+def _complete_select_ands(control: bool, bits: int) -> int:
+    """ANDs of a select subtree over ``2^bits`` existing entries."""
+    if bits == 0:
+        return 0
+    return (1 << (bits + 1)) - (2 if control else 4)
 
 
 def unlookup_adjoint_counts(address_bits: int, num_entries: int) -> GateTally:

@@ -24,6 +24,7 @@ with schoolbook in the multi-thousand-bit range the paper observes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from ...ir import Builder
@@ -85,10 +86,15 @@ class KaratsubaMultiplier(Multiplier):
         copy_register(builder, internal, acc)
         builder.emit_adjoint(tape)
 
-    def tally(self) -> GateTally:
+    @cached_property
+    def _stats(self) -> tuple[GateTally, int, int]:
+        """:func:`_dirty_stats` of this instance, shared by the two mirrors."""
         n = self.bits
-        dirty, _, _ = _dirty_stats(n, 2 * n, self.constant, self.cutoff)
-        readout = GateTally(measurements=2 * n)
+        return _dirty_stats(n, 2 * n, self.constant, self.cutoff)
+
+    def tally(self) -> GateTally:
+        dirty, _, _ = self._stats
+        readout = GateTally(measurements=2 * self.bits)
         if not self.clean:
             return dirty + readout
         adjoint = GateTally(ccix=dirty.measurements, measurements=dirty.ccix)
@@ -96,7 +102,7 @@ class KaratsubaMultiplier(Multiplier):
 
     def num_qubits(self) -> int:
         n = self.bits
-        _, persistent, peak = _dirty_stats(n, 2 * n, self.constant, self.cutoff)
+        _, persistent, peak = self._stats
         if not self.clean:
             return 3 * n + max(peak, persistent)
         # Clean mode adds the internal 2n-qubit accumulator on top of the
@@ -176,8 +182,9 @@ def _dirty_stats(
 
     # sx alloc + the add x_hi into sx (carries: len(sx)-1 = h).
     phase(h + 1, 0)
-    tally = tally + add_into_counts(n - h, h + 1)
-    phase(0, add_into_counts(n - h, h + 1).ccix)  # carries == ands here
+    sx_add = add_into_counts(n - h, h + 1)
+    tally = tally + sx_add
+    phase(0, sx_add.ccix)  # carries == ands here
 
     # t3 then recursion.
     sub_tally, sub_persistent, sub_peak = _dirty_stats(h + 1, 2 * (h + 1), sk, cutoff)

@@ -13,12 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...ir import Builder
-from ..adders import (
-    add_constant_controlled,
-    add_constant_controlled_counts,
-    add_into,
-    add_into_counts,
-)
+from ..adders import add_constant_controlled, add_into, add_into_counts
 from ..tally import GateTally
 from .base import Multiplier
 
@@ -67,29 +62,53 @@ def emit_schoolbook(
 
 
 def schoolbook_tally(n: int, acc_len: int, constant: int) -> GateTally:
-    """Mirror of :func:`emit_schoolbook`."""
-    total = GateTally()
-    if constant == 0 or n == 0:
-        return total
-    for i in range(min(n, acc_len)):
-        window_len = min(n + 1, acc_len - i)
-        total = total + add_constant_controlled_counts(constant, window_len)
-    return total
+    """Mirror of :func:`emit_schoolbook`, in closed form.
+
+    Row ``i`` adds the constant into a window of
+    ``w_i = min(n+1, acc_len-i)`` qubits for ``w_i - 1`` ANDs, except
+    that a window holding no set bit of the constant (``w_i`` at most its
+    trailing zeros) or a single qubit costs nothing. Windows only shrink,
+    so the rows that pay are a prefix: ``a = min(rows, acc_len-n)``
+    full-width rows at ``n`` ANDs each, then the arithmetic series of
+    ``w - 1`` over the shrinking windows ``w >= max(tz, 1) + 1``.
+    """
+    rows = min(n, acc_len)
+    if constant == 0 or rows <= 0:
+        return GateTally()
+    if constant < 0:
+        raise ValueError(f"constant must be non-negative, got {constant}")
+    paying = _min_paying_window(constant)
+    full_rows = min(rows, max(0, acc_len - n))
+    ands = full_rows * n if n + 1 >= paying else 0
+    # The shrinking tail: windows acc_len - i for i in [full_rows, rows).
+    widest = acc_len - full_rows
+    narrowest = max(acc_len - rows + 1, paying)
+    if widest >= narrowest:
+        ands += (widest - narrowest + 1) * (narrowest + widest - 2) // 2
+    return GateTally(ccix=ands, measurements=ands)
 
 
 def schoolbook_peak_workspace(n: int, acc_len: int, constant: int) -> int:
-    """Peak ancillas of :func:`emit_schoolbook` beyond x and acc."""
+    """Peak ancillas of :func:`emit_schoolbook` beyond x and acc.
+
+    The scratch register plus the carries of the widest paying window;
+    windows only shrink, so that is row 0's when row 0 pays at all.
+    """
     if constant == 0 or n == 0:
         return 0
-    scratch = min(n, acc_len)
-    peak_carries = 0
-    for i in range(min(n, acc_len)):
-        window_len = min(n + 1, acc_len - i)
-        masked = constant & ((1 << window_len) - 1)
-        if masked == 0 or window_len < 2:
-            continue
-        peak_carries = max(peak_carries, window_len - 1)
-    return scratch + peak_carries
+    widest = min(n + 1, acc_len)
+    carries = widest - 1 if widest >= _min_paying_window(constant) else 0
+    return min(n, acc_len) + carries
+
+
+def _min_paying_window(constant: int) -> int:
+    """Narrowest accumulator window whose controlled addition costs ANDs.
+
+    It must hold a set bit of the constant (be wider than its trailing
+    zeros) and have at least two qubits (a 1-qubit addition is a CNOT).
+    """
+    trailing_zeros = (constant & -constant).bit_length() - 1
+    return max(trailing_zeros, 1) + 1
 
 
 def schoolbook_multiply_qq(

@@ -105,15 +105,17 @@ class WindowedMultiplier(Multiplier):
 
     def tally(self) -> GateTally:
         n, k = self.bits, self.constant
-        total = GateTally(measurements=2 * n)  # final readout
+        readout = GateTally(measurements=2 * n)
         if k == 0:
-            return total
+            return readout
+        # Every AND here is measured away, so one int carries both fields:
+        # the lookup, its adjoint (ANDs and measurements swap) and the add.
+        ands = 0
         for j, wj in self._windows():
-            fwd = lookup_counts(wj, 1 << wj)
-            adjoint = GateTally(ccix=fwd.measurements, measurements=fwd.ccix)
             window_len = min(n + wj + 1, 2 * n - j)
-            total = total + fwd + adjoint + add_into_counts(n + wj, window_len)
-        return total
+            ands += 2 * lookup_counts(wj, 1 << wj).ccix
+            ands += add_into_counts(n + wj, window_len).ccix
+        return readout + GateTally(ccix=ands, measurements=ands)
 
     def num_qubits(self) -> int:
         n, k = self.bits, self.constant

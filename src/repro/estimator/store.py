@@ -372,7 +372,9 @@ class ResultStore:
                 with os.fdopen(fd, "w") as handle:
                     # Compact separators: every byte of the file is
                     # significant, so corruption cannot hide in formatting.
-                    json.dump(document, handle, separators=(",", ":"))
+                    # json.dumps, not json.dump: only dumps uses the C
+                    # encoder; the bytes are the same.
+                    handle.write(json.dumps(document, separators=(",", ":")))
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

@@ -77,6 +77,32 @@ def test_closed_form_counts_equal_traced_counts(factory, n):
     assert mult.logical_counts() == mult.traced_counts()
 
 
+#: Constants the default (always odd, top bit set) never is: zero, one, a
+#: lone top bit, an even value (trailing zeros reach the schoolbook
+#: windows directly) and a value with an empty low half (Karatsuba's
+#: ``k_lo == 0``).
+NON_DEFAULT_CONSTANTS = [
+    pytest.param(lambda n: 0, id="zero"),
+    pytest.param(lambda n: 1, id="one"),
+    pytest.param(lambda n: 1 << (n - 1), id="top-bit"),
+    pytest.param(lambda n: default_constant(n) & ~0b111, id="even"),
+    pytest.param(
+        lambda n: default_constant(n) >> ((n + 1) // 2) << ((n + 1) // 2),
+        id="high-half-only",
+    ),
+]
+
+
+@pytest.mark.parametrize("factory", MULTIPLIER_FACTORIES)
+@pytest.mark.parametrize("n", [4, 9, 16, 33])
+@pytest.mark.parametrize("constant", NON_DEFAULT_CONSTANTS)
+def test_closed_form_counts_equal_traced_counts_for_other_constants(
+    factory, n, constant
+):
+    mult = factory(n, constant(n))
+    assert mult.logical_counts() == mult.traced_counts()
+
+
 class TestScaling:
     def test_schoolbook_is_quadratic(self):
         small = SchoolbookMultiplier(256).tally().ccix

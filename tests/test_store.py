@@ -9,7 +9,12 @@ import pytest
 
 from repro import LogicalCounts, Registry, ResultStore, estimate, qubit_params
 from repro.estimator.spec import EstimateSpec, run_specs
-from repro.estimator.store import RESULT_SCHEMA, STORE_ENV_VAR, default_store_root
+from repro.estimator.store import (
+    RESULT_SCHEMA,
+    STORE_ENV_VAR,
+    _digest,
+    default_store_root,
+)
 
 COUNTS = LogicalCounts(num_qubits=40, t_count=50_000, measurement_count=500)
 HASH_A = "ab" + "0" * 62
@@ -121,6 +126,21 @@ class TestIntegrityDigest:
         document = json.loads(store.path_for(HASH_A).read_text())
         assert isinstance(document.get("digest"), str)
         assert len(document["digest"]) == 64
+
+    def test_written_bytes_are_the_compact_encoding(self, tmp_path, result):
+        # The file is exactly the compact json.dumps of the document with
+        # its digest appended: the format corruption checks rely on.
+        store = ResultStore(tmp_path)
+        store.put(HASH_A, result, spec={"label": "x"})
+        document = {
+            "schema": RESULT_SCHEMA,
+            "specHash": HASH_A,
+            "spec": {"label": "x"},
+            "result": result.to_dict(),
+        }
+        document["digest"] = _digest(document)
+        expected = json.dumps(document, separators=(",", ":"))
+        assert store.path_for(HASH_A).read_bytes() == expected.encode()
 
     def test_pre_digest_document_reads_as_miss(self, tmp_path, result):
         # A v1-style document (no digest) must never be served.
