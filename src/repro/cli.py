@@ -721,15 +721,13 @@ def _sweep_main(argv: list[str]) -> int:
         raise SystemExit(f"error: invalid sweep spec: {exc}")
 
     store = ResultStore(args.store) if args.store else None
+    point_hashes = None
     if args.resume and store is not None:
-        stored = 0
-        for point in points:
-            try:
-                spec_hash = point.spec.content_hash(registry)
-            except KeyError:
-                continue  # unknown names can never have stored results
-            if spec_hash in store:
-                stored += 1
+        # Hashed once here and handed to run_sweep, which would otherwise
+        # hash every point again. Stored error documents (infeasible
+        # points) count: a re-run answers them from disk too.
+        point_hashes = sweep.point_hashes(registry)
+        stored = sum(1 for spec_hash in point_hashes if spec_hash in store)
         print(
             f"resume: {stored}/{len(points)} points already stored",
             file=sys.stderr,
@@ -802,6 +800,7 @@ def _sweep_main(argv: list[str]) -> int:
             executor=args.executor,
             lease_ttl=args.lease_ttl,
             chunk_target_s=args.chunk_target,
+            point_hashes=point_hashes,
         )
     except KeyboardInterrupt:
         print(

@@ -940,7 +940,9 @@ def run_optimize(
                     hashes.append(point_spec.content_hash(resolved_registry))
                 except KeyError:
                     hashes.append(point_spec.content_hash())
-            already = [store.get(point_hash) is not None for point_hash in hashes]
+            # A stored error document is a hit too, exactly as the local
+            # executor's run_specs reports it (from_store on failures).
+            already = [store.lookup(point_hash) is not None for point_hash in hashes]
             probe_sweep = SweepSpec(
                 axes=tuple(
                     SweepAxis(

@@ -899,6 +899,7 @@ def _drain_job(
                             result=outcome.result,
                             error=outcome.error,
                             from_store=outcome.from_store,
+                            result_dict=outcome.result_dict,
                         )
                         for point, outcome in zip(chunk_points, chunk_outcomes)
                     ]

@@ -25,7 +25,9 @@ a spec:
 :func:`run_specs` is the one evaluation path layered over both caches:
 specs are hashed, answered from the persistent store when possible, and
 the misses run through :func:`~repro.estimator.batch.estimate_batch`
-(with its in-memory cross-point memos) before being written back. With a
+(with its in-memory cross-point memos) before being written back —
+results and infeasibility errors alike, since both are deterministic
+functions of the resolved spec. With a
 store, referenced programs additionally resolve their traced counts
 through the store's *counts namespace* (resolved program hash + backend
 -> :class:`LogicalCounts`), so a result-store miss never re-traces a
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Hashable, Sequence
 
@@ -59,6 +61,7 @@ from ..synthesis import RotationSynthesis
 from .batch import EstimateCache, EstimateRequest, estimate_batch
 from .constraints import Constraints
 from .result import PhysicalResourceEstimates
+from .store import StoredOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
@@ -516,17 +519,31 @@ class EstimateSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpecOutcome:
-    """Result of one spec: an estimate (possibly store-served) or an error."""
+    """Result of one spec: an estimate or an error, possibly store-served.
+
+    ``result_dict`` is the result's JSON form when :func:`run_specs` had
+    one in hand — the verified stored dict on a store hit, the single
+    ``to_dict()`` it also wrote to the store on a miss — so serializing
+    paths pass it through instead of re-encoding the result. It is
+    shared: treat it as read-only.
+    """
 
     spec: EstimateSpec
     spec_hash: str
     result: PhysicalResourceEstimates | None
     error: str | None
     from_store: bool = False
+    result_dict: dict[str, Any] | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.result is not None
+
+    def serialized_result(self) -> dict[str, Any] | None:
+        """The result's ``to_dict()`` form (``None`` for a failure)."""
+        if self.result_dict is not None:
+            return self.result_dict
+        return self.result.to_dict() if self.result is not None else None
 
 
 def run_specs(
@@ -538,6 +555,7 @@ def run_specs(
     max_workers: int | None = 1,
     kernel: str = "auto",
     engine: "ExecutionEngine | None" = None,
+    spec_hashes: Sequence[str] | None = None,
 ) -> list[SpecOutcome]:
     """Evaluate declarative specs through the store and the batch engine.
 
@@ -545,13 +563,22 @@ def run_specs(
     and compute the *resolved* content hash, answer from ``store`` when
     it holds a valid document, otherwise run through
     :func:`estimate_batch` (sharing its in-memory cross-point memos and
-    process fan-out) and write successful results back. Keying the store
-    on the resolved hash means a scenario file redefining a profile or
-    scheme name changes the address — a stale result computed for the
-    old definition can never be served. Duplicate hashes within one call
-    are computed once. Invalid specs (unknown profile or scheme names,
-    malformed inline definitions) become failed outcomes rather than
-    aborting the batch — a service must answer per spec.
+    process fan-out) and write the outcome back — the result, or for an
+    infeasible point an error document, so a warm re-run answers
+    infeasibility from disk too (``from_store`` is then set on the
+    failed outcome). Keying the store on the resolved hash means a
+    scenario file redefining a profile or scheme name changes the
+    address — a stale result computed for the old definition can never
+    be served. Duplicate hashes within one call are computed once.
+    Invalid specs (unknown profile or scheme names, malformed inline
+    definitions) become failed outcomes rather than aborting the batch —
+    a service must answer per spec — and are never persisted.
+
+    ``spec_hashes`` lets a caller that already computed every spec's
+    resolved content hash under ``registry`` (a sweep, whose own content
+    hash covers them) pass them in, so each point is hashed once per
+    run. They must equal ``spec.content_hash(registry)``; invalid specs
+    still report their syntactic hash.
 
     Store lookups are counted on the cache's :meth:`EstimateCache.stats`
     under ``store``; passing no cache uses the module-shared one.
@@ -565,27 +592,36 @@ def run_specs(
     ``engine`` runs the misses through a caller-owned
     :class:`~repro.estimator.engine.ExecutionEngine` (one persistent
     pool across calls) instead of a short-lived one sized by
-    ``max_workers``; results are identical either way. Successful misses
-    are persisted with one :meth:`ResultStore.put_many` batch write per
-    call rather than per-point writes.
+    ``max_workers``; results are identical either way. Misses are
+    persisted with one :meth:`ResultStore.put_many` batch write per call
+    rather than per-point writes.
     """
     from ..registry import default_registry
     from .batch import _SHARED_CACHE  # shared instance also used by defaults
 
     stats_cache = cache if cache is not None else _SHARED_CACHE
     resolved_registry = registry if registry is not None else default_registry()
+    if spec_hashes is not None and len(spec_hashes) != len(specs):
+        raise ValueError(
+            f"got {len(spec_hashes)} spec hashes for {len(specs)} specs"
+        )
 
     hashes: list[str] = []
-    results: dict[str, Any] = {}
-    errors: dict[int, str] = {}
-    from_store: set[str] = set()
+    invalid: dict[int, str] = {}
+    # Spec hash -> (outcome, from store): one answer per distinct hash,
+    # shared by its duplicates.
+    answers: dict[str, tuple[StoredOutcome, bool]] = {}
     to_run: list[tuple[int, str, EstimateRequest]] = []
-    seen_misses: set[str] = set()
+    queued: set[str] = set()
 
     for index, spec in enumerate(specs):
         try:
             request = spec.to_request(resolved_registry)
-            spec_hash = spec.content_hash(resolved_registry)
+            spec_hash = (
+                spec_hashes[index]
+                if spec_hashes is not None
+                else spec.content_hash(resolved_registry)
+            )
             if store is not None and isinstance(spec.program, ProgramRef):
                 # Layer the persistent counts namespace under the program
                 # factory: even when this *result* is a store miss (new
@@ -608,20 +644,19 @@ def run_specs(
             message = str(exc)
             if isinstance(exc, KeyError) and exc.args:
                 message = str(exc.args[0])  # KeyError str() adds quotes
-            errors[index] = message
+            invalid[index] = message
             hashes.append(spec.content_hash())  # syntactic; no store I/O
             continue
         hashes.append(spec_hash)
-        if spec_hash in results or spec_hash in seen_misses:
+        if spec_hash in answers or spec_hash in queued:
             continue  # duplicate of an earlier hit/miss; computed once
         if store is not None:
-            hit = store.get(spec_hash)
-            stats_cache.record_store_lookup(hit is not None)
-            if hit is not None:
-                results[spec_hash] = hit
-                from_store.add(spec_hash)
+            entry = store.lookup(spec_hash)
+            stats_cache.record_store_lookup(entry is not None)
+            if entry is not None:
+                answers[spec_hash] = (entry, True)
                 continue
-        seen_misses.add(spec_hash)
+        queued.add(spec_hash)
         to_run.append((index, spec_hash, request))
 
     if to_run:
@@ -632,17 +667,19 @@ def run_specs(
             backend=kernel,
             engine=engine,
         )
-        writes: list[tuple[str, Any, dict[str, Any]]] = []
+        writes: list[tuple[str, StoredOutcome, dict[str, Any]]] = []
         for (index, spec_hash, _), outcome in zip(to_run, outcomes):
-            if outcome.ok:
-                results[spec_hash] = outcome.result
-                if store is not None:
-                    writes.append(
-                        (spec_hash, outcome.result, specs[index].to_dict())
-                    )
-            else:
-                errors[index] = outcome.error or "estimation failed"
-        if store is not None and writes:
+            error = None if outcome.ok else outcome.error or "estimation failed"
+            # With a store, one to_dict per miss: written to the store
+            # and handed to the caller, which serializes it as is.
+            result_dict = (
+                outcome.result.to_dict() if store is not None and outcome.ok else None
+            )
+            entry = StoredOutcome(outcome.result, result_dict, error)
+            if store is not None:
+                writes.append((spec_hash, entry, specs[index].to_dict()))
+            answers[spec_hash] = (entry, False)
+        if writes:
             # One batched write per run_specs call: one stats
             # invalidation and one eviction check instead of per-point
             # bookkeeping churn.
@@ -650,36 +687,22 @@ def run_specs(
 
     final: list[SpecOutcome] = []
     for index, (spec, spec_hash) in enumerate(zip(specs, hashes)):
-        result = results.get(spec_hash)
-        if result is not None:
+        if index in invalid:
             final.append(
                 SpecOutcome(
-                    spec=spec,
-                    spec_hash=spec_hash,
-                    result=result,
-                    error=None,
-                    from_store=spec_hash in from_store,
+                    spec=spec, spec_hash=spec_hash, result=None, error=invalid[index]
                 )
             )
-        else:
-            # A failed hash-duplicate of an earlier spec shares its error.
-            error = errors.get(index)
-            if error is None:
-                error = next(
-                    (
-                        errors[i]
-                        for i in sorted(errors)
-                        if hashes[i] == spec_hash
-                    ),
-                    "estimation failed",
-                )
-            final.append(
-                SpecOutcome(
-                    spec=spec,
-                    spec_hash=spec_hash,
-                    result=None,
-                    error=error,
-                    from_store=False,
-                )
+            continue
+        entry, from_store = answers[spec_hash]
+        final.append(
+            SpecOutcome(
+                spec=spec,
+                spec_hash=spec_hash,
+                result=entry.result,
+                error=entry.error,
+                from_store=from_store,
+                result_dict=entry.result_dict,
             )
+        )
     return final

@@ -2,22 +2,39 @@
 
 Every estimation result can be addressed by the content hash of the
 :class:`~repro.estimator.spec.EstimateSpec` that produced it — estimation
-is deterministic, so the spec hash *is* the result identity. The store
-keeps one JSON document per hash on disk, which buys three things the
-in-memory :class:`~repro.estimator.batch.EstimateCache` cannot:
+is deterministic, so the spec hash *is* the result identity. That holds
+for infeasibility too: a spec whose estimate fails (no T factory meets
+the budget, a constraint cannot be met) fails the same way every time.
+The store keeps one JSON document per hash on disk — either the result
+or, for an infeasible point, an *error document* — which buys three
+things the in-memory :class:`~repro.estimator.batch.EstimateCache`
+cannot:
 
 * **cross-process reuse** — a second process (or a restarted service)
   re-running the same sweep grid answers from disk in milliseconds
   instead of re-solving every fixed point;
 * **warm starts** — the fig3/fig4 reproductions, CLI batch grids, and
-  ``repro sweep`` runs skip all previously-computed points
-  (``benchmarks/test_store_warmrun.py`` asserts a >= 10x warm-run
-  speedup floor) — this is also the sweep subsystem's resume story: a
-  killed sweep re-run picks up from its persisted chunks;
+  ``repro sweep`` runs skip all previously-computed points, infeasible
+  ones included (``benchmarks/test_store_warmrun.py`` asserts a >= 10x
+  warm-run speedup floor) — this is also the sweep subsystem's resume
+  story: a killed sweep re-run picks up from its persisted chunks. A
+  hit hands back the verified stored result dict alongside its decoded
+  object, so a warm run copies stored documents to its output instead
+  of re-serializing them;
 * **serving** — the estimation service's ``GET /v1/results/<hash>``
   endpoint reads stored documents directly, and finished sweep results
   (keyed by the sweep's content hash) survive server restarts in the
   sweep namespace.
+
+Documents
+---------
+A result document is ``{"schema", "specHash", "spec", "result",
+"digest"}``; an error document is ``{"schema", "specHash", "spec",
+"result": null, "error", "digest"}``, written only for estimation
+failures (:class:`~repro.estimator.stages.EstimationError`). Invalid
+specs — unknown names, malformed definitions — never reach the store:
+they have no resolved hash to file under. A hit on an error document
+answers with the same error the estimator would raise.
 
 Layout and durability
 ---------------------
@@ -65,10 +82,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -84,6 +103,7 @@ __all__ = [
     "RESULT_SCHEMA",
     "SWEEP_DOC_SCHEMA",
     "ResultStore",
+    "StoredOutcome",
     "default_store_root",
     "read_document",
     "write_document",
@@ -93,10 +113,16 @@ __all__ = [
 #: ``PhysicalResourceEstimates.to_dict`` schema or the document envelope
 #: changes incompatibly; old entries then simply stop being found (no
 #: migration required). v2: documents gained the integrity ``digest``.
-RESULT_SCHEMA = "repro-result-v2"
+#: v3: infeasible points are stored too, as error documents
+#: (``result: null`` plus the ``error`` string) — a v2 store has no
+#: record of them, so its namespace is left behind rather than read as
+#: "feasible points only".
+RESULT_SCHEMA = "repro-result-v3"
 
 #: Version tag (and namespace) of stored sweep result documents. Bump
-#: alongside :data:`RESULT_SCHEMA` — sweep documents embed result dicts.
+#: when the result dicts sweep documents embed change. The v3 result
+#: namespace changed only the store envelope (error documents); the
+#: embedded ``to_dict`` output is unchanged, so this tag stays.
 SWEEP_DOC_SCHEMA = "repro-sweep-result-v1"
 
 #: Version tag (and namespace) of stored logical-counts documents. Keys
@@ -152,6 +178,9 @@ DEFAULT_GC_FUTURE_SKEW = 3600.0
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_STORE_DIR"
 
+#: A well-formed store key: lowercase hex, nothing else (no path parts).
+_HASH_RE = re.compile(r"[0-9a-f]+")
+
 
 def default_store_root() -> Path:
     """``$REPRO_STORE_DIR`` or ``~/.cache/repro/store``."""
@@ -189,6 +218,22 @@ def write_document(path: Path, document: dict[str, Any]) -> bool:
     return ResultStore._write_document(path, document)
 
 
+@dataclass(frozen=True, eq=False)
+class StoredOutcome:
+    """One verified result-namespace document, decoded once.
+
+    Either an estimate — ``result`` plus ``result_dict``, the stored
+    JSON form it was decoded from — or a persisted infeasibility, with
+    ``result`` and ``result_dict`` ``None`` and ``error`` set.
+    ``result_dict`` is shared with the store's memory cache: callers
+    serialize it as is and must not mutate it.
+    """
+
+    result: PhysicalResourceEstimates | None
+    result_dict: dict[str, Any] | None
+    error: str | None
+
+
 class _MemoryCache:
     """Bounded thread-safe LRU of parsed documents with hit counters.
 
@@ -196,8 +241,8 @@ class _MemoryCache:
     every cached value passed the integrity digest at least once in this
     process, and the corruption contract (a damaged file reads as a
     miss) is preserved for entries that were never read back. Cached
-    values are frozen dataclasses (:class:`PhysicalResourceEstimates`,
-    :class:`LogicalCounts`), safe to hand out shared.
+    values are frozen (:class:`StoredOutcome`, :class:`LogicalCounts`),
+    safe to hand out shared.
     """
 
     __slots__ = ("capacity", "hits", "misses", "_entries", "_lock")
@@ -313,14 +358,14 @@ class ResultStore:
 
     @staticmethod
     def _check_hash(spec_hash: str) -> str:
-        if not spec_hash or any(c not in "0123456789abcdef" for c in spec_hash):
+        if not isinstance(spec_hash, str) or _HASH_RE.fullmatch(spec_hash) is None:
             raise ValueError(f"malformed spec hash {spec_hash!r}")
         return spec_hash
 
     def path_for(self, spec_hash: str) -> Path:
         """Where the document for ``spec_hash`` lives (existing or not)."""
         self._check_hash(spec_hash)
-        return self._base / spec_hash[:2] / f"{spec_hash}.json"
+        return self._base.joinpath(spec_hash[:2], f"{spec_hash}.json")
 
     def sweep_path_for(self, sweep_hash: str) -> Path:
         """Where the sweep result document for ``sweep_hash`` lives."""
@@ -348,7 +393,7 @@ class ResultStore:
     def _read_document(path: Path) -> dict[str, Any] | None:
         """Parse and integrity-check one document file (miss on failure)."""
         try:
-            document = json.loads(path.read_text())
+            document = json.loads(path.read_bytes())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
         if not isinstance(document, dict):
@@ -363,18 +408,33 @@ class ResultStore:
         """Atomically persist a document (digest added); returns success."""
         document = dict(document)
         document["digest"] = _digest(document)
+        # Compact separators: every byte of the file is significant, so
+        # corruption cannot hide in formatting. json.dumps, not json.dump:
+        # only dumps uses the C encoder; the bytes are the same. The text
+        # is ASCII and goes out through raw os.write calls.
+        data = memoryview(json.dumps(document, separators=(",", ":")).encode())
+        prefix = f".{path.stem[:8]}-"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
-            )
             try:
-                with os.fdopen(fd, "w") as handle:
-                    # Compact separators: every byte of the file is
-                    # significant, so corruption cannot hide in formatting.
-                    # json.dumps, not json.dump: only dumps uses the C
-                    # encoder; the bytes are the same.
-                    handle.write(json.dumps(document, separators=(",", ":")))
+                fd, tmp_name = tempfile.mkstemp(
+                    dir=path.parent, prefix=prefix, suffix=".tmp"
+                )
+            except FileNotFoundError:
+                # First write into this fan-out directory (or the first
+                # since clear/evict/gc emptied it): create it and retry.
+                # Asking the filesystem on failure, instead of calling
+                # mkdir per write or remembering known directories,
+                # costs nothing on the common path and never goes stale.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = tempfile.mkstemp(
+                    dir=path.parent, prefix=prefix, suffix=".tmp"
+                )
+            try:
+                try:
+                    while data:
+                        data = data[os.write(fd, data) :]
+                finally:
+                    os.close(fd)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -391,26 +451,34 @@ class ResultStore:
     def get_raw(self, spec_hash: str) -> dict[str, Any] | None:
         """The stored document for a hash, or ``None`` (missing/corrupt).
 
-        Documents are ``{"schema": ..., "specHash": ..., "spec": ...,
-        "result": ..., "digest": ...}``; a readable file whose digest,
-        schema, or hash does not match is treated as a miss, never an
-        error — a shared store directory must not be able to crash (or
-        corrupt) an estimation run.
+        Result documents are ``{"schema": ..., "specHash": ..., "spec":
+        ..., "result": {...}, "digest": ...}``; error documents carry
+        ``"result": null`` and an ``"error"`` string instead. A readable
+        file whose digest, schema, hash, or shape does not match is
+        treated as a miss, never an error — a shared store directory
+        must not be able to crash (or corrupt) an estimation run.
         """
         document = self._read_document(self.path_for(spec_hash))
         if (
             document is None
             or document.get("schema") != self.schema
             or document.get("specHash") != spec_hash
-            or not isinstance(document.get("result"), dict)
         ):
             return None
-        return document
+        result, error = document.get("result"), document.get("error")
+        if isinstance(result, dict) and error is None:
+            return document
+        if result is None and isinstance(error, str) and error:
+            return document
+        return None
 
-    def get(self, spec_hash: str) -> PhysicalResourceEstimates | None:
-        """The stored result for a hash, deserialized, or ``None``.
+    def lookup(self, spec_hash: str) -> StoredOutcome | None:
+        """The stored outcome for a hash — estimate or error — or ``None``.
 
-        Repeated reads of one hash within a process answer from the
+        A result document is decoded once with
+        :meth:`PhysicalResourceEstimates.from_dict`; one that fails to
+        decode (written by an incompatible build) reads as a miss.
+        Repeated lookups of one hash within a process answer from the
         bounded in-memory LRU (populated only by verified disk reads —
         see :class:`_MemoryCache`); hit counts appear under
         ``memoryCache`` in :meth:`stats`.
@@ -422,14 +490,29 @@ class ResultStore:
         document = self.get_raw(spec_hash)
         if document is None:
             return None
-        try:
-            result = PhysicalResourceEstimates.from_dict(document["result"])
-        except (KeyError, TypeError, ValueError):
-            return None  # written by an incompatible (future) build
-        self._result_cache.put(spec_hash, result)
-        return result
+        result_dict = document["result"]
+        if result_dict is None:
+            entry = StoredOutcome(None, None, document["error"])
+        else:
+            try:
+                result = PhysicalResourceEstimates.from_dict(result_dict)
+            except (KeyError, TypeError, ValueError):
+                return None  # written by an incompatible (future) build
+            entry = StoredOutcome(result, result_dict, None)
+        self._result_cache.put(spec_hash, entry)
+        return entry
+
+    def get(self, spec_hash: str) -> PhysicalResourceEstimates | None:
+        """The stored result for a hash, deserialized, or ``None``.
+
+        ``None`` also for a stored error document; :meth:`lookup` tells
+        the two apart.
+        """
+        entry = self.lookup(spec_hash)
+        return entry.result if entry is not None else None
 
     def __contains__(self, spec_hash: str) -> bool:
+        """Whether a verified document — result or error — is stored."""
         return self.get_raw(spec_hash) is not None
 
     def keys(self) -> Iterator[str]:
@@ -443,6 +526,22 @@ class ResultStore:
         return sum(1 for _ in self.keys())
 
     # -- writes ------------------------------------------------------------
+
+    def _result_document(
+        self, spec_hash: str, outcome: StoredOutcome, spec: dict[str, Any] | None
+    ) -> dict[str, Any]:
+        """The envelope of one result or error document (sans digest)."""
+        if (outcome.result_dict is None) == (outcome.error is None):
+            raise ValueError("a stored outcome needs exactly one of a result or an error")
+        document = {
+            "schema": self.schema,
+            "specHash": spec_hash,
+            "spec": spec,
+            "result": outcome.result_dict,
+        }
+        if outcome.error is not None:
+            document["error"] = outcome.error
+        return document
 
     def put(
         self,
@@ -459,12 +558,9 @@ class ResultStore:
         instead of failing the estimation that produced the result.
         """
         path = self.path_for(spec_hash)
-        document = {
-            "schema": self.schema,
-            "specHash": spec_hash,
-            "spec": spec,
-            "result": result.to_dict(),
-        }
+        document = self._result_document(
+            spec_hash, StoredOutcome(result, result.to_dict(), None), spec
+        )
         ok = self._write_document(path, document)
         if ok:
             self._note_document_written(path)
@@ -473,15 +569,22 @@ class ResultStore:
     def put_many(
         self,
         entries: Iterable[
-            tuple[str, PhysicalResourceEstimates, dict[str, Any] | None]
+            tuple[
+                str,
+                PhysicalResourceEstimates | StoredOutcome,
+                dict[str, Any] | None,
+            ]
         ],
     ) -> int:
-        """Persist many result documents with one bookkeeping pass.
+        """Persist many result or error documents with one bookkeeping pass.
 
-        Equivalent to calling :meth:`put` per ``(spec_hash, result,
-        spec)`` entry, but the stats invalidation, byte-estimate growth,
-        and eviction check run once for the whole batch instead of once
-        per point — the chunk-write path of
+        Each entry is ``(spec_hash, outcome, spec)``. ``outcome`` is a
+        result, or a :class:`StoredOutcome` — an error document when its
+        ``error`` is set, otherwise its ``result_dict`` written as is (the
+        caller already holds the ``to_dict()``). Like calling :meth:`put`
+        per entry, but the stats invalidation, byte-estimate growth, and
+        eviction check run once for the whole batch instead of once per
+        point — the chunk-write path of
         :func:`repro.estimator.spec.run_specs` uses this so persistence
         bookkeeping stays off the per-point hot path. Returns the number
         of documents actually written (unwritable documents are skipped,
@@ -489,14 +592,11 @@ class ResultStore:
         """
         written = 0
         batch_bytes = 0
-        for spec_hash, result, spec in entries:
+        for spec_hash, outcome, spec in entries:
             path = self.path_for(spec_hash)
-            document = {
-                "schema": self.schema,
-                "specHash": spec_hash,
-                "spec": spec,
-                "result": result.to_dict(),
-            }
+            if not isinstance(outcome, StoredOutcome):
+                outcome = StoredOutcome(outcome, outcome.to_dict(), None)
+            document = self._result_document(spec_hash, outcome, spec)
             if self._write_document(path, document):
                 written += 1
                 if self.max_bytes is not None:
@@ -509,14 +609,26 @@ class ResultStore:
         return written
 
     def clear(self) -> int:
-        """Remove every entry under this schema tag; returns the count."""
+        """Remove every entry under this schema tag; returns the count.
+
+        Fan-out directories left empty are removed too; the next write
+        into one recreates it.
+        """
         removed = 0
+        emptied: set[Path] = set()
         for spec_hash in list(self.keys()):
+            path = self.path_for(spec_hash)
             try:
-                self.path_for(spec_hash).unlink()
+                path.unlink()
                 removed += 1
             except OSError:
                 pass
+            emptied.add(path.parent)
+        for directory in emptied:
+            try:
+                directory.rmdir()
+            except OSError:
+                pass  # not empty (a concurrent write, writer litter)
         self._result_cache.clear()
         self._invalidate_stats()
         return removed

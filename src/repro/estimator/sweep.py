@@ -490,26 +490,47 @@ class SweepSpec:
 
     # -- content addressing ------------------------------------------------
 
-    def content_hash(self, registry: "Registry | None" = None) -> str:
+    def point_hashes(self, registry: "Registry | None" = None) -> list[str]:
+        """Each expanded point's *resolved* spec hash, in point order.
+
+        Names are inlined through ``registry``, exactly like the result
+        store's keys; a point naming something the registry cannot
+        resolve keeps its syntactic hash (it can never have a stored
+        result). :func:`run_sweep` computes these once per run and
+        shares them between :meth:`content_hash` and
+        :func:`~repro.estimator.spec.run_specs`.
+        """
+        hashes = []
+        for point in self.expand():
+            try:
+                hashes.append(point.spec.content_hash(registry))
+            except KeyError:
+                hashes.append(point.spec.content_hash())  # unresolvable names
+        return hashes
+
+    def content_hash(
+        self,
+        registry: "Registry | None" = None,
+        *,
+        point_hashes: Sequence[str] | None = None,
+    ) -> str:
         """SHA-256 identity of the sweep (the service's job id).
 
         Covers the expanded points — each point's coordinates plus its
-        *resolved* spec hash (names inlined through ``registry``, exactly
-        like the result store's keys) — and the frontier reduction.
-        Execution hints (``chunk_size``) and display metadata (``label``,
-        per-point labels) are excluded, and equivalent axis spellings
-        (``range`` vs the explicit list) hash identically, so one
-        finished sweep answers every equivalent resubmission.
+        resolved spec hash (see :meth:`point_hashes`; pass them in when
+        already computed under the same ``registry``) — and the
+        frontier reduction. Execution hints (``chunk_size``) and display
+        metadata (``label``, per-point labels) are excluded, and
+        equivalent axis spellings (``range`` vs the explicit list) hash
+        identically, so one finished sweep answers every equivalent
+        resubmission.
         """
-        points = []
-        for point in self.expand():
-            try:
-                spec_hash = point.spec.content_hash(registry)
-            except KeyError:
-                spec_hash = point.spec.content_hash()  # unresolvable names
-            points.append(
-                {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
-            )
+        if point_hashes is None:
+            point_hashes = self.point_hashes(registry)
+        points = [
+            {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
+            for point, spec_hash in zip(self.expand(), point_hashes, strict=True)
+        ]
         canonical = {
             "schema": SWEEP_SCHEMA,
             "specSchema": SPEC_SCHEMA,
@@ -527,6 +548,9 @@ class SweepPointOutcome:
     ``from_store`` is execution provenance — reported in progress events
     and job status, deliberately excluded from :meth:`to_dict` so a
     resumed sweep serializes bit-for-bit equal to an uninterrupted one.
+    ``result_dict`` is the result's JSON form when the run had it in hand
+    (see :class:`~repro.estimator.spec.SpecOutcome`); :meth:`to_dict`
+    embeds it as is.
     """
 
     index: int
@@ -536,19 +560,23 @@ class SweepPointOutcome:
     result: PhysicalResourceEstimates | None
     error: str | None
     from_store: bool = False
+    result_dict: dict[str, Any] | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.result is not None
 
     def to_dict(self) -> dict[str, Any]:
+        result = self.result_dict
+        if result is None and self.result is not None:
+            result = self.result.to_dict()
         return {
             "index": self.index,
             "coords": {field_path: value for field_path, value in self.coords},
             "label": self.label,
             "specHash": self.spec_hash,
             "ok": self.ok,
-            "result": self.result.to_dict() if self.result is not None else None,
+            "result": result,
             "error": self.error,
         }
 
@@ -562,6 +590,7 @@ def _outcome_from_dict(
     assembly — one parser, so both paths reconstruct identical objects
     from identical bytes.
     """
+    result_dict = entry.get("result")
     return SweepPointOutcome(
         index=entry["index"],
         coords=tuple(
@@ -570,11 +599,12 @@ def _outcome_from_dict(
         label=entry.get("label"),
         spec_hash=entry["specHash"],
         result=(
-            PhysicalResourceEstimates.from_dict(entry["result"])
-            if entry.get("result") is not None
+            PhysicalResourceEstimates.from_dict(result_dict)
+            if result_dict is not None
             else None
         ),
         error=entry.get("error"),
+        result_dict=result_dict,
     )
 
 
@@ -792,6 +822,7 @@ def run_sweep(
     lease_ttl: float | None = None,
     engine: ExecutionEngine | None = None,
     chunk_target_s: float | None = None,
+    point_hashes: Sequence[str] | None = None,
 ) -> SweepResult:
     """Execute a sweep in store-backed chunks and reduce its frontiers.
 
@@ -844,6 +875,12 @@ def run_sweep(
     :data:`ADAPTIVE_MAX_CHUNK`]) toward the target per-chunk wall time
     using the measured points/sec. Results never depend on chunk
     boundaries.
+
+    Each point's resolved spec hash is computed once per run
+    (:meth:`SweepSpec.point_hashes`) and serves both the sweep's
+    content hash and the store lookups. A caller that already has them
+    under the same registry (``repro sweep --resume`` counts stored
+    points first) passes them as ``point_hashes``.
     """
     from ..registry import default_registry
 
@@ -887,7 +924,9 @@ def run_sweep(
             )
         return assembled
     points = spec.expand()
-    sweep_hash = spec.content_hash(resolved_registry)
+    if point_hashes is None:
+        point_hashes = spec.point_hashes(resolved_registry)
+    sweep_hash = spec.content_hash(point_hashes=point_hashes)
     # Chunking exists to bound the work lost on a kill between persisted
     # chunks; without a store nothing persists, so default to one chunk
     # (one batch call, one process pool) unless the caller asked for more.
@@ -918,6 +957,7 @@ def run_sweep(
                     cache=cache,
                     kernel=kernel,
                     engine=runner,
+                    spec_hashes=point_hashes[position : position + len(chunk)],
                 )
             elapsed = time.perf_counter() - started
             position += len(chunk)
@@ -932,6 +972,7 @@ def run_sweep(
                         result=outcome.result,
                         error=outcome.error,
                         from_store=outcome.from_store,
+                        result_dict=outcome.result_dict,
                     )
                 )
                 if outcome.ok:

@@ -8,16 +8,24 @@ inside an estimation run.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .ast import FormulaError, FormulaNode, Number
-from .parser import parse
+from .parser import PARSE_CACHE_SIZE, parse
 
 FormulaLike = Union[str, int, float, "Formula"]
 
 
 class FormulaEvalError(FormulaError):
     """Raised when a formula evaluates to an invalid value for its use."""
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _compile(source: str) -> tuple[FormulaNode, frozenset[str]]:
+    """The parsed tree of ``source`` and its free variables (memoized)."""
+    node = parse(source)
+    return node, node.variables()
 
 
 class Formula:
@@ -37,23 +45,26 @@ class Formula:
     42.0
     """
 
-    __slots__ = ("_node", "_source", "_vars")
+    __slots__ = ("_hash", "_node", "_source", "_vars")
 
     def __init__(self, source: FormulaLike) -> None:
         if isinstance(source, Formula):
             self._node: FormulaNode = source._node
             self._source: str = source._source
+            self._vars: frozenset[str] = source._vars
         elif isinstance(source, (int, float)) and not isinstance(source, bool):
             self._node = Number(source)
             self._source = repr(source)
+            self._vars = frozenset()
         elif isinstance(source, str):
-            self._node = parse(source)
+            # Stored results re-create their scheme and unit formulas on
+            # every decode; the memo makes that a dictionary lookup.
+            self._node, self._vars = _compile(source)
             self._source = source
         else:
             raise TypeError(
                 f"Formula source must be str, number, or Formula, got {type(source).__name__}"
             )
-        self._vars = self._node.variables()
 
     @property
     def source(self) -> str:
@@ -98,4 +109,10 @@ class Formula:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._node)
+        # Formulas sit inside memo keys (schemes, units) and are hashed
+        # far more often than built; the tree hash is computed once.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash: int = hash(self._node)
+            return self._hash

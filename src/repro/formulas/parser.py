@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ast import BinaryOp, Call, FormulaError, FormulaNode, Number, UnaryOp, Variable
 
@@ -157,8 +158,21 @@ class _Parser:
         )
 
 
+#: Distinct formula sources whose parsed trees :func:`parse` keeps. The
+#: models use a handful of formulas, but every stored result decodes
+#: its QEC scheme's formulas again, so a warm sweep parses the same few
+#: strings thousands of times.
+PARSE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> FormulaNode:
-    """Parse a formula string into an AST."""
+    """Parse a formula string into an AST.
+
+    Memoized: equal sources share one tree, which is safe because AST
+    nodes are frozen. A source that fails to parse is not cached, so it
+    raises on every call.
+    """
     tokens = tokenize(text)
     if not tokens:
         raise FormulaParseError("empty formula")

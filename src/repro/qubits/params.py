@@ -150,7 +150,10 @@ class PhysicalQubitParams:
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
+        # Every field is a scalar, so a field-order read equals
+        # dataclasses.asdict without its per-value deep copies (this runs
+        # once per spec hash and per serialized result).
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["instruction_set"] = self.instruction_set.value
         return {k: v for k, v in data.items() if v is not None}
 
@@ -174,3 +177,7 @@ class PhysicalQubitParams:
                 f"expected one of {[i.value for i in InstructionSet]}"
             ) from None
         return cls(**kwargs)
+
+
+#: Field names of :class:`PhysicalQubitParams`, in declaration order.
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(PhysicalQubitParams))

@@ -23,7 +23,11 @@ Endpoints
     in-process :func:`repro.estimate` call — asserted by the tests and
     the CI ``service-smoke`` job.
 ``GET /v1/results/<specHash>``
-    The stored document for a hash (404 until someone computes it).
+    The stored document for a hash (404 until someone computes it):
+    ``{"schema", "specHash", "spec", "result", "digest"}``. An infeasible
+    spec's document is served the same way, with 200: ``"result":
+    null`` plus the ``"error"`` string an estimate of it reports — the
+    point was computed, and its answer is that it does not fit.
 ``POST /v1/sweeps``
     Body: a sweep document (see
     :meth:`repro.estimator.sweep.SweepSpec.to_dict`). Responds **202**
@@ -658,13 +662,19 @@ class EstimationService:
                     "label": spec.label,
                     "ok": outcome.ok,
                     "fromStore": outcome.from_store,
-                    "result": outcome.result.to_dict() if outcome.ok else None,
+                    # A store hit carries its verified stored dict, a miss
+                    # the one to_dict() written to the store: no re-encode.
+                    "result": outcome.serialized_result(),
                     "error": outcome.error,
                 }
         return records  # type: ignore[return-value]
 
     def result_document(self, spec_hash: str) -> dict[str, Any] | None:
-        """The stored document for ``GET /v1/results/<hash>`` (or None)."""
+        """The stored document for ``GET /v1/results/<hash>`` (or None).
+
+        Error documents (infeasible specs) are returned like results:
+        ``result`` is ``None`` and ``error`` holds the message.
+        """
         if self.store is None:
             return None
         try:
@@ -1417,7 +1427,11 @@ class ServiceClient:
         return self._request("/v1/estimate", payload)["results"]
 
     def result(self, spec_hash: str) -> dict[str, Any] | None:
-        """The stored document for a hash, or ``None`` if not stored."""
+        """The stored document for a hash, or ``None`` if not stored.
+
+        For an infeasible spec that is its error document: ``result`` is
+        ``None`` and ``error`` is set.
+        """
         try:
             return self._request(f"/v1/results/{spec_hash}")
         except ServiceError as exc:

@@ -92,6 +92,22 @@ class TestParser:
         assert node.variables() == {"a", "b", "c"}
 
 
+class TestParseMemo:
+    def test_equal_sources_share_one_tree(self):
+        source = "2 * codeDistance^2 + 0.5 * memo_probe"
+        first = parse(source)
+        assert parse(source) is first
+        assert Formula(source)._node is first
+        assert parse(source).evaluate({"codeDistance": 3, "memo_probe": 2}) == 19
+
+    def test_bad_formula_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(FormulaParseError):
+                parse("2 * (memo_probe")
+            with pytest.raises(FormulaParseError):
+                Formula("memo_probe $ 1")
+
+
 class TestFormula:
     def test_from_string(self):
         f = Formula("2 * d^2")

@@ -472,6 +472,28 @@ class TestQueueExecutor:
         assert queued.to_dict() == local.to_dict()
         assert queued.num_evaluations == local.num_evaluations
 
+    def test_stored_failures_are_hits_on_both_executors(self, tmp_path):
+        # A qubit cap that makes the low-budget probes infeasible: their
+        # error documents are store hits on the queue path too.
+        import shutil
+
+        doc = json.loads(json.dumps(OPTIMIZE_DOC))
+        doc["base"]["constraints"] = {"maxTFactories": 1, "maxPhysicalQubits": 160_000}
+        spec = OptimizeSpec.from_dict(doc)
+        run_sweep(spec.sweep_spec(), store=ResultStore(tmp_path / "local"))
+        shutil.copytree(tmp_path / "local", tmp_path / "queue")
+        local = run_optimize(spec, store=ResultStore(tmp_path / "local"))
+        queued = run_optimize(
+            spec, store=ResultStore(tmp_path / "queue"), executor="queue"
+        )
+        assert any(not probe.ok for probe in local.probes)
+        assert all(probe.from_store for probe in local.probes)
+        assert [p.from_store for p in queued.probes] == [
+            p.from_store for p in local.probes
+        ]
+        assert queued.num_evaluations == local.num_evaluations == 0
+        assert queued.to_dict() == local.to_dict()
+
 
 class TestOptimizeCLI:
     def _write(self, tmp_path, doc=None):

@@ -199,6 +199,43 @@ class TestResultsEndpoint:
     def test_unknown_hash_is_none(self, client):
         assert client.result("ab" + "0" * 62) is None
 
+    def test_infeasible_spec_serves_its_error_document(self, client):
+        spec = {
+            "program": {"counts": COUNTS.to_dict()},
+            "qubit": {"profile": "qubit_gate_ns_e3"},
+            "constraints": {"maxPhysicalQubits": 100},
+        }
+        record = client.submit(spec)
+        assert record["ok"] is False and record["fromStore"] is False
+        document = client.result(record["specHash"])
+        assert document["result"] is None
+        assert document["error"] == record["error"]
+        assert document["spec"] == EstimateSpec.from_dict(spec).to_dict()
+        # The stored error answers the resubmission.
+        again = client.submit(spec)
+        assert again == dict(record, fromStore=True)
+
+    def test_store_hit_response_bytes_equal_the_miss(self, service):
+        spec = EstimateSpec(program=COUNTS, qubit="qubit_maj_ns_e4", budget=1e-4)
+        miss = service.submit(spec.to_dict())
+        hit = service.submit(spec.to_dict())
+        # A new service over the same directory reads the document from
+        # disk instead of the first service's memory cache.
+        fresh = EstimationService(
+            registry=service.registry, store=ResultStore(service.store.root)
+        )
+        try:
+            disk_hit = fresh.submit(spec.to_dict())
+        finally:
+            fresh.close()
+        assert not miss["fromStore"] and hit["fromStore"] and disk_hit["fromStore"]
+        expected = json.dumps(dict(miss, fromStore=True))
+        assert json.dumps(hit) == expected
+        assert json.dumps(disk_hit) == expected
+        assert json.dumps(miss["result"]) == json.dumps(
+            estimate(COUNTS, qubit_params("qubit_maj_ns_e4"), budget=1e-4).to_dict()
+        )
+
 
 class TestIntrospection:
     def test_registry_endpoint_includes_scenario_entries(self, client):

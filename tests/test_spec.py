@@ -345,16 +345,83 @@ class TestRunSpecs:
         assert warm.from_store
         assert warm.result == estimate(COUNTS, qubit_params("qubit_gate_ns_e4"))
 
-    def test_failures_not_stored(self, tmp_path):
+    def test_failures_stored_as_error_documents(self, tmp_path):
+        # Infeasibility is as deterministic as a result: it is persisted
+        # under the resolved hash and served back with the same error.
+        cache = EstimateCache()
         store = ResultStore(tmp_path)
         spec = EstimateSpec(
             program=COUNTS,
             qubit="qubit_gate_ns_e3",
             constraints=Constraints(max_physical_qubits=100),
         )
-        outcome = run_specs([spec], store=store)[0]
-        assert not outcome.ok
+        cold = run_specs([spec], store=store, cache=cache)[0]
+        assert not cold.ok and not cold.from_store
+        assert len(store) == 1
+        document = store.get_raw(cold.spec_hash)
+        assert document["result"] is None
+        assert document["error"] == cold.error
+        assert document["spec"] == spec.to_dict()
+        assert store.get(cold.spec_hash) is None  # no result to decode
+        warm = run_specs([spec], store=store, cache=cache)[0]
+        assert not warm.ok and warm.from_store
+        assert warm.error == cold.error
+        assert warm.spec_hash == cold.spec_hash
+        assert cache.stats()["store"] == {"hits": 1, "misses": 1}
+
+    def test_invalid_specs_are_never_stored(self, tmp_path):
+        # Validation failures have no resolved hash to file under.
+        store = ResultStore(tmp_path)
+        specs = [
+            EstimateSpec(program=COUNTS, qubit="no_such_profile"),
+            EstimateSpec(program=ProgramRef(name="no_such_program"), qubit="qubit_gate_ns_e3"),
+        ]
+        for _ in range(2):
+            outcomes = run_specs(specs, store=store)
+            assert [o.ok for o in outcomes] == [False, False]
+            assert not any(o.from_store for o in outcomes)
         assert len(store) == 0
+
+    def test_result_dict_is_the_stored_dict(self, tmp_path):
+        # A miss hands out the one to_dict() it wrote; a hit the verified
+        # stored dict. Both serialize like the result itself.
+        store = ResultStore(tmp_path)
+        spec = EstimateSpec(program=COUNTS, qubit="qubit_maj_ns_e4", budget=1e-4)
+        cold = run_specs([spec], store=store)[0]
+        warm = run_specs([spec], store=store)[0]
+        assert warm.from_store
+        assert cold.result_dict == warm.result_dict == cold.result.to_dict()
+        assert json.dumps(warm.serialized_result()) == json.dumps(
+            cold.result.to_dict()
+        )
+        assert store.get_raw(cold.spec_hash)["result"] == cold.result_dict
+        # Without a store there is no dict in hand; it is made on demand.
+        bare = run_specs([spec])[0]
+        assert bare.result_dict is None
+        assert bare.serialized_result() == cold.result_dict
+
+    def test_passed_spec_hashes_replace_hashing(self, tmp_path, monkeypatch):
+        registry = Registry()
+        specs = [
+            EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3"),
+            EstimateSpec(program=COUNTS, qubit="qubit_maj_ns_e4"),
+        ]
+        hashes = [spec.content_hash(registry) for spec in specs]
+        calls = []
+        original = EstimateSpec.content_hash
+
+        def counting(self, registry=None):
+            calls.append(self)
+            return original(self, registry)
+
+        monkeypatch.setattr(EstimateSpec, "content_hash", counting)
+        outcomes = run_specs(
+            specs, registry=registry, store=ResultStore(tmp_path), spec_hashes=hashes
+        )
+        assert calls == []
+        assert [o.spec_hash for o in outcomes] == hashes
+        with pytest.raises(ValueError, match="spec hashes"):
+            run_specs(specs, registry=registry, spec_hashes=hashes[:1])
 
     def test_parallel_matches_serial(self):
         specs = [

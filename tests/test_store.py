@@ -7,9 +7,17 @@ import random
 
 import pytest
 
-from repro import LogicalCounts, Registry, ResultStore, estimate, qubit_params
+from repro import (
+    Constraints,
+    LogicalCounts,
+    Registry,
+    ResultStore,
+    estimate,
+    qubit_params,
+)
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.store import (
+    StoredOutcome,
     RESULT_SCHEMA,
     STORE_ENV_VAR,
     _digest,
@@ -675,3 +683,134 @@ class TestPutMany:
         store = ResultStore(tmp_path / "capped", max_bytes=document_bytes + 8)
         store.put_many([(HASH_A, result, None), (HASH_B, result, None)])
         assert len(store) == 1
+
+
+class TestErrorDocuments:
+    """Infeasible points persist as digest-verified error documents."""
+
+    SPEC = EstimateSpec(
+        program=COUNTS,
+        qubit="qubit_gate_ns_e3",
+        constraints=Constraints(max_physical_qubits=100),
+    )
+
+    @pytest.fixture()
+    def failed(self, tmp_path):
+        store = ResultStore(tmp_path)
+        registry = Registry()
+        outcome = run_specs([self.SPEC], registry=registry, store=store)[0]
+        assert not outcome.ok and not outcome.from_store
+        path = store.path_for(outcome.spec_hash)
+        return store, registry, outcome, path, path.read_bytes()
+
+    def test_written_bytes_are_the_compact_encoding(self, failed):
+        store, _, outcome, path, pristine = failed
+        document = {
+            "schema": RESULT_SCHEMA,
+            "specHash": outcome.spec_hash,
+            "spec": self.SPEC.to_dict(),
+            "result": None,
+            "error": outcome.error,
+        }
+        document["digest"] = _digest(document)
+        assert pristine == json.dumps(document, separators=(",", ":")).encode()
+
+    def test_lookup_tells_errors_from_results(self, failed, result):
+        store, _, outcome, _, _ = failed
+        entry = store.lookup(outcome.spec_hash)
+        assert isinstance(entry, StoredOutcome)
+        assert entry.result is None and entry.result_dict is None
+        assert entry.error == outcome.error
+        assert store.get(outcome.spec_hash) is None
+        assert outcome.spec_hash in store
+        store.put(HASH_A, result)
+        hit = store.lookup(HASH_A)
+        assert hit.error is None
+        assert hit.result == result
+        assert hit.result_dict == result.to_dict()
+
+    def test_memory_cache_keeps_the_result_and_its_dict(self, tmp_path, result):
+        store = ResultStore(tmp_path)
+        store.put(HASH_A, result)
+        first = store.lookup(HASH_A)
+        again = store.lookup(HASH_A)
+        assert again is first  # one decode, one dict, shared
+        assert store.memory_cache_stats()["results"]["hits"] == 1
+
+    @pytest.mark.parametrize("damage", ["tamper", "truncate", "flip"])
+    def test_damaged_error_document_is_a_miss_and_recomputed(self, failed, damage):
+        store, registry, outcome, path, pristine = failed
+        if damage == "tamper":
+            # Rewrite the error without updating the digest.
+            document = json.loads(pristine)
+            document["error"] = "served from a tampered store"
+            path.write_text(json.dumps(document, separators=(",", ":")))
+        elif damage == "truncate":
+            path.write_bytes(pristine[: len(pristine) // 2])
+        else:
+            index = pristine.index(b'"error"') + len(b'"error"') + 3
+            path.write_bytes(
+                pristine[:index] + bytes([pristine[index] ^ 0x01]) + pristine[index + 1 :]
+            )
+        fresh = ResultStore(store.root)  # no memory-cache entry to hide behind
+        assert fresh.lookup(outcome.spec_hash) is None
+        assert fresh.get_raw(outcome.spec_hash) is None
+        again = run_specs([self.SPEC], registry=registry, store=fresh)[0]
+        assert not again.ok and not again.from_store
+        assert again.error == outcome.error
+        # The store healed: the recomputed error document is byte-identical.
+        assert path.read_bytes() == pristine
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"result": None},  # neither a result nor an error
+            {"result": None, "error": ""},
+            {"result": None, "error": 42},
+            {"result": {"physicalCounts": {}}, "error": "both at once"},
+        ],
+    )
+    def test_malformed_envelopes_are_misses(self, tmp_path, fields):
+        from repro.estimator.store import write_document
+
+        store = ResultStore(tmp_path)
+        document = {"schema": RESULT_SCHEMA, "specHash": HASH_A, "spec": None}
+        document.update(fields)
+        assert write_document(store.path_for(HASH_A), document)
+        assert store.get_raw(HASH_A) is None
+        assert store.lookup(HASH_A) is None
+        assert HASH_A not in store
+
+    def test_v2_documents_are_invisible_under_v3(self, tmp_path, result):
+        assert RESULT_SCHEMA == "repro-result-v3"
+        old = ResultStore(tmp_path, schema="repro-result-v2")
+        old.put(HASH_A, result)
+        current = ResultStore(tmp_path)
+        assert current.lookup(HASH_A) is None
+        assert len(current) == 0
+        # Even copied into the v3 path, a v2-tagged document is a miss.
+        target = current.path_for(HASH_A)
+        target.parent.mkdir(parents=True)
+        target.write_bytes(old.path_for(HASH_A).read_bytes())
+        assert current.get_raw(HASH_A) is None
+        assert current.lookup(HASH_A) is None
+
+    def test_put_many_writes_errors_and_passed_dicts(self, tmp_path, result):
+        store = ResultStore(tmp_path)
+        stored = StoredOutcome(result, result.to_dict(), None)
+        failed = StoredOutcome(None, None, "no T factory meets the budget")
+        assert store.put_many([(HASH_A, stored, None), (HASH_B, failed, None)]) == 2
+        assert store.get(HASH_A) == result
+        assert store.lookup(HASH_B).error == "no T factory meets the budget"
+        with pytest.raises(ValueError, match="exactly one"):
+            store.put_many([(HASH_A, StoredOutcome(None, None, None), None)])
+
+    def test_write_after_clear_recreates_the_fanout_directory(self, tmp_path, result):
+        store = ResultStore(tmp_path)
+        assert store.put(HASH_A, result)
+        fanout = store.path_for(HASH_A).parent
+        assert store.clear() == 1
+        assert not fanout.exists()
+        assert store.put(HASH_A, result)
+        assert fanout.is_dir()
+        assert store.get(HASH_A) == result

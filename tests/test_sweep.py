@@ -41,6 +41,17 @@ SWEEP_DOC = {
 }
 
 
+#: Two feasible and two infeasible points: a 100-qubit machine cannot
+#: hold the layout.
+INFEASIBLE_SWEEP_DOC = {
+    "base": {"program": {"counts": COUNTS.to_dict()}, "budget": 1e-3},
+    "axes": [
+        {"field": "qubit", "values": ["qubit_gate_ns_e3", "qubit_maj_ns_e4"]},
+        {"field": "constraints.maxPhysicalQubits", "values": [100, 100_000_000]},
+    ],
+}
+
+
 def small_sweep() -> SweepSpec:
     return SweepSpec.from_dict(json.loads(json.dumps(SWEEP_DOC)))
 
@@ -439,6 +450,58 @@ class TestStoreBackedResume:
         # equal to the uninterrupted run.
         assert resumed.to_dict() == reference.to_dict()
 
+    def test_warm_rerun_with_infeasible_points_is_a_verified_copy(
+        self, tmp_path, monkeypatch
+    ):
+        # Infeasible points persist as error documents, so the warm run
+        # recomputes nothing — no pipeline, no T-factory design — and
+        # serializes byte-identically to the cold run.
+        from repro import EstimateCache
+        from repro.estimator import batch
+
+        sweep = SweepSpec.from_dict(INFEASIBLE_SWEEP_DOC)
+        store = ResultStore(tmp_path)
+        cold = run_sweep(sweep, store=store, cache=EstimateCache())
+        assert cold.num_failed == 2 and cold.num_ok == 2
+        assert len(store) == 4
+
+        pipeline_calls = []
+        original = batch.run_pipeline
+
+        def counting(*args, **kwargs):
+            pipeline_calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "run_pipeline", counting)
+        warm_cache = EstimateCache()
+        warm = run_sweep(sweep, store=store, cache=warm_cache)
+        assert warm.num_from_store == 4
+        assert pipeline_calls == []
+        assert warm_cache.stats()["factories"]["misses"] == 0
+        assert warm_cache.stats()["store"] == {"hits": 4, "misses": 0}
+        assert [p.error for p in warm.points] == [p.error for p in cold.points]
+        assert json.dumps(warm.to_dict(), indent=2) == json.dumps(
+            cold.to_dict(), indent=2
+        )
+
+    def test_each_point_is_hashed_once_per_run(self, tmp_path, monkeypatch):
+        from repro.estimator.spec import EstimateSpec as Spec
+
+        calls = []
+        original = Spec.content_hash
+
+        def counting(self, registry=None):
+            calls.append(registry is not None)
+            return original(self, registry)
+
+        monkeypatch.setattr(Spec, "content_hash", counting)
+        sweep = small_sweep()
+        store = ResultStore(tmp_path)
+        for _ in range(2):  # cold, then warm
+            calls.clear()
+            run_sweep(sweep, store=store)
+            assert calls == [True] * len(sweep.expand())
+
     def test_sweep_document_survives_in_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
         result = run_sweep(small_sweep(), store=store)
@@ -538,6 +601,41 @@ class TestSweepCLI:
         assert "resume: 6/6 points already stored" in captured.err
         assert "(6 from store, 0 failed)" in captured.err
         assert json.loads(captured.out) == cold
+
+    def test_resume_counts_stored_failures(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._write_sweep(tmp_path, INFEASIBLE_SWEEP_DOC)
+        store_dir = tmp_path / "store"
+        argv = ["sweep", str(path), "--store", str(store_dir), "--resume", "--json"]
+        assert main(argv) == 1  # infeasible points exit 1
+        captured = capsys.readouterr()
+        cold = captured.out
+        assert "resume: 0/4 points already stored" in captured.err
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "resume: 4/4 points already stored" in captured.err
+        assert "(4 from store, 2 failed)" in captured.err
+        assert captured.out == cold
+
+    def test_resume_hashes_each_point_once(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        calls = []
+        original = EstimateSpec.content_hash
+
+        def counting(self, registry=None):
+            calls.append(registry is not None)
+            return original(self, registry)
+
+        monkeypatch.setattr(EstimateSpec, "content_hash", counting)
+        path = self._write_sweep(tmp_path)
+        store_dir = str(tmp_path / "store")
+        for _ in range(2):  # cold, then warm
+            calls.clear()
+            main(["sweep", str(path), "--store", store_dir, "--resume", "--quiet"])
+            assert calls == [True] * 6
+        assert "resume: 6/6 points already stored" in capsys.readouterr().err
 
     def test_csv_output_to_file(self, tmp_path, capsys):
         from repro.cli import main
