@@ -6,7 +6,7 @@ one fresh ``qubit_maj_ns_e4`` / floquet-code T-factory catalog build.
 Both run in this process, best of several repeats each, so machine
 speed cancels out. Exits 1 unless the 30 tallies take at most
 ``CEILING`` times one catalog build: per-row or per-node tallies put
-them at ~20-25x, the closed forms below 1x.
+them at ~20-25x, the closed forms at ~0.8-1.0x.
 
 Run with the repository's ``src`` on ``PYTHONPATH``::
 

@@ -12,8 +12,10 @@ The pipeline space does not depend on the required error, so each
 (qubit, scheme) pair is searched once into a :class:`FactoryCatalog`:
 
 * every candidate's ``(physical_qubits, duration_ns, output_error_rate)``
-  is computed from per-distance and per-unit tables, without building a
-  factory;
+  comes from one depth-first walk per unit tuple, without building a
+  factory: candidates sharing a round prefix share its forward step and
+  footprint, an infeasible prefix skips its subtree, and a leaf costs one
+  memoized unit outcome plus one footprint lookup (:class:`_CatalogWalk`);
 * in preference order ``(physical_qubits, duration_ns, enumeration
   index)`` a candidate is kept only if no earlier one has both an output
   error and a duration at most its own — the Pareto set, a few hundred
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from ..formulas import Formula
 from ..qec import QECScheme
 from ..qubits import PhysicalQubitParams
 from .factory import DistillationRound, TFactory, TFactoryError, evaluate_pipeline
@@ -42,8 +45,205 @@ from .units import PREDEFINED_UNITS, DistillationUnit
 _Spec = tuple[tuple[DistillationUnit, "int | None"], ...]
 
 
+#: A scanned candidate: ``(physical_qubits, duration_ns,
+#: output_error_rate, (prefix, unit), distance)``, the pipeline
+#: ``prefix + ((unit, distance),)``.
+_Candidate = tuple[int, float, float, tuple[_Spec, DistillationUnit], "int | None"]
+
+
 def _odd_distances(limit: int) -> list[int]:
     return list(range(1, limit + 1, 2))
+
+
+class _CatalogWalk:
+    """Candidate pipelines of one (qubit, scheme) pair, walked depth first.
+
+    A node is a round prefix; its children append one round of the next
+    unit at each distance not below the prefix's last one. The walk
+    follows :func:`evaluate_pipeline` operation for operation, so the
+    numbers are the ones a built factory would carry, but shares work
+    along the tree:
+
+    * a prefix's forward step (failure and output error) is computed once
+      for its whole subtree, and an infeasible prefix skips the subtree;
+    * a *family* — a fixed prefix plus its last unit, over all last
+      distances — shares the unit multiplicities, the prefix's maximum
+      round footprint and its round durations;
+    * a family's feasible last rounds (distance, footprint, output
+      error) are memoized per last unit, input error and first distance,
+      so families that differ only in their prefix units share them;
+    * unit outcomes are memoized per pair of formula trees (the
+      predefined units share the 15-to-1 formulas), scheme values per
+      distance and physical durations per formula.
+
+    Every memo entry is filled where the per-candidate evaluation would
+    first compute it — a leaf runs its forward step and, if feasible, its
+    footprint before the next leaf, and a prefix's footprint needs no new
+    value because the prefix itself is an earlier feasible candidate — so
+    a custom formula that raises does so on the same candidate as a full
+    evaluation would.
+    """
+
+    def __init__(self, qubit: PhysicalQubitParams, scheme: QECScheme) -> None:
+        self.qubit = qubit
+        self.scheme = scheme
+        self.physical_env = qubit.formula_environment(1)
+        self.logical_rates: dict[int, float] = {}
+        self.qubits_per_logical: dict[int, int] = {}
+        self.cycle_times: dict[int, float] = {}
+        self.physical_durations: dict[Formula, float] = {}
+        self.leaf_rounds: dict[tuple, list[tuple[int | None, int, float, float]]] = {}
+        self.outcomes: dict[tuple[Formula, Formula], dict] = {}
+        self.found: list[_Candidate] = []
+
+    def table(self, unit: DistillationUnit) -> dict:
+        """Memoized ``unit.evaluate`` outcomes by ``(input error, Clifford
+        error)``, shared by units with the same formulas."""
+        return self.outcomes.setdefault(
+            (unit.failure_probability, unit.output_error_rate), {}
+        )
+
+    def step(
+        self, unit: DistillationUnit, table: dict, error_rate: float, d: int | None
+    ) -> tuple[float, float] | None:
+        """``(failure, output error)`` of one round, ``None`` if infeasible."""
+        if d is None:
+            clifford = self.qubit.clifford_error_rate
+        else:
+            clifford = self.logical_rates.get(d)
+            if clifford is None:
+                clifford = self.logical_rates[d] = self.scheme.logical_error_rate(
+                    self.qubit, d
+                )
+        # 0.0 and -0.0 are one dict key; evaluate zeros directly.
+        key = (error_rate, clifford)
+        outcome = table.get(key) if error_rate and clifford else None
+        if outcome is None:
+            outcome = table[key] = unit.evaluate(error_rate, clifford)
+        failure, out_error = outcome
+        if failure >= 1.0 or (out_error >= error_rate and out_error >= 1.0):
+            return None
+        return outcome
+
+    def descend(
+        self,
+        prefix: _Spec,
+        failures: tuple[float, ...],
+        error_rate: float,
+        units: Sequence[DistillationUnit],
+        distances: list[int],
+        lo: int,
+    ) -> None:
+        """Walk the subtree below ``prefix``: ``units`` run at the
+        non-decreasing distances from ``distances[lo:]``."""
+        unit = units[0]
+        if len(units) == 1:
+            self.family(prefix, failures, error_rate, unit, distances[lo:])
+            return
+        table = self.table(unit)
+        for i in range(lo, len(distances)):
+            outcome = self.step(unit, table, error_rate, distances[i])
+            if outcome is not None:
+                self.descend(
+                    prefix + ((unit, distances[i]),),
+                    failures + (outcome[0],),
+                    outcome[1],
+                    units[1:],
+                    distances,
+                    i,
+                )
+
+    def family(
+        self,
+        prefix: _Spec,
+        failures: tuple[float, ...],
+        error_rate: float,
+        unit: DistillationUnit,
+        distances: Sequence[int | None],
+    ) -> None:
+        """Record the feasible leaves ``prefix + ((unit, d),)``."""
+        leaves = self.leaves(unit, error_rate, distances)
+        if not leaves:
+            return
+        family = (prefix, unit)
+        prefix_qubits, durations = self.prefix_footprint(prefix, failures, unit)
+        durations.append(0.0)
+        record = self.found.append
+        for d, qubits, durations[-1], out_error in leaves:
+            # sum() over the round list, as evaluate_pipeline adds them:
+            # on Python >= 3.12 a float sum() is compensated, not a fold.
+            # The conditional is max() of two ints without the call.
+            qubits = qubits if qubits > prefix_qubits else prefix_qubits
+            record((qubits, sum(durations), out_error, family, d))
+
+    def leaves(
+        self, unit: DistillationUnit, error_rate: float, distances: Sequence[int | None]
+    ) -> list[tuple[int | None, int, float, float]]:
+        """``(distance, qubits, duration, output error)`` of each feasible
+        last round running one ``unit`` on inputs of ``error_rate``.
+
+        Memoized per unit, input error and first distance: families that
+        differ only in their prefix units share it.
+        """
+        if not distances:
+            return []
+        key = (id(unit), error_rate, distances[0])
+        # 0.0 and -0.0 are one dict key; recompute zeros, as step() does.
+        rounds = self.leaf_rounds.get(key) if error_rate else None
+        if rounds is None:
+            table = self.table(unit)
+            rounds = []
+            for d in distances:
+                outcome = self.step(unit, table, error_rate, d)
+                if outcome is not None:
+                    rounds.append((d, *self.footprint(unit, d, 1), outcome[1]))
+            self.leaf_rounds[key] = rounds
+        return rounds
+
+    def prefix_footprint(
+        self, prefix: _Spec, failures: tuple[float, ...], last: DistillationUnit
+    ) -> tuple[int, list[float]]:
+        """Maximum footprint and per-round durations of ``prefix``'s rounds
+        in a pipeline whose last round runs one ``last`` unit."""
+        # Backward pass: unit multiplicities; the last round runs one.
+        units = [unit for unit, _ in prefix] + [last]
+        multiplicities = [1] * len(units)
+        for i in range(len(prefix) - 1, -1, -1):
+            needed_inputs = multiplicities[i + 1] * units[i + 1].num_input_ts
+            produced_per_unit = units[i].num_output_ts * (1.0 - failures[i])
+            multiplicities[i] = math.ceil(needed_inputs / produced_per_unit)
+        qubits = 0
+        durations: list[float] = []
+        for (unit, d), mult in zip(prefix, multiplicities):
+            round_qubits, duration = self.footprint(unit, d, mult)
+            qubits = max(qubits, round_qubits)
+            durations.append(duration)
+        return qubits, durations
+
+    def footprint(
+        self, unit: DistillationUnit, d: int | None, mult: int
+    ) -> tuple[int, float]:
+        """Physical qubits and duration of a round running ``mult`` units."""
+        if d is None:
+            assert unit.physical_spec is not None
+            formula = unit.physical_spec.duration
+            duration = self.physical_durations.get(formula)
+            if duration is None:
+                duration = self.physical_durations[formula] = formula.evaluate_positive(
+                    self.physical_env
+                )
+            return mult * unit.physical_spec.num_qubits, duration
+        assert unit.logical_spec is not None
+        per_logical = self.qubits_per_logical.get(d)
+        if per_logical is None:
+            per_logical = self.qubits_per_logical[d] = self.scheme.physical_qubits(
+                self.qubit, d
+            )
+        qubits = mult * unit.logical_spec.num_logical_qubits * per_logical
+        cycle = self.cycle_times.get(d)
+        if cycle is None:
+            cycle = self.cycle_times[d] = self.scheme.cycle_time_ns(self.qubit, d)
+        return qubits, unit.logical_spec.duration_in_cycles * cycle
 
 
 @dataclass(frozen=True)
@@ -104,15 +304,18 @@ class TFactoryDesigner:
     def _catalog(self, qubit: PhysicalQubitParams, scheme: QECScheme) -> FactoryCatalog:
         """The (qubit, scheme) catalog: Pareto set plus staircase, cached.
 
-        Candidates are ordered by ``(physical_qubits, duration_ns,
-        enumeration index)`` — the scalar scan's preference, where an
-        earlier pipeline wins a tie. A candidate is dropped when an
-        earlier one in that order has output error and duration both at
-        most its own: for any requirement, the earlier one is feasible
-        whenever it is, so it can be neither the first feasible
-        candidate nor on a frontier. The test runs against a staircase
-        of the candidates seen so far (error ascending, duration strictly
-        descending), one bisection per candidate.
+        Candidates come from :meth:`_scan` in enumeration order and are
+        sorted stably by ``(physical_qubits, duration_ns)``, so the order
+        is ``(physical_qubits, duration_ns, enumeration index)`` — the
+        scalar scan's preference, where an earlier pipeline wins a tie.
+        A candidate is dropped when an earlier one in that order has
+        output error and duration both at most its own: for any
+        requirement, the earlier one is feasible whenever it is, so it
+        can be neither the first feasible candidate nor on a frontier.
+        The test runs against a staircase of the candidates seen so far
+        (error ascending, duration strictly descending), one bisection
+        per candidate. A kept candidate's spec tuple is built only here,
+        for its ``evaluate_pipeline`` build.
         """
         key = (qubit, scheme)
         catalog = self._catalog_cache.get(key)
@@ -122,7 +325,7 @@ class TFactoryDesigner:
             seen_errors: list[float] = []
             seen_durations: list[float] = []
             factories: list[TFactory] = []
-            for qubits, duration, error, spec in candidates:
+            for qubits, duration, error, (prefix, unit), d in candidates:
                 i = bisect.bisect_right(seen_errors, error)
                 if i and seen_durations[i - 1] <= duration:
                     continue
@@ -131,8 +334,9 @@ class TFactoryDesigner:
                     j += 1
                 seen_errors[i:j] = [error]
                 seen_durations[i:j] = [duration]
+                spec = prefix + ((unit, d),)
                 factory = evaluate_pipeline(
-                    [DistillationRound(unit, d) for unit, d in spec], qubit, scheme
+                    [DistillationRound(u, dist) for u, dist in spec], qubit, scheme
                 )
                 assert factory is not None and (
                     factory.physical_qubits,
@@ -155,90 +359,41 @@ class TFactoryDesigner:
 
     def _scan(
         self, qubit: PhysicalQubitParams, scheme: QECScheme
-    ) -> list[tuple[int, float, float, _Spec]]:
-        """``(physical_qubits, duration_ns, output_error_rate, spec)`` of
-        every feasible candidate, in enumeration order.
+    ) -> list[_Candidate]:
+        """Every feasible candidate, in enumeration order, as
+        ``(physical_qubits, duration_ns, output_error_rate, family,
+        distance)``: the spec is ``prefix + ((unit, distance),)`` for
+        ``family == (prefix, unit)``.
 
-        Follows :func:`evaluate_pipeline` operation for operation, so the
-        numbers are the ones a built factory would carry. Scheme values
-        per distance, physical unit durations and unit evaluations per
-        input are computed once, at the point ``evaluate_pipeline`` would
-        first compute them: a custom formula that raises does so on the
-        same candidate as a full evaluation would.
+        One depth-first walk per unit tuple (see :class:`_CatalogWalk`).
+        Its non-decreasing distance loops visit the candidates in
+        :func:`itertools.combinations_with_replacement` order, the order
+        :meth:`candidate_pipelines` yields them.
         """
+        walk = _CatalogWalk(qubit, scheme)
+        distances = _odd_distances(min(self.max_code_distance, scheme.max_code_distance))
         t_error = qubit.t_gate_error_rate
-        physical_clifford = qubit.clifford_error_rate
-        physical_env = qubit.formula_environment(1)
-        logical_rates: dict[int, float] = {}
-        qubits_per_logical: dict[int, int] = {}
-        cycle_times: dict[int, float] = {}
-        physical_durations: dict[int, float] = {}
-        outcomes: dict[tuple, tuple[float, float]] = {}
-        found: list[tuple[int, float, float, _Spec]] = []
-        for spec in self._candidate_specs(scheme):
-            # Forward pass: error rates and per-unit failure.
-            error_rate = t_error
-            failures: list[float] = []
-            for unit, d in spec:
-                if d is None:
-                    clifford = physical_clifford
-                else:
-                    clifford = logical_rates.get(d)
-                    if clifford is None:
-                        clifford = scheme.logical_error_rate(qubit, d)
-                        logical_rates[d] = clifford
-                # 0.0 and -0.0 are one dict key; evaluate zeros directly.
-                memo = (id(unit), error_rate, clifford)
-                outcome = outcomes.get(memo) if error_rate and clifford else None
-                if outcome is None:
-                    outcome = outcomes[memo] = unit.evaluate(error_rate, clifford)
-                failure, out_error = outcome
-                if failure >= 1.0 or (out_error >= error_rate and out_error >= 1.0):
-                    break
-                failures.append(failure)
-                error_rate = out_error
+        for physical, logical in self._unit_tuples():
+            if physical is None:
+                walk.descend((), (), t_error, logical, distances, 0)
+            elif not logical:
+                walk.family((), (), t_error, physical, (None,))
             else:
-                # Backward pass: unit multiplicities; the last round runs one.
-                multiplicities = [1] * len(spec)
-                for i in range(len(spec) - 2, -1, -1):
-                    needed_inputs = multiplicities[i + 1] * spec[i + 1][0].num_input_ts
-                    produced_per_unit = spec[i][0].num_output_ts * (1.0 - failures[i])
-                    multiplicities[i] = math.ceil(needed_inputs / produced_per_unit)
-                # Footprint and duration.
-                qubits: list[int] = []
-                durations: list[float] = []
-                for (unit, d), mult in zip(spec, multiplicities):
-                    if d is None:
-                        assert unit.physical_spec is not None
-                        qubits.append(mult * unit.physical_spec.num_qubits)
-                        duration = physical_durations.get(id(unit))
-                        if duration is None:
-                            duration = unit.physical_spec.duration.evaluate_positive(
-                                physical_env
-                            )
-                            physical_durations[id(unit)] = duration
-                    else:
-                        assert unit.logical_spec is not None
-                        per_logical = qubits_per_logical.get(d)
-                        if per_logical is None:
-                            per_logical = scheme.physical_qubits(qubit, d)
-                            qubits_per_logical[d] = per_logical
-                        size = unit.logical_spec.num_logical_qubits
-                        qubits.append(mult * size * per_logical)
-                        cycle = cycle_times.get(d)
-                        if cycle is None:
-                            cycle = cycle_times[d] = scheme.cycle_time_ns(qubit, d)
-                        duration = unit.logical_spec.duration_in_cycles * cycle
-                    durations.append(duration)
-                found.append((max(qubits), sum(durations), error_rate, spec))
-        return found
+                outcome = walk.step(physical, walk.table(physical), t_error, None)
+                if outcome is not None:
+                    failure, error_rate = outcome
+                    head = ((physical, None),)
+                    walk.descend(head, (failure,), error_rate, logical, distances, 0)
+        return walk.found
 
-    def _candidate_specs(self, scheme: QECScheme) -> Iterator[_Spec]:
-        """Candidate pipelines as ``(unit, distance)`` tuples, in the order
-        :meth:`candidate_pipelines` yields them."""
+    def _unit_tuples(
+        self,
+    ) -> Iterator[tuple[DistillationUnit | None, tuple[DistillationUnit, ...]]]:
+        """``(physical first-round unit or None, logical units)`` of each
+        pipeline shape, in enumeration order: by number of rounds, then
+        by unit choice per round."""
         logical_units = [u for u in self.units if u.logical_spec is not None]
         physical_units = [u for u in self.units if u.physical_spec is not None]
-        distances = _odd_distances(min(self.max_code_distance, scheme.max_code_distance))
         # A first-round option is a physical unit (no distance) or a
         # logical unit (taking the first distance of the combination).
         first_round_options = [(u, True) for u in physical_units] + [
@@ -248,15 +403,21 @@ class TFactoryDesigner:
             for (first, physical), *rest in itertools.product(
                 first_round_options, *[logical_units] * (num_rounds - 1)
             ):
-                head: _Spec = ((first, None),) if physical else ()
-                logical = rest if physical else [first, *rest]
-                if not logical:
-                    yield head
-                    continue
-                for combo in itertools.combinations_with_replacement(
-                    distances, len(logical)
-                ):
-                    yield head + tuple(zip(logical, combo))
+                yield (first, tuple(rest)) if physical else (None, (first, *rest))
+
+    def _candidate_specs(self, scheme: QECScheme) -> Iterator[_Spec]:
+        """Candidate pipelines as ``(unit, distance)`` tuples, in the order
+        :meth:`candidate_pipelines` yields them."""
+        distances = _odd_distances(min(self.max_code_distance, scheme.max_code_distance))
+        for physical, logical in self._unit_tuples():
+            head: _Spec = () if physical is None else ((physical, None),)
+            if not logical:
+                yield head
+                continue
+            for combo in itertools.combinations_with_replacement(
+                distances, len(logical)
+            ):
+                yield head + tuple(zip(logical, combo))
 
     def candidate_pipelines(
         self, qubit: PhysicalQubitParams, scheme: QECScheme
@@ -281,10 +442,10 @@ class TFactoryDesigner:
         The answer is the first candidate meeting the requirement in the
         order ``(physical_qubits, duration_ns, enumeration index)``: one
         bisection over the catalog's staircase (see :meth:`_catalog`).
-        Raises :class:`TFactoryError` if no pipeline in the search space
-        meets the requirement.
+        Raises :class:`TFactoryError` if the requirement is not positive
+        (NaN included) or no pipeline in the search space meets it.
         """
-        if required_output_error_rate <= 0:
+        if not required_output_error_rate > 0:  # NaN too: it meets no error
             raise TFactoryError(
                 "required T-state error rate must be positive, got "
                 f"{required_output_error_rate}"

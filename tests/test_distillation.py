@@ -206,6 +206,23 @@ class TestDesigner:
         with pytest.raises(TFactoryError):
             design_t_factory(QUBIT_MAJ_NS_E4, FLOQUET_CODE, 0.0)
 
+    def test_nan_requirement_rejected(self):
+        # NaN compares false with everything: it must not pass the
+        # positivity check and come back as the noisiest staircase entry.
+        designer = TFactoryDesigner()
+        message = "required T-state error rate must be positive, got nan"
+        with pytest.raises(TFactoryError, match=message):
+            designer.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, math.nan)
+        with pytest.raises(TFactoryError, match=message):
+            design_t_factory(QUBIT_MAJ_NS_E4, FLOQUET_CODE, math.nan)
+        assert designer.frontier(QUBIT_MAJ_NS_E4, FLOQUET_CODE, math.nan) == []
+
+    def test_infinite_requirement_returns_first_staircase_entry(self):
+        designer = TFactoryDesigner()
+        catalog = designer._catalog(QUBIT_MAJ_NS_E4, FLOQUET_CODE)
+        factory = designer.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, math.inf)
+        assert factory is catalog.staircase[0]
+
     def test_gate_based_design(self):
         factory = design_t_factory(QUBIT_GATE_NS_E3, SURFACE_CODE_GATE_BASED, 1e-12)
         assert factory.output_error_rate <= 1e-12
