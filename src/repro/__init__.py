@@ -26,125 +26,61 @@ multiplication) lives in :mod:`repro.arithmetic`; figure reproduction
 drivers live in :mod:`repro.experiments`.
 """
 
-from .advantage import AdvantageAssessment, ImplementationLevel, assess
-from .budget import ErrorBudget, ErrorBudgetPartition
-from .counts import LogicalCounts
-from .distillation import (
-    DistillationRound,
-    DistillationUnit,
-    TFactory,
-    TFactoryDesigner,
-    design_t_factory,
-)
-from .estimator import (
-    BatchOutcome,
-    Constraints,
-    EstimateCache,
-    EstimateRequest,
-    EstimateSpec,
-    EstimationError,
-    Frontier,
-    FrontierGroup,
-    FrontierPoint,
-    FrontierSpec,
-    PhysicalResourceEstimates,
-    ProgramRef,
-    ResultStore,
-    SpecOutcome,
-    SweepAxis,
-    SweepPointOutcome,
-    SweepQueue,
-    SweepResult,
-    SweepSpec,
-    estimate,
-    estimate_batch,
-    estimate_frontier,
-    run_specs,
-    run_sweep,
-    run_worker,
-)
-from .formulas import Formula
-from .layout import layout_resources, logical_qubits_after_layout
-from .programs import Program, program_from_dict
-from .qec import (
-    FLOQUET_CODE,
-    LogicalQubit,
-    QECScheme,
-    SURFACE_CODE_GATE_BASED,
-    SURFACE_CODE_MAJORANA,
-    default_scheme_for,
-    qec_scheme,
-)
-from .qubits import (
-    InstructionSet,
-    PREDEFINED_PROFILES,
-    PhysicalQubitParams,
-    qubit_params,
-)
-from .qir import emit_qir, parse_qir
-from .registry import Registry, default_registry
-from .report import render_report
-from .synthesis import RotationSynthesis
+from ._exports import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdvantageAssessment",
-    "BatchOutcome",
-    "Constraints",
-    "DistillationRound",
-    "DistillationUnit",
-    "ErrorBudget",
-    "ErrorBudgetPartition",
-    "EstimateCache",
-    "EstimateRequest",
-    "EstimateSpec",
-    "EstimationError",
-    "FLOQUET_CODE",
-    "Formula",
-    "Frontier",
-    "FrontierGroup",
-    "FrontierPoint",
-    "FrontierSpec",
-    "ImplementationLevel",
-    "InstructionSet",
-    "LogicalCounts",
-    "LogicalQubit",
-    "PREDEFINED_PROFILES",
-    "PhysicalQubitParams",
-    "PhysicalResourceEstimates",
-    "Program",
-    "ProgramRef",
-    "QECScheme",
-    "Registry",
-    "ResultStore",
-    "RotationSynthesis",
-    "SpecOutcome",
-    "SURFACE_CODE_GATE_BASED",
-    "SURFACE_CODE_MAJORANA",
-    "SweepAxis",
-    "SweepPointOutcome",
-    "SweepQueue",
-    "SweepResult",
-    "SweepSpec",
-    "TFactory",
-    "TFactoryDesigner",
-    "assess",
-    "default_registry",
-    "default_scheme_for",
-    "design_t_factory",
-    "emit_qir",
-    "estimate",
-    "estimate_batch",
-    "estimate_frontier",
-    "layout_resources",
-    "logical_qubits_after_layout",
-    "parse_qir",
-    "program_from_dict",
-    "qec_scheme",
-    "qubit_params",
-    "render_report",
-    "run_specs",
-    "run_sweep",
-    "run_worker",
-]
+#: Public names by defining submodule. A name's submodule is imported on
+#: first access (PEP 562), so ``import repro`` imports none of them and a
+#: pass pays only for the modules it uses.
+_EXPORTS = {
+    "advantage": ("AdvantageAssessment", "ImplementationLevel", "assess"),
+    "budget": ("ErrorBudget", "ErrorBudgetPartition"),
+    "counts": ("LogicalCounts",),
+    "distillation.factory": ("DistillationRound", "TFactory"),
+    "distillation.search": ("TFactoryDesigner", "design_t_factory"),
+    "distillation.units": ("DistillationUnit",),
+    "estimator.batch": (
+        "BatchOutcome",
+        "EstimateCache",
+        "EstimateRequest",
+        "estimate_batch",
+    ),
+    "estimator.constraints": ("Constraints",),
+    "estimator.frontier": ("Frontier", "FrontierPoint", "estimate_frontier"),
+    "estimator.pipeline": ("estimate",),
+    "estimator.queue": ("SweepQueue", "run_worker"),
+    "estimator.result": ("PhysicalResourceEstimates",),
+    "estimator.spec": ("EstimateSpec", "ProgramRef", "SpecOutcome", "run_specs"),
+    "estimator.stages": ("EstimationError",),
+    "estimator.store": ("ResultStore",),
+    "estimator.sweep": (
+        "FrontierGroup",
+        "FrontierSpec",
+        "SweepAxis",
+        "SweepPointOutcome",
+        "SweepResult",
+        "SweepSpec",
+        "run_sweep",
+    ),
+    "formulas.formula": ("Formula",),
+    "layout": ("layout_resources", "logical_qubits_after_layout"),
+    "programs": ("Program", "program_from_dict"),
+    "qec.logical_qubit": ("LogicalQubit",),
+    "qec.predefined": (
+        "FLOQUET_CODE",
+        "SURFACE_CODE_GATE_BASED",
+        "SURFACE_CODE_MAJORANA",
+        "default_scheme_for",
+        "qec_scheme",
+    ),
+    "qec.scheme": ("QECScheme",),
+    "qir.emitter": ("emit_qir",),
+    "qir.parser": ("parse_qir",),
+    "qubits.params": ("InstructionSet", "PhysicalQubitParams"),
+    "qubits.profiles": ("PREDEFINED_PROFILES", "qubit_params"),
+    "registry": ("Registry", "default_registry"),
+    "report": ("render_report",),
+    "synthesis": ("RotationSynthesis",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

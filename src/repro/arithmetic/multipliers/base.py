@@ -6,15 +6,10 @@ import abc
 import random
 from typing import Sequence
 
-from ...counts import LogicalCounts
+from ...counts import COUNT_BACKENDS, LogicalCounts
 from ...ir import Builder, Circuit, CircuitBuilder
 from ...ir.counting import CountingBuilder
 from ..tally import GateTally
-
-#: Count-resolution backends of :meth:`Multiplier.backend_counts` (and the
-#: experiment runners / CLI that expose the choice).
-COUNT_BACKENDS = ("formula", "materialize", "counting")
-
 
 def default_constant(bits: int) -> int:
     """Deterministic n-bit odd constant with the top bit set.

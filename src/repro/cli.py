@@ -117,26 +117,21 @@ import sys
 import time
 from pathlib import Path
 
-from .advantage import assess
 from .budget import ErrorBudget
-from .counts import LogicalCounts
+from .counts import COUNT_BACKENDS, LogicalCounts
 from .estimator import Constraints
 from .estimator.batch import BACKEND_CHOICES as KERNEL_CHOICES
 from .estimator.batch import EstimateCache
-from .estimator.optimize import OptimizeSpec, run_optimize
 from .estimator.spec import EstimateSpec, ProgramRef, run_specs
 from .estimator.stages import resolve_counts
 from .estimator.store import ResultStore, default_store_root
 from .estimator.sweep import SweepSpec, run_sweep
-from .qir import QIRParseError, parse_qir
 from .qubits import PREDEFINED_PROFILES
 from .registry import Registry, default_registry
 
-from .arithmetic import COUNT_BACKENDS
-
 #: Count-resolution backends exposed by ``batch`` and ``bench trace``
-#: (the single source of truth is the arithmetic layer's tuple, so a new
-#: backend shows up in both CLI parsers automatically).
+#: (one tuple in :mod:`repro.counts`, so a new backend shows up in both
+#: CLI parsers automatically).
 COUNT_BACKEND_CHOICES = COUNT_BACKENDS
 
 
@@ -281,6 +276,8 @@ def _load_program(args: argparse.Namespace):
         text = args.qir.read_text()
     except OSError as exc:
         raise SystemExit(f"error: cannot read QIR file: {exc}")
+    from .qir import QIRParseError, parse_qir
+
     try:
         return parse_qir(text, name=args.qir.stem)
     except QIRParseError as exc:
@@ -951,6 +948,8 @@ def _optimize_main(argv: list[str]) -> int:
         parser.error("--executor queue requires --store (the queue lives there)")
     if args.lease_ttl is not None and args.lease_ttl <= 0:
         parser.error(f"--lease-ttl must be > 0, got {args.lease_ttl}")
+    from .estimator.optimize import OptimizeSpec, run_optimize
+
     registry = _load_scenarios(args.scenario)
     try:
         document = json.loads(args.optimize.read_text())
@@ -1549,24 +1548,8 @@ class _SpecInputError(Exception):
 
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "batch":
-        return _batch_main(raw[1:])
-    if raw and raw[0] == "sweep":
-        return _sweep_main(raw[1:])
-    if raw and raw[0] == "optimize":
-        return _optimize_main(raw[1:])
-    if raw and raw[0] == "bench":
-        return _bench_main(raw[1:])
-    if raw and raw[0] == "serve":
-        return _serve_main(raw[1:])
-    if raw and raw[0] == "submit":
-        return _submit_main(raw[1:])
-    if raw and raw[0] == "registry":
-        return _registry_main(raw[1:])
-    if raw and raw[0] == "store":
-        return _store_main(raw[1:])
-    if raw and raw[0] == "work":
-        return _work_main(raw[1:])
+    if raw and raw[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[raw[0]](raw[1:])
     args = build_parser().parse_args(raw)
     registry = _load_scenarios(args.scenario)
     _resolve_profile(registry, args.profile)
@@ -1586,16 +1569,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {outcome.error}", file=sys.stderr)
         return 1
     result = outcome.result
+    verdict = None
+    if args.assess:
+        from .advantage import assess
+
+        verdict = assess(result)
 
     if args.json:
         report = result.to_dict()
-        if args.assess:
-            report["advantageAssessment"] = assess(result).to_dict()
+        if verdict is not None:
+            report["advantageAssessment"] = verdict.to_dict()
         print(json.dumps(report, indent=2))
     else:
         print(result.summary())
-        if args.assess:
-            verdict = assess(result)
+        if verdict is not None:
             print("Implementation level")
             print(f"  Level:                      {verdict.level.name.lower()}")
             print(
@@ -1966,6 +1953,20 @@ def _submit_main(argv: list[str]) -> int:
             else:
                 print(f"# {label}: error: {record['error']}")
     return 0 if all(record["ok"] for record in records) else 1
+
+
+#: ``repro <name> ...`` entry points; anything else is a single estimate.
+SUBCOMMANDS = {
+    "batch": _batch_main,
+    "sweep": _sweep_main,
+    "optimize": _optimize_main,
+    "bench": _bench_main,
+    "serve": _serve_main,
+    "submit": _submit_main,
+    "registry": _registry_main,
+    "store": _store_main,
+    "work": _work_main,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

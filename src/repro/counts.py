@@ -12,6 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+#: Count-resolution backends of a referenced program: closed-form tallies
+#: (``formula``), a materialized trace (``materialize``) or the streaming
+#: counting builder (``counting``). It lives here, in a leaf module, so
+#: spec validation and the CLI check a backend without importing the
+#: arithmetic layer; :mod:`repro.arithmetic` re-exports it.
+COUNT_BACKENDS = ("formula", "materialize", "counting")
+
 
 @dataclass(frozen=True)
 class LogicalCounts:

@@ -17,95 +17,54 @@ per-group Pareto frontiers — live in :mod:`repro.estimator.sweep`
 (:class:`SweepSpec` / :func:`run_sweep`).
 """
 
-from .constraints import Constraints
-from .result import (
-    PhysicalCounts,
-    PhysicalResourceEstimates,
-    ResourceBreakdown,
-    TFactoryUsage,
-)
-from .stages import (
-    EstimationContext,
-    EstimationError,
-    FixedPointSolution,
-    solve_code_distance_fixed_point,
-)
-from .pipeline import estimate
-from .batch import (
-    AUTO_BATCH_THRESHOLD,
-    BACKEND_CHOICES,
-    BatchOutcome,
-    EstimateCache,
-    EstimateRequest,
-    estimate_batch,
-)
-from .frontier import Frontier, FrontierPoint, estimate_frontier
-from .optimize import (
-    OptimizeConstraints,
-    OptimizeProbe,
-    OptimizeProgress,
-    OptimizeResult,
-    OptimizeSpec,
-    reduce_answer,
-    run_optimize,
-)
-from .queue import Lease, QueueJob, SweepQueue, WorkerReport, run_worker
-from .spec import EstimateSpec, ProgramRef, SpecOutcome, run_specs
-from .store import ResultStore
-from .sweep import (
-    FrontierGroup,
-    FrontierSpec,
-    SweepAxis,
-    SweepPointOutcome,
-    SweepProgress,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "AUTO_BATCH_THRESHOLD",
-    "BACKEND_CHOICES",
-    "BatchOutcome",
-    "Constraints",
-    "EstimateCache",
-    "EstimateRequest",
-    "EstimateSpec",
-    "EstimationContext",
-    "EstimationError",
-    "FixedPointSolution",
-    "Frontier",
-    "FrontierGroup",
-    "FrontierPoint",
-    "FrontierSpec",
-    "Lease",
-    "OptimizeConstraints",
-    "OptimizeProbe",
-    "OptimizeProgress",
-    "OptimizeResult",
-    "OptimizeSpec",
-    "PhysicalCounts",
-    "PhysicalResourceEstimates",
-    "ProgramRef",
-    "QueueJob",
-    "ResourceBreakdown",
-    "ResultStore",
-    "SpecOutcome",
-    "SweepAxis",
-    "SweepPointOutcome",
-    "SweepProgress",
-    "SweepQueue",
-    "SweepResult",
-    "SweepSpec",
-    "TFactoryUsage",
-    "WorkerReport",
-    "estimate",
-    "estimate_batch",
-    "estimate_frontier",
-    "reduce_answer",
-    "run_optimize",
-    "run_specs",
-    "run_sweep",
-    "run_worker",
-    "solve_code_distance_fixed_point",
-]
+#: Public names by defining submodule, imported on first access.
+_EXPORTS = {
+    "batch": (
+        "AUTO_BATCH_THRESHOLD",
+        "BACKEND_CHOICES",
+        "BatchOutcome",
+        "EstimateCache",
+        "EstimateRequest",
+        "estimate_batch",
+    ),
+    "constraints": ("Constraints",),
+    "frontier": ("Frontier", "FrontierPoint", "estimate_frontier"),
+    "optimize": (
+        "OptimizeConstraints",
+        "OptimizeProbe",
+        "OptimizeProgress",
+        "OptimizeResult",
+        "OptimizeSpec",
+        "reduce_answer",
+        "run_optimize",
+    ),
+    "pipeline": ("estimate",),
+    "queue": ("Lease", "QueueJob", "SweepQueue", "WorkerReport", "run_worker"),
+    "result": (
+        "PhysicalCounts",
+        "PhysicalResourceEstimates",
+        "ResourceBreakdown",
+        "TFactoryUsage",
+    ),
+    "spec": ("EstimateSpec", "ProgramRef", "SpecOutcome", "run_specs"),
+    "stages": (
+        "EstimationContext",
+        "EstimationError",
+        "FixedPointSolution",
+        "solve_code_distance_fixed_point",
+    ),
+    "store": ("ResultStore",),
+    "sweep": (
+        "FrontierGroup",
+        "FrontierSpec",
+        "SweepAxis",
+        "SweepPointOutcome",
+        "SweepProgress",
+        "SweepResult",
+        "SweepSpec",
+        "run_sweep",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

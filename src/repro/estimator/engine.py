@@ -24,16 +24,15 @@ are spawned; chunking never participates in content hashes.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..jsonlog import StructuredLogger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
     from .batch import BatchOutcome, EstimateCache, EstimateRequest
 
 #: Bound on pool rebuilds within a single run() before degrading to
@@ -102,6 +101,8 @@ class ExecutionEngine:
             if self._closed:
                 raise RuntimeError("ExecutionEngine is closed")
             if self._pool is None:
+                from concurrent.futures import ProcessPoolExecutor
+
                 from .batch import _init_worker
 
                 self._pool = ProcessPoolExecutor(
@@ -235,6 +236,12 @@ class ExecutionEngine:
         try:
             if self.max_workers == 1 or len(requests) <= 1:
                 return _run_serial(requests, cache, backend=backend)
+
+            # The pool path alone needs these; serial runs never import
+            # them (concurrent.futures.process pulls in multiprocessing).
+            import pickle
+            from concurrent.futures import FIRST_COMPLETED, wait
+            from concurrent.futures.process import BrokenProcessPool
 
             # A non-default designer must travel with the chunks — workers'
             # process-global caches only know the shared default.

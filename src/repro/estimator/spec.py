@@ -48,7 +48,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Hashable, Sequence
 
 from ..budget import ErrorBudget
-from ..counts import LogicalCounts
+from ..counts import COUNT_BACKENDS, LogicalCounts
 from ..programs import (
     Program,
     cached_counts_factory,
@@ -306,8 +306,6 @@ class EstimateSpec:
                 f"spec budget must be a number or ErrorBudget, got "
                 f"{type(self.budget).__name__}"
             )
-        from ..arithmetic import COUNT_BACKENDS
-
         if self.backend not in COUNT_BACKENDS:
             raise ValueError(
                 f"unknown count backend {self.backend!r}; available: "

@@ -48,7 +48,6 @@ identity under which the service stores and re-serves finished sweeps.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import itertools
@@ -702,6 +701,8 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """Flat CSV: axis coordinates, key metrics, frontier membership."""
+        import csv
+
         fields = [axis.field for axis in self.spec.axes]
         on_frontier = self.frontier_indices()
         buffer = io.StringIO()

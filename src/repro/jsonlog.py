@@ -30,8 +30,6 @@ import io
 import json
 import sys
 import threading
-import uuid
-from datetime import datetime, timezone
 from typing import Any, TextIO
 
 __all__ = ["StructuredLogger", "new_request_id"]
@@ -39,6 +37,8 @@ __all__ = ["StructuredLogger", "new_request_id"]
 
 def new_request_id() -> str:
     """A short unique id to correlate one request's records."""
+    import uuid
+
     return uuid.uuid4().hex[:16]
 
 
@@ -66,6 +66,8 @@ class StructuredLogger:
         """Emit one record; non-JSON field values are stringified."""
         if not self.enabled:
             return
+        from datetime import datetime, timezone
+
         record: dict[str, Any] = {
             "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
             "event": event,

@@ -1105,6 +1105,8 @@ class _Handler(BaseHTTPRequestHandler):
             duration,
             {"method": method, "route": route},
         )
+        if not service.log.enabled:
+            return  # no id to mint and no record to build for a disabled log
         service.log.event(
             "request",
             requestId=new_request_id(),

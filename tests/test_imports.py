@@ -1,0 +1,191 @@
+"""Import footprint: a pass imports only the modules it executes.
+
+``repro`` and ``repro.estimator`` export their public names lazily
+(PEP 562), and the CLI imports optimize, QIR, advantage assessment, the
+service and the process pool only on the paths that use them. Every
+check runs in a fresh interpreter, so what it sees does not depend on
+what other tests imported first.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules no figure or sweep pass executes.
+DEFERRED = (
+    "repro.service",
+    "repro.estimator.optimize",
+    "repro.estimator.queue",
+    "repro.estimator.frontier",
+    "repro.estimator.kernel",
+    "repro.qir",
+    "repro.advantage",
+    "repro.report",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "uuid",
+    "numpy",
+)
+
+
+def run_fresh(code: str, *args: str, cwd: Path | None = None) -> str:
+    """Run ``code`` in a new interpreter on ``src``; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after(statement: str) -> set[str]:
+    return set(
+        json.loads(
+            run_fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
+        )
+    )
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.experiments"])
+def test_pass_entry_points_load_no_deferred_module(module):
+    loaded = loaded_after(f"import {module}")
+    assert module in loaded
+    assert sorted(loaded.intersection(DEFERRED)) == []
+
+
+def test_import_repro_loads_no_submodule():
+    loaded = loaded_after("import repro")
+    assert sorted(name for name in loaded if name.startswith("repro.")) == [
+        "repro._exports"
+    ]
+
+
+def test_warm_sweep_never_imports_the_arithmetic_layer(tmp_path):
+    sweep = {
+        "base": {"program": {"name": "rsa_2048"}},
+        "axes": [
+            {"field": "qubit", "values": ["qubit_gate_ns_e3"]},
+            # 1e-12 is infeasible: a stored error document must hit too.
+            {"field": "budget", "values": [1e-3, 1e-4, 1e-12]},
+        ],
+    }
+    (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+    code = """
+        import contextlib, io, json, sys
+        from repro.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["sweep", "sweep.json", "--store", "store", "--json"])
+        layers = sorted(
+            name for name in sys.modules
+            if name.split(".")[:2] in (["repro", "arithmetic"], ["repro", "ir"])
+        )
+        print(json.dumps({"code": code, "layers": layers, "out": out.getvalue()}))
+    """
+    cold = json.loads(run_fresh(code, cwd=tmp_path))
+    warm = json.loads(run_fresh(code, cwd=tmp_path))
+    assert cold["code"] == warm["code"] == 1  # one infeasible point
+    assert "repro.arithmetic" in cold["layers"]  # the cold pass resolves counts
+    assert warm["layers"] == []
+    assert warm["out"] == cold["out"]
+
+
+def test_exports_are_the_defining_objects():
+    run_fresh(
+        """
+        import importlib, inspect
+        import repro, repro.estimator
+
+        for package in (repro, repro.estimator):
+            table = package._EXPORTS
+            assert package.__all__ == sorted(n for names in table.values() for n in names)
+            for module, names in table.items():
+                defining = importlib.import_module(f"{package.__name__}.{module}")
+                for name in names:
+                    value = getattr(package, name)
+                    assert value is getattr(defining, name), (package, name)
+                    assert package.__dict__[name] is value  # cached once resolved
+                    if inspect.isclass(value) or inspect.isfunction(value):
+                        owner = importlib.import_module(value.__module__)
+                        assert getattr(owner, name) is value, (package, name)
+        """
+    )
+
+
+def test_dir_star_import_and_unknown_names():
+    run_fresh(
+        """
+        import repro, repro.estimator
+
+        for package in (repro, repro.estimator):
+            assert set(package.__all__) <= set(dir(package))
+            namespace = {}
+            exec(f"from {package.__name__} import *", namespace)
+            assert set(package.__all__) <= set(namespace)
+            for name in package.__all__:
+                assert namespace[name] is getattr(package, name)
+            try:
+                package.no_such_name
+            except AttributeError as exc:
+                expected = f"module {package.__name__!r} has no attribute 'no_such_name'"
+                assert str(exc) == expected, str(exc)
+            else:
+                raise AssertionError("unknown attribute resolved")
+            try:
+                exec(f"from {package.__name__} import no_such_name", {})
+            except ImportError:
+                pass
+            else:
+                raise AssertionError("unknown name imported")
+        """
+    )
+
+
+def test_default_registry_same_after_lazy_and_full_import():
+    describe = (
+        "import json\nimport repro\n{imports}\n"
+        "print(json.dumps(repro.default_registry().describe(), sort_keys=True))"
+    )
+    every_module = """
+import pkgutil, importlib
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not info.name.endswith("__main__"):
+        importlib.import_module(info.name)
+"""
+    lazy = run_fresh(describe.format(imports=""))
+    full = run_fresh(describe.format(imports=every_module))
+    assert json.loads(lazy) and lazy == full
+
+
+def test_every_subcommand_help_exits_zero():
+    run_fresh(
+        """
+        import contextlib, io
+        from repro.cli import SUBCOMMANDS, main
+
+        for argv in [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                try:
+                    main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 0, (argv, exc.code)
+                else:
+                    raise AssertionError(f"{argv} did not exit")
+            assert "usage:" in out.getvalue(), argv
+        """
+    )

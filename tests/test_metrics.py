@@ -433,6 +433,37 @@ class TestStructuredLogging:
         logger.event("request", status=200)
         assert stream.getvalue() == ""
 
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_request_ids_are_minted_only_for_an_enabled_log(
+        self, tmp_path, monkeypatch, enabled
+    ):
+        import io
+
+        import repro.service as service_module
+
+        minted: list[str] = []
+
+        def counting_id() -> str:
+            minted.append(f"id{len(minted)}")
+            return minted[-1]
+
+        monkeypatch.setattr(service_module, "new_request_id", counting_id)
+        stream = io.StringIO()
+        log = StructuredLogger(stream, enabled=enabled)
+        with live_service(tmp_path, log=log) as (service, url):
+            client = ServiceClient(url)
+            client.health()
+            client.submit(EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3"))
+            # Metrics are recorded whether or not the log is on.
+            requests = service.metrics.snapshot()["counters"]["repro_requests_total"]
+            assert sum(requests.values()) == 2
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        request_ids = [r["requestId"] for r in records if r["event"] == "request"]
+        if enabled:
+            assert request_ids == minted == ["id0", "id1"]
+        else:
+            assert minted == [] and records == []
+
     def test_worker_loop_emits_chunk_records(self, tmp_path):
         import io
 
