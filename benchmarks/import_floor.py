@@ -1,17 +1,20 @@
 """Import-footprint floor: a pass imports only the modules it executes.
 
-``repro`` and ``repro.estimator`` export their public names lazily and
-the CLI defers its optimize, QIR, advantage, service and process-pool
-imports to the paths that use them. This script checks, each in fresh
+``repro``, ``repro.arithmetic``, ``repro.estimator`` and
+``repro.experiments`` export their public names lazily and the CLI
+defers its optimize, QIR, advantage, service and process-pool imports
+to the paths that use them. This script checks, each in fresh
 interpreters:
 
 * module ceilings: ``import repro.cli`` loads at most ``CLI_CEILING``
-  repro modules and ``import repro.experiments`` at most
-  ``EXPERIMENTS_CEILING`` (deterministic);
-* timing: the fastest of ``RUNS`` imports of ``repro.experiments`` takes
-  at most ``TIME_FLOOR`` times the fastest of the same import followed
-  by the deferred modules (``DEFERRED``), runs alternating so host drift
-  hits both sides alike.
+  repro modules, ``import repro.experiments`` (the lazy package alone)
+  at most ``EXPERIMENTS_CEILING`` and ``import repro.experiments.fig3``
+  (what a Fig. 3 pass imports before it runs) at most ``FIGURE_CEILING``
+  (deterministic);
+* timing: the fastest of ``RUNS`` imports of ``repro.experiments.fig3``
+  takes at most ``TIME_FLOOR`` times the fastest of the same import
+  followed by the deferred modules (``DEFERRED``), runs alternating so
+  host drift hits both sides alike.
 
 Exits 1 if any check fails. Run with the repository's ``src`` on
 ``PYTHONPATH``::
@@ -29,7 +32,9 @@ import subprocess
 import sys
 
 CLI_CEILING = 35
-EXPERIMENTS_CEILING = 38
+EXPERIMENTS_CEILING = 4
+FIGURE_CEILING = 36
+FIGURE_MODULE = "repro.experiments.fig3"
 RUNS = 5
 TIME_FLOOR = 0.85
 #: Modules a figure or sweep pass never executes.
@@ -69,6 +74,7 @@ def main() -> int:
     for module, ceiling in (
         ("repro.cli", CLI_CEILING),
         ("repro.experiments", EXPERIMENTS_CEILING),
+        (FIGURE_MODULE, FIGURE_CEILING),
     ):
         count = fresh_import(module)["repro_modules"]
         print(f"import {module}: {count} repro modules (ceiling {ceiling})")
@@ -76,11 +82,11 @@ def main() -> int:
 
     alone, with_deferred = [], []
     for _ in range(RUNS):
-        alone.append(fresh_import("repro.experiments")["seconds"])
-        with_deferred.append(fresh_import("repro.experiments", *DEFERRED)["seconds"])
+        alone.append(fresh_import(FIGURE_MODULE)["seconds"])
+        with_deferred.append(fresh_import(FIGURE_MODULE, *DEFERRED)["seconds"])
     ratio = min(alone) / min(with_deferred)
     print(
-        f"import repro.experiments: {min(alone):.3f} s, plus the deferred set: "
+        f"import {FIGURE_MODULE}: {min(alone):.3f} s, plus the deferred set: "
         f"{min(with_deferred):.3f} s (best of {RUNS}): {ratio:.2f}x "
         f"(ceiling {TIME_FLOOR}x)"
     )

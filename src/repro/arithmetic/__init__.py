@@ -18,89 +18,61 @@ classical constant (the modular-arithmetic setting of Gidney's papers); a
 quantum-by-quantum schoolbook variant is also provided.
 """
 
-from .tally import GateTally
-from .registers import copy_register, write_constant, xor_constant
-from .adders import (
-    add_constant_controlled,
-    add_constant_controlled_counts,
-    add_into,
-    add_into_counts,
-    subtract_into,
-    subtract_into_counts,
-)
-from .comparator import (
-    add_constant,
-    compare_greater_equal_constant,
-    compare_less_than,
-    compare_less_than_constant,
-    increment,
-    subtract_constant,
-)
-from .lookahead import add_lookahead, add_lookahead_counts
-from .lookup import lookup, lookup_counts, unlookup_adjoint
-from .modexp import (
-    emit_modexp,
-    mod_mul_inplace,
-    modexp_circuit,
-    modexp_counting_counts,
-    modexp_logical_counts,
-)
-from .modular import (
-    ModularMultiplier,
-    mod_add,
-    mod_add_constant_controlled,
-    mod_add_counts,
-)
-from .multipliers import (
-    COUNT_BACKENDS,
-    MULTIPLIER_ALGORITHMS,
-    KaratsubaMultiplier,
-    Multiplier,
-    SchoolbookMultiplier,
-    WindowedMultiplier,
-    default_window_size,
-    multiplier_by_name,
-    schoolbook_multiply_qq,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "COUNT_BACKENDS",
-    "MULTIPLIER_ALGORITHMS",
-    "GateTally",
-    "KaratsubaMultiplier",
-    "ModularMultiplier",
-    "Multiplier",
-    "SchoolbookMultiplier",
-    "WindowedMultiplier",
-    "add_constant",
-    "add_constant_controlled",
-    "add_constant_controlled_counts",
-    "add_into",
-    "add_into_counts",
-    "add_lookahead",
-    "add_lookahead_counts",
-    "compare_greater_equal_constant",
-    "compare_less_than",
-    "compare_less_than_constant",
-    "copy_register",
-    "default_window_size",
-    "emit_modexp",
-    "increment",
-    "lookup",
-    "lookup_counts",
-    "mod_add",
-    "mod_add_constant_controlled",
-    "mod_add_counts",
-    "mod_mul_inplace",
-    "modexp_circuit",
-    "modexp_counting_counts",
-    "modexp_logical_counts",
-    "multiplier_by_name",
-    "schoolbook_multiply_qq",
-    "subtract_constant",
-    "subtract_into",
-    "subtract_into_counts",
-    "unlookup_adjoint",
-    "write_constant",
-    "xor_constant",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: a multiplier count pass loads no modular-exponentiation code.
+_EXPORTS = {
+    "adders": (
+        "add_constant_controlled",
+        "add_constant_controlled_counts",
+        "add_into",
+        "add_into_counts",
+        "subtract_into",
+        "subtract_into_counts",
+    ),
+    "comparator": (
+        "add_constant",
+        "compare_greater_equal_constant",
+        "compare_less_than",
+        "compare_less_than_constant",
+        "increment",
+        "subtract_constant",
+    ),
+    "lookahead": ("add_lookahead", "add_lookahead_counts"),
+    "lookup": ("lookup", "lookup_counts", "unlookup_adjoint"),
+    "modexp": (
+        "emit_modexp",
+        "mod_mul_inplace",
+        "modexp_circuit",
+        "modexp_counting_counts",
+        "modexp_logical_counts",
+    ),
+    "modular": (
+        "ModularMultiplier",
+        "mod_add",
+        "mod_add_constant_controlled",
+        "mod_add_counts",
+    ),
+    "multipliers": (
+        "COUNT_BACKENDS",
+        "MULTIPLIER_ALGORITHMS",
+        "KaratsubaMultiplier",
+        "Multiplier",
+        "SchoolbookMultiplier",
+        "WindowedMultiplier",
+        "default_window_size",
+        "multiplier_by_name",
+        "schoolbook_multiply_qq",
+    ),
+    "registers": ("copy_register", "write_constant", "xor_constant"),
+    "tally": ("GateTally",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+# ``lookup`` names both a submodule and its function. Importing the
+# submodule rebinds the package attribute to the module, so a lazily
+# resolved ``lookup`` would turn into the module once any sibling imported
+# ``.lookup`` first; bind the function eagerly (every multiplier loads the
+# submodule anyway).
+from .lookup import lookup  # noqa: E402

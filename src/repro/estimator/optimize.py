@@ -863,6 +863,18 @@ class _Search:
         return [feasible[k] for k in keep]
 
 
+def stored_answer(store: "ResultStore", optimize_hash: str) -> dict[str, Any] | None:
+    """The answer document of a finished probe trace in ``store``, or ``None``."""
+    trace = store.get_optimize(optimize_hash)
+    if (
+        isinstance(trace, dict)
+        and trace.get("status") == "done"
+        and isinstance(trace.get("result"), dict)
+    ):
+        return trace["result"]
+    return None
+
+
 def run_optimize(
     spec: OptimizeSpec,
     *,
@@ -912,14 +924,10 @@ def run_optimize(
         raise ValueError("executor='queue' requires a result store")
     optimize_hash = spec.content_hash(resolved_registry)
     if store is not None:
-        trace = store.get_optimize(optimize_hash)
-        if (
-            isinstance(trace, dict)
-            and trace.get("status") == "done"
-            and trace.get("result") is not None
-        ):
+        answer = stored_answer(store, optimize_hash)
+        if answer is not None:
             try:
-                result = OptimizeResult.from_dict(trace["result"])
+                result = OptimizeResult.from_dict(answer)
             except (KeyError, TypeError, ValueError):
                 pass  # corrupt or stale trace: recompute (and overwrite)
             else:

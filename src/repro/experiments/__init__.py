@@ -12,18 +12,14 @@
 ``python -m repro.experiments [fig3|fig4|claims|all]`` prints the tables.
 """
 
-from .runner import EstimateRow, run_estimate_row, run_estimate_rows
-from .fig3 import FIG3_BIT_SIZES, run_fig3
-from .fig4 import FIG4_PROFILES, run_fig4
-from .claims import evaluate_claims
+from .._exports import lazy_exports
 
-__all__ = [
-    "EstimateRow",
-    "FIG3_BIT_SIZES",
-    "FIG4_PROFILES",
-    "evaluate_claims",
-    "run_estimate_row",
-    "run_estimate_rows",
-    "run_fig3",
-    "run_fig4",
-]
+#: Public names by defining submodule, imported on first access (PEP 562):
+#: a figure pass loads neither the other figure nor the claims module.
+_EXPORTS = {
+    "claims": ("evaluate_claims",),
+    "fig3": ("FIG3_BIT_SIZES", "run_fig3"),
+    "fig4": ("FIG4_PROFILES", "run_fig4"),
+    "runner": ("EstimateRow", "run_estimate_row", "run_estimate_rows"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -46,18 +46,22 @@ Endpoints
     :meth:`~repro.estimator.batch.EstimateCache.stats`).
 ``GET /v1/sweeps/<jobId>/result``
     The finished sweep's full result document (409 while the job is
-    still queued/running, 404 for unknown jobs).
+    still queued/running, 404 for unknown jobs and for an optimize job's
+    id).
 ``POST /v1/optimize``
     Body: an optimize document (see
     :meth:`repro.estimator.optimize.OptimizeSpec.to_dict`). Responds
-    **202** with a job record exactly like sweeps (``kind`` is
-    ``"optimize"``; ``evaluations`` counts actual engine evaluations —
-    the number the adaptive search minimizes). The job id is the
-    question's content hash: equivalent resubmissions join the running
-    job, and a question whose probe trace is already stored answers
-    immediately with zero evaluations.
+    **202** with a job record (``kind`` is ``"optimize"``;
+    ``evaluations`` counts actual engine evaluations — the number the
+    adaptive search minimizes). The job id is the question's content
+    hash: equivalent resubmissions join the running job, and a question
+    whose probe trace is already stored answers immediately with zero
+    evaluations. Sweep and optimize jobs share one lifecycle (submit,
+    run, result lookup, :meth:`ServiceClient.wait_for_job`); only the
+    entries of the job-kind table differ.
 ``GET /v1/optimize/<jobId>/result``
-    The finished optimize's answer document (409 / 404 like sweeps).
+    The finished optimize's answer document (409 / 404 like sweeps; a
+    sweep job's id is a 404).
 ``GET /v1/registry``
     Names of the available qubit profiles, QEC schemes, distillation
     units, factory designers, and programs (including scenario-file
@@ -118,6 +122,7 @@ from .estimator.optimize import (
     OptimizeProgress,
     OptimizeSpec,
     run_optimize,
+    stored_answer,
 )
 from .estimator.spec import EstimateSpec, run_specs
 from .estimator.store import ResultStore
@@ -201,9 +206,111 @@ class SweepJob:
             # vectorized/scalar kernel split and memo hit rates.
             record["cacheStats"] = cache_stats
         if self.status == "done":
-            prefix = "optimize" if self.kind == "optimize" else "sweeps"
+            prefix = _JOB_KINDS[self.kind].prefix
             record["resultUrl"] = f"/v1/{prefix}/{self.job_id}/result"
         return record
+
+
+def _sweep_progress(
+    service: "EstimationService", job: SweepJob, event: SweepProgress
+) -> None:
+    job.completed = event.completed
+    job.ok = event.ok
+    job.failed = event.failed
+    job.from_store = event.from_store
+
+
+def _optimize_progress(
+    service: "EstimationService", job: SweepJob, event: OptimizeProgress
+) -> None:
+    # The job still holds the previous event's totals; the service-wide
+    # counters advance by the difference.
+    counters = service._optimize_counters
+    counters["probes"] += event.probes - job.completed
+    counters["evaluations"] += event.evaluations - (job.evaluations or 0)
+    job.completed = event.probes
+    job.ok = event.feasible
+    job.from_store = event.from_store
+    job.evaluations = event.evaluations
+
+
+def _settle_optimize(job: SweepJob, result: Any) -> None:
+    job.completed = len(result.probes)
+    job.ok = result.num_feasible
+    job.evaluations = result.num_evaluations
+
+
+def _sweep_counts(counts: dict[str, Any]) -> dict[str, Any]:
+    total = int(counts.get("total", 0))
+    return {
+        "total": total,
+        "completed": total,
+        "ok": int(counts.get("ok", 0)),
+        "failed": int(counts.get("failed", 0)),
+    }
+
+
+def _optimize_counts(counts: dict[str, Any]) -> dict[str, Any]:
+    return {
+        "total": int(counts.get("grid", 0)),
+        "completed": int(counts.get("probes", 0)),
+        "ok": int(counts.get("feasible", 0)),
+        "evaluations": 0,  # answered from the stored trace
+    }
+
+
+@dataclass(frozen=True)
+class _JobKind:
+    """What differs between the async job kinds; everything else (submit,
+    run, result lookup, the client wait loop) is one shared lifecycle.
+
+    ``run(service, spec, **engine_options)`` returns a result with
+    ``to_dict()``; ``progress`` and ``settle`` copy a progress event and
+    the finished result onto the job (under the jobs lock); ``persist``
+    returns whether the store now holds the finished document (by
+    default the run stored it itself), and ``stored_counts`` maps a
+    stored document's ``counts`` to the done job's count fields.
+    """
+
+    prefix: str  # URL segment: /v1/<prefix> and /v1/<prefix>/<id>/result
+    spec: type  # from_dict, num_points, content_hash
+    run: Callable[..., Any]
+    progress: Callable[["EstimationService", SweepJob, Any], None]
+    stored: Callable[[ResultStore, str], "dict[str, Any] | None"]
+    stored_counts: Callable[[dict[str, Any]], dict[str, Any]]
+    done_fields: tuple[str, ...]  # job-record fields of the job.done event
+    settle: Callable[[SweepJob, Any], None] = lambda job, result: None
+    persist: Callable[[ResultStore, str, dict[str, Any]], bool] = (
+        lambda store, job_id, document: True
+    )
+
+
+_JOB_KINDS: dict[str, _JobKind] = {
+    "sweep": _JobKind(
+        prefix="sweeps",
+        spec=SweepSpec,
+        run=lambda service, spec, **options: run_sweep(
+            spec, chunk_target_s=service.chunk_target_s, **options
+        ),
+        progress=_sweep_progress,
+        stored=lambda store, job_id: store.get_sweep(job_id),
+        stored_counts=_sweep_counts,
+        done_fields=("completed", "ok", "failed", "fromStore"),
+        persist=lambda store, job_id, document: store.put_sweep(job_id, document),
+    ),
+    "optimize": _JobKind(
+        prefix="optimize",
+        spec=OptimizeSpec,
+        run=lambda service, spec, **options: run_optimize(spec, **options),
+        progress=_optimize_progress,
+        stored=stored_answer,
+        stored_counts=_optimize_counts,
+        done_fields=("completed", "ok", "evaluations"),
+        settle=_settle_optimize,
+    ),
+}
+#: ``POST`` route -> job kind.
+_JOB_ROUTES = {f"/v1/{entry.prefix}": kind for kind, entry in _JOB_KINDS.items()}
 
 
 class EstimationService:
@@ -472,7 +579,7 @@ class EstimationService:
                 job_counts[key] = job_counts.get(key, 0) + 1
             probes = self._optimize_counters["probes"]
             evaluations = self._optimize_counters["evaluations"]
-        for kind in ("sweep", "optimize"):
+        for kind in _JOB_KINDS:
             for state in ("queued", "running", "done", "failed"):
                 samples.append(
                     (
@@ -526,7 +633,6 @@ class EstimationService:
 
     def _disk_metric_samples(self) -> list[tuple[str, dict[str, str] | None, float]]:
         samples: list[tuple[str, dict[str, str] | None, float]] = []
-        depth = 0
         if self.store is not None:
             stats = self.store.stats()
             for namespace, info in stats["namespaces"].items():
@@ -544,10 +650,7 @@ class EstimationService:
                 samples.append(
                     ("repro_store_orphans", {"unit": unit}, stats["orphans"][unit])
                 )
-            from .estimator.queue import SweepQueue
-
-            depth = len(SweepQueue(self.store).pending_jobs())
-        samples.append(("repro_queue_depth", None, depth))
+        samples.append(("repro_queue_depth", None, self._queue_depth()))
         return samples
 
     @property
@@ -587,7 +690,7 @@ class EstimationService:
                     total=queued_job.total_points,
                 )
                 self._jobs[queued_job.job_id] = job
-            self._sweep_pool.submit(self._run_sweep_job, job, queued_job.spec)
+            self._sweep_pool.submit(self._run_job, job, queued_job.spec)
             requeued += 1
         return requeued
 
@@ -682,216 +785,80 @@ class EstimationService:
         except ValueError:
             return None  # malformed hash in the URL
 
-    # -- async sweep jobs --------------------------------------------------
+    # -- async jobs (sweep, optimize) ---------------------------------------
 
-    def submit_sweep(self, payload: Any) -> dict[str, Any]:
-        """Handle a ``POST /v1/sweeps`` body; returns the job record.
+    def submit_job(self, kind: str, payload: Any) -> dict[str, Any]:
+        """Handle a ``POST /v1/sweeps`` (``kind="sweep"``) or ``POST
+        /v1/optimize`` (``kind="optimize"``) body; returns the job record.
 
-        The sweep is parsed and expanded eagerly — a malformed sweep file
-        is a :class:`ValueError` (400), never a failed job. The job id is
-        the sweep's resolved content hash: an equivalent resubmission
-        joins the existing job, and a sweep whose result document is
-        already stored (by a previous run or a previous server process)
-        is immediately ``done`` without recomputing anything.
+        The document is parsed and expanded eagerly — a malformed one is
+        a :class:`ValueError` (400), never a failed job. The job id is the
+        spec's resolved content hash: an equivalent resubmission joins
+        the existing job, and a job whose result document is already
+        stored (by a previous run or a previous server process) is
+        immediately ``done`` without recomputing anything — an optimize
+        question then reports zero evaluations.
         """
         with forbid_file_programs():
-            # Expansion (cached on the frozen spec) happens inside the
-            # guard: axis fragments assembling a qir 'file' reference are
-            # rejected exactly like a literal one in the base document.
-            spec = SweepSpec.from_dict(payload)
-            total = len(spec.expand())
-            job_id = spec.content_hash(self.registry)
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-        if job is not None and job.status not in ("failed", "done"):
-            return job.to_record()
-        if job is not None and job.status == "done":
-            # Trust a done job only while its result is still readable: a
-            # stored document lost to corruption or deletion must requeue
-            # (heal by recomputation), not 409 forever.
-            if job.result_doc is not None or self._stored_sweep(job_id) is not None:
-                return job.to_record()
-        # Failed jobs (worker exception, resource pressure) and done jobs
-        # whose document vanished are retried rather than cached forever.
-        stored = self._stored_sweep(job_id)  # disk I/O outside the lock
-        with self._jobs_lock:
-            current = self._jobs.get(job_id)
-            if current is not None and current is not job:
-                return current.to_record()  # raced with another submitter
-            if stored is not None:
-                fresh = self._job_from_document(job_id, stored)
-                self._jobs[job_id] = fresh
-                return fresh.to_record()
-            fresh = SweepJob(job_id=job_id, status="queued", total=total)
-            self._jobs[job_id] = fresh
-        self.log.event("job.queued", jobId=job_id, kind="sweep", total=total)
-        self._sweep_pool.submit(self._run_sweep_job, fresh, spec)
-        return fresh.to_record()
-
-    @staticmethod
-    def _job_from_document(job_id: str, document: dict[str, Any]) -> SweepJob:
-        """A ``done`` job reconstructed from a stored sweep result.
-
-        ``result_doc`` stays ``None`` — the document lives in the store,
-        and result reads fall back to it instead of pinning a copy.
-        """
-        counts = document.get("counts", {})
-        total = int(counts.get("total", 0))
-        return SweepJob(
-            job_id=job_id,
-            status="done",
-            total=total,
-            completed=total,
-            ok=int(counts.get("ok", 0)),
-            failed=int(counts.get("failed", 0)),
-        )
-
-    def _run_sweep_job(self, job: SweepJob, spec: SweepSpec) -> None:
-        started = time.monotonic()
-
-        def on_progress(event: SweepProgress) -> None:
-            if self._stopping.is_set():
-                raise _ServiceStopping()
-            with self._jobs_lock:
-                job.completed = event.completed
-                job.ok = event.ok
-                job.failed = event.failed
-                job.from_store = event.from_store
-
-        try:
-            with self._jobs_lock:
-                job.status = "running"
-            self.log.event("job.running", jobId=job.job_id, kind="sweep")
-            result = run_sweep(
-                spec,
-                registry=self.registry,
-                store=self.store,
-                cache=self.cache,
-                progress=on_progress,
-                lock=self._lock,
-                kernel=self.kernel,
-                executor=self.sweep_executor,
-                lease_ttl=self.lease_ttl,
-                engine=self._engine,
-                chunk_target_s=self.chunk_target_s,
-            )
-            document = result.to_dict()
-            persisted = (
-                self.store.put_sweep(job.job_id, document)
-                if self.store is not None
-                else False
-            )
-            with self._jobs_lock:
-                # Keep the document in memory only when the store did not
-                # take it — a long-lived server serving many sweeps must
-                # not pin every finished result; reads fall back to the
-                # store's copy.
-                job.result_doc = None if persisted else document
-                job.status = "done"
-            self.log.event(
-                "job.done",
-                jobId=job.job_id,
-                kind="sweep",
-                completed=job.completed,
-                ok=job.ok,
-                failed=job.failed,
-                fromStore=job.from_store,
-                duration_s=round(time.monotonic() - started, 6),
-            )
-        except _ServiceStopping:
-            with self._jobs_lock:
-                job.status = "failed"
-                job.error = "aborted: service shutting down"
-            self.log.event(
-                "job.failed", jobId=job.job_id, kind="sweep", error=job.error
-            )
-        except Exception as exc:  # a failed job must be reportable, not lost
-            with self._jobs_lock:
-                job.status = "failed"
-                job.error = str(exc)
-            self.log.event(
-                "job.failed", jobId=job.job_id, kind="sweep", error=str(exc)
-            )
-
-    # -- async optimize jobs -----------------------------------------------
-
-    def submit_optimize(self, payload: Any) -> dict[str, Any]:
-        """Handle a ``POST /v1/optimize`` body; returns the job record.
-
-        Mirrors :meth:`submit_sweep`: eager parsing (malformed documents
-        are 400s, not failed jobs), the job id is the optimize spec's
-        resolved content hash, equivalent resubmissions join the running
-        job, and a question whose probe trace is already finished in the
-        store is immediately ``done`` with zero evaluations.
-        """
-        with forbid_file_programs():
-            spec = OptimizeSpec.from_dict(payload)
+            # Hashing expands the grid (cached on the frozen spec) inside
+            # the guard: axis fragments assembling a qir 'file' reference
+            # are rejected exactly like a literal one in the base document.
+            spec = _JOB_KINDS[kind].spec.from_dict(payload)
             total = spec.num_points()
             job_id = spec.content_hash(self.registry)
         with self._jobs_lock:
             job = self._jobs.get(job_id)
-        if job is not None and job.status not in ("failed", "done"):
+        if job is not None and (
+            job.status in ("queued", "running") or job.result_doc is not None
+        ):
             return job.to_record()
-        if job is not None and job.status == "done":
-            if self._stored_optimize(job_id) is not None:
-                return job.to_record()
-        stored = self._stored_optimize(job_id)  # disk I/O outside the lock
+        stored = self._stored(kind, job_id)  # disk I/O outside the lock
+        if job is not None and job.status == "done" and stored is not None:
+            return job.to_record()
+        # Failed jobs (worker exception, resource pressure) and done jobs
+        # whose result is no longer readable (stored document corrupted
+        # or deleted) are retried: they heal by recomputation instead of
+        # answering 409 forever.
         with self._jobs_lock:
             current = self._jobs.get(job_id)
             if current is not None and current is not job:
                 return current.to_record()  # raced with another submitter
             if stored is not None:
-                fresh = self._job_from_optimize_document(job_id, stored)
+                fresh = self._job_from_document(kind, job_id, stored)
                 self._jobs[job_id] = fresh
                 return fresh.to_record()
-            fresh = SweepJob(
-                job_id=job_id, status="queued", total=total, kind="optimize"
-            )
+            fresh = SweepJob(job_id=job_id, status="queued", total=total, kind=kind)
             self._jobs[job_id] = fresh
-        self.log.event("job.queued", jobId=job_id, kind="optimize", total=total)
-        self._sweep_pool.submit(self._run_optimize_job, fresh, spec)
+        self.log.event("job.queued", jobId=job_id, kind=kind, total=total)
+        self._sweep_pool.submit(self._run_job, fresh, spec)
         return fresh.to_record()
 
     @staticmethod
-    def _job_from_optimize_document(
-        job_id: str, document: dict[str, Any]
-    ) -> SweepJob:
-        """A ``done`` optimize job reconstructed from its stored answer."""
-        counts = document.get("counts", {})
-        return SweepJob(
-            job_id=job_id,
-            status="done",
-            total=int(counts.get("grid", 0)),
-            completed=int(counts.get("probes", 0)),
-            ok=int(counts.get("feasible", 0)),
-            kind="optimize",
-            evaluations=0,  # answered from the stored trace
-        )
+    def _job_from_document(kind: str, job_id: str, document: dict) -> SweepJob:
+        """A ``done`` job reconstructed from its stored result document.
 
-    def _run_optimize_job(self, job: SweepJob, spec: OptimizeSpec) -> None:
+        ``result_doc`` stays ``None`` — the document lives in the store,
+        and result reads fall back to it instead of pinning a copy.
+        """
+        counts = _JOB_KINDS[kind].stored_counts(document.get("counts", {}))
+        return SweepJob(job_id=job_id, status="done", kind=kind, **counts)
+
+    def _run_job(self, job: SweepJob, spec: Any) -> None:
         started = time.monotonic()
-        last = {"probes": 0, "evaluations": 0}
+        kind = _JOB_KINDS[job.kind]
 
-        def on_progress(event: OptimizeProgress) -> None:
+        def on_progress(event: Any) -> None:
             if self._stopping.is_set():
                 raise _ServiceStopping()
             with self._jobs_lock:
-                job.completed = event.probes
-                job.ok = event.feasible
-                job.from_store = event.from_store
-                job.evaluations = event.evaluations
-                self._optimize_counters["probes"] += event.probes - last["probes"]
-                self._optimize_counters["evaluations"] += (
-                    event.evaluations - last["evaluations"]
-                )
-                last["probes"] = event.probes
-                last["evaluations"] = event.evaluations
+                kind.progress(self, job, event)
 
         try:
             with self._jobs_lock:
                 job.status = "running"
-            self.log.event("job.running", jobId=job.job_id, kind="optimize")
-            result = run_optimize(
+            self.log.event("job.running", jobId=job.job_id, kind=job.kind)
+            result = kind.run(
+                self,
                 spec,
                 registry=self.registry,
                 store=self.store,
@@ -904,68 +871,65 @@ class EstimationService:
                 engine=self._engine,
             )
             document = result.to_dict()
+            persisted = self.store is not None and kind.persist(
+                self.store, job.job_id, document
+            )
             with self._jobs_lock:
-                # The answer document persists inside the probe-trace
-                # store entry (run_optimize wrote it); pin it in memory
-                # only when there is no store to read it back from.
-                job.result_doc = None if self.store is not None else document
-                job.completed = len(result.probes)
-                job.ok = result.num_feasible
-                job.evaluations = result.num_evaluations
+                # Keep the document in memory only when the store did not
+                # take it — a long-lived server serving many jobs must not
+                # pin every finished result; reads fall back to the
+                # store's copy.
+                job.result_doc = None if persisted else document
+                kind.settle(job, result)
                 job.status = "done"
+            record = job.to_record()
             self.log.event(
                 "job.done",
                 jobId=job.job_id,
-                kind="optimize",
-                completed=job.completed,
-                ok=job.ok,
-                evaluations=job.evaluations,
+                kind=job.kind,
+                **{field: record[field] for field in kind.done_fields},
                 duration_s=round(time.monotonic() - started, 6),
             )
+            return
         except _ServiceStopping:
-            with self._jobs_lock:
-                job.status = "failed"
-                job.error = "aborted: service shutting down"
-            self.log.event(
-                "job.failed", jobId=job.job_id, kind="optimize", error=job.error
-            )
+            error = "aborted: service shutting down"
         except Exception as exc:  # a failed job must be reportable, not lost
-            with self._jobs_lock:
-                job.status = "failed"
-                job.error = str(exc)
-            self.log.event(
-                "job.failed", jobId=job.job_id, kind="optimize", error=str(exc)
-            )
+            error = str(exc)
+        with self._jobs_lock:
+            job.status = "failed"
+            job.error = error
+        self.log.event("job.failed", jobId=job.job_id, kind=job.kind, error=error)
 
-    def optimize_result_document(
-        self, job_id: str
+    def job_result_document(
+        self, kind: str, job_id: str
     ) -> tuple[dict[str, Any] | None, str | None]:
-        """(answer document, status) for ``GET /v1/optimize/<id>/result``."""
+        """(result document, status) for ``GET /v1/sweeps/<id>/result``
+        (``kind="sweep"``) or ``GET /v1/optimize/<id>/result``.
+
+        The document is ``None`` until the job is done; ``status`` is
+        ``None`` only for ids that name no job of this kind (a job of the
+        other kind included).
+        """
         with self._jobs_lock:
             job = self._jobs.get(job_id)
-            if job is not None and job.status == "done" and job.result_doc:
+            if job is not None and job.kind != kind:
+                job = None
+            if job is not None and job.result_doc is not None:
                 return job.result_doc, "done"
             status = job.status if job is not None else None
-        stored = self._stored_optimize(job_id)
+        stored = self._stored(kind, job_id)
         if stored is not None:
             return stored, "done"
         return None, status
 
-    def _stored_optimize(self, job_id: str) -> dict[str, Any] | None:
-        """A finished optimize answer from the store's probe-trace doc."""
+    def _stored(self, kind: str, job_id: str) -> dict[str, Any] | None:
+        """A finished job's stored result document, or ``None``."""
         if self.store is None:
             return None
         try:
-            trace = self.store.get_optimize(job_id)
+            return _JOB_KINDS[kind].stored(self.store, job_id)
         except ValueError:
             return None  # malformed hash in the URL
-        if (
-            isinstance(trace, dict)
-            and trace.get("status") == "done"
-            and isinstance(trace.get("result"), dict)
-        ):
-            return trace["result"]
-        return None
 
     # -- job status and observability --------------------------------------
 
@@ -984,16 +948,19 @@ class EstimationService:
         stats["executor"] = {**stats["executor"], **self._engine.stats()}
         with self._jobs_lock:
             stats["optimize"] = dict(self._optimize_counters)
-        queue_depth = 0
-        if self.store is not None:
-            stats["storeMemory"] = self.store.memory_cache_stats()
-            from .estimator.queue import SweepQueue
-
-            queue_depth = len(SweepQueue(self.store).pending_jobs())
-        else:
-            stats["storeMemory"] = None
-        stats["queueDepth"] = queue_depth
+        stats["storeMemory"] = (
+            self.store.memory_cache_stats() if self.store is not None else None
+        )
+        stats["queueDepth"] = self._queue_depth()
         return stats
+
+    def _queue_depth(self) -> int:
+        """Journaled jobs not yet finished (0 without a store)."""
+        if self.store is None:
+            return 0
+        from .estimator.queue import SweepQueue
+
+        return len(SweepQueue(self.store).pending_jobs())
 
     def job_record(self, job_id: str) -> dict[str, Any] | None:
         """Status for ``GET /v1/jobs/<id>`` (or ``None`` if unknown)."""
@@ -1002,43 +969,13 @@ class EstimationService:
             job = self._jobs.get(job_id)
             if job is not None:
                 return job.to_record(cache_stats=stats)
-        stored = self._stored_sweep(job_id)
-        if stored is not None:
-            return self._job_from_document(job_id, stored).to_record(
-                cache_stats=stats
-            )
-        stored_optimize = self._stored_optimize(job_id)
-        if stored_optimize is not None:
-            return self._job_from_optimize_document(
-                job_id, stored_optimize
-            ).to_record(cache_stats=stats)
+        for kind in _JOB_KINDS:
+            stored = self._stored(kind, job_id)
+            if stored is not None:
+                return self._job_from_document(kind, job_id, stored).to_record(
+                    cache_stats=stats
+                )
         return None
-
-    def sweep_result_document(
-        self, job_id: str
-    ) -> tuple[dict[str, Any] | None, str | None]:
-        """(result document, status) for ``GET /v1/sweeps/<id>/result``.
-
-        The document is ``None`` until the job is done; ``status`` is
-        ``None`` only for unknown job ids.
-        """
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-            if job is not None and job.status == "done" and job.result_doc:
-                return job.result_doc, "done"
-            status = job.status if job is not None else None
-        stored = self._stored_sweep(job_id)
-        if stored is not None:
-            return stored, "done"
-        return None, status
-
-    def _stored_sweep(self, job_id: str) -> dict[str, Any] | None:
-        if self.store is None:
-            return None
-        try:
-            return self.store.get_sweep(job_id)
-        except ValueError:
-            return None  # malformed hash in the URL
 
     def health(self) -> dict[str, Any]:
         from .estimator.spec import SPEC_SCHEMA
@@ -1133,9 +1070,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._record_request(500)  # no-op unless nothing was sent
 
     def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
+        self._send_body(json.dumps(payload).encode(), "application/json", status)
+
+    def _send_body(self, body: bytes, content_type: str, status: int = 200) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
@@ -1167,16 +1106,10 @@ class _Handler(BaseHTTPRequestHandler):
         if "format=json" in query or "application/json" in accept:
             self._send_json(registry.render_json())
             return
-        body = registry.render_prometheus().encode()
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send_body(
+            registry.render_prometheus().encode(),
+            "text/plain; version=0.0.4; charset=utf-8",
         )
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
 
     def _handle_get(self) -> None:
         service = self.server.service
@@ -1203,34 +1136,28 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_json(f"unknown job {job_id!r}", 404)
             else:
                 self._send_json(record)
-        elif path.startswith("/v1/sweeps/") and path.endswith("/result"):
-            job_id = path[len("/v1/sweeps/") : -len("/result")]
-            document, status = service.sweep_result_document(job_id)
-            if document is not None:
-                self._send_json(document)
-            elif status is not None:
-                self._send_error_json(
-                    f"sweep job {job_id!r} is {status}, not done", 409
-                )
-            else:
-                self._send_error_json(f"unknown sweep job {job_id!r}", 404)
-        elif path.startswith("/v1/optimize/") and path.endswith("/result"):
-            job_id = path[len("/v1/optimize/") : -len("/result")]
-            document, status = service.optimize_result_document(job_id)
-            if document is not None:
-                self._send_json(document)
-            elif status is not None:
-                self._send_error_json(
-                    f"optimize job {job_id!r} is {status}, not done", 409
-                )
-            else:
-                self._send_error_json(f"unknown optimize job {job_id!r}", 404)
         else:
+            for kind, entry in _JOB_KINDS.items():
+                prefix = f"/v1/{entry.prefix}/"
+                if path.startswith(prefix) and path.endswith("/result"):
+                    job_id = path[len(prefix) : -len("/result")]
+                    self._send_job_result(kind, job_id)
+                    return
             self._send_error_json(f"unknown route {self.path!r}", 404)
+
+    def _send_job_result(self, kind: str, job_id: str) -> None:
+        document, status = self.server.service.job_result_document(kind, job_id)
+        if document is not None:
+            self._send_json(document)
+        elif status is not None:
+            self._send_error_json(f"{kind} job {job_id!r} is {status}, not done", 409)
+        else:
+            self._send_error_json(f"unknown {kind} job {job_id!r}", 404)
 
     def _handle_post(self) -> None:
         route = self.path.partition("?")[0].rstrip("/")
-        if route not in ("/v1/estimate", "/v1/sweeps", "/v1/optimize"):
+        job_kind = _JOB_ROUTES.get(route)
+        if route != "/v1/estimate" and job_kind is None:
             self._send_error_json(f"unknown route {self.path!r}", 404)
             return
         try:
@@ -1261,12 +1188,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(f"invalid JSON body: {exc}", 400)
             return
         try:
-            if route == "/v1/sweeps":
-                response = self.server.service.submit_sweep(payload)
-                self._send_json(response, status=202)
-                return
-            if route == "/v1/optimize":
-                response = self.server.service.submit_optimize(payload)
+            if job_kind is not None:
+                response = self.server.service.submit_job(job_kind, payload)
                 self._send_json(response, status=202)
                 return
             response = self.server.service.submit(payload)
@@ -1414,8 +1337,9 @@ class ServiceClient:
         raise error  # unreachable: the last attempt raised above
 
     @staticmethod
-    def _spec_dict(spec: EstimateSpec | dict[str, Any]) -> dict[str, Any]:
-        return spec.to_dict() if isinstance(spec, EstimateSpec) else spec
+    def _spec_dict(spec: Any) -> dict[str, Any]:
+        """A spec object's document; a dict passes through unchanged."""
+        return spec if isinstance(spec, dict) else spec.to_dict()
 
     def submit(self, spec: EstimateSpec | dict[str, Any]) -> dict[str, Any]:
         """Submit one spec; returns its result record."""
@@ -1428,52 +1352,56 @@ class ServiceClient:
         payload = {"specs": [self._spec_dict(spec) for spec in specs]}
         return self._request("/v1/estimate", payload)["results"]
 
+    def _get_or_none(self, path: str) -> Any | None:
+        """GET ``path``; ``None`` on 404, any other error raises."""
+        try:
+            return self._request(path)
+        except ServiceError as exc:
+            if exc.status == 404:
+                return None
+            raise
+
     def result(self, spec_hash: str) -> dict[str, Any] | None:
         """The stored document for a hash, or ``None`` if not stored.
 
         For an infeasible spec that is its error document: ``result`` is
         ``None`` and ``error`` is set.
         """
-        try:
-            return self._request(f"/v1/results/{spec_hash}")
-        except ServiceError as exc:
-            if exc.status == 404:
-                return None
-            raise
+        return self._get_or_none(f"/v1/results/{spec_hash}")
 
-    # -- async sweep jobs --------------------------------------------------
+    # -- async jobs (sweep, optimize) ---------------------------------------
 
     def submit_sweep(self, sweep: "SweepSpec | dict[str, Any]") -> dict[str, Any]:
         """POST a sweep; returns the job record (``jobId``, ``status``)."""
-        payload = sweep.to_dict() if isinstance(sweep, SweepSpec) else sweep
-        return self._request("/v1/sweeps", payload)
+        return self._request("/v1/sweeps", self._spec_dict(sweep))
+
+    def submit_optimize(
+        self, optimize: "OptimizeSpec | dict[str, Any]"
+    ) -> dict[str, Any]:
+        """POST an optimize question; returns the job record."""
+        return self._request("/v1/optimize", self._spec_dict(optimize))
 
     def job(self, job_id: str) -> dict[str, Any] | None:
         """Poll one job's status record, or ``None`` for unknown ids."""
-        try:
-            return self._request(f"/v1/jobs/{job_id}")
-        except ServiceError as exc:
-            if exc.status == 404:
-                return None
-            raise
+        return self._get_or_none(f"/v1/jobs/{job_id}")
 
     def sweep_result(self, job_id: str) -> dict[str, Any] | None:
         """A finished sweep's result document.
 
-        ``None`` for unknown jobs; raises :class:`ServiceError` (409)
-        while the job is still queued or running.
+        ``None`` for unknown sweep jobs; raises :class:`ServiceError`
+        (409) while the job is still queued or running.
         """
-        try:
-            return self._request(f"/v1/sweeps/{job_id}/result")
-        except ServiceError as exc:
-            if exc.status == 404:
-                return None
-            raise
+        return self._get_or_none(f"/v1/sweeps/{job_id}/result")
 
-    def wait_for_sweep(
+    def optimize_result(self, job_id: str) -> dict[str, Any] | None:
+        """A finished optimize's answer document (like :meth:`sweep_result`)."""
+        return self._get_or_none(f"/v1/optimize/{job_id}/result")
+
+    def wait_for_job(
         self, job_id: str, *, timeout: float = 300.0, poll: float = 0.05
     ) -> dict[str, Any]:
-        """Poll a job until done and return its result document.
+        """Poll a sweep or optimize job until done; return its result
+        document, fetched from the record's own ``resultUrl``.
 
         Raises :class:`ServiceError` if the job fails, disappears, or
         does not finish within ``timeout`` seconds.
@@ -1482,73 +1410,18 @@ class ServiceClient:
         while True:
             record = self.job(job_id)
             if record is None:
-                raise ServiceError(f"sweep job {job_id!r} is unknown")
+                raise ServiceError(f"job {job_id!r} is unknown")
+            name = f"{record['kind']} job {job_id!r}"
             if record["status"] == "done":
-                document = self.sweep_result(job_id)
+                document = self._get_or_none(record["resultUrl"])
                 if document is None:
-                    raise ServiceError(
-                        f"sweep job {job_id!r} finished but has no result"
-                    )
+                    raise ServiceError(f"{name} finished but has no result")
                 return document
             if record["status"] == "failed":
-                raise ServiceError(
-                    f"sweep job {job_id!r} failed: {record.get('error')}"
-                )
+                raise ServiceError(f"{name} failed: {record.get('error')}")
             if time.monotonic() >= deadline:
                 raise ServiceError(
-                    f"sweep job {job_id!r} still {record['status']} after "
-                    f"{timeout:g} s"
-                )
-            time.sleep(poll)
-
-    # -- async optimize jobs -----------------------------------------------
-
-    def submit_optimize(
-        self, optimize: "OptimizeSpec | dict[str, Any]"
-    ) -> dict[str, Any]:
-        """POST an optimize question; returns the job record."""
-        payload = (
-            optimize.to_dict() if isinstance(optimize, OptimizeSpec) else optimize
-        )
-        return self._request("/v1/optimize", payload)
-
-    def optimize_result(self, job_id: str) -> dict[str, Any] | None:
-        """A finished optimize's answer document.
-
-        ``None`` for unknown jobs; raises :class:`ServiceError` (409)
-        while the job is still queued or running.
-        """
-        try:
-            return self._request(f"/v1/optimize/{job_id}/result")
-        except ServiceError as exc:
-            if exc.status == 404:
-                return None
-            raise
-
-    def wait_for_optimize(
-        self, job_id: str, *, timeout: float = 300.0, poll: float = 0.05
-    ) -> dict[str, Any]:
-        """Poll an optimize job until done; returns its answer document."""
-        deadline = time.monotonic() + timeout
-        while True:
-            record = self.job(job_id)
-            if record is None:
-                raise ServiceError(f"optimize job {job_id!r} is unknown")
-            if record["status"] == "done":
-                document = self.optimize_result(job_id)
-                if document is None:
-                    raise ServiceError(
-                        f"optimize job {job_id!r} finished but has no result"
-                    )
-                return document
-            if record["status"] == "failed":
-                raise ServiceError(
-                    f"optimize job {job_id!r} failed: {record.get('error')}"
-                )
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"optimize job {job_id!r} still {record['status']} after "
-                    f"{timeout:g} s"
+                    f"{name} still {record['status']} after {timeout:g} s"
                 )
             time.sleep(poll)
 

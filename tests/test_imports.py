@@ -1,10 +1,12 @@
 """Import footprint: a pass imports only the modules it executes.
 
-``repro`` and ``repro.estimator`` export their public names lazily
-(PEP 562), and the CLI imports optimize, QIR, advantage assessment, the
-service and the process pool only on the paths that use them. Every
-check runs in a fresh interpreter, so what it sees does not depend on
-what other tests imported first.
+``repro``, ``repro.arithmetic``, ``repro.estimator`` and
+``repro.experiments`` export their public names lazily (PEP 562), so a
+Fig. 3/4 pass loads only the arithmetic it runs, and the CLI imports
+optimize, QIR, advantage assessment, the service and the process pool
+only on the paths that use them. Every check runs in a fresh
+interpreter, so what it sees does not depend on what other tests
+imported first.
 """
 
 from __future__ import annotations
@@ -60,10 +62,32 @@ def loaded_after(statement: str) -> set[str]:
     )
 
 
-@pytest.mark.parametrize("module", ["repro.cli", "repro.experiments"])
+@pytest.mark.parametrize(
+    "module",
+    ["repro.cli", "repro.experiments", "repro.experiments.fig3", "repro.experiments.fig4"],
+)
 def test_pass_entry_points_load_no_deferred_module(module):
     loaded = loaded_after(f"import {module}")
     assert module in loaded
+    assert sorted(loaded.intersection(DEFERRED)) == []
+
+
+#: Arithmetic and claims modules a Fig. 3/4 pass never executes.
+FIGURE_DEFERRED = (
+    "repro.arithmetic.modexp",
+    "repro.arithmetic.modular",
+    "repro.arithmetic.comparator",
+    "repro.arithmetic.lookahead",
+    "repro.experiments.claims",
+)
+
+
+def test_figure_pass_loads_only_the_arithmetic_it_runs():
+    loaded = loaded_after(
+        "from repro.experiments import run_fig3, run_fig4\nrun_fig3()\nrun_fig4()"
+    )
+    assert "repro.arithmetic.multipliers" in loaded
+    assert sorted(loaded.intersection(FIGURE_DEFERRED)) == []
     assert sorted(loaded.intersection(DEFERRED)) == []
 
 
@@ -109,9 +133,11 @@ def test_exports_are_the_defining_objects():
     run_fresh(
         """
         import importlib, inspect
-        import repro, repro.estimator
+        import repro, repro.arithmetic, repro.estimator, repro.experiments
 
-        for package in (repro, repro.estimator):
+        for package in (
+            repro, repro.arithmetic, repro.estimator, repro.experiments
+        ):
             table = package._EXPORTS
             assert package.__all__ == sorted(n for names in table.values() for n in names)
             for module, names in table.items():
@@ -130,9 +156,11 @@ def test_exports_are_the_defining_objects():
 def test_dir_star_import_and_unknown_names():
     run_fresh(
         """
-        import repro, repro.estimator
+        import repro, repro.arithmetic, repro.estimator, repro.experiments
 
-        for package in (repro, repro.estimator):
+        for package in (
+            repro, repro.arithmetic, repro.estimator, repro.experiments
+        ):
             assert set(package.__all__) <= set(dir(package))
             namespace = {}
             exec(f"from {package.__name__} import *", namespace)

@@ -386,7 +386,21 @@ class TestStructuredLogging:
         routes = {record["route"] for record in requests}
         assert routes == {"/v1/estimate", "/v1/healthz"}
 
-    def test_sweep_job_lifecycle_records_carry_the_job_id(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, extra, done_fields",
+        [
+            ("sweep", {}, {"completed", "ok", "failed", "fromStore"}),
+            (
+                "optimize",
+                {"objective": "min-qubits"},
+                {"completed", "ok", "evaluations"},
+            ),
+        ],
+        ids=["sweep", "optimize"],
+    )
+    def test_job_lifecycle_records_carry_the_job_id(
+        self, tmp_path, kind, extra, done_fields
+    ):
         import io
 
         stream = io.StringIO()
@@ -397,14 +411,16 @@ class TestStructuredLogging:
             executor="local",
         )
         try:
-            record = service.submit_sweep(
+            record = service.submit_job(
+                kind,
                 {
                     "base": {
-                    "program": {"counts": COUNTS.to_dict()},
-                    "qubit": {"profile": "qubit_gate_ns_e3"},
-                },
+                        "program": {"counts": COUNTS.to_dict()},
+                        "qubit": {"profile": "qubit_gate_ns_e3"},
+                    },
                     "axes": [{"field": "budget", "values": [1e-3, 1e-4]}],
-                }
+                    **extra,
+                },
             )
             job_id = record["jobId"]
             deadline = time.monotonic() + 60
@@ -423,7 +439,10 @@ class TestStructuredLogging:
         for name in ("job.queued", "job.running", "job.done"):
             assert name in by_event, sorted(by_event)
             assert by_event[name]["jobId"] == job_id
-        assert by_event["job.done"]["duration_s"] >= 0
+            assert by_event[name]["kind"] == kind
+        done = by_event["job.done"]
+        assert done["duration_s"] >= 0
+        assert set(done) - {"event", "ts", "jobId", "kind", "duration_s"} == done_fields
 
     def test_disabled_logger_writes_nothing(self):
         import io

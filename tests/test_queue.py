@@ -368,7 +368,7 @@ class TestServiceRecovery:
             # Hold the engine lock so the job blocks before its first chunk,
             # then stop the service — the job aborts at the chunk boundary.
             with first._lock:
-                record = first.submit_sweep(self._submit_doc())
+                record = first.submit_job("sweep", self._submit_doc())
                 assert record["jobId"] == job_id
                 deadline = time.monotonic() + 30
                 while queue.load_job(job_id) is None:
@@ -418,7 +418,7 @@ class TestServiceRecovery:
         )
         try:
             assert service.sweep_executor == "local"
-            record = service.submit_sweep(self._submit_doc())
+            record = service.submit_job("sweep", self._submit_doc())
             done = self._wait_done(service, record["jobId"])
             assert done["status"] == "done"
             # The local executor does not journal.

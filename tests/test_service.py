@@ -550,7 +550,7 @@ class TestSweepJobs:
         assert record["total"] == 4
         job_id = record["jobId"]
 
-        document = client.wait_for_sweep(job_id, timeout=120)
+        document = client.wait_for_job(job_id, timeout=120)
         assert document["sweepHash"] == job_id
         assert document["counts"] == {"total": 4, "ok": 4, "failed": 0}
         assert len(document["frontiers"]) == 2
@@ -562,7 +562,7 @@ class TestSweepJobs:
 
     def test_resubmission_joins_the_finished_job(self, client):
         first = client.submit_sweep(SWEEP_DOC)
-        client.wait_for_sweep(first["jobId"], timeout=120)
+        client.wait_for_job(first["jobId"], timeout=120)
         again = client.submit_sweep(SWEEP_DOC)
         assert again["jobId"] == first["jobId"]
         assert again["status"] == "done"
@@ -594,13 +594,13 @@ class TestSweepJobs:
         """Job state survives via the store across service processes."""
         store_root = tmp_path / "store"
         first = EstimationService(registry=Registry(), store=ResultStore(store_root))
-        record = first.submit_sweep(SWEEP_DOC)
+        record = first.submit_job("sweep", SWEEP_DOC)
         job_id = record["jobId"]
         deadline = time.monotonic() + 120
         while first.job_record(job_id)["status"] not in ("done", "failed"):
             assert time.monotonic() < deadline, "sweep job did not finish"
             time.sleep(0.02)
-        document, status = first.sweep_result_document(job_id)
+        document, status = first.job_result_document("sweep", job_id)
         assert status == "done"
         first.close()
 
@@ -608,11 +608,11 @@ class TestSweepJobs:
         # both the result document and an immediately-done resubmission.
         second = EstimationService(registry=Registry(), store=ResultStore(store_root))
         try:
-            redocument, restatus = second.sweep_result_document(job_id)
+            redocument, restatus = second.job_result_document("sweep", job_id)
             assert restatus == "done"
             assert redocument == document
             assert second.job_record(job_id)["status"] == "done"
-            resubmitted = second.submit_sweep(SWEEP_DOC)
+            resubmitted = second.submit_job("sweep", SWEEP_DOC)
             assert resubmitted["jobId"] == job_id
             assert resubmitted["status"] == "done"
         finally:
@@ -621,13 +621,13 @@ class TestSweepJobs:
     def test_storeless_service_keeps_results_in_memory(self):
         service = EstimationService(registry=Registry(), store=None)
         try:
-            record = service.submit_sweep(SWEEP_DOC)
+            record = service.submit_job("sweep", SWEEP_DOC)
             job_id = record["jobId"]
             deadline = time.monotonic() + 120
             while service.job_record(job_id)["status"] not in ("done", "failed"):
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            document, status = service.sweep_result_document(job_id)
+            document, status = service.job_result_document("sweep", job_id)
             assert status == "done"
             assert document["counts"]["ok"] == 4
         finally:
@@ -651,7 +651,7 @@ class TestSweepJobs:
             registry=Registry(), store=ResultStore(tmp_path)
         )
         try:
-            record = service.submit_sweep(SWEEP_DOC)
+            record = service.submit_job("sweep", SWEEP_DOC)
             job_id = record["jobId"]
             deadline = time.monotonic() + 60
             while service.job_record(job_id)["status"] not in ("done", "failed"):
@@ -661,7 +661,7 @@ class TestSweepJobs:
             assert failed["status"] == "failed"
             assert "transient worker failure" in failed["error"]
 
-            retried = service.submit_sweep(SWEEP_DOC)
+            retried = service.submit_job("sweep", SWEEP_DOC)
             assert retried["jobId"] == job_id
             assert retried["status"] in ("queued", "running")
             while service.job_record(job_id)["status"] not in ("done", "failed"):
@@ -678,7 +678,7 @@ class TestSweepJobs:
             registry=Registry(), store=ResultStore(tmp_path)
         )
         try:
-            record = service.submit_sweep(SWEEP_DOC)
+            record = service.submit_job("sweep", SWEEP_DOC)
             job_id = record["jobId"]
             deadline = time.monotonic() + 120
             while service.job_record(job_id)["status"] != "done":
@@ -686,7 +686,7 @@ class TestSweepJobs:
                 time.sleep(0.02)
             with service._jobs_lock:
                 assert service._jobs[job_id].result_doc is None
-            document, status = service.sweep_result_document(job_id)
+            document, status = service.job_result_document("sweep", job_id)
             assert status == "done" and document["counts"]["ok"] == 4
         finally:
             service.close()
@@ -697,7 +697,7 @@ class TestSweepJobs:
         store = ResultStore(tmp_path)
         service = EstimationService(registry=Registry(), store=store)
         try:
-            record = service.submit_sweep(SWEEP_DOC)
+            record = service.submit_job("sweep", SWEEP_DOC)
             job_id = record["jobId"]
             deadline = time.monotonic() + 120
             while service.job_record(job_id)["status"] != "done":
@@ -705,13 +705,13 @@ class TestSweepJobs:
                 time.sleep(0.02)
             store.sweep_path_for(job_id).unlink()
 
-            retried = service.submit_sweep(SWEEP_DOC)
+            retried = service.submit_job("sweep", SWEEP_DOC)
             assert retried["jobId"] == job_id
             assert retried["status"] in ("queued", "running")
             while service.job_record(job_id)["status"] != "done":
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            document, status = service.sweep_result_document(job_id)
+            document, status = service.job_result_document("sweep", job_id)
             assert status == "done" and document["counts"]["ok"] == 4
         finally:
             service.close()
@@ -723,7 +723,7 @@ class TestSweepJobs:
         service = EstimationService(registry=Registry(), store=ResultStore(tmp_path))
         try:
             service._stopping.set()
-            record = service.submit_sweep(SWEEP_DOC)
+            record = service.submit_job("sweep", SWEEP_DOC)
             job_id = record["jobId"]
             deadline = time.monotonic() + 60
             while service.job_record(job_id)["status"] not in ("done", "failed"):
@@ -739,7 +739,7 @@ class TestSweepJobs:
         doc = json.loads(json.dumps(SWEEP_DOC))
         doc["axes"][1]["values"] = ["qubit_gate_ns_e3", "no_such_profile"]
         record = client.submit_sweep(doc)
-        document = client.wait_for_sweep(record["jobId"], timeout=120)
+        document = client.wait_for_job(record["jobId"], timeout=120)
         assert document["counts"] == {"total": 4, "ok": 2, "failed": 2}
         errors = [p["error"] for p in document["points"] if not p["ok"]]
         assert all("no_such_profile" in e for e in errors)
@@ -760,7 +760,7 @@ class TestKernelByteIdentity:
             registry=Registry(), store=ResultStore(store_root), kernel=kernel
         )
         try:
-            job_id = service.submit_sweep(SWEEP_DOC)["jobId"]
+            job_id = service.submit_job("sweep", SWEEP_DOC)["jobId"]
             deadline = time.monotonic() + 120
             while service.job_record(job_id)["status"] not in ("done", "failed"):
                 assert time.monotonic() < deadline, "sweep job did not finish"
@@ -819,7 +819,7 @@ class TestOptimizeJobs:
         assert record["total"] == 24
         job_id = record["jobId"]
 
-        document = client.wait_for_optimize(job_id, timeout=120)
+        document = client.wait_for_job(job_id, timeout=120)
         assert document["optimizeHash"] == job_id
         assert document["answer"]["objective"] == "min-qubits"
         assert document["answer"]["points"]
@@ -833,7 +833,7 @@ class TestOptimizeJobs:
 
     def test_resubmission_joins_and_reserves_the_answer(self, client):
         first = client.submit_optimize(OPTIMIZE_DOC)
-        document = client.wait_for_optimize(first["jobId"], timeout=120)
+        document = client.wait_for_job(first["jobId"], timeout=120)
         again = client.submit_optimize(OPTIMIZE_DOC)
         assert again["jobId"] == first["jobId"]
         assert again["status"] == "done"
@@ -866,23 +866,23 @@ class TestOptimizeJobs:
         """The probe trace survives via the store across processes."""
         store_root = tmp_path / "store"
         first = EstimationService(registry=Registry(), store=ResultStore(store_root))
-        record = first.submit_optimize(OPTIMIZE_DOC)
+        record = first.submit_job("optimize", OPTIMIZE_DOC)
         job_id = record["jobId"]
         deadline = time.monotonic() + 120
         while first.job_record(job_id)["status"] not in ("done", "failed"):
             assert time.monotonic() < deadline, "optimize job did not finish"
             time.sleep(0.02)
-        document, status = first.optimize_result_document(job_id)
+        document, status = first.job_result_document("optimize", job_id)
         assert status == "done"
         first.close()
 
         second = EstimationService(registry=Registry(), store=ResultStore(store_root))
         try:
-            redocument, restatus = second.optimize_result_document(job_id)
+            redocument, restatus = second.job_result_document("optimize", job_id)
             assert restatus == "done"
             assert redocument == document
             assert second.job_record(job_id)["status"] == "done"
-            resubmitted = second.submit_optimize(OPTIMIZE_DOC)
+            resubmitted = second.submit_job("optimize", OPTIMIZE_DOC)
             assert resubmitted["jobId"] == job_id
             assert resubmitted["status"] == "done"
             assert resubmitted["evaluations"] == 0, "answered from the store"
@@ -900,10 +900,51 @@ class TestOptimizeJobs:
         assert set(stats["storeMemory"]) == {"capacity", "results", "counts"}
 
         record = client.submit_optimize(OPTIMIZE_DOC)
-        client.wait_for_optimize(record["jobId"], timeout=120)
+        client.wait_for_job(record["jobId"], timeout=120)
         after = client.health()["cacheStats"]["optimize"]
         assert after["probes"] > 0
         assert 0 < after["evaluations"] <= after["probes"]
         # The job status document carries the same counters.
         job_stats = client.job(record["jobId"])["cacheStats"]
         assert job_stats["optimize"] == after
+
+    def test_storeless_resubmission_is_done_without_recomputing(self):
+        # Without a store the answer lives only in the finished job; a
+        # resubmission must trust it like a sweep's, not re-run the search.
+        service = EstimationService(registry=Registry(), store=None)
+        try:
+            with service_server(service) as client:
+                first = client.submit_optimize(OPTIMIZE_DOC)
+                document = client.wait_for_job(first["jobId"], timeout=120)
+                done = client.job(first["jobId"])
+                again = client.submit_optimize(OPTIMIZE_DOC)
+                assert again["jobId"] == first["jobId"]
+                assert again["status"] == "done"
+                assert again["evaluations"] == done["evaluations"] > 0
+                assert client.optimize_result(first["jobId"]) == document
+                after = client.health()["cacheStats"]["optimize"]
+                assert after == done["cacheStats"]["optimize"]
+        finally:
+            service.close()
+
+
+@pytest.mark.parametrize("with_store", [False, True], ids=["storeless", "store"])
+@pytest.mark.parametrize("kind", ["sweep", "optimize"])
+def test_result_route_serves_only_its_own_kind(tmp_path, kind, with_store):
+    # A finished job's id on the other kind's result route names no job
+    # of that kind: 404, never the other kind's document or a 409.
+    service = EstimationService(
+        registry=Registry(), store=ResultStore(tmp_path) if with_store else None
+    )
+    try:
+        with service_server(service) as client:
+            if kind == "sweep":
+                job_id = client.submit_sweep(SWEEP_DOC)["jobId"]
+                other_result = client.optimize_result
+            else:
+                job_id = client.submit_optimize(OPTIMIZE_DOC)["jobId"]
+                other_result = client.sweep_result
+            client.wait_for_job(job_id, timeout=120)
+            assert other_result(job_id) is None
+    finally:
+        service.close()
