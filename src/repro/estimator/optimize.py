@@ -41,7 +41,7 @@ the service's ``POST /v1/optimize`` job API both accept them)::
                "constraints": {"maxTFactories": 1}},
       "axes": [
         {"field": "qubit", "values": ["qubit_gate_ns_e3", "qubit_maj_ns_e4"]},
-        {"field": "budget", "geom": {"start": 1e-6, "factor": 2, "count": 128}}
+        {"field": "budget", "geom": {"start": 1e-9, "factor": 1.1, "count": 128}}
       ],
       "objective": "min-qubits",
       "constraints": {"maxRuntime_s": 86400}

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 import uuid
@@ -87,7 +86,8 @@ from .store import (
     JOBS_SCHEMA,
     QUEUE_SCHEMA,
     ResultStore,
-    _digest,
+    _compact_json,
+    _write_atomic,
     read_document,
     write_document,
 )
@@ -254,10 +254,6 @@ class SweepQueue:
     def done_path(self, job_id: str, index: int) -> Path:
         return self.job_dir(job_id) / "done" / f"{index:06d}.json"
 
-    def journal_path(self, job_id: str) -> Path:
-        ResultStore._check_hash(job_id)
-        return self.store.root / JOBS_SCHEMA / job_id[:2] / f"{job_id}.json"
-
     # -- journal -----------------------------------------------------------
 
     def enqueue(
@@ -294,7 +290,8 @@ class SweepQueue:
                 "totalPoints": total,
                 "status": "submitted",
             }
-            _write_exclusive(self.journal_path(job_id), document)
+            path = self.store.path_for(job_id, "jobs")
+            write_document(path, document, exclusive=True)
             # Whether we won or raced, the journal on disk is now the
             # single source of truth for this job's chunking.
             existing = self.load_job(job_id)
@@ -320,13 +317,8 @@ class SweepQueue:
 
     def load_job(self, job_id: str) -> QueueJob | None:
         """The journaled job for an id, or ``None`` (missing/corrupt)."""
-        document = read_document(self.journal_path(job_id))
-        if (
-            document is None
-            or document.get("schema") != JOBS_SCHEMA
-            or document.get("jobId") != job_id
-            or document.get("status") not in JOB_STATUSES
-        ):
+        document = self.store.read("jobs", job_id)
+        if document is None or document.get("status") not in JOB_STATUSES:
             return None
         try:
             spec = SweepSpec.from_dict(document["sweep"])
@@ -365,12 +357,11 @@ class SweepQueue:
 
     def mark_finished(self, job: QueueJob) -> bool:
         """Rewrite the journal with ``status: finished`` (idempotent)."""
-        document = read_document(self.journal_path(job.job_id))
+        document = self.store.read("jobs", job.job_id)
         if document is None:
             return False
-        document.pop("digest", None)
         document["status"] = "finished"
-        return write_document(self.journal_path(job.job_id), document)
+        return write_document(self.store.path_for(job.job_id, "jobs"), document)
 
     # -- leases ------------------------------------------------------------
 
@@ -385,7 +376,7 @@ class SweepQueue:
         now = self.clock()
         path = self.lease_path(job_id, index)
         payload = {"owner": self.owner, "deadline": now + self.ttl}
-        if _write_exclusive(path, payload, digest=False):
+        if _write_atomic(path, _compact_json(payload), exclusive=True):
             return Lease(
                 job_id=job_id,
                 chunk=index,
@@ -405,7 +396,7 @@ class SweepQueue:
             tombstone.unlink()
         except OSError:
             pass
-        if _write_exclusive(path, payload, digest=False):
+        if _write_atomic(path, _compact_json(payload), exclusive=True):
             return Lease(
                 job_id=job_id,
                 chunk=index,
@@ -431,7 +422,8 @@ class SweepQueue:
         if current is None or current.get("owner") != self.owner:
             return False
         deadline = now + self.ttl
-        if not _write_lease(lease.path, {"owner": self.owner, "deadline": deadline}):
+        payload = {"owner": self.owner, "deadline": deadline}
+        if not _write_atomic(lease.path, _compact_json(payload)):
             return False
         lease.deadline = deadline
         return True
@@ -561,43 +553,6 @@ class SweepQueue:
 # -- low-level file plumbing ----------------------------------------------
 
 
-def _write_exclusive(path: Path, document: dict[str, Any], *, digest: bool = True) -> bool:
-    """Atomically create ``path`` with full content iff it does not exist.
-
-    Writes a complete temporary file first and publishes it with
-    :func:`os.link`, which fails if the path exists — so observers see
-    either no file or a whole one, never a partial write (the property
-    the lease protocol depends on). Returns ``False`` when the path
-    already exists or the store is unwritable.
-    """
-    if digest:
-        document = dict(document)
-        document["digest"] = _digest(document)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                _dump_compact(document, handle)
-            os.link(tmp_name, path)
-        except FileExistsError:
-            return False
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-    except OSError:
-        return False
-    return True
-
-
-def _dump_compact(document: dict[str, Any], handle: Any) -> None:
-    json.dump(document, handle, separators=(",", ":"))
-
-
 def _read_lease(path: Path) -> dict[str, Any] | None:
     """Parse a lease file; ``None`` for missing/corrupt (= reclaimable)."""
     try:
@@ -609,27 +564,6 @@ def _read_lease(path: Path) -> dict[str, Any] | None:
     ):
         return None
     return document
-
-
-def _write_lease(path: Path, payload: dict[str, Any]) -> bool:
-    """Atomically rewrite a lease (heartbeat renewal)."""
-    try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                _dump_compact(payload, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        return False
-    return True
 
 
 class _Heartbeat:

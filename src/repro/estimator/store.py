@@ -38,21 +38,23 @@ answers with the same error the estimator would raise.
 
 Layout and durability
 ---------------------
-Entries live under ``<root>/<schema-tag>/<hh>/<hash>.json`` where ``hh``
-is the first two hash hex digits (fan-out keeps directories small). The
-schema tag versions the document serialization: bumping
-:data:`RESULT_SCHEMA` (on any change to ``to_dict`` output or the
-document envelope) makes a new namespace, so stale entries are never
-deserialized against new code — that is the cache-invalidation story, no
-migration needed. Sweep result documents live under their own
-:data:`SWEEP_DOC_SCHEMA` namespace, and traced logical counts — keyed by
-resolved program content hash plus backend — under :data:`COUNTS_SCHEMA`
-(the cross-run counts cache layered under
-:func:`~repro.estimator.spec.run_specs`). :meth:`ResultStore.stats`
+Each document kind lives in its own namespace, one directory per schema
+tag under the root, and one table (``_NAMESPACES``) says how each is
+filed and checked: its tag, the envelope field naming the document's
+key, the field a read hands back, and whether eviction may prune it.
+Entries live under ``<root>/<schema-tag>/<hh>/<key>.json`` where ``hh``
+is the first two key hex digits (fan-out keeps directories small) —
+results, sweep results (:data:`SWEEP_DOC_SCHEMA`), traced logical
+counts keyed by resolved program content hash plus backend
+(:data:`COUNTS_SCHEMA`, the cross-run counts cache layered under
+:func:`~repro.estimator.spec.run_specs`), optimize probe traces, and
+the sweep job journal alike. The schema tag versions the document
+serialization: bumping :data:`RESULT_SCHEMA` (on any change to
+``to_dict`` output or the document envelope) makes a new namespace, so
+stale entries are never deserialized against new code — that is the
+cache-invalidation story, no migration needed. :meth:`ResultStore.stats`
 reports per-namespace document counts and bytes (the ``repro store
-stats`` CLI subcommand), TTL-cached so operators and the service's
-``/v1/metrics`` endpoint can poll it without paying a directory walk
-per call.
+stats`` CLI subcommand) from a fresh directory walk on every call.
 
 Bounded disk
 ------------
@@ -160,13 +162,6 @@ OPTIMIZE_DOC_SCHEMA = "repro-optimize-v1"
 #: integrity digest on a real disk read are ever cached.
 DEFAULT_MEMORY_CACHE_SIZE = 256
 
-#: Default time-to-live of the cached :meth:`ResultStore.stats` disk
-#: scan. Within the TTL, repeated ``stats()`` calls (metrics scrapes,
-#: ``repro store stats``) answer from the cached snapshot without
-#: walking a single directory; in-process writes invalidate it, so the
-#: cache can only hide *other* processes' writes, never this one's.
-DEFAULT_STATS_TTL = 5.0
-
 #: Default tolerance for file mtimes in the *future* during ``gc``: up
 #: to this far ahead of the local clock a file is treated as fresh
 #: (tolerable writer/collector clock skew on a shared or NFS store);
@@ -180,6 +175,37 @@ STORE_ENV_VAR = "REPRO_STORE_DIR"
 
 #: A well-formed store key: lowercase hex, nothing else (no path parts).
 _HASH_RE = re.compile(r"[0-9a-f]+")
+
+
+@dataclass(frozen=True)
+class _Namespace:
+    """How one store namespace files and checks its documents.
+
+    ``id_field`` names the envelope field that must equal the key a
+    document is filed under, ``payload_field`` the field a read hands
+    back. ``evictable`` namespaces hold re-derivable cache documents;
+    the others are live coordination state for in-flight sweeps, which
+    eviction must never touch.
+    """
+
+    schema: str
+    id_field: str | None
+    payload_field: str | None
+    evictable: bool
+
+
+#: Every namespace under a store root, keyed as :meth:`ResultStore.stats`
+#: reports them. The queue namespace is laid out per sweep job by
+#: :mod:`repro.estimator.queue` rather than fanned out by key; it is here
+#: for ``stats``, and so eviction knows to leave it alone.
+_NAMESPACES: dict[str, _Namespace] = {
+    "results": _Namespace(RESULT_SCHEMA, "specHash", "result", True),
+    "sweeps": _Namespace(SWEEP_DOC_SCHEMA, "sweepHash", "result", True),
+    "counts": _Namespace(COUNTS_SCHEMA, "countsKey", "counts", True),
+    "queue": _Namespace(QUEUE_SCHEMA, None, None, False),
+    "jobs": _Namespace(JOBS_SCHEMA, "jobId", "sweep", False),
+    "optimize": _Namespace(OPTIMIZE_DOC_SCHEMA, "optimizeHash", "trace", True),
+}
 
 
 def default_store_root() -> Path:
@@ -197,25 +223,100 @@ def _digest(document: dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _compact_json(document: dict[str, Any]) -> bytes:
+    """The on-disk encoding of a document: compact separators, ASCII.
+
+    Every byte of the file is significant, so corruption cannot hide in
+    formatting. ``json.dumps``, not ``json.dump``: only ``dumps`` uses
+    the C encoder; the bytes are the same.
+    """
+    return json.dumps(document, separators=(",", ":")).encode()
+
+
 def read_document(path: Path) -> dict[str, Any] | None:
-    """Parse and integrity-check one store document (miss on failure).
+    """Parse and integrity-check one document file (miss on failure).
 
     The store's document envelope — digest-verified, corrupt-reads-as-
-    miss — exposed for sibling namespaces (the sweep work queue and the
-    job journal) that persist documents under the same root with the
-    same durability contract.
+    miss — shared by every namespace under a store root.
     """
-    return ResultStore._read_document(path)
+    try:
+        document = json.loads(path.read_bytes())
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    if not isinstance(document, dict):
+        return None
+    digest = document.get("digest")
+    if not isinstance(digest, str) or digest != _digest(document):
+        return None  # corrupt, tampered, or pre-digest (v1) document
+    return document
 
 
-def write_document(path: Path, document: dict[str, Any]) -> bool:
+def write_document(
+    path: Path, document: dict[str, Any], *, exclusive: bool = False
+) -> bool:
     """Atomically persist a document with its digest; returns success.
 
-    Same tmp+\\ :func:`os.replace` discipline as every store write:
-    concurrent writers and crashes can never leave a torn document, and
-    rewriting identical content is idempotent.
+    See :func:`_write_atomic`: concurrent writers and crashes can never
+    leave a torn document, and rewriting identical content is
+    idempotent. ``exclusive`` creates the file only if it is absent.
     """
-    return ResultStore._write_document(path, document)
+    document = dict(document)
+    document["digest"] = _digest(document)
+    return _write_atomic(path, _compact_json(document), exclusive=exclusive)
+
+
+def _write_atomic(path: Path, data: bytes, *, exclusive: bool = False) -> bool:
+    """Publish ``data`` at ``path`` whole or not at all; returns success.
+
+    Writes a temporary file in the destination directory, then publishes
+    it with :func:`os.replace` — or, with ``exclusive``, with
+    :func:`os.link`, which fails if the path exists — so observers see
+    either the old file (or none) or the whole new one, never a partial
+    write. ``False`` when the path is unwritable, or exists under
+    ``exclusive``.
+    """
+    view = memoryview(data)
+    prefix = f".{path.stem[:8]}-"
+    try:
+        try:
+            fd, tmp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=prefix, suffix=".tmp"
+            )
+        except FileNotFoundError:
+            # First write into this directory (or the first since
+            # clear/evict/gc emptied it): create it and retry. Asking the
+            # filesystem on failure, instead of calling mkdir per write or
+            # remembering known directories, costs nothing on the common
+            # path and never goes stale.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=prefix, suffix=".tmp"
+            )
+        try:
+            try:
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+            if exclusive:
+                os.link(tmp_name, path)
+            else:
+                os.replace(tmp_name, path)
+        except BaseException:
+            _unlink_quietly(tmp_name)
+            raise
+        if exclusive:
+            _unlink_quietly(tmp_name)
+    except OSError:
+        return False
+    return True
+
+
+def _unlink_quietly(name: str) -> None:
+    try:
+        os.unlink(name)
+    except OSError:
+        pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,10 +414,12 @@ class ResultStore:
         running byte estimate and triggers :meth:`evict` past the
         budget, so the store stays bounded across arbitrarily large
         sweeps. ``None`` (default) disables automatic eviction.
-    stats_ttl:
-        How long one :meth:`stats` disk scan stays authoritative, in
-        seconds. ``0`` re-walks on every call (the pre-PR-9 behavior).
     """
+
+    #: Namespace keys :meth:`evict` may prune (see ``_NAMESPACES``).
+    EVICTABLE_NAMESPACES = tuple(
+        key for key, namespace in _NAMESPACES.items() if namespace.evictable
+    )
 
     def __init__(
         self,
@@ -325,24 +428,19 @@ class ResultStore:
         schema: str = RESULT_SCHEMA,
         cache_size: int = DEFAULT_MEMORY_CACHE_SIZE,
         max_bytes: int | None = None,
-        stats_ttl: float = DEFAULT_STATS_TTL,
     ) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if stats_ttl < 0:
-            raise ValueError(f"stats_ttl must be >= 0, got {stats_ttl}")
         self.root = Path(root) if root is not None else default_store_root()
         self.schema = schema
         self.max_bytes = max_bytes
-        self.stats_ttl = float(stats_ttl)
-        self._result_cache = _MemoryCache(cache_size)
-        self._counts_cache = _MemoryCache(cache_size)
-        #: Directory walks performed by :meth:`stats` — a test/observability
-        #: hook asserting the TTL cache really skips the walk.
-        self.stats_walks = 0
-        self._stats_lock = threading.Lock()
-        self._stats_snapshot: dict[str, Any] | None = None
-        self._stats_taken = 0.0
+        self._schemas = {key: entry.schema for key, entry in _NAMESPACES.items()}
+        self._schemas["results"] = schema
+        self._memory = {
+            "results": _MemoryCache(cache_size),
+            "counts": _MemoryCache(cache_size),
+        }
+        self._lock = threading.Lock()
         self._evictions = {"files": 0, "bytes": 0}
         # Running byte total of the evictable namespaces; None until the
         # first budget check scans it. Writes add their sizes (an upper
@@ -350,11 +448,7 @@ class ResultStore:
         # next evict() run early; evict() recomputes the exact total).
         self._evictable_bytes: int | None = None
 
-    # -- paths -------------------------------------------------------------
-
-    @property
-    def _base(self) -> Path:
-        return self.root / self.schema
+    # -- documents ---------------------------------------------------------
 
     @staticmethod
     def _check_hash(spec_hash: str) -> str:
@@ -362,108 +456,83 @@ class ResultStore:
             raise ValueError(f"malformed spec hash {spec_hash!r}")
         return spec_hash
 
-    def path_for(self, spec_hash: str) -> Path:
-        """Where the document for ``spec_hash`` lives (existing or not)."""
-        self._check_hash(spec_hash)
-        return self._base.joinpath(spec_hash[:2], f"{spec_hash}.json")
+    def path_for(self, key: str, namespace: str = "results") -> Path:
+        """Where the document for ``key`` in ``namespace`` lives (or would)."""
+        self._check_hash(key)
+        return self.root.joinpath(self._schemas[namespace], key[:2], f"{key}.json")
 
-    def sweep_path_for(self, sweep_hash: str) -> Path:
-        """Where the sweep result document for ``sweep_hash`` lives."""
-        self._check_hash(sweep_hash)
-        return self.root / SWEEP_DOC_SCHEMA / sweep_hash[:2] / f"{sweep_hash}.json"
+    def read(self, namespace: str, key: str) -> dict[str, Any] | None:
+        """The verified document for ``key`` in ``namespace``, or ``None``.
 
-    def counts_path_for(self, counts_key: str) -> Path:
-        """Where the logical-counts document for ``counts_key`` lives."""
-        self._check_hash(counts_key)
-        return self.root / COUNTS_SCHEMA / counts_key[:2] / f"{counts_key}.json"
-
-    def optimize_path_for(self, optimize_hash: str) -> Path:
-        """Where the probe-trace document for ``optimize_hash`` lives."""
-        self._check_hash(optimize_hash)
-        return (
-            self.root
-            / OPTIMIZE_DOC_SCHEMA
-            / optimize_hash[:2]
-            / f"{optimize_hash}.json"
-        )
-
-    # -- document plumbing -------------------------------------------------
-
-    @staticmethod
-    def _read_document(path: Path) -> dict[str, Any] | None:
-        """Parse and integrity-check one document file (miss on failure)."""
-        try:
-            document = json.loads(path.read_bytes())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        A missing, corrupt, or foreign file — or one whose schema tag or
+        id field does not match — reads as a miss, never an error: a
+        shared store directory must not be able to crash (or corrupt) a
+        run.
+        """
+        document = read_document(self.path_for(key, namespace))
+        if (
+            document is None
+            or document.get("schema") != self._schemas[namespace]
+            or document.get(_NAMESPACES[namespace].id_field) != key
+        ):
             return None
-        if not isinstance(document, dict):
-            return None
-        digest = document.get("digest")
-        if not isinstance(digest, str) or digest != _digest(document):
-            return None  # corrupt, tampered, or pre-digest (v1) document
         return document
 
-    @staticmethod
-    def _write_document(path: Path, document: dict[str, Any]) -> bool:
-        """Atomically persist a document (digest added); returns success."""
-        document = dict(document)
-        document["digest"] = _digest(document)
-        # Compact separators: every byte of the file is significant, so
-        # corruption cannot hide in formatting. json.dumps, not json.dump:
-        # only dumps uses the C encoder; the bytes are the same. The text
-        # is ASCII and goes out through raw os.write calls.
-        data = memoryview(json.dumps(document, separators=(",", ":")).encode())
-        prefix = f".{path.stem[:8]}-"
-        try:
-            try:
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=path.parent, prefix=prefix, suffix=".tmp"
-                )
-            except FileNotFoundError:
-                # First write into this fan-out directory (or the first
-                # since clear/evict/gc emptied it): create it and retry.
-                # Asking the filesystem on failure, instead of calling
-                # mkdir per write or remembering known directories,
-                # costs nothing on the common path and never goes stale.
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=path.parent, prefix=prefix, suffix=".tmp"
-                )
-            try:
-                try:
-                    while data:
-                        data = data[os.write(fd, data) :]
-                finally:
-                    os.close(fd)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
+    def _payload(self, namespace: str, key: str) -> dict[str, Any] | None:
+        """A verified document's payload object, or ``None``."""
+        document = self.read(namespace, key)
+        if document is None:
+            return None
+        payload = document.get(_NAMESPACES[namespace].payload_field)
+        return payload if isinstance(payload, dict) else None
 
-    # -- reads -------------------------------------------------------------
+    def _write(
+        self, namespace: str, entries: Iterable[tuple[str, dict[str, Any]]]
+    ) -> int:
+        """Persist ``(key, fields)`` documents; returns how many landed.
+
+        Each document is ``{"schema", <id field>: key, **fields}`` plus
+        its digest. An unwritable document is skipped — an unwritable
+        store degrades to a no-op instead of failing the run that
+        produced the data. The byte estimate and the eviction check run
+        once per call, however many documents it writes.
+        """
+        id_field = _NAMESPACES[namespace].id_field
+        written = 0
+        batch_bytes = 0
+        for key, fields in entries:
+            path = self.path_for(key, namespace)
+            document = {"schema": self._schemas[namespace], id_field: key, **fields}
+            if write_document(path, document):
+                written += 1
+                if self.max_bytes is not None:
+                    try:
+                        batch_bytes += path.stat().st_size
+                    except OSError:
+                        pass
+        if written and self.max_bytes is not None:
+            if self._evictable_bytes is None:
+                self.evict()  # first write under a budget: measure and prune
+            else:
+                with self._lock:
+                    self._evictable_bytes += batch_bytes
+                    over = self._evictable_bytes > self.max_bytes
+                if over:
+                    self.evict()
+        return written
+
+    # -- results -----------------------------------------------------------
 
     def get_raw(self, spec_hash: str) -> dict[str, Any] | None:
         """The stored document for a hash, or ``None`` (missing/corrupt).
 
         Result documents are ``{"schema": ..., "specHash": ..., "spec":
         ..., "result": {...}, "digest": ...}``; error documents carry
-        ``"result": null`` and an ``"error"`` string instead. A readable
-        file whose digest, schema, hash, or shape does not match is
-        treated as a miss, never an error — a shared store directory
-        must not be able to crash (or corrupt) an estimation run.
+        ``"result": null`` and an ``"error"`` string instead. Anything
+        else under the hash reads as a miss (see :meth:`read`).
         """
-        document = self._read_document(self.path_for(spec_hash))
-        if (
-            document is None
-            or document.get("schema") != self.schema
-            or document.get("specHash") != spec_hash
-        ):
+        document = self.read("results", spec_hash)
+        if document is None:
             return None
         result, error = document.get("result"), document.get("error")
         if isinstance(result, dict) and error is None:
@@ -484,7 +553,7 @@ class ResultStore:
         ``memoryCache`` in :meth:`stats`.
         """
         self._check_hash(spec_hash)
-        cached = self._result_cache.get(spec_hash)
+        cached = self._memory["results"].get(spec_hash)
         if cached is not None:
             return cached
         document = self.get_raw(spec_hash)
@@ -499,7 +568,7 @@ class ResultStore:
             except (KeyError, TypeError, ValueError):
                 return None  # written by an incompatible (future) build
             entry = StoredOutcome(result, result_dict, None)
-        self._result_cache.put(spec_hash, entry)
+        self._memory["results"].put(spec_hash, entry)
         return entry
 
     def get(self, spec_hash: str) -> PhysicalResourceEstimates | None:
@@ -517,31 +586,14 @@ class ResultStore:
 
     def keys(self) -> Iterator[str]:
         """Hashes currently stored under this schema tag."""
-        if not self._base.is_dir():
+        base = self.root / self.schema
+        if not base.is_dir():
             return
-        for path in sorted(self._base.glob("*/*.json")):
+        for path in sorted(base.glob("*/*.json")):
             yield path.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
-
-    # -- writes ------------------------------------------------------------
-
-    def _result_document(
-        self, spec_hash: str, outcome: StoredOutcome, spec: dict[str, Any] | None
-    ) -> dict[str, Any]:
-        """The envelope of one result or error document (sans digest)."""
-        if (outcome.result_dict is None) == (outcome.error is None):
-            raise ValueError("a stored outcome needs exactly one of a result or an error")
-        document = {
-            "schema": self.schema,
-            "specHash": spec_hash,
-            "spec": spec,
-            "result": outcome.result_dict,
-        }
-        if outcome.error is not None:
-            document["error"] = outcome.error
-        return document
 
     def put(
         self,
@@ -557,14 +609,7 @@ class ResultStore:
         result back. An unwritable store degrades to a no-op (``False``)
         instead of failing the estimation that produced the result.
         """
-        path = self.path_for(spec_hash)
-        document = self._result_document(
-            spec_hash, StoredOutcome(result, result.to_dict(), None), spec
-        )
-        ok = self._write_document(path, document)
-        if ok:
-            self._note_document_written(path)
-        return ok
+        return self.put_many([(spec_hash, result, spec)]) == 1
 
     def put_many(
         self,
@@ -581,32 +626,21 @@ class ResultStore:
         Each entry is ``(spec_hash, outcome, spec)``. ``outcome`` is a
         result, or a :class:`StoredOutcome` — an error document when its
         ``error`` is set, otherwise its ``result_dict`` written as is (the
-        caller already holds the ``to_dict()``). Like calling :meth:`put`
-        per entry, but the stats invalidation, byte-estimate growth, and
-        eviction check run once for the whole batch instead of once per
-        point — the chunk-write path of
+        caller already holds the ``to_dict()``). The byte-estimate growth
+        and eviction check run once for the whole batch instead of once
+        per point — the chunk-write path of
         :func:`repro.estimator.spec.run_specs` uses this so persistence
         bookkeeping stays off the per-point hot path. Returns the number
         of documents actually written (unwritable documents are skipped,
         matching :meth:`put`).
         """
-        written = 0
-        batch_bytes = 0
-        for spec_hash, outcome, spec in entries:
-            path = self.path_for(spec_hash)
-            if not isinstance(outcome, StoredOutcome):
-                outcome = StoredOutcome(outcome, outcome.to_dict(), None)
-            document = self._result_document(spec_hash, outcome, spec)
-            if self._write_document(path, document):
-                written += 1
-                if self.max_bytes is not None:
-                    try:
-                        batch_bytes += path.stat().st_size
-                    except OSError:
-                        pass
-        if written:
-            self._note_batch_written(batch_bytes)
-        return written
+        return self._write(
+            "results",
+            (
+                (spec_hash, _result_fields(outcome, spec))
+                for spec_hash, outcome, spec in entries
+            ),
+        )
 
     def clear(self) -> int:
         """Remove every entry under this schema tag; returns the count.
@@ -629,11 +663,10 @@ class ResultStore:
                 directory.rmdir()
             except OSError:
                 pass  # not empty (a concurrent write, writer litter)
-        self._result_cache.clear()
-        self._invalidate_stats()
+        self._memory["results"].clear()
         return removed
 
-    # -- sweep results -----------------------------------------------------
+    # -- sweep results, logical counts, optimize probe traces --------------
 
     def put_sweep(self, sweep_hash: str, result: dict[str, Any]) -> bool:
         """Persist a finished sweep's result document under its hash.
@@ -642,30 +675,11 @@ class ResultStore:
         document; the restarted estimation service re-serves finished
         sweeps from this namespace without recomputing anything.
         """
-        document = {
-            "schema": SWEEP_DOC_SCHEMA,
-            "sweepHash": sweep_hash,
-            "result": result,
-        }
-        path = self.sweep_path_for(sweep_hash)
-        ok = self._write_document(path, document)
-        if ok:
-            self._note_document_written(path)
-        return ok
+        return self._write("sweeps", [(sweep_hash, {"result": result})]) == 1
 
     def get_sweep(self, sweep_hash: str) -> dict[str, Any] | None:
         """A stored sweep result document, or ``None`` (missing/corrupt)."""
-        document = self._read_document(self.sweep_path_for(sweep_hash))
-        if (
-            document is None
-            or document.get("schema") != SWEEP_DOC_SCHEMA
-            or document.get("sweepHash") != sweep_hash
-            or not isinstance(document.get("result"), dict)
-        ):
-            return None
-        return document["result"]
-
-    # -- logical counts ----------------------------------------------------
+        return self._payload("sweeps", sweep_hash)
 
     def put_counts(
         self,
@@ -679,17 +693,8 @@ class ResultStore:
         ``backend`` is embedded for debuggability (the key already covers
         it). Like :meth:`put`, an unwritable store degrades to a no-op.
         """
-        document = {
-            "schema": COUNTS_SCHEMA,
-            "countsKey": counts_key,
-            "backend": backend,
-            "counts": counts.to_dict(),
-        }
-        path = self.counts_path_for(counts_key)
-        ok = self._write_document(path, document)
-        if ok:
-            self._note_document_written(path)
-        return ok
+        fields = {"backend": backend, "counts": counts.to_dict()}
+        return self._write("counts", [(counts_key, fields)]) == 1
 
     def get_counts(self, counts_key: str) -> LogicalCounts | None:
         """Stored counts for a key, or ``None`` (missing/corrupt).
@@ -699,25 +704,18 @@ class ResultStore:
         first verified read.
         """
         self._check_hash(counts_key)
-        cached = self._counts_cache.get(counts_key)
+        cached = self._memory["counts"].get(counts_key)
         if cached is not None:
             return cached
-        document = self._read_document(self.counts_path_for(counts_key))
-        if (
-            document is None
-            or document.get("schema") != COUNTS_SCHEMA
-            or document.get("countsKey") != counts_key
-            or not isinstance(document.get("counts"), dict)
-        ):
+        payload = self._payload("counts", counts_key)
+        if payload is None:
             return None
         try:
-            counts = LogicalCounts.from_dict(document["counts"])
+            counts = LogicalCounts.from_dict(payload)
         except (TypeError, ValueError):
             return None  # written by an incompatible (future) build
-        self._counts_cache.put(counts_key, counts)
+        self._memory["counts"].put(counts_key, counts)
         return counts
-
-    # -- optimize probe traces ---------------------------------------------
 
     def put_optimize(self, optimize_hash: str, trace: dict[str, Any]) -> bool:
         """Persist an adaptive search's probe-trace document.
@@ -729,121 +727,59 @@ class ResultStore:
         equivalent re-submission answers from this namespace without a
         single engine evaluation.
         """
-        document = {
-            "schema": OPTIMIZE_DOC_SCHEMA,
-            "optimizeHash": optimize_hash,
-            "trace": trace,
-        }
-        path = self.optimize_path_for(optimize_hash)
-        ok = self._write_document(path, document)
-        if ok:
-            self._note_document_written(path)
-        return ok
+        return self._write("optimize", [(optimize_hash, {"trace": trace})]) == 1
 
     def get_optimize(self, optimize_hash: str) -> dict[str, Any] | None:
         """A stored probe-trace document, or ``None`` (missing/corrupt)."""
-        document = self._read_document(self.optimize_path_for(optimize_hash))
-        if (
-            document is None
-            or document.get("schema") != OPTIMIZE_DOC_SCHEMA
-            or document.get("optimizeHash") != optimize_hash
-            or not isinstance(document.get("trace"), dict)
-        ):
-            return None
-        return document["trace"]
+        return self._payload("optimize", optimize_hash)
 
     # -- observability -----------------------------------------------------
 
-    def _namespace_bases(self) -> tuple[tuple[str, str, Path], ...]:
-        """(key, schema tag, base directory) for every store namespace."""
-        return (
-            ("results", self.schema, self._base),
-            ("sweeps", SWEEP_DOC_SCHEMA, self.root / SWEEP_DOC_SCHEMA),
-            ("counts", COUNTS_SCHEMA, self.root / COUNTS_SCHEMA),
-            ("queue", QUEUE_SCHEMA, self.root / QUEUE_SCHEMA),
-            ("jobs", JOBS_SCHEMA, self.root / JOBS_SCHEMA),
-            ("optimize", OPTIMIZE_DOC_SCHEMA, self.root / OPTIMIZE_DOC_SCHEMA),
-        )
-
-    def _scan_disk(self) -> dict[str, Any]:
-        """One full directory walk: per-namespace tallies plus orphans.
-
-        The only place ``stats`` touches the filesystem; callers go
-        through the TTL cache. Increments :attr:`stats_walks` so tests
-        (and operators) can assert the cache is doing its job.
-        """
-        self.stats_walks += 1
-        namespaces: dict[str, Any] = {}
-        for key, schema, base in self._namespace_bases():
-            documents = 0
-            size = 0
-            if base.is_dir():
-                for path in base.rglob("*.json"):
-                    try:
-                        size += path.stat().st_size
-                    except OSError:
-                        continue  # deleted underneath us; skip
-                    documents += 1
-            namespaces[key] = {
-                "schema": schema,
-                "documents": documents,
-                "bytes": size,
-            }
-        orphan_files = 0
-        orphan_bytes = 0
-        for path in self._orphan_candidates():
-            try:
-                orphan_bytes += path.stat().st_size
-            except OSError:
+    def _walk(self, keys: Iterable[str]) -> Iterator[tuple[str, Path, os.stat_result]]:
+        """``(namespace key, path, stat)`` of every document under ``keys``."""
+        for key in keys:
+            base = self.root / self._schemas[key]
+            if not base.is_dir():
                 continue
-            orphan_files += 1
-        return {
-            "namespaces": namespaces,
-            "orphans": {"files": orphan_files, "bytes": orphan_bytes},
-        }
+            for path in base.rglob("*.json"):
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue  # deleted underneath us; skip
+                yield key, path, stat
 
-    def _invalidate_stats(self) -> None:
-        """Drop the cached disk snapshot (this process changed the disk)."""
-        with self._stats_lock:
-            self._stats_snapshot = None
-
-    def stats(self, *, refresh: bool = False) -> dict[str, Any]:
+    def stats(self) -> dict[str, Any]:
         """Per-namespace document counts and bytes (operator visibility).
 
-        Covers the six namespaces this store reads and writes — results
-        (under the configured schema tag), sweep results, the
-        logical-counts cache, the sweep work queue, the job journal, and
-        optimize probe traces — plus the orphaned-file tally (leftover
-        ``.tmp`` files from crashed writers and ``.lease`` files from
-        dead workers, the population ``gc`` reclaims). The underlying
-        directory walk is O(files), so the scan is cached for
-        ``stats_ttl`` seconds: within the TTL, repeated calls (metrics
-        scrapes, health probes) do no filesystem work at all. Writes,
-        eviction, and gc from *this* process invalidate the cache, so
-        the only staleness the TTL can hide is other processes' writes;
-        pass ``refresh=True`` to force a walk. The ``memoryCache`` and
-        ``evictions`` sections are this process's in-memory counters,
-        always current.
+        Covers every namespace in ``_NAMESPACES`` — results (under the
+        configured schema tag), sweep results, the logical-counts cache,
+        the sweep work queue, the job journal, and optimize probe traces
+        — plus the orphaned-file tally (leftover ``.tmp`` files from
+        crashed writers and ``.lease`` files from dead workers, the
+        population ``gc`` reclaims). Each call walks the store, O(files);
+        a caller that polls caches the result (the service's metrics
+        providers refresh once per ``metrics_ttl``). The ``memoryCache``
+        and ``evictions`` sections are this process's in-memory counters.
         """
-        now = time.monotonic()
-        with self._stats_lock:
-            disk = self._stats_snapshot
-            if (
-                refresh
-                or disk is None
-                or now - self._stats_taken >= self.stats_ttl
-            ):
-                disk = self._scan_disk()
-                self._stats_snapshot = disk
-                self._stats_taken = now
-            evictions = dict(self._evictions)
+        namespaces = {
+            key: {"schema": self._schemas[key], "documents": 0, "bytes": 0}
+            for key in _NAMESPACES
+        }
+        for key, _, stat in self._walk(_NAMESPACES):
+            namespaces[key]["documents"] += 1
+            namespaces[key]["bytes"] += stat.st_size
+        orphans = {"files": 0, "bytes": 0}
+        for path in self._orphan_candidates():
+            try:
+                orphans["bytes"] += path.stat().st_size
+            except OSError:
+                continue
+            orphans["files"] += 1
         return {
             "root": str(self.root),
-            "namespaces": {
-                key: dict(value) for key, value in disk["namespaces"].items()
-            },
-            "orphans": dict(disk["orphans"]),
-            "evictions": evictions,
+            "namespaces": namespaces,
+            "orphans": orphans,
+            "evictions": self.eviction_stats(),
             "memoryCache": self.memory_cache_stats(),
         }
 
@@ -856,14 +792,14 @@ class ResultStore:
         are per-``ResultStore`` instance, not persisted.
         """
         return {
-            "capacity": self._result_cache.capacity,
-            "results": self._result_cache.stats(),
-            "counts": self._counts_cache.stats(),
+            "capacity": self._memory["results"].capacity,
+            "results": self._memory["results"].stats(),
+            "counts": self._memory["counts"].stats(),
         }
 
     def eviction_stats(self) -> dict[str, int]:
         """Cumulative eviction tallies (cheap: counters, never a walk)."""
-        with self._stats_lock:
+        with self._lock:
             return dict(self._evictions)
 
     # -- garbage collection ------------------------------------------------
@@ -940,8 +876,6 @@ class ResultStore:
                 continue  # vanished or unremovable; skip
             removed += 1
             reclaimed += stat.st_size
-        if removed:
-            self._invalidate_stats()
         return {
             "removedFiles": removed,
             "reclaimedBytes": reclaimed,
@@ -950,56 +884,14 @@ class ResultStore:
 
     # -- eviction (bounded disk) -------------------------------------------
 
-    #: Namespace keys :meth:`evict` may prune. Queue chunk records,
-    #: leases, and journal entries are deliberately absent: they are
-    #: live coordination state for in-flight sweeps, not re-derivable
-    #: cache documents — evicting them would orphan running work rather
-    #: than reclaim disk.
-    EVICTABLE_NAMESPACES = ("results", "sweeps", "counts", "optimize")
-
-    def _note_document_written(self, path: Path) -> None:
-        """Bookkeeping after a successful document write.
-
-        Invalidates the cached stats snapshot and, when a ``max_bytes``
-        budget is configured, grows the running byte estimate and
-        triggers eviction past the budget. The estimate is an upper
-        bound (idempotent rewrites double-count), which only makes
-        eviction run early; :meth:`evict` recomputes the exact total.
-        """
-        size = 0
-        if self.max_bytes is not None:
-            try:
-                size = path.stat().st_size
-            except OSError:
-                size = 0
-        self._note_batch_written(size)
-
-    def _note_batch_written(self, size: int) -> None:
-        """Coalesced bookkeeping for one or many document writes.
-
-        One stats invalidation, one byte-estimate update of ``size``
-        (the batch's total on-disk growth), and at most one eviction
-        check — regardless of how many documents the batch contained.
-        """
-        self._invalidate_stats()
-        if self.max_bytes is None:
-            return
-        if self._evictable_bytes is None:
-            self.evict()  # first write under a budget: measure and prune
-            return
-        with self._stats_lock:
-            self._evictable_bytes += size
-            over = self._evictable_bytes > self.max_bytes
-        if over:
-            self.evict()
-
     def evict(self, *, max_bytes: int | None = None) -> dict[str, Any]:
         """Prune document namespaces, oldest mtime first, to a byte budget.
 
         ``max_bytes`` defaults to the store's configured budget. The
         evictable population is every document under
         :data:`EVICTABLE_NAMESPACES`; queue chunks, leases, and journal
-        entries are never touched (see ``EVICTABLE_NAMESPACES``). The
+        entries are live coordination state for in-flight sweeps, not
+        re-derivable cache documents, and are never touched. The
         LRU order is mtime — documents are immutable, so mtime is the
         write time: the policy drops the longest-stored documents first.
         Matching read-through memory-cache entries are invalidated, so a
@@ -1019,19 +911,11 @@ class ResultStore:
             )
         if limit < 0:
             raise ValueError(f"max_bytes must be >= 0, got {limit}")
-        entries: list[tuple[float, int, Path, str]] = []
-        total = 0
-        for key, _, base in self._namespace_bases():
-            if key not in self.EVICTABLE_NAMESPACES or not base.is_dir():
-                continue
-            for path in base.rglob("*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # removed underneath us
-                entries.append((stat.st_mtime, stat.st_size, path, key))
-                total += stat.st_size
-        before = total
+        entries = [
+            (stat.st_mtime, stat.st_size, path, key)
+            for key, path, stat in self._walk(self.EVICTABLE_NAMESPACES)
+        ]
+        total = before = sum(entry[1] for entry in entries)
         evicted_files = 0
         evicted_bytes = 0
         if total > limit:
@@ -1048,16 +932,12 @@ class ResultStore:
                 total -= size
                 evicted_files += 1
                 evicted_bytes += size
-                if key == "results":
-                    self._result_cache.remove(path.stem)
-                elif key == "counts":
-                    self._counts_cache.remove(path.stem)
-        with self._stats_lock:
+                if key in self._memory:
+                    self._memory[key].remove(path.stem)
+        with self._lock:
             self._evictions["files"] += evicted_files
             self._evictions["bytes"] += evicted_bytes
             self._evictable_bytes = total
-            if evicted_files:
-                self._stats_snapshot = None
         return {
             "evictedFiles": evicted_files,
             "evictedBytes": evicted_bytes,
@@ -1065,3 +945,17 @@ class ResultStore:
             "remainingBytes": total,
             "maxBytes": limit,
         }
+
+
+def _result_fields(
+    outcome: PhysicalResourceEstimates | StoredOutcome, spec: dict[str, Any] | None
+) -> dict[str, Any]:
+    """The fields of one result or error document after its schema and hash."""
+    if not isinstance(outcome, StoredOutcome):
+        outcome = StoredOutcome(outcome, outcome.to_dict(), None)
+    if (outcome.result_dict is None) == (outcome.error is None):
+        raise ValueError("a stored outcome needs exactly one of a result or an error")
+    fields = {"spec": spec, "result": outcome.result_dict}
+    if outcome.error is not None:
+        fields["error"] = outcome.error
+    return fields

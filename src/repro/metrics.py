@@ -241,6 +241,31 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, {}).get(key, 0.0)
 
+    def gauge_value(
+        self, name: str, labels: dict[str, str] | None = None
+    ) -> float | None:
+        """One provider gauge's value, or ``None`` if no provider yields it.
+
+        Refreshes, when its TTL is due, only a provider that served
+        ``name`` at its last refresh (or has never run), so a caller
+        polling a TTL-cached gauge pays for it at most once per TTL,
+        exactly as a scrape would.
+        """
+        key = _label_key(labels)
+        now = time.monotonic()
+        with self._lock:
+            for provider in self._providers:
+                if provider.taken is not None and all(
+                    sample[0] != name for sample in provider.samples
+                ):
+                    continue
+                if provider.refresh_due(now):
+                    provider.refresh(now)
+                for sample_name, sample_key, value in provider.samples:
+                    if sample_name == name and sample_key == key:
+                        return value
+        return None
+
     def snapshot(self) -> dict[str, Any]:
         """A consistent copy of every metric, provider gauges included.
 

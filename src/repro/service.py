@@ -939,8 +939,9 @@ class EstimationService:
         Extends :meth:`EstimateCache.stats` with the optimizer's
         probe/evaluation totals, the store's in-process read-through LRU
         counters, and the sweep work queue's current depth (journaled
-        jobs not yet finished) — the numbers an operator watches to see
-        whether adaptive searches are warm and whether workers keep up.
+        jobs not yet finished, as of the last ``metrics_ttl`` refresh) —
+        the numbers an operator watches to see whether adaptive searches
+        are warm and whether workers keep up.
         """
         stats: dict[str, Any] = self.cache.stats()
         # The cache-level executor record (serial fallbacks) merged with
@@ -951,7 +952,10 @@ class EstimationService:
         stats["storeMemory"] = (
             self.store.memory_cache_stats() if self.store is not None else None
         )
-        stats["queueDepth"] = self._queue_depth()
+        # The TTL-cached gauge, not a fresh journal listing: a job poller
+        # calls this on every GET /v1/jobs/<id>.
+        depth = self.metrics.gauge_value("repro_queue_depth")
+        stats["queueDepth"] = int(depth) if depth is not None else 0
         return stats
 
     def _queue_depth(self) -> int:

@@ -238,8 +238,16 @@ class TestMetricsEndpoint:
                 for key, value in hits.items()
             )
 
-    def test_scrape_does_zero_directory_walks_within_ttl(self, tmp_path):
+    def test_scrape_does_zero_directory_walks_within_ttl(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
+        walks = []
+        walk = store.stats
+
+        def counted_stats():
+            walks.append(1)
+            return walk()
+
+        monkeypatch.setattr(store, "stats", counted_stats)
         service = EstimationService(
             registry=Registry(), store=store, metrics_ttl=3600.0
         )
@@ -248,12 +256,12 @@ class TestMetricsEndpoint:
         thread.start()
         base_url = f"http://127.0.0.1:{server.server_address[1]}"
         try:
-            scrape(base_url)  # first scrape may pay the one TTL walk
-            walks = store.stats_walks
+            scrape(base_url)  # first scrape pays the one TTL walk
+            assert len(walks) == 1
             for _ in range(5):
                 text, _ = scrape(base_url)
                 assert_valid_exposition(text)
-            assert store.stats_walks == walks  # zero walks per scrape
+            assert len(walks) == 1  # zero walks per scrape
         finally:
             server.shutdown()
             server.server_close()

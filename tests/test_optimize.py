@@ -125,6 +125,15 @@ class TestOptimizeSpecParsing:
         with pytest.raises(ValueError, match="JSON object"):
             OptimizeConstraints.from_dict([1])
 
+    def test_module_docstring_example_expands(self):
+        # The documented example must be a runnable question: every point
+        # of its grid has to resolve to a valid spec.
+        import repro.estimator.optimize as module
+
+        example = json.loads(module.__doc__.split("::\n", 1)[1])
+        spec = OptimizeSpec.from_dict(example)
+        assert len(spec.sweep_spec().expand()) == spec.num_points() == 2 * 128
+
     def test_result_document_round_trips(self):
         result = run_optimize(small_optimize())
         document = result.to_dict()
@@ -441,7 +450,7 @@ class TestStoreBackedResume:
         spec = small_optimize()
         store = ResultStore(tmp_path)
         cold = run_optimize(spec, store=store)
-        path = store.optimize_path_for(cold.optimize_hash)
+        path = store.path_for(cold.optimize_hash, "optimize")
         path.write_text("{not json")
         healed = run_optimize(spec, store=store)
         assert healed.from_trace is False

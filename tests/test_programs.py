@@ -385,7 +385,7 @@ class TestCountsNamespace:
         store = ResultStore(tmp_path)
         key = "cd" * 32
         store.put_counts(key, COUNTS)
-        path = store.counts_path_for(key)
+        path = store.path_for(key, "counts")
         path.write_text(path.read_text()[:-7] + "garbage")
         assert store.get_counts(key) is None
 
@@ -402,7 +402,7 @@ class TestCountsNamespace:
         assert stats["namespaces"]["counts"] == {
             "schema": COUNTS_SCHEMA,
             "documents": 1,
-            "bytes": store.counts_path_for(key).stat().st_size,
+            "bytes": store.path_for(key, "counts").stat().st_size,
         }
 
     def test_cached_counts_are_used_instead_of_retracing(self, tmp_path):

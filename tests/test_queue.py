@@ -59,7 +59,7 @@ def serial_result_bytes(tmp_path) -> tuple[str, bytes]:
     store = ResultStore(tmp_path / "serial")
     result = run_sweep(small_sweep(), registry=Registry(), store=store)
     assert store.put_sweep(result.sweep_hash, result.to_dict())
-    return result.sweep_hash, store.sweep_path_for(result.sweep_hash).read_bytes()
+    return result.sweep_hash, store.path_for(result.sweep_hash, "sweeps").read_bytes()
 
 
 def assert_no_torn_documents(store: ResultStore) -> None:
@@ -190,7 +190,7 @@ class TestWorkerExecution:
             small_sweep(), registry=Registry(), store=store, executor="queue"
         )
         assert result.sweep_hash == job_id
-        assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
         assert SweepQueue(store).load_job(job_id).status == "finished"
         assert_no_torn_documents(store)
 
@@ -225,7 +225,7 @@ class TestWorkerExecution:
         )
         report = run_worker(store, job_id=job.job_id)
         assert report.jobs_finalized == 1
-        assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
 
     def test_unknown_job_raises(self, store):
         with pytest.raises(ValueError, match="unknown sweep job"):
@@ -264,7 +264,7 @@ class TestFaultInjection:
             store.root, job_id=job.job_id, ttl=self.TTL
         )
         assert survivor.returncode == 0, survivor.stderr
-        assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
         assert SweepQueue(store).load_job(job.job_id).status == "finished"
         assert_no_torn_documents(store)
 
@@ -291,7 +291,7 @@ class TestFaultInjection:
             )
             assert survivor.returncode == 0, survivor.stderr
         assert kills > 0, "chaos schedule never killed a worker"
-        assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
         assert SweepQueue(store).load_job(job.job_id).status == "finished"
         assert_no_torn_documents(store)
 
@@ -316,7 +316,7 @@ class TestFaultInjection:
             assert worker.returncode == 0, stderr
             reports.append(json.loads(stdout))
         assert sum(report["chunksEvaluated"] for report in reports) == job.num_chunks
-        assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
 
 
 class TestServiceRecovery:
@@ -352,7 +352,7 @@ class TestServiceRecovery:
             assert service.sweep_executor == "queue"
             record = self._wait_done(service, job.job_id)
             assert record["status"] == "done", record
-            assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+            assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
         finally:
             service.close(wait=True)
 
@@ -385,7 +385,7 @@ class TestServiceRecovery:
         try:
             record = self._wait_done(second, job_id)
             assert record["status"] == "done", record
-            assert store.sweep_path_for(job_id).read_bytes() == serial_bytes
+            assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
         finally:
             second.close(wait=True)
 
@@ -397,12 +397,12 @@ class TestServiceRecovery:
         queue = SweepQueue(store)
         job = queue.load_job(next(iter(queue.job_ids())))
         # Reopen the journal as if the finalizer died mid-way.
-        document = read_document(queue.journal_path(job.job_id))
+        document = read_document(store.path_for(job.job_id, "jobs"))
         document.pop("digest")
         document["status"] = "submitted"
         from repro.estimator.store import write_document
 
-        assert write_document(queue.journal_path(job.job_id), document)
+        assert write_document(store.path_for(job.job_id, "jobs"), document)
 
         service = EstimationService(registry=Registry(), store=store, recover=False)
         try:

@@ -618,6 +618,35 @@ class TestSweepJobs:
         finally:
             second.close()
 
+    def test_job_polls_list_the_journal_at_most_once_per_ttl(
+        self, tmp_path, monkeypatch
+    ):
+        # queueDepth in every job record comes from the TTL-cached
+        # metrics gauge, so a poller does not re-list the journal.
+        from repro.estimator.queue import SweepQueue
+
+        poller = threading.current_thread()
+        listings = []
+        job_ids = SweepQueue.job_ids
+
+        def counted_job_ids(queue):
+            if threading.current_thread() is poller:
+                listings.append(1)
+            return job_ids(queue)
+
+        service = EstimationService(
+            registry=Registry(), store=ResultStore(tmp_path), metrics_ttl=3600.0
+        )
+        try:
+            job_id = service.submit_job("sweep", SWEEP_DOC)["jobId"]
+            monkeypatch.setattr(SweepQueue, "job_ids", counted_job_ids)
+            for _ in range(50):
+                record = service.job_record(job_id)
+                assert isinstance(record["cacheStats"]["queueDepth"], int)
+            assert len(listings) <= 1
+        finally:
+            service.close(wait=True)
+
     def test_storeless_service_keeps_results_in_memory(self):
         service = EstimationService(registry=Registry(), store=None)
         try:
@@ -703,7 +732,7 @@ class TestSweepJobs:
             while service.job_record(job_id)["status"] != "done":
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            store.sweep_path_for(job_id).unlink()
+            store.path_for(job_id, "sweeps").unlink()
 
             retried = service.submit_job("sweep", SWEEP_DOC)
             assert retried["jobId"] == job_id

@@ -172,7 +172,7 @@ class TestIntegrityDigest:
     def test_sweep_namespace_rejects_malformed_hash(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="malformed"):
-            store.sweep_path_for("../evil")
+            store.path_for("../evil", "sweeps")
 
 
 class TestCorruptionFuzz:
@@ -301,58 +301,17 @@ class TestStatsAndGc:
         assert store.get(HASH_A) == result
         assert store.stats()["orphans"]["files"] == 0
 
+    def test_stats_reads_the_disk_on_every_call(self, store, result):
+        assert store.stats()["namespaces"]["results"]["documents"] == 1
+        store.put(HASH_B, result)
+        ResultStore(store.root).put("ef" + "2" * 62, result)  # "another process"
+        assert store.stats()["namespaces"]["results"]["documents"] == 3
+
     def test_gc_zero_cutoff_takes_everything_orphaned(self, store):
         self._plant_orphans(store)
         report = store.gc(older_than_s=0.0)
         assert report["removedFiles"] == 3
         assert store.stats()["orphans"]["files"] == 0
-
-
-class TestStatsTTLCache:
-    """`stats()` is O(files) only on cache misses: the walk is TTL-cached."""
-
-    def test_second_stats_within_ttl_does_no_walk(self, tmp_path, result):
-        store = ResultStore(tmp_path, stats_ttl=3600.0)
-        store.put(HASH_A, result)
-        first = store.stats()
-        walks = store.stats_walks
-        second = store.stats()
-        assert store.stats_walks == walks  # served from the snapshot
-        assert second["namespaces"] == first["namespaces"]
-        assert second["orphans"] == first["orphans"]
-
-    def test_in_process_writes_invalidate_the_snapshot(self, tmp_path, result):
-        store = ResultStore(tmp_path, stats_ttl=3600.0)
-        store.put(HASH_A, result)
-        assert store.stats()["namespaces"]["results"]["documents"] == 1
-        store.put(HASH_B, result)
-        # The TTL has not expired, but this process changed the disk —
-        # the count must be current, not an hour stale.
-        assert store.stats()["namespaces"]["results"]["documents"] == 2
-
-    def test_refresh_forces_a_walk(self, tmp_path, result):
-        store = ResultStore(tmp_path, stats_ttl=3600.0)
-        store.put(HASH_A, result)
-        store.stats()
-        walks = store.stats_walks
-        store.stats(refresh=True)
-        assert store.stats_walks == walks + 1
-
-    def test_zero_ttl_walks_every_call(self, tmp_path):
-        store = ResultStore(tmp_path, stats_ttl=0.0)
-        store.stats()
-        walks = store.stats_walks
-        store.stats()
-        assert store.stats_walks == walks + 1
-
-    def test_other_process_writes_hidden_only_until_refresh(
-        self, tmp_path, result
-    ):
-        ours = ResultStore(tmp_path, stats_ttl=3600.0)
-        assert ours.stats()["namespaces"]["results"]["documents"] == 0
-        ResultStore(tmp_path).put(HASH_A, result)  # "another process"
-        assert ours.stats()["namespaces"]["results"]["documents"] == 0
-        assert ours.stats(refresh=True)["namespaces"]["results"]["documents"] == 1
 
 
 class TestGcClockSkew:
@@ -399,8 +358,8 @@ class TestGcClockSkew:
         assert report["removedFiles"] == 1
         assert not orphan.exists()
 
-    def test_gc_invalidates_the_stats_snapshot(self, tmp_path, result):
-        store = ResultStore(tmp_path, stats_ttl=3600.0)
+    def test_stats_after_gc_show_the_litter_gone(self, tmp_path, result):
+        store = ResultStore(tmp_path)
         store.put(HASH_A, result)
         self._plant_orphan(store, mtime_offset_s=-7200.0)
         assert store.stats()["orphans"]["files"] == 1
@@ -423,7 +382,7 @@ class TestEviction:
             os.utime(store.path_for(spec_hash), (when, when))
 
     def _document_bytes(self, store):
-        namespaces = store.stats(refresh=True)["namespaces"]
+        namespaces = store.stats()["namespaces"]
         return sum(
             namespaces[name]["bytes"] for name in store.EVICTABLE_NAMESPACES
         )
@@ -626,12 +585,12 @@ class TestOptimizeNamespace:
     def test_malformed_hash_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="malformed"):
-            store.optimize_path_for("../evil")
+            store.path_for("../evil", "optimize")
 
     def test_corrupt_trace_reads_as_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put_optimize(HASH_A, self.TRACE)
-        store.optimize_path_for(HASH_A).write_text("{not json")
+        store.path_for(HASH_A, "optimize").write_text("{not json")
         assert store.get_optimize(HASH_A) is None
 
     def test_stats_counts_the_namespace(self, tmp_path):
@@ -814,3 +773,137 @@ class TestErrorDocuments:
         assert store.put(HASH_A, result)
         assert fanout.is_dir()
         assert store.get(HASH_A) == result
+
+
+class TestPinnedDocumentBytes:
+    """The exact on-disk bytes of every document kind the store writes.
+
+    Paths, key order, compact separators and digests are spelled out
+    literally, so a change to any write path that would make an
+    existing store unreadable (or rewrite it differently) fails here.
+    """
+
+    HASH_C = "cd" + "1" * 62
+    JOB_ID = "7743fa46232d0811a1084252adb525ed219593e40edcca699f91edbd0492c7c8"
+
+    EXPECTED = {
+        f"repro-result-v3/ab/{HASH_A}.json": (
+            '{"schema":"repro-result-v3","specHash":"' + HASH_A + '",'
+            '"spec":{"label":"x"},"result":null,"error":"no T factory",'
+            '"digest":"e482d8ae633c3d882bda21e4c57e540623066e9bbe4af99e5c470b9e02f9a794"}'
+        ),
+        f"repro-result-v3/cd/{HASH_C}.json": (
+            '{"schema":"repro-result-v3","specHash":"' + HASH_C + '",'
+            '"spec":null,"result":{"physicalCounts":{"physicalQubits":7}},'
+            '"digest":"4c422c41e85b5246c858c77118aa8a7b1d077bb60bc48384f88840dbf5ee51ea"}'
+        ),
+        f"repro-sweep-result-v1/ab/{HASH_A}.json": (
+            '{"schema":"repro-sweep-result-v1","sweepHash":"' + HASH_A + '",'
+            '"result":{"counts":{"total":0},"points":[]},'
+            '"digest":"8992b038ef285de0b7c962d75b675aaa4a667fe250c0232cdb258459fe940423"}'
+        ),
+        f"repro-counts-v1/ab/{HASH_A}.json": (
+            '{"schema":"repro-counts-v1","countsKey":"' + HASH_A + '",'
+            '"backend":"formula","counts":{"num_qubits":2,"t_count":3,'
+            '"rotation_count":0,"rotation_depth":0,"ccz_count":0,'
+            '"ccix_count":0,"measurement_count":0},'
+            '"digest":"7c483d8e2ef95307fd53cc3eec8b6e967e857a41ccbec811657fcb05da9f6756"}'
+        ),
+        f"repro-optimize-v1/ab/{HASH_A}.json": (
+            '{"schema":"repro-optimize-v1","optimizeHash":"' + HASH_A + '",'
+            '"trace":{"status":"done","probes":[["ab",true]]},'
+            '"digest":"7f686f4685ec933f423591a571a762e959dd9ab4874f0adfe17662b0b7456062"}'
+        ),
+        f"repro-jobs-v1/77/{JOB_ID}.json": (
+            '{"schema":"repro-jobs-v1","jobId":"' + JOB_ID + '",'
+            '"sweep":{"schema":"repro-sweep-v1","base":{"program":{"counts":'
+            '{"num_qubits":2,"t_count":3}},"qubit":{"profile":"qubit_gate_ns_e3"}},'
+            '"axes":[{"field":"budget","values":[0.001]}],"mode":"cartesian",'
+            '"frontier":null,"chunkSize":null,"label":null},"chunkSize":16,'
+            '"numChunks":1,"totalPoints":1,"status":"submitted",'
+            '"digest":"0c8abd6f2fdb8ea1d1cd2695d4bffd5efb1d5df52f671b1427595583d61da96c"}'
+        ),
+        f"repro-queue-v1/{JOB_ID}/chunks/000000.json": (
+            '{"schema":"repro-queue-v1","kind":"chunk","jobId":"' + JOB_ID + '",'
+            '"chunk":0,"start":0,"stop":1,'
+            '"digest":"6348536274319a92d9f73686990f031172ee6e74d84c4da63e6ce79361703851"}'
+        ),
+    }
+
+    def _populate(self, root):
+        from repro.estimator.queue import SweepQueue
+        from repro.estimator.sweep import SweepSpec
+
+        store = ResultStore(root)
+        assert store.put_many(
+            [
+                (HASH_A, StoredOutcome(None, None, "no T factory"), {"label": "x"}),
+                (
+                    self.HASH_C,
+                    StoredOutcome(None, {"physicalCounts": {"physicalQubits": 7}}, None),
+                    None,
+                ),
+            ]
+        ) == 2
+        assert store.put_sweep(HASH_A, {"counts": {"total": 0}, "points": []})
+        assert store.put_counts(
+            HASH_A, LogicalCounts(num_qubits=2, t_count=3), backend="formula"
+        )
+        assert store.put_optimize(HASH_A, {"status": "done", "probes": [["ab", True]]})
+        sweep = SweepSpec.from_dict(
+            {
+                "base": {
+                    "program": {"counts": {"num_qubits": 2, "t_count": 3}},
+                    "qubit": {"profile": "qubit_gate_ns_e3"},
+                },
+                "axes": [{"field": "budget", "values": [1e-3]}],
+            }
+        )
+        queue = SweepQueue(store, owner="w1", ttl=30.0, clock=lambda: 100.0)
+        job = queue.enqueue(sweep, registry=Registry())
+        assert job.job_id == self.JOB_ID
+        return store, queue, job
+
+    def test_every_namespace_writes_the_pinned_bytes(self, tmp_path):
+        self._populate(tmp_path)
+        written = {
+            path.relative_to(tmp_path).as_posix(): path.read_text()
+            for path in tmp_path.rglob("*.json")
+        }
+        assert written == self.EXPECTED
+
+    def test_pinned_documents_read_back(self, tmp_path):
+        for relative, text in self.EXPECTED.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        store = ResultStore(tmp_path)
+        assert store.lookup(HASH_A).error == "no T factory"
+        assert store.get_raw(self.HASH_C)["result"] == {
+            "physicalCounts": {"physicalQubits": 7}
+        }
+        assert store.get_sweep(HASH_A) == {"counts": {"total": 0}, "points": []}
+        assert store.get_counts(HASH_A) == LogicalCounts(num_qubits=2, t_count=3)
+        assert store.get_optimize(HASH_A) == {"status": "done", "probes": [["ab", True]]}
+        from repro.estimator.queue import SweepQueue
+
+        assert SweepQueue(store).load_job(self.JOB_ID).total_points == 1
+
+    def test_journal_close_and_lease_bytes(self, tmp_path):
+        store, queue, job = self._populate(tmp_path)
+        assert queue.mark_finished(job)
+        journal = tmp_path / f"repro-jobs-v1/77/{self.JOB_ID}.json"
+        assert journal.read_text() == (
+            self.EXPECTED[f"repro-jobs-v1/77/{self.JOB_ID}.json"]
+            .replace('"status":"submitted"', '"status":"finished"')
+            .replace(
+                "0c8abd6f2fdb8ea1d1cd2695d4bffd5efb1d5df52f671b1427595583d61da96c",
+                "86e8b3cfbe3abbddbf3548f601683593f1e5926435cbbdc16861bf6a3f56875d",
+            )
+        )
+        lease = queue.claim(self.JOB_ID, 0)
+        lease_path = tmp_path / f"repro-queue-v1/{self.JOB_ID}/leases/000000.lease"
+        assert lease_path.read_text() == '{"owner":"w1","deadline":130.0}'
+        queue.clock = lambda: 110.0
+        assert queue.renew(lease)
+        assert lease_path.read_text() == '{"owner":"w1","deadline":140.0}'
