@@ -76,13 +76,11 @@ baseline, and exposes the count-resolution backend choice::
     python -m repro bench trace --algorithm modexp --bits 2048 \\
         --backend counting --json
 
-``repro bench sweep`` times the same sweep file through the scalar and
-the vectorized estimation kernels and prints points/sec plus the
-speedup (README section "Dense-sweep vectorized kernel"); ``repro
-sweep``/``repro serve`` take ``--kernel {auto,scalar,vectorized}`` to
-pin the execution backend — the choice never changes results or hashes::
-
-    python -m repro bench sweep --sweep sweep.json --json
+How a run executes — ``--workers``, ``--executor {local,queue}``,
+``--chunk-size``, ``--lease-ttl`` — is one
+:class:`~repro.estimator.engine.ExecutionPolicy`, built once per command
+from the same flag helper on ``batch``, ``sweep``, ``optimize``, ``work``
+and ``serve``; none of it ever changes results or hashes.
 
 Both ``batch`` and ``bench trace`` accept ``--backend
 {formula,materialize,counting}``: closed-form tallies, a fully
@@ -115,13 +113,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .budget import ErrorBudget
 from .counts import COUNT_BACKENDS, LogicalCounts
 from .estimator import Constraints
-from .estimator.batch import BACKEND_CHOICES as KERNEL_CHOICES
 from .estimator.batch import EstimateCache
+from .estimator.engine import ExecutionPolicy
 from .estimator.spec import EstimateSpec, ProgramRef, run_specs
 from .estimator.stages import resolve_counts
 from .estimator.store import ResultStore, default_store_root
@@ -243,6 +242,70 @@ def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_execution_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    workers: str,
+    executor: str | None = None,
+    executors: tuple[str, ...] = ("local", "queue"),
+    chunk_size: bool = False,
+    lease_ttl_flag: str | None = "--lease-ttl",
+) -> None:
+    """A subcommand's :class:`ExecutionPolicy` flags (see ``_execution_policy``).
+
+    ``workers`` and ``executor`` are the help texts of ``--workers`` and
+    (when given) ``--executor``. Every default is ``None``, "not typed":
+    the policy's own defaults apply, and ``repro serve`` layers its
+    scenario settings under what was typed.
+    """
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=f"{workers} (1 = serial; default: 1)",
+    )
+    if executor is not None:
+        parser.add_argument(
+            "--executor", choices=executors, default=None, help=executor
+        )
+    if chunk_size:
+        parser.add_argument(
+            "--chunk-size",
+            type=int,
+            default=None,
+            metavar="N",
+            help="points evaluated (and persisted) per chunk "
+            "(default: the sweep file's chunkSize, else 16)",
+        )
+    if lease_ttl_flag is not None:
+        parser.add_argument(
+            lease_ttl_flag,
+            dest="lease_ttl",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help="queue executor: lease time-to-live — how long a dead "
+            "worker's chunk stays unclaimable; heartbeats renew it while "
+            "the worker lives (default: 30)",
+        )
+
+
+def _execution_policy(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> ExecutionPolicy:
+    """The command's one :class:`ExecutionPolicy`; a bad value is a usage error."""
+    given = {
+        name: getattr(args, name, None)
+        for name in ("workers", "executor", "chunk_size", "lease_ttl")
+    }
+    try:
+        return ExecutionPolicy(
+            **{name: value for name, value in given.items() if value is not None}
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _load_scenarios(paths: list[Path] | None) -> Registry:
     """Load --scenario files into the process registry; exits on errors."""
     registry = default_registry()
@@ -291,12 +354,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "batch engine (cached cross-point work, optional process fan-out).",
     )
     parser.add_argument("grid", type=Path, help="JSON grid specification file")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial; default: 1)",
-    )
+    _add_execution_arguments(parser, workers="worker processes", lease_ttl_flag=None)
     parser.add_argument(
         "--backend",
         choices=COUNT_BACKEND_CHOICES,
@@ -447,8 +505,7 @@ def _grid_programs(
 def _batch_main(argv: list[str]) -> int:
     parser = build_batch_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    policy = _execution_policy(parser, args)
     registry = _load_scenarios(args.scenario)
     spec = _load_grid(args.grid)
 
@@ -525,9 +582,7 @@ def _batch_main(argv: list[str]) -> int:
     ]
 
     store = ResultStore(args.store) if args.store else None
-    result = run_sweep(
-        grid_sweep, registry=registry, store=store, max_workers=args.workers
-    )
+    result = run_sweep(grid_sweep, registry=registry, store=store, policy=policy)
     outcomes = result.points
     failures = 0
 
@@ -596,55 +651,16 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "chunks.",
     )
     parser.add_argument("sweep", type=Path, help="JSON sweep specification file")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per chunk (1 = serial; default: 1)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="points evaluated (and persisted) per chunk "
-        "(default: the sweep file's chunkSize, else 16)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="estimation kernel: 'vectorized' is the numpy "
-        "struct-of-arrays batch kernel, 'scalar' the per-point solver, "
-        "'auto' picks per chunk size; results are bit-for-bit identical "
-        "(default: auto)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("local", "queue"),
-        default="local",
-        help="'local' runs chunks in this process; 'queue' journals the "
-        "sweep in the store's crash-safe work queue and drains it as "
+    _add_execution_arguments(
+        parser,
+        workers="worker processes per chunk, or with the queue executor "
+        "cooperating worker processes",
+        executor="'local' runs chunks in this process; 'queue' journals "
+        "the sweep in the store's crash-safe work queue and drains it as "
         "--workers cooperating worker processes (requires --store; "
         "identical results; see 'repro work' and the README section "
-        "'Fault tolerance and multi-process execution')",
-    )
-    parser.add_argument(
-        "--chunk-target",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="adapt the chunk size toward this per-chunk wall time using "
-        "measured points/sec (default: fixed --chunk-size; results never "
-        "depend on chunking)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="queue executor only: lease time-to-live — how long a dead "
-        "worker's chunk stays unclaimable (default: 30)",
+        "'Fault tolerance and multi-process execution'; default: local)",
+        chunk_size=True,
     )
     parser.add_argument(
         "--enqueue-only",
@@ -692,20 +708,13 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 def _sweep_main(argv: list[str]) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        parser.error(f"--chunk-size must be >= 1, got {args.chunk_size}")
+    policy = _execution_policy(parser, args)
     if args.resume and not args.store:
         parser.error("--resume requires --store (that is where points resume from)")
-    if args.executor == "queue" and not args.store:
+    if policy.executor == "queue" and not args.store:
         parser.error("--executor queue requires --store (the queue lives there)")
-    if args.enqueue_only and args.executor != "queue":
+    if args.enqueue_only and policy.executor != "queue":
         parser.error("--enqueue-only requires --executor queue")
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        parser.error(f"--lease-ttl must be > 0, got {args.lease_ttl}")
-    if args.chunk_target is not None and args.chunk_target <= 0:
-        parser.error(f"--chunk-target must be > 0, got {args.chunk_target}")
     registry = _load_scenarios(args.scenario)
     try:
         document = json.loads(args.sweep.read_text())
@@ -740,11 +749,11 @@ def _sweep_main(argv: list[str]) -> int:
             )
 
     helper_procs: list = []
-    if args.executor == "queue":
+    if policy.executor == "queue":
         from .estimator.queue import SweepQueue
 
         job = SweepQueue(store).enqueue(
-            sweep, registry=registry, chunk_size=args.chunk_size
+            sweep, registry=registry, chunk_size=policy.chunk_size
         )
         if args.enqueue_only:
             print(
@@ -762,7 +771,7 @@ def _sweep_main(argv: list[str]) -> int:
         # *processes*: N-1 spawned `repro work` helpers plus this process
         # draining the same job (each evaluating chunks serially — chunk
         # claims are the parallelism unit, not per-chunk fan-out).
-        if args.workers > 1:
+        if policy.workers > 1:
             import subprocess
 
             helper_cmd = [
@@ -773,30 +782,24 @@ def _sweep_main(argv: list[str]) -> int:
                 str(args.store),
                 "--job",
                 job.job_id,
-                "--kernel",
-                args.kernel,
+                "--ttl",
+                str(policy.lease_ttl),
                 "--quiet",
             ]
-            if args.lease_ttl is not None:
-                helper_cmd += ["--ttl", str(args.lease_ttl)]
             for path in args.scenario or ():
                 helper_cmd += ["--scenario", str(path)]
             helper_procs = [
-                subprocess.Popen(helper_cmd) for _ in range(args.workers - 1)
+                subprocess.Popen(helper_cmd) for _ in range(policy.workers - 1)
             ]
+        policy = replace(policy, workers=1)
 
     try:
         result = run_sweep(
             sweep,
             registry=registry,
             store=store,
-            max_workers=1 if args.executor == "queue" else args.workers,
-            chunk_size=args.chunk_size,
-            kernel=args.kernel,
+            policy=policy,
             progress=progress,
-            executor=args.executor,
-            lease_ttl=args.lease_ttl,
-            chunk_target_s=args.chunk_target,
             point_hashes=point_hashes,
         )
     except KeyboardInterrupt:
@@ -880,33 +883,12 @@ def build_optimize_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "optimize", type=Path, help="JSON optimize specification file"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per probe batch (1 = serial; default: 1)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="estimation kernel for probe batches (bit-for-bit identical "
-        "results; default: auto)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("local", "queue"),
-        default="local",
-        help="'local' evaluates probe batches in this process; 'queue' "
+    _add_execution_arguments(
+        parser,
+        workers="worker processes per probe batch",
+        executor="'local' evaluates probe batches in this process; 'queue' "
         "dispatches each batch through the store's crash-safe work queue "
-        "(requires --store; identical results)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="queue executor only: lease time-to-live (default: 30)",
+        "(requires --store; identical results; default: local)",
     )
     _add_scenario_argument(parser)
     parser.add_argument(
@@ -940,14 +922,11 @@ def build_optimize_parser() -> argparse.ArgumentParser:
 def _optimize_main(argv: list[str]) -> int:
     parser = build_optimize_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    policy = _execution_policy(parser, args)
     if args.resume and not args.store:
         parser.error("--resume requires --store (that is where the trace lives)")
-    if args.executor == "queue" and not args.store:
+    if policy.executor == "queue" and not args.store:
         parser.error("--executor queue requires --store (the queue lives there)")
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        parser.error(f"--lease-ttl must be > 0, got {args.lease_ttl}")
     from .estimator.optimize import OptimizeSpec, run_optimize
 
     registry = _load_scenarios(args.scenario)
@@ -987,10 +966,7 @@ def _optimize_main(argv: list[str]) -> int:
             spec,
             registry=registry,
             store=store,
-            max_workers=args.workers,
-            kernel=args.kernel,
-            executor=args.executor,
-            lease_ttl=args.lease_ttl,
+            policy=policy,
             progress=progress,
         )
     except KeyboardInterrupt:
@@ -1058,14 +1034,10 @@ def build_work_parser() -> argparse.ArgumentParser:
         "exists, waiting out other workers' leases; default: one pass over "
         "every pending journaled job, exiting when nothing is claimable",
     )
-    parser.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="lease time-to-live: how long this worker's chunk stays "
-        "unclaimable if it dies (heartbeats renew it while alive; "
-        "default: 30)",
+    _add_execution_arguments(
+        parser,
+        workers="worker processes per claimed chunk",
+        lease_ttl_flag="--ttl",
     )
     parser.add_argument(
         "--poll",
@@ -1081,18 +1053,6 @@ def build_work_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="give up (leaving the job resumable) after this long",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="estimation kernel (bit-for-bit identical results; default: auto)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per claimed chunk (1 = serial; default: 1)",
     )
     _add_scenario_argument(parser)
     parser.add_argument(
@@ -1117,20 +1077,13 @@ def build_work_parser() -> argparse.ArgumentParser:
 
 
 def _work_main(argv: list[str]) -> int:
-    from .estimator.queue import (
-        DEFAULT_LEASE_TTL,
-        DEFAULT_POLL_INTERVAL,
-        run_worker,
-    )
+    from .estimator.queue import DEFAULT_POLL_INTERVAL, run_worker
 
     parser = build_work_parser()
     args = parser.parse_args(argv)
-    if args.ttl is not None and args.ttl <= 0:
-        parser.error(f"--ttl must be > 0, got {args.ttl}")
+    policy = _execution_policy(parser, args)
     if args.poll is not None and args.poll <= 0:
         parser.error(f"--poll must be > 0, got {args.poll}")
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     registry = _load_scenarios(args.scenario)
     store = ResultStore(args.dir)
     log = None
@@ -1155,9 +1108,7 @@ def _work_main(argv: list[str]) -> int:
             store,
             job_id=args.job,
             registry=registry,
-            kernel=args.kernel,
-            max_workers=args.workers,
-            ttl=args.ttl if args.ttl is not None else DEFAULT_LEASE_TTL,
+            policy=policy,
             poll=args.poll if args.poll is not None else DEFAULT_POLL_INTERVAL,
             deadline_s=args.deadline,
             progress=progress,
@@ -1186,21 +1137,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
         prog="repro bench",
         description="Performance baselines: 'trace' times one workload "
         "per stage (build vs trace vs estimate) through a chosen counting "
-        "backend; 'sweep' times a sweep file through the scalar and the "
-        "vectorized estimation kernels and reports points/sec and speedup.",
+        "backend.",
     )
     parser.add_argument(
         "mode",
-        choices=("trace", "sweep"),
-        help="benchmark kind: 'trace' (one workload, per-stage timings) "
-        "or 'sweep' (scalar vs vectorized kernel over a sweep file)",
-    )
-    parser.add_argument(
-        "--sweep",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="sweep mode only: JSON sweep specification file to time",
+        choices=("trace",),
+        help="benchmark kind: 'trace' (one workload, per-stage timings)",
     )
     parser.add_argument(
         "--algorithm",
@@ -1342,91 +1284,9 @@ def _bench_counts(
     return counts, built - start, time.perf_counter() - built
 
 
-def _bench_sweep(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> int:
-    """Time one sweep file through both estimation kernels.
-
-    Each kernel runs the full expanded sweep against a fresh in-memory
-    cache (no store), so the two timings pay identical costs — counts
-    resolution, factory catalogs, distance tables — and the speedup is
-    an honest end-to-end number, not a warm-cache artifact.
-    """
-    if args.sweep is None:
-        parser.error("bench sweep requires --sweep FILE")
-    registry = _load_scenarios(args.scenario)
-    try:
-        document = json.loads(args.sweep.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read sweep file: {exc}")
-    try:
-        sweep = SweepSpec.from_dict(document)
-        points = sweep.expand()
-    except ValueError as exc:
-        raise SystemExit(f"error: invalid sweep spec: {exc}")
-    specs = [point.spec for point in points]
-    if not specs:
-        raise SystemExit("error: sweep expands to zero points")
-
-    timings: dict[str, float] = {}
-    failures = 0
-    kernel_stats: dict[str, object] = {}
-    for backend in ("scalar", "vectorized"):
-        cache = EstimateCache()
-        start = time.perf_counter()
-        try:
-            outcomes = run_specs(
-                specs, registry=registry, cache=cache, kernel=backend
-            )
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}")
-        timings[backend] = max(time.perf_counter() - start, 1e-9)
-        if backend == "scalar":
-            failures = sum(1 for outcome in outcomes if not outcome.ok)
-        else:
-            kernel_stats = cache.stats()["kernel"]
-
-    rates = {name: len(specs) / seconds for name, seconds in timings.items()}
-    speedup = timings["scalar"] / timings["vectorized"]
-    if args.json:
-        record = {
-            "mode": "sweep",
-            "sweep": str(args.sweep),
-            "points": len(specs),
-            "infeasiblePoints": failures,
-            "kernels": {
-                name: {
-                    "time_s": timings[name],
-                    "points_per_s": rates[name],
-                }
-                for name in ("scalar", "vectorized")
-            },
-            "speedup": speedup,
-            "kernelStats": kernel_stats,
-        }
-        print(json.dumps(record, indent=2))
-    else:
-        print(f"{args.sweep}: {len(specs)} points per kernel")
-        print(f"{'kernel':<12} {'time[s]':>10} {'points/sec':>12}")
-        print("-" * 36)
-        for name in ("scalar", "vectorized"):
-            print(f"{name:<12} {timings[name]:>10.3f} {rates[name]:>12.1f}")
-        print(f"speedup: {speedup:.1f}x")
-        if failures:
-            print(
-                f"{failures} of {len(specs)} points infeasible",
-                file=sys.stderr,
-            )
-    return 1 if failures else 0
-
-
 def _bench_main(argv: list[str]) -> int:
     parser = build_bench_parser()
     args = parser.parse_args(argv)
-    if args.mode == "sweep":
-        return _bench_sweep(parser, args)
-    if args.sweep is not None:
-        parser.error("--sweep only applies to 'repro bench sweep'")
     if args.bits < 1:
         raise SystemExit(f"error: --bits must be >= 1, got {args.bits}")
     registry = _load_scenarios(args.scenario)
@@ -1624,8 +1484,9 @@ def build_store_parser() -> argparse.ArgumentParser:
         help="'stats' reports per-namespace document counts and bytes "
         "(results, sweeps, the counts cache, the sweep queue, and the job "
         "journal) plus the orphaned-file tally as JSON; 'gc' removes "
-        "orphaned .tmp files and expired lease files older than "
-        "--older-than and reports the bytes reclaimed; 'evict' prunes "
+        "orphaned .tmp files, expired lease files and the chunk records "
+        "of finished queue jobs older than --older-than and reports the "
+        "bytes reclaimed; 'evict' prunes "
         "result/sweep/counts/optimize documents oldest-first until the "
         "store fits --max-bytes (live queue chunks, leases, and journal "
         "entries are never touched — evicted documents are future cache "
@@ -1714,50 +1575,22 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the persistent store (every submission recomputes)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes per submitted batch (1 = serial; default: 1)",
+    _add_execution_arguments(
+        parser,
+        workers="worker processes of the engine behind every submission "
+        "and job",
+        executor="sweep job execution: 'queue' journals jobs in the store's "
+        "crash-safe work queue (replicas sharing the store drain sweeps "
+        "cooperatively and a restart resumes in-flight jobs), 'local' "
+        "keeps the in-process chunk loop, 'auto' picks queue whenever a "
+        "store is configured (default: auto)",
+        executors=("auto", "local", "queue"),
     )
     parser.add_argument(
         "--sweep-workers",
         type=int,
         default=None,
         help="async sweep job threads (POST /v1/sweeps; default: 2)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default=None,
-        help="estimation kernel for submitted batches and sweep jobs "
-        "(bit-for-bit identical results either way; default: auto)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "local", "queue"),
-        default=None,
-        help="sweep job execution: 'queue' journals jobs in the store's "
-        "crash-safe work queue (replicas sharing the store drain sweeps "
-        "cooperatively and a restart resumes in-flight jobs), 'local' "
-        "keeps the in-process chunk loop, 'auto' picks queue whenever a "
-        "store is configured (default: auto)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="queue executor only: lease time-to-live — crash-detection "
-        "latency for dead workers (default: 30)",
-    )
-    parser.add_argument(
-        "--chunk-target",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="adapt sweep-job chunk sizes toward this per-chunk wall time "
-        "(default: fixed chunk size)",
     )
     parser.add_argument(
         "--max-body-bytes",
@@ -1822,14 +1655,12 @@ def _serve_main(argv: list[str]) -> int:
             port=args.port,
             workers=args.workers,
             sweep_workers=args.sweep_workers,
-            kernel=args.kernel,
             executor=args.executor,
             lease_ttl=args.lease_ttl,
             max_body_bytes=args.max_body_bytes,
             store_max_bytes=args.store_max_bytes,
             metrics_ttl=args.metrics_ttl,
             verbose=args.verbose,
-            chunk_target_s=args.chunk_target,
         )
     except ValueError as exc:
         parser.error(str(exc))

@@ -19,6 +19,11 @@ the remaining chunks, recording the reason as an executor fallback.
 
 The engine never changes *results*, only where and how often processes
 are spawned; chunking never participates in content hashes.
+
+How a job runs is one frozen :class:`ExecutionPolicy`, built once by
+the CLI or the service settings. The engine owns the evaluation lock
+(:attr:`ExecutionEngine.lock`), which every
+:func:`~repro.estimator.spec.run_specs` call on a shared engine holds.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..jsonlog import StructuredLogger
@@ -39,6 +45,74 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: serial execution — guards against a chunk that deterministically
 #: kills its worker from rebuilding forever.
 DEFAULT_MAX_REBUILDS = 3
+
+#: Points evaluated (and persisted) per chunk with a store when neither
+#: the policy nor the sweep picks a size.
+DEFAULT_CHUNK_SIZE = 16
+
+#: Default lease time-to-live: a queue worker that misses heartbeats for
+#: this long is presumed dead and its chunk becomes reclaimable.
+DEFAULT_LEASE_TTL = 30.0
+
+#: How a sweep's chunks run: in this call, or through the store's lease
+#: queue (:mod:`repro.estimator.queue`).
+EXECUTORS = ("local", "queue")
+
+
+@dataclass(frozen=True)
+class ExecutionPolicy:
+    """How a job runs — never what it computes.
+
+    ``workers`` sizes the engine's process pool (``1`` runs serially);
+    ``executor`` is ``"local"`` (chunks run in the calling process) or
+    ``"queue"`` (chunks are journaled and leased through the store's
+    work queue, so other ``repro work`` processes can help and a crash
+    resumes); ``chunk_size`` overrides the sweep's chunking (see
+    :func:`chunk_size_for`); ``lease_ttl`` is the queue's
+    crash-detection latency. Every executor and chunking gives
+    bit-for-bit identical results, so none of this enters a content
+    hash.
+    """
+
+    workers: int = 1
+    executor: str = "local"
+    chunk_size: int | None = None
+    lease_ttl: float = DEFAULT_LEASE_TTL
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
+            )
+        if self.chunk_size is not None and (
+            not _is_int(self.chunk_size) or self.chunk_size < 1
+        ):
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
+        ttl = self.lease_ttl
+        if isinstance(ttl, bool) or not isinstance(ttl, (int, float)) or not ttl > 0:
+            raise ValueError(f"lease_ttl must be > 0, got {ttl!r}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def chunk_size_for(
+    chunk_size: int | None, hint: int | None, num_points: int, *, store: bool
+) -> int:
+    """The one chunk-size rule of both executors.
+
+    The policy's ``chunk_size``, else the sweep's ``chunkSize`` hint,
+    else :data:`DEFAULT_CHUNK_SIZE` with a store — chunking exists to
+    bound the work a kill loses between persisted chunks — and a single
+    chunk (one batch call, one process pool) without one.
+    """
+    size = chunk_size or hint
+    if size is None:
+        size = DEFAULT_CHUNK_SIZE if store else max(num_points, 1)
+    return size
 
 
 class ExecutionEngine:
@@ -82,6 +156,10 @@ class ExecutionEngine:
         self.log = log if log is not None else StructuredLogger.disabled()
         self.max_rebuilds = max_rebuilds
         self._pool: ProcessPoolExecutor | None = None
+        #: Held by :func:`~repro.estimator.spec.run_specs` for each
+        #: evaluation on this engine, so its users take turns on one
+        #: warm cache (``_lock`` below only guards the pool and counters).
+        self.lock = threading.Lock()
         self._lock = threading.Lock()
         self._closed = False
         # Counters (guarded by _lock; plain ints, read for stats/metrics).
@@ -177,7 +255,7 @@ class ExecutionEngine:
     # -- observability -------------------------------------------------
 
     def note_chunk_size(self, size: int) -> None:
-        """Record the sweep layer's current (adaptive) chunk size."""
+        """Record the sweep layer's current chunk size."""
         self._last_chunk_size = int(size)
 
     def stats(self) -> dict[str, object]:

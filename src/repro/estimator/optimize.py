@@ -23,9 +23,9 @@ set a dense sweep plus :func:`reduce_answer` would, in O(log) engine
 evaluations instead of O(grid).
 
 Every probe batch goes through :func:`~repro.estimator.spec.run_specs`,
-so the result store, the counts namespace, and the vectorized kernel make
-repeated and resumed searches warm; with ``executor="queue"`` probe
-batches dispatch through the crash-safe lease queue instead. The probe
+so the result store and the counts namespace make repeated and resumed
+searches warm; with a ``queue`` execution policy probe batches dispatch
+through the crash-safe lease queue instead. The probe
 trace (every evaluated spec hash + verdict) persists after every round as
 a content-addressed ``repro-optimize-v1`` store document keyed on
 :meth:`OptimizeSpec.content_hash` — an interrupted optimize resumes
@@ -54,7 +54,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
-from .engine import ExecutionEngine, engine_scope
+from .engine import ExecutionEngine, ExecutionPolicy, engine_scope
 from .result import PhysicalResourceEstimates
 from .spec import run_specs
 from .store import OPTIMIZE_DOC_SCHEMA
@@ -881,12 +881,8 @@ def run_optimize(
     registry: "Registry | None" = None,
     store: "ResultStore | None" = None,
     cache: "EstimateCache | None" = None,
-    max_workers: int | None = 1,
-    kernel: str = "auto",
-    executor: str = "local",
-    lease_ttl: float | None = None,
+    policy: ExecutionPolicy | None = None,
     progress: Callable[[OptimizeProgress], None] | None = None,
-    lock: Any | None = None,
     engine: ExecutionEngine | None = None,
 ) -> OptimizeResult:
     """Answer an inverse-design question adaptively over its grid.
@@ -894,11 +890,11 @@ def run_optimize(
     Column strategies (bisection on monotone axes, knee refinement for
     frontiers, bounded local refinement otherwise — see :class:`_Search`)
     advance in lock-step rounds; each round's probe requests are deduped
-    into one batch through :func:`run_specs` (``executor="local"``) or
-    one zip-mode sweep through the crash-safe lease queue
-    (``executor="queue"``), so the result store, counts namespace, and
-    vectorized kernel serve every repeated probe. Both executors produce
-    bit-for-bit identical results.
+    into one batch through :func:`run_specs` (the ``"local"`` executor of
+    ``policy``) or one zip-mode sweep through the crash-safe lease queue
+    (``"queue"``), so the result store and counts namespace serve every
+    repeated probe. Both executors produce bit-for-bit identical
+    results.
 
     With a ``store``, the probe trace persists after every round under
     the ``repro-optimize-v1`` namespace keyed on
@@ -908,19 +904,18 @@ def run_optimize(
     a *finished* question returns the stored answer with zero
     evaluations (``from_trace=True``).
 
-    ``progress`` is called after each round; ``lock`` (any context
-    manager) serializes probe batches with other users of a shared cache,
-    exactly like ``run_sweep``. ``engine`` likewise mirrors
-    ``run_sweep``: every probe round runs through one engine — with
-    parallel workers, one persistent process pool — closed on return
-    unless the ``engine`` was supplied by the caller.
+    ``progress`` is called after each round. ``policy`` and ``engine``
+    mirror ``run_sweep``: every probe round runs through one engine —
+    with parallel workers, one persistent process pool — closed on
+    return unless the ``engine`` was supplied by the caller, and each
+    probe batch holds that engine's lock, so a shared engine's other
+    users take turns with it.
     """
     from ..registry import default_registry
 
     resolved_registry = registry if registry is not None else default_registry()
-    if executor not in ("local", "queue"):
-        raise ValueError(f"unknown executor {executor!r}: use 'local' or 'queue'")
-    if executor == "queue" and store is None:
+    policy = policy if policy is not None else ExecutionPolicy()
+    if policy.executor == "queue" and store is None:
         raise ValueError("executor='queue' requires a result store")
     optimize_hash = spec.content_hash(resolved_registry)
     if store is not None:
@@ -941,7 +936,7 @@ def run_optimize(
     def evaluate(indices: list[int], runner: ExecutionEngine) -> tuple[int, int]:
         """Probe a deduped batch of grid points; returns (evals, hits)."""
         specs = [search.points[index].spec for index in indices]
-        if executor == "queue":
+        if policy.executor == "queue":
             hashes = []
             for point_spec in specs:
                 try:
@@ -970,11 +965,7 @@ def run_optimize(
                 registry=resolved_registry,
                 store=store,
                 cache=cache,
-                max_workers=max_workers,
-                kernel=kernel,
-                executor="queue",
-                lease_ttl=lease_ttl,
-                lock=lock,
+                policy=policy,
                 engine=runner,
             )
             outcomes = [
@@ -989,7 +980,6 @@ def run_optimize(
                     registry=resolved_registry,
                     store=store,
                     cache=cache,
-                    kernel=kernel,
                     engine=runner,
                 )
             ]
@@ -1039,7 +1029,7 @@ def run_optimize(
     # first parallel batch, so a warm or all-store-hit run never does.
     with engine_scope(
         engine,
-        max_workers=max_workers,
+        max_workers=policy.workers,
         store_root=store.root if store is not None else None,
     ) as runner:
         while pending:

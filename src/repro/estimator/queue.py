@@ -81,7 +81,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .engine import ExecutionEngine, engine_scope
+from .engine import (
+    DEFAULT_LEASE_TTL,
+    ExecutionEngine,
+    ExecutionPolicy,
+    chunk_size_for,
+    engine_scope,
+)
 from .store import (
     JOBS_SCHEMA,
     QUEUE_SCHEMA,
@@ -92,7 +98,6 @@ from .store import (
     write_document,
 )
 from .sweep import (
-    DEFAULT_CHUNK_SIZE,
     SweepPointOutcome,
     SweepProgress,
     SweepResult,
@@ -116,10 +121,6 @@ __all__ = [
     "WorkerReport",
     "run_worker",
 ]
-
-#: Default lease time-to-live: a worker that misses heartbeats for this
-#: long is presumed dead and its chunk becomes reclaimable.
-DEFAULT_LEASE_TTL = 30.0
 
 #: Default idle poll while waiting on chunks leased to other workers.
 DEFAULT_POLL_INTERVAL = 0.05
@@ -216,7 +217,9 @@ class SweepQueue:
     owner:
         Lease owner id; defaults to a process-unique token.
     ttl:
-        Lease time-to-live in clock seconds.
+        Lease time-to-live in clock seconds (an
+        :class:`~repro.estimator.engine.ExecutionPolicy` ``lease_ttl``,
+        checked there).
     clock:
         The deadline clock; defaults to :func:`time.monotonic`, which on
         the supported platforms is boot-relative and therefore
@@ -232,8 +235,6 @@ class SweepQueue:
         ttl: float = DEFAULT_LEASE_TTL,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if ttl <= 0:
-            raise ValueError(f"lease ttl must be > 0, got {ttl}")
         self.store = store
         self.owner = owner if owner is not None else _default_owner()
         self.ttl = ttl
@@ -279,7 +280,7 @@ class SweepQueue:
         existing = self.load_job(job_id)
         if existing is None:
             total = len(spec.expand())
-            size = chunk_size or spec.chunk_size or DEFAULT_CHUNK_SIZE
+            size = chunk_size_for(chunk_size, spec.chunk_size, total, store=True)
             num_chunks = max(1, -(-total // size))
             document = {
                 "schema": JOBS_SCHEMA,
@@ -300,6 +301,8 @@ class SweepQueue:
                     f"store {self.store.root} is not writable: cannot journal "
                     f"sweep job {job_id}"
                 )
+        if existing.status == "finished":
+            return existing  # answered by its stored sweep, not by chunks
         for index in range(existing.num_chunks):
             start, stop = existing.chunk_range(index)
             write_document(
@@ -628,14 +631,11 @@ def run_worker(
     job_id: str | None = None,
     registry: "Registry | None" = None,
     cache: "EstimateCache | None" = None,
-    max_workers: int | None = 1,
-    kernel: str = "auto",
-    ttl: float = DEFAULT_LEASE_TTL,
+    policy: ExecutionPolicy | None = None,
     poll: float = DEFAULT_POLL_INTERVAL,
     clock: Callable[[], float] = time.monotonic,
     owner: str | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
-    lock: Any | None = None,
     wait: bool | None = None,
     deadline_s: float | None = None,
     heartbeat: bool = True,
@@ -654,11 +654,9 @@ def run_worker(
 
     ``progress`` receives cumulative :class:`SweepProgress` events as
     chunks complete (evaluated here or observed done from another
-    worker; observed points count as ``from_store``). ``lock`` (any
-    context manager) serializes chunk evaluation with other engine
-    users — the service passes its engine lock. ``wait=False`` returns
-    instead of sleeping on chunks leased elsewhere; ``deadline_s``
-    bounds the whole call.
+    worker; observed points count as ``from_store``). ``wait=False``
+    returns instead of sleeping on chunks leased elsewhere;
+    ``deadline_s`` bounds the whole call.
 
     Raising from ``progress`` aborts cleanly between chunks (leases
     released, completed work persisted) — the estimation service uses
@@ -670,21 +668,23 @@ def run_worker(
     so ``repro work`` output joins the service's request/job records on
     ``jobId``. Defaults to disabled.
 
+    ``policy`` supplies the lease time-to-live and the worker count.
     Every claimed chunk runs through one
     :class:`~repro.estimator.engine.ExecutionEngine`, exactly as in
     :func:`~repro.estimator.sweep.run_sweep`: a caller-supplied
-    ``engine`` is shared and left open; otherwise one with
-    ``max_workers`` workers serves this worker's whole drain (one
-    persistent pool when ``max_workers`` enables process fan-out) and
-    is closed on return.
+    ``engine`` is shared and left open (chunks take turns with its
+    other users through its lock); otherwise one with
+    ``policy.workers`` workers serves this worker's whole drain (one
+    persistent pool when that enables process fan-out) and is closed on
+    return.
     """
     from ..jsonlog import StructuredLogger
     from ..registry import default_registry
 
     resolved_registry = registry if registry is not None else default_registry()
-    queue = SweepQueue(store, owner=owner, ttl=ttl, clock=clock)
+    policy = policy if policy is not None else ExecutionPolicy()
+    queue = SweepQueue(store, owner=owner, ttl=policy.lease_ttl, clock=clock)
     report = WorkerReport(owner=queue.owner)
-    guard = lock if lock is not None else nullcontext()
     logger = log if log is not None else StructuredLogger.disabled()
     started = time.monotonic()
 
@@ -709,7 +709,7 @@ def run_worker(
         jobId=job_id,
     )
     with engine_scope(
-        engine, max_workers=max_workers, store_root=store.root, log=logger
+        engine, max_workers=policy.workers, store_root=store.root, log=logger
     ) as runner:
         for job in jobs:
             report.jobs_seen += 1
@@ -719,8 +719,6 @@ def run_worker(
                 report,
                 registry=resolved_registry,
                 cache=cache,
-                kernel=kernel,
-                guard=guard,
                 progress=progress,
                 wait=wait_for_others,
                 poll=poll,
@@ -751,8 +749,6 @@ def _drain_job(
     *,
     registry: "Registry",
     cache: "EstimateCache | None",
-    kernel: str,
-    guard: Any,
     progress: Callable[[SweepProgress], None] | None,
     wait: bool,
     poll: float,
@@ -812,7 +808,7 @@ def _drain_job(
                     start, stop = job.chunk_range(index)
                     chunk_points = points[start:stop]
                     beat = _Heartbeat(queue, lease) if heartbeat else nullcontext()
-                    with guard, beat:
+                    with beat:
                         from .spec import run_specs
 
                         chunk_outcomes = run_specs(
@@ -820,7 +816,6 @@ def _drain_job(
                             registry=registry,
                             store=queue.store,
                             cache=cache,
-                            kernel=kernel,
                             engine=engine,
                         )
                     _fault_point("evaluated", index)

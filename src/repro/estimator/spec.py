@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Hashable, Sequence
@@ -551,7 +552,6 @@ def run_specs(
     store: "ResultStore | None" = None,
     cache: EstimateCache | None = None,
     max_workers: int | None = 1,
-    kernel: str = "auto",
     engine: "ExecutionEngine | None" = None,
     spec_hashes: Sequence[str] | None = None,
 ) -> list[SpecOutcome]:
@@ -581,19 +581,30 @@ def run_specs(
     Store lookups are counted on the cache's :meth:`EstimateCache.stats`
     under ``store``; passing no cache uses the module-shared one.
 
-    ``kernel`` selects the batch evaluation backend (``"auto"``,
-    ``"scalar"``, ``"vectorized"``) — named differently from the specs'
-    own ``backend`` field, which picks the *counts* backend. Backends are
-    bit-for-bit interchangeable, so stored documents and spec hashes do
-    not depend on this choice.
-
     ``engine`` runs the misses through a caller-owned
     :class:`~repro.estimator.engine.ExecutionEngine` (one persistent
     pool across calls) instead of a short-lived one sized by
-    ``max_workers``; results are identical either way. Misses are
-    persisted with one :meth:`ResultStore.put_many` batch write per call
-    rather than per-point writes.
+    ``max_workers``; results are identical either way. The whole call
+    holds ``engine.lock``, so every user of a shared engine (the
+    service's submissions, sweep chunks and optimize probes) evaluates
+    in turn. Misses are persisted with one :meth:`ResultStore.put_many`
+    batch write per call rather than per-point writes.
     """
+    with engine.lock if engine is not None else nullcontext():
+        return _run_specs(
+            specs, registry, store, cache, max_workers, engine, spec_hashes
+        )
+
+
+def _run_specs(
+    specs: Sequence[EstimateSpec],
+    registry: "Registry | None",
+    store: "ResultStore | None",
+    cache: EstimateCache | None,
+    max_workers: int | None,
+    engine: "ExecutionEngine | None",
+    spec_hashes: Sequence[str] | None,
+) -> list[SpecOutcome]:
     from ..registry import default_registry
     from .batch import _SHARED_CACHE  # shared instance also used by defaults
 
@@ -662,7 +673,6 @@ def run_specs(
             [request for _, _, request in to_run],
             max_workers=max_workers,
             cache=cache,
-            backend=kernel,
             engine=engine,
         )
         writes: list[tuple[str, StoredOutcome, dict[str, Any]]] = []

@@ -822,17 +822,45 @@ class ResultStore:
             yield from queue_base.rglob("*.lease")
             yield from queue_base.rglob(".*.stale-*")
 
+    def _finished_queue_jobs(self) -> Iterator[Path]:
+        """Queue directories of jobs that are over.
+
+        A job is over when its journal says ``finished`` and its sweep
+        document is stored: the document answers every re-run, so the
+        per-chunk records (which repeat its outcomes) are litter. A job
+        whose sweep document was evicted keeps its records — its done
+        chunks still rebuild the document without re-evaluating.
+        """
+        queue_base = self.root / QUEUE_SCHEMA
+        if not queue_base.is_dir():
+            return
+        for job_dir in sorted(queue_base.iterdir()):
+            job_id = job_dir.name
+            if not (job_dir.is_dir() and _HASH_RE.fullmatch(job_id)):
+                continue
+            journal = self.read("jobs", job_id)
+            if (
+                journal is not None
+                and journal.get("status") == "finished"
+                and self.read("sweeps", job_id) is not None
+            ):
+                yield job_dir
+
     def gc(
         self,
         *,
         older_than_s: float = 3600.0,
         future_skew_s: float = DEFAULT_GC_FUTURE_SKEW,
     ) -> dict[str, Any]:
-        """Remove orphaned ``.tmp`` and expired lease files; report bytes.
+        """Remove orphaned ``.tmp`` and expired lease files, plus the
+        chunk and done records of finished queue jobs; report bytes.
 
         Only files aged at least ``older_than_s`` seconds are touched,
         so in-flight writes and live leases (which are rewritten on
         every heartbeat, keeping their mtime fresh) are never collected.
+        Queue records are collected only for a job whose journal is
+        ``finished`` and whose sweep document is stored (see
+        ``_finished_queue_jobs``); their emptied directories go too.
 
         Clock contract: age is the local wall clock minus the file's
         mtime, which on a shared (or NFS) store may have been stamped by
@@ -857,15 +885,19 @@ class ResultStore:
         realistic NTP drift). Returns ``{"removedFiles",
         "reclaimedBytes"}``; an unremovable file is skipped, never an
         error — gc on a shared store must be safe to run at any time,
-        from any process. Documents are never gc candidates, so the
-        read-through memory caches stay coherent by construction.
+        from any process. Cache documents are never gc candidates, so
+        the read-through memory caches stay coherent by construction.
         """
         now = time.time()
         older = max(older_than_s, 0.0)
         skew = max(future_skew_s, 0.0)
         removed = 0
         reclaimed = 0
-        for path in list(self._orphan_candidates()):
+        finished = list(self._finished_queue_jobs())
+        candidates = list(self._orphan_candidates())
+        for job_dir in finished:
+            candidates += [*job_dir.glob("chunks/*.json"), *job_dir.glob("done/*.json")]
+        for path in candidates:
             try:
                 stat = path.stat()
                 age = now - stat.st_mtime
@@ -876,6 +908,12 @@ class ResultStore:
                 continue  # vanished or unremovable; skip
             removed += 1
             reclaimed += stat.st_size
+        for job_dir in finished:
+            for name in ("chunks", "done", "leases", ""):
+                try:
+                    (job_dir / name).rmdir()  # only succeeds once emptied
+                except OSError:
+                    pass
         return {
             "removedFiles": removed,
             "reclaimedBytes": reclaimed,

@@ -52,12 +52,16 @@ import hashlib
 import io
 import itertools
 import json
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from .engine import ExecutionEngine, engine_scope
+from .engine import (
+    DEFAULT_CHUNK_SIZE,
+    ExecutionEngine,
+    ExecutionPolicy,
+    chunk_size_for,
+    engine_scope,
+)
 from .result import PhysicalResourceEstimates
 from .spec import SPEC_SCHEMA, EstimateSpec, run_specs
 
@@ -84,34 +88,6 @@ __all__ = [
 
 #: Version tag of the sweep canonical form (hashes, serialized results).
 SWEEP_SCHEMA = "repro-sweep-v1"
-
-#: Points evaluated (and persisted) per chunk when the caller picks none.
-DEFAULT_CHUNK_SIZE = 16
-
-#: Bounds for adaptive chunk sizing (``chunk_target_s``): the size never
-#: leaves this window, and never more than doubles or halves per step.
-ADAPTIVE_MIN_CHUNK = 1
-ADAPTIVE_MAX_CHUNK = 4096
-
-
-def _next_chunk_size(
-    current: int, points_done: int, elapsed_s: float, target_s: float
-) -> int:
-    """Chunk size for the next step, steered toward ``target_s`` of work.
-
-    Uses the measured points/sec of the chunk just completed; growth and
-    shrinkage are clamped to one doubling/halving per step so a single
-    anomalous chunk (cold caches, store-hit burst) cannot whipsaw the
-    size. Chunk boundaries never affect results — chunking is excluded
-    from :meth:`SweepSpec.content_hash` — so this is purely a wall-clock
-    and persistence-granularity knob.
-    """
-    if points_done <= 0:
-        return current
-    rate = points_done / max(elapsed_s, 1e-9)
-    ideal = rate * target_s
-    stepped = max(min(ideal, current * 2), current // 2, ADAPTIVE_MIN_CHUNK)
-    return int(min(stepped, ADAPTIVE_MAX_CHUNK))
 
 #: Supported frontier reductions. ``qubits-runtime`` keeps the Pareto
 #: non-dominated (runtime, physical qubits) points per group — the
@@ -814,68 +790,45 @@ def run_sweep(
     registry: "Registry | None" = None,
     store: "ResultStore | None" = None,
     cache: "EstimateCache | None" = None,
-    max_workers: int | None = 1,
-    chunk_size: int | None = None,
+    policy: ExecutionPolicy | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
-    lock: Any | None = None,
-    kernel: str = "auto",
-    executor: str = "local",
-    lease_ttl: float | None = None,
     engine: ExecutionEngine | None = None,
-    chunk_target_s: float | None = None,
     point_hashes: Sequence[str] | None = None,
 ) -> SweepResult:
     """Execute a sweep in store-backed chunks and reduce its frontiers.
 
-    Points run through :func:`run_specs` one chunk at a time (``chunk_size``
-    falls back to the spec's hint, then :data:`DEFAULT_CHUNK_SIZE` with a
-    store and a single chunk without one — chunking only buys anything
-    when completed chunks persist). With a ``store``, every completed
-    chunk is persisted before the next starts, so killing a sweep between
-    chunks loses at most the chunk in flight — re-running the same spec
-    resumes from the stored points. Infeasible or invalid points become
-    failed outcomes, excluded from frontiers.
+    Points run through :func:`run_specs` one chunk at a time, sized by
+    :func:`~repro.estimator.engine.chunk_size_for` (the policy's
+    ``chunk_size``, then the spec's hint, then
+    :data:`DEFAULT_CHUNK_SIZE` with a store and a single chunk without
+    one — chunking only buys anything when completed chunks persist).
+    With a ``store``, every completed chunk is persisted before the next
+    starts, so killing a sweep between chunks loses at most the chunk in
+    flight — re-running the same spec resumes from the stored points.
+    Infeasible or invalid points become failed outcomes, excluded from
+    frontiers. ``progress`` is called after each chunk with cumulative
+    counts.
 
-    ``progress`` is called after each chunk with cumulative counts.
-    ``lock`` (any context manager) serializes chunk execution with other
-    users of a shared cache — the estimation service passes its engine
-    lock so sweep jobs interleave fairly with interactive submissions.
-
-    ``kernel`` selects the batch backend (``"auto"``/``"scalar"``/
-    ``"vectorized"``). It is an execution hint like ``max_workers`` —
-    backends are bit-for-bit interchangeable, so it is not part of
-    :class:`SweepSpec` and never affects content hashes or stored
-    documents. Note that under ``"auto"`` the threshold applies per
-    chunk: store-backed sweeps using the default 16-point chunks stay on
-    the scalar path; pass ``kernel="vectorized"`` or a larger
-    ``chunk_size`` to engage the kernel.
-
-    ``executor`` selects how chunks run. ``"local"`` (default) iterates
-    them in this call, as above. ``"queue"`` requires a ``store`` and
-    routes through the crash-safe work queue
+    ``policy`` (an :class:`~repro.estimator.engine.ExecutionPolicy`,
+    default serial and local) says how chunks run. The ``"local"``
+    executor iterates them in this call, as above. ``"queue"`` requires
+    a ``store`` and routes through the crash-safe work queue
     (:mod:`repro.estimator.queue`): the sweep is journaled, chunks are
-    leased, and this call drains them as one cooperating worker —
-    other worker processes (``repro work DIR``) or service replicas
-    sharing the store directory pick up chunks concurrently, and the
-    journal survives a crash for a later worker to resume. Both
-    executors produce bit-for-bit identical results; ``lease_ttl``
-    (queue only) tunes crash-detection latency.
+    leased, and this call drains them as one cooperating worker — other
+    worker processes (``repro work DIR``) or service replicas sharing
+    the store directory pick up chunks concurrently, and the journal
+    survives a crash for a later worker to resume. Both executors
+    produce bit-for-bit identical results.
 
     Every chunk runs through one
     :class:`~repro.estimator.engine.ExecutionEngine`. Without an
-    ``engine``, one with ``max_workers`` workers is created for the
-    whole sweep and closed on return; when ``max_workers`` enables
-    process fan-out its pool is spawned once, and workers keep their
-    memo tables and store handles warm across chunks. An explicit
-    ``engine`` is *not* closed by this call — the estimation service
-    shares one engine across jobs. Results are identical either way.
-
-    ``chunk_target_s`` enables adaptive chunk sizing: starting from the
-    resolved ``chunk_size``, each subsequent chunk grows or shrinks
-    (at most 2x per step, within [:data:`ADAPTIVE_MIN_CHUNK`,
-    :data:`ADAPTIVE_MAX_CHUNK`]) toward the target per-chunk wall time
-    using the measured points/sec. Results never depend on chunk
-    boundaries.
+    ``engine``, one with ``policy.workers`` workers is created for the
+    whole sweep and closed on return; when that enables process fan-out
+    its pool is spawned once, and workers keep their memo tables and
+    store handles warm across chunks. An explicit ``engine`` is *not*
+    closed by this call — the estimation service shares one engine
+    across jobs, and chunks take turns with its other users through
+    the engine's lock. Results are identical either way.
 
     Each point's resolved spec hash is computed once per run
     (:meth:`SweepSpec.point_hashes`) and serves both the sweep's
@@ -886,30 +839,24 @@ def run_sweep(
     from ..registry import default_registry
 
     resolved_registry = registry if registry is not None else default_registry()
-    if executor not in ("local", "queue"):
-        raise ValueError(f"unknown executor {executor!r}: use 'local' or 'queue'")
-    if chunk_target_s is not None and chunk_target_s <= 0:
-        raise ValueError(
-            f"chunk_target_s must be positive, got {chunk_target_s}"
-        )
-    if executor == "queue":
+    policy = policy if policy is not None else ExecutionPolicy()
+    if policy.executor == "queue":
         if store is None:
             raise ValueError("executor='queue' requires a result store")
-        from .queue import DEFAULT_LEASE_TTL, SweepQueue, run_worker
+        from .queue import SweepQueue, run_worker
 
-        queue = SweepQueue(store, ttl=lease_ttl or DEFAULT_LEASE_TTL)
-        job = queue.enqueue(spec, registry=resolved_registry, chunk_size=chunk_size)
+        queue = SweepQueue(store, ttl=policy.lease_ttl)
+        job = queue.enqueue(
+            spec, registry=resolved_registry, chunk_size=policy.chunk_size
+        )
         if store.get_sweep(job.job_id) is None:
             run_worker(
                 store,
                 job_id=job.job_id,
                 registry=resolved_registry,
                 cache=cache,
-                max_workers=max_workers,
-                kernel=kernel,
-                ttl=lease_ttl or DEFAULT_LEASE_TTL,
+                policy=policy,
                 progress=progress,
-                lock=lock,
                 engine=engine,
             )
         document = store.get_sweep(job.job_id)
@@ -928,13 +875,9 @@ def run_sweep(
     if point_hashes is None:
         point_hashes = spec.point_hashes(resolved_registry)
     sweep_hash = spec.content_hash(point_hashes=point_hashes)
-    # Chunking exists to bound the work lost on a kill between persisted
-    # chunks; without a store nothing persists, so default to one chunk
-    # (one batch call, one process pool) unless the caller asked for more.
-    size = chunk_size or spec.chunk_size
-    if size is None:
-        size = DEFAULT_CHUNK_SIZE if store is not None else max(len(points), 1)
-    guard = lock if lock is not None else nullcontext()
+    size = chunk_size_for(
+        policy.chunk_size, spec.chunk_size, len(points), store=store is not None
+    )
 
     outcomes: list[SweepPointOutcome] = []
     ok = failed = from_store = 0
@@ -944,23 +887,19 @@ def run_sweep(
     # an engine passed in by the caller (the service) is shared, not owned.
     with engine_scope(
         engine,
-        max_workers=max_workers,
+        max_workers=policy.workers,
         store_root=store.root if store is not None else None,
     ) as runner:
         while position < len(points):
             chunk = points[position : position + size]
-            started = time.perf_counter()
-            with guard:
-                chunk_outcomes = run_specs(
-                    [point.spec for point in chunk],
-                    registry=resolved_registry,
-                    store=store,
-                    cache=cache,
-                    kernel=kernel,
-                    engine=runner,
-                    spec_hashes=point_hashes[position : position + len(chunk)],
-                )
-            elapsed = time.perf_counter() - started
+            chunk_outcomes = run_specs(
+                [point.spec for point in chunk],
+                registry=resolved_registry,
+                store=store,
+                cache=cache,
+                engine=runner,
+                spec_hashes=point_hashes[position : position + len(chunk)],
+            )
             position += len(chunk)
             chunk_index += 1
             for point, outcome in zip(chunk, chunk_outcomes):
@@ -982,8 +921,6 @@ def run_sweep(
                     failed += 1
                 if outcome.from_store:
                     from_store += 1
-            if chunk_target_s is not None and position < len(points):
-                size = _next_chunk_size(size, len(chunk), elapsed, chunk_target_s)
             runner.note_chunk_size(size)
             if progress is not None:
                 remaining_chunks = -(-(len(points) - position) // size)

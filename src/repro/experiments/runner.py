@@ -21,11 +21,13 @@ fig3/fig4 re-run takes milliseconds.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..estimator import EstimationError, PhysicalResourceEstimates
 from ..estimator.batch import EstimateRequest
+from ..estimator.engine import ExecutionPolicy
 from ..estimator.spec import EstimateSpec, ProgramRef
 from ..estimator.sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -174,8 +176,12 @@ def run_estimate_rows(
         ),
         mode="zip",
     )
+    workers = max_workers if max_workers is not None else os.cpu_count() or 1
     result = run_sweep(
-        sweep, registry=registry, store=store, max_workers=max_workers
+        sweep,
+        registry=registry,
+        store=store,
+        policy=ExecutionPolicy(workers=workers),
     )
     rows = []
     for (algorithm, bits, profile), outcome in zip(points, result.points):

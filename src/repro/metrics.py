@@ -15,6 +15,11 @@ Design constraints, in order:
   state lives behind a single lock, and a scrape snapshots everything
   under that lock — readers can never observe a torn update (a counter
   bumped but its histogram not, half a provider's gauges).
+* **No waits on a walk.** Providers run *outside* the registry lock:
+  each has its own lock, so one thread refreshes it while concurrent
+  scrapers wait for that refresh rather than repeat it, and the new
+  samples are swapped in under the registry lock. A handler's ``inc``
+  never waits for a provider's disk walk.
 * **No walks per scrape.** Expensive gauges (anything touching disk)
   come from registered *providers* refreshed on a TTL: a scrape inside
   the TTL serves the cached samples and does zero filesystem work.
@@ -23,7 +28,8 @@ Design constraints, in order:
   (``/v1/results/{hash}``, not one series per hash).
 
 Counter and histogram updates are O(1) dict operations; the scrape path
-is the only place provider callables run.
+(and :meth:`MetricsRegistry.gauge_value`) is the only place provider
+callables run.
 """
 
 from __future__ import annotations
@@ -121,28 +127,21 @@ def _render_labels(key: LabelKey, extra: tuple[tuple[str, str], ...] = ()) -> st
 
 
 class _Provider:
-    """A gauge source refreshed at most once per ``ttl`` seconds."""
+    """A gauge source refreshed at most once per ``ttl`` seconds.
+
+    ``lock`` lets one thread at a time run ``fn``; ``samples`` and
+    ``taken`` are written under the registry lock.
+    """
 
     def __init__(self, fn: Callable[[], Iterable[Sample]], ttl: float) -> None:
         self.fn = fn
         self.ttl = ttl
+        self.lock = threading.Lock()
         self.samples: list[tuple[str, LabelKey, float]] = []
         self.taken: float | None = None  # monotonic time of last refresh
 
     def refresh_due(self, now: float) -> bool:
         return self.taken is None or self.ttl <= 0 or now - self.taken >= self.ttl
-
-    def refresh(self, now: float) -> None:
-        try:
-            raw = list(self.fn())
-        except Exception:
-            # A broken provider must not take /v1/metrics down with it;
-            # its samples go stale until it recovers.
-            return
-        self.samples = [
-            (name, _label_key(labels), float(value)) for name, labels, value in raw
-        ]
-        self.taken = now
 
 
 class MetricsRegistry:
@@ -233,6 +232,33 @@ class MetricsRegistry:
 
     # -- scrape path -------------------------------------------------------
 
+    def _refresh(self, providers: list[_Provider], now: float) -> None:
+        """Run every due provider outside the registry lock.
+
+        A provider whose lock is held is being refreshed by another
+        thread: waiting for it and re-checking the TTL means a walk is
+        paid once, not once per concurrent scraper. A provider that
+        raises keeps its previous samples — a broken provider must not
+        take ``/v1/metrics`` down with it.
+        """
+        for provider in providers:
+            if not provider.refresh_due(now):
+                continue
+            with provider.lock:
+                with self._lock:
+                    if not provider.refresh_due(now):
+                        continue  # another thread refreshed it meanwhile
+                try:
+                    samples = [
+                        (name, _label_key(labels), float(value))
+                        for name, labels, value in provider.fn()
+                    ]
+                except Exception:
+                    continue
+                with self._lock:
+                    provider.samples = samples
+                    provider.taken = now
+
     def counter_value(
         self, name: str, labels: dict[str, str] | None = None
     ) -> float:
@@ -252,15 +278,16 @@ class MetricsRegistry:
         exactly as a scrape would.
         """
         key = _label_key(labels)
-        now = time.monotonic()
         with self._lock:
-            for provider in self._providers:
-                if provider.taken is not None and all(
-                    sample[0] != name for sample in provider.samples
-                ):
-                    continue
-                if provider.refresh_due(now):
-                    provider.refresh(now)
+            serving = [
+                provider
+                for provider in self._providers
+                if provider.taken is None
+                or any(sample[0] == name for sample in provider.samples)
+            ]
+        self._refresh(serving, time.monotonic())
+        with self._lock:
+            for provider in serving:
                 for sample_name, sample_key, value in provider.samples:
                     if sample_name == name and sample_key == key:
                         return value
@@ -269,15 +296,14 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """A consistent copy of every metric, provider gauges included.
 
-        Everything — provider refresh decisions, the copies themselves —
-        happens under the registry lock, so concurrent increments can
-        never produce a torn scrape.
+        Due providers refresh first, outside the registry lock; the
+        copies themselves are taken under it, so concurrent increments
+        can never produce a torn scrape.
         """
-        now = time.monotonic()
         with self._lock:
-            for provider in self._providers:
-                if provider.refresh_due(now):
-                    provider.refresh(now)
+            providers = list(self._providers)
+        self._refresh(providers, time.monotonic())
+        with self._lock:
             gauges: dict[str, dict[LabelKey, float]] = {}
             for provider in self._providers:
                 for name, key, value in provider.samples:

@@ -40,9 +40,8 @@ Endpoints
 ``GET /v1/jobs/<jobId>``
     Job status: ``queued`` / ``running`` / ``done`` / ``failed`` plus
     cumulative partial-completion counts (``completed``, ``ok``,
-    ``failed``, ``fromStore``) and the engine's cache/kernel counters
-    under ``cacheStats`` (memo hit rates plus how many points ran
-    vectorized vs on the scalar path — see
+    ``failed``, ``fromStore``) and the engine's counters under
+    ``cacheStats`` (memo hit rates and evaluation-path tallies — see
     :meth:`~repro.estimator.batch.EstimateCache.stats`).
 ``GET /v1/sweeps/<jobId>/result``
     The finished sweep's full result document (409 while the job is
@@ -70,8 +69,9 @@ Endpoints
     it through the same registry, so clients never ship workload
     definitions they can address.
 ``GET /v1/healthz``
-    Liveness plus the store location, schema tags, and the full
-    ``cacheStats`` block — engine memo/kernel counters, optimizer
+    Liveness plus the store location, schema tags, the resolved sweep
+    executor, and the full ``cacheStats`` block — engine memo counters,
+    optimizer
     probe/evaluation totals, the store's in-process read-through LRU
     hit counts, and the sweep queue depth.
 ``GET /v1/metrics``
@@ -98,9 +98,12 @@ urllib wrapper the tests use::
 
 Malformed specs in a batch fail per record; malformed requests (bad
 JSON, unknown routes) get JSON error bodies with 4xx status codes. The
-server is a ``ThreadingHTTPServer``; the underlying engine call is
-serialized with a lock, so concurrent submissions are safe and still
-share one warm :class:`~repro.estimator.batch.EstimateCache`.
+server is a ``ThreadingHTTPServer``; every evaluation — submissions,
+sweep chunks, optimize probes — runs on one
+:class:`~repro.estimator.engine.ExecutionEngine` and holds that
+engine's lock, so concurrent requests and jobs take turns on one warm
+:class:`~repro.estimator.batch.EstimateCache`. How jobs run is one
+:class:`~repro.estimator.engine.ExecutionPolicy`.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ from urllib import error as urllib_error
 from urllib import request as urllib_request
 
 from .estimator.batch import EstimateCache
-from .estimator.engine import ExecutionEngine
+from .estimator.engine import ExecutionEngine, ExecutionPolicy
 from .estimator.optimize import (
     OptimizeProgress,
     OptimizeSpec,
@@ -202,8 +205,8 @@ class SweepJob:
             record["evaluations"] = self.evaluations
         if cache_stats is not None:
             # Engine-wide counters (the cache is shared across jobs and
-            # interactive submissions), surfaced for observability of the
-            # vectorized/scalar kernel split and memo hit rates.
+            # interactive submissions): memo hit rates and evaluation
+            # paths.
             record["cacheStats"] = cache_stats
         if self.status == "done":
             prefix = _JOB_KINDS[self.kind].prefix
@@ -264,7 +267,7 @@ class _JobKind:
     """What differs between the async job kinds; everything else (submit,
     run, result lookup, the client wait loop) is one shared lifecycle.
 
-    ``run(service, spec, **engine_options)`` returns a result with
+    ``run(spec, **engine_options)`` returns a result with
     ``to_dict()``; ``progress`` and ``settle`` copy a progress event and
     the finished result onto the job (under the jobs lock); ``persist``
     returns whether the store now holds the finished document (by
@@ -289,9 +292,7 @@ _JOB_KINDS: dict[str, _JobKind] = {
     "sweep": _JobKind(
         prefix="sweeps",
         spec=SweepSpec,
-        run=lambda service, spec, **options: run_sweep(
-            spec, chunk_target_s=service.chunk_target_s, **options
-        ),
+        run=lambda spec, **options: run_sweep(spec, **options),
         progress=_sweep_progress,
         stored=lambda store, job_id: store.get_sweep(job_id),
         stored_counts=_sweep_counts,
@@ -301,7 +302,7 @@ _JOB_KINDS: dict[str, _JobKind] = {
     "optimize": _JobKind(
         prefix="optimize",
         spec=OptimizeSpec,
-        run=lambda service, spec, **options: run_optimize(spec, **options),
+        run=lambda spec, **options: run_optimize(spec, **options),
         progress=_optimize_progress,
         stored=stored_answer,
         stored_counts=_optimize_counts,
@@ -327,34 +328,26 @@ class EstimationService:
         finished sweep jobs survive only in memory).
     cache:
         In-memory cross-point memo cache shared by all submissions.
-    max_workers:
-        Worker processes of the one
+    policy:
+        The :class:`~repro.estimator.engine.ExecutionPolicy` of every
+        job. ``workers`` sizes the one
         :class:`~repro.estimator.engine.ExecutionEngine` that evaluates
         every submission, sweep chunk and optimize probe for the
-        service's lifetime (``1`` runs serially and never spawns a pool).
+        service's lifetime (``1`` runs serially and never spawns a
+        pool). A ``"queue"`` executor routes sweep jobs through the
+        store-backed lease queue (:mod:`repro.estimator.queue`): jobs
+        are journaled (so a restarted server resumes in-flight sweeps,
+        not just finished ones) and chunks are leased, so N ``repro
+        serve`` replicas — or external ``repro work`` processes —
+        sharing one store directory drain each sweep cooperatively;
+        ``"local"`` keeps the in-process chunk loop. Both give
+        bit-for-bit identical results. Omitted, it is the default
+        :meth:`ServerSettings.execution_policy`: the queue iff a store
+        is configured.
     sweep_workers:
-        Size of the async sweep job thread pool. Sweep chunks take the
-        same engine lock as interactive submissions, so jobs make
-        progress without starving ``POST /v1/estimate``.
-    kernel:
-        Batch evaluation backend (``"auto"``/``"scalar"``/
-        ``"vectorized"``) passed through to the engine for every
-        submission and sweep chunk. Backends are bit-for-bit
-        interchangeable, so responses and stored documents never depend
-        on this choice — only throughput does.
-    executor:
-        How sweep jobs execute their chunks. ``"queue"`` routes them
-        through the store-backed lease queue
-        (:mod:`repro.estimator.queue`): jobs are journaled (so a
-        restarted server resumes in-flight sweeps, not just finished
-        ones) and chunks are leased, so N ``repro serve`` replicas —
-        or external ``repro work`` processes — sharing one store
-        directory drain each sweep cooperatively. ``"local"`` keeps
-        the in-process chunk loop. ``"auto"`` (default) picks
-        ``"queue"`` when a store is configured. All three produce
-        bit-for-bit identical results.
-    lease_ttl:
-        Queue-executor lease time-to-live (crash-detection latency).
+        Size of the async job thread pool. Job chunks take the same
+        engine lock as interactive submissions, so jobs make progress
+        without starving ``POST /v1/estimate``.
     recover:
         Replay unfinished journaled jobs at startup (queue executor
         only). On by default; tests disable it to script recovery.
@@ -363,7 +356,7 @@ class EstimationService:
         ``GET /v1/metrics`` (one is created when omitted). Request
         counters are recorded by the HTTP layer; this service registers
         gauge providers for everything else (jobs by state, cache and
-        kernel counters, store namespaces, queue depth).
+        engine counters, store namespaces, queue depth).
     metrics_ttl:
         Refresh interval for the *expensive* metric gauges — the ones
         that walk the store on disk. A scrape inside the TTL does zero
@@ -378,42 +371,31 @@ class EstimationService:
         registry: Registry | None = None,
         store: ResultStore | None = None,
         cache: EstimateCache | None = None,
-        max_workers: int | None = 1,
+        policy: ExecutionPolicy | None = None,
         sweep_workers: int = 2,
-        kernel: str = "auto",
-        executor: str = "auto",
-        lease_ttl: float | None = None,
         recover: bool = True,
         metrics: MetricsRegistry | None = None,
         metrics_ttl: float = 10.0,
         log: StructuredLogger | None = None,
-        chunk_target_s: float | None = None,
     ) -> None:
-        if executor not in ("auto", "local", "queue"):
-            raise ValueError(
-                f"unknown executor {executor!r}: use 'auto', 'local' or 'queue'"
-            )
-        if executor == "queue" and store is None:
+        if policy is None:
+            policy = ServerSettings().execution_policy(store=store is not None)
+        if policy.executor == "queue" and store is None:
             raise ValueError("executor='queue' requires a result store")
         self.registry = registry if registry is not None else default_registry()
         self.store = store
         self.cache = cache if cache is not None else EstimateCache()
-        self.max_workers = max_workers
-        self.kernel = kernel
-        self.executor = executor
-        self.lease_ttl = lease_ttl
-        self.chunk_target_s = chunk_target_s
+        self.policy = policy
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.log = log if log is not None else StructuredLogger.disabled()
         # One engine shared by every request and job for the service's
         # lifetime (closed in close()); it spawns its process pool on the
         # first parallel batch, never with a single worker.
         self._engine = ExecutionEngine(
-            max_workers=max_workers,
+            max_workers=policy.workers,
             store_root=store.root if store is not None else None,
             log=self.log,
         )
-        self._lock = threading.Lock()
         self._jobs: dict[str, SweepJob] = {}
         self._jobs_lock = threading.Lock()
         # Service-lifetime optimizer counters (probes requested, engine
@@ -424,7 +406,7 @@ class EstimationService:
             max_workers=max(1, sweep_workers), thread_name_prefix="repro-sweep"
         )
         self._register_metrics(metrics_ttl)
-        if recover and self.sweep_executor == "queue":
+        if recover and policy.executor == "queue":
             self.recover_jobs()
 
     @classmethod
@@ -446,16 +428,12 @@ class EstimationService:
             registry=registry,
             store=store,
             cache=cache,
-            max_workers=settings.workers,
+            policy=settings.execution_policy(store=store is not None),
             sweep_workers=settings.sweep_workers,
-            kernel=settings.kernel,
-            executor=settings.executor,
-            lease_ttl=settings.lease_ttl,
             recover=recover,
             metrics=metrics,
             metrics_ttl=settings.metrics_ttl,
             log=log,
-            chunk_target_s=settings.chunk_target_s,
         )
 
     # -- metrics providers --------------------------------------------------
@@ -543,7 +521,7 @@ class EstimationService:
         metrics.describe(
             "repro_pool_chunk_size",
             "gauge",
-            "Current (adaptive) sweep chunk size routed through the engine.",
+            "Current sweep chunk size routed through the engine.",
         )
         metrics.describe(
             "repro_executor_fallbacks_total",
@@ -653,13 +631,6 @@ class EstimationService:
         samples.append(("repro_queue_depth", None, self._queue_depth()))
         return samples
 
-    @property
-    def sweep_executor(self) -> str:
-        """The resolved sweep executor (``"auto"`` decided by the store)."""
-        if self.executor == "auto":
-            return "queue" if self.store is not None else "local"
-        return self.executor
-
     def recover_jobs(self) -> int:
         """Resume journaled sweeps that were in flight at the last shutdown.
 
@@ -750,15 +721,13 @@ class EstimationService:
                     "error": f"invalid spec: {message}",
                 }
         if parsed:
-            with self._lock:
-                outcomes = run_specs(
-                    [spec for _, spec in parsed],
-                    registry=self.registry,
-                    store=self.store,
-                    cache=self.cache,
-                    kernel=self.kernel,
-                    engine=self._engine,
-                )
+            outcomes = run_specs(
+                [spec for _, spec in parsed],
+                registry=self.registry,
+                store=self.store,
+                cache=self.cache,
+                engine=self._engine,
+            )
             for (index, spec), outcome in zip(parsed, outcomes):
                 records[index] = {
                     "specHash": outcome.spec_hash,
@@ -858,16 +827,12 @@ class EstimationService:
                 job.status = "running"
             self.log.event("job.running", jobId=job.job_id, kind=job.kind)
             result = kind.run(
-                self,
                 spec,
                 registry=self.registry,
                 store=self.store,
                 cache=self.cache,
+                policy=self.policy,
                 progress=on_progress,
-                lock=self._lock,
-                kernel=self.kernel,
-                executor=self.sweep_executor,
-                lease_ttl=self.lease_ttl,
                 engine=self._engine,
             )
             document = result.to_dict()
@@ -990,7 +955,7 @@ class EstimationService:
             "specSchema": SPEC_SCHEMA,
             "resultSchema": RESULT_SCHEMA,
             "store": str(self.store.root) if self.store is not None else None,
-            "executor": self.sweep_executor,
+            "executor": self.policy.executor,
             "cacheStats": self.cache_stats(),
         }
 

@@ -1,12 +1,9 @@
 """Typed server configuration with CLI > scenario > default precedence.
 
-``repro serve`` grew one ad-hoc flag per PR (``--sweep-workers``,
-``--kernel``, ``--executor``, ``--lease-ttl``, ``--max-body-bytes``,
-...), each hand-plumbed from argparse into
-:class:`~repro.service.EstimationService` and ``make_server``. This
-module replaces that plumbing with one frozen dataclass,
-:class:`ServerSettings`, that can also be configured from a scenario
-file's ``server`` section::
+Everything ``repro serve`` is configured by (``--sweep-workers``,
+``--executor``, ``--lease-ttl``, ``--max-body-bytes``, ...) is one
+frozen dataclass, :class:`ServerSettings`, that can also be configured
+from a scenario file's ``server`` section::
 
     {
       "schema": "repro-scenario-v1",
@@ -21,6 +18,12 @@ defaults are ``None`` precisely so "typed" is distinguishable from
 ``server`` section accepts both camelCase (scenario-file house style)
 and snake_case keys, and unknown keys are errors, not typos silently
 shipped to production.
+
+The execution fields (``workers``, ``executor``, ``leaseTtl``) become
+one :class:`~repro.estimator.engine.ExecutionPolicy` through
+:meth:`ServerSettings.execution_policy`, which also validates them and
+is the one place the ``auto`` executor is decided: the lease queue when
+the server has a store, the in-process chunk loop without one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable
+
+from .estimator.engine import DEFAULT_LEASE_TTL, ExecutionPolicy
 
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
@@ -41,9 +46,6 @@ __all__ = [
 #: byte is read.
 DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 
-_KERNELS = ("auto", "scalar", "vectorized")
-_EXECUTORS = ("auto", "local", "queue")
-
 
 def _camel(name: str) -> str:
     head, *rest = name.split("_")
@@ -55,7 +57,9 @@ class ServerSettings:
     """Everything ``repro serve`` is configured by, in one place.
 
     Field semantics match the flags they absorbed (see
-    ``repro serve --help``); ``store_max_bytes`` bounds the result
+    ``repro serve --help``); ``workers``, ``executor`` and ``lease_ttl``
+    are the service's :meth:`execution_policy`; ``store_max_bytes``
+    bounds the result
     store's disk use via LRU document eviction
     (:meth:`~repro.estimator.store.ResultStore.evict`) and
     ``metrics_ttl`` is the refresh interval for the expensive
@@ -66,38 +70,23 @@ class ServerSettings:
     port: int = 8000
     workers: int = 1
     sweep_workers: int = 2
-    kernel: str = "auto"
     executor: str = "auto"
     lease_ttl: float | None = None
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     store_max_bytes: int | None = None
     metrics_ttl: float = 10.0
     verbose: bool = False
-    chunk_target_s: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.host, str) or not self.host:
             raise ValueError("host must be a non-empty string")
         if not isinstance(self.port, int) or not 0 <= self.port <= 65535:
             raise ValueError(f"port must be 0..65535, got {self.port!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if not isinstance(self.sweep_workers, int) or self.sweep_workers < 1:
             raise ValueError(
                 f"sweep_workers must be >= 1, got {self.sweep_workers!r}"
             )
-        if self.kernel not in _KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_KERNELS}, got {self.kernel!r}"
-            )
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
-        if self.lease_ttl is not None and (
-            not isinstance(self.lease_ttl, (int, float)) or self.lease_ttl <= 0
-        ):
-            raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl!r}")
+        self.execution_policy(store=True)  # validates the execution fields
         if not isinstance(self.max_body_bytes, int) or self.max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes!r}"
@@ -115,13 +104,22 @@ class ServerSettings:
             raise ValueError(f"metrics_ttl must be >= 0, got {self.metrics_ttl!r}")
         if not isinstance(self.verbose, bool):
             raise ValueError(f"verbose must be a bool, got {self.verbose!r}")
-        if self.chunk_target_s is not None and (
-            not isinstance(self.chunk_target_s, (int, float))
-            or self.chunk_target_s <= 0
-        ):
-            raise ValueError(
-                f"chunk_target_s must be > 0, got {self.chunk_target_s!r}"
-            )
+
+    def execution_policy(self, *, store: bool) -> ExecutionPolicy:
+        """How the service runs jobs; ``store`` says whether it has one.
+
+        The ``auto`` executor resolves here and nowhere else: the lease
+        queue with a store (journaled jobs survive a restart and replicas
+        sharing the store cooperate), the in-process chunk loop without.
+        """
+        executor = self.executor
+        if executor == "auto":
+            executor = "queue" if store else "local"
+        return ExecutionPolicy(
+            workers=self.workers,
+            executor=executor,
+            lease_ttl=DEFAULT_LEASE_TTL if self.lease_ttl is None else self.lease_ttl,
+        )
 
     # -- layering ----------------------------------------------------------
 

@@ -372,3 +372,40 @@ class TestBenchSubcommand:
             main(["bench", "trace", "--bits", "0"])
         with pytest.raises(SystemExit):
             main(["bench", "trace", "--algorithm", "modexp", "--bits", "1"])
+
+
+class TestRemovedExecutionFlags:
+    """The kernel choice, adaptive chunking and ``bench sweep`` are gone:
+    typing them is an argparse usage error (exit status 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "sweep.json", "--kernel", "scalar"],
+            ["optimize", "optimize.json", "--kernel", "scalar"],
+            ["work", "store", "--kernel", "scalar"],
+            ["serve", "--kernel", "scalar"],
+            ["sweep", "sweep.json", "--chunk-target", "1"],
+            ["serve", "--chunk-target", "1"],
+            ["bench", "sweep", "--sweep", "sweep.json"],
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--chunk-size", "0"],
+            ["--lease-ttl", "0"],
+            ["--executor", "cloud"],
+        ],
+    )
+    def test_policy_values_checked_once(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(tmp_path / "sweep.json"), *flags])
+        assert excinfo.value.code == 2

@@ -23,16 +23,14 @@ from hypothesis import strategies as st
 
 from repro import LogicalCounts, Registry, ResultStore
 from repro.estimator.batch import EstimateCache
-from repro.estimator.engine import DEFAULT_MAX_REBUILDS, ExecutionEngine
+from repro.estimator.engine import (
+    DEFAULT_MAX_REBUILDS,
+    ExecutionEngine,
+    ExecutionPolicy,
+)
 from repro.estimator.queue import ENGINE_FAULT_STAGE, FAULT_ENV
 from repro.estimator.spec import EstimateSpec, run_specs
-from repro.estimator.sweep import (
-    ADAPTIVE_MAX_CHUNK,
-    ADAPTIVE_MIN_CHUNK,
-    SweepSpec,
-    _next_chunk_size,
-    run_sweep,
-)
+from repro.estimator.sweep import SweepSpec, run_sweep
 
 COUNTS = LogicalCounts(
     num_qubits=40, t_count=20_000, ccz_count=5_000, measurement_count=500
@@ -172,40 +170,31 @@ class TestEngineLifecycle:
         assert stats["lastChunkSize"] == 7
 
 
-class TestAdaptiveChunkSizing:
-    def test_grows_at_most_one_doubling_per_step(self):
-        # 4 points in 0.1s -> 40 points/s; a 1s target wants 40 but the
-        # step is clamped to one doubling.
-        assert _next_chunk_size(4, 4, 0.1, 1.0) == 8
+class TestExecutionPolicy:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("workers", 0),
+            ("workers", True),
+            ("executor", "cloud"),
+            ("executor", "auto"),
+            ("chunk_size", 0),
+            ("lease_ttl", 0.0),
+            ("lease_ttl", -1.0),
+        ],
+    )
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExecutionPolicy(**{field: value})
 
-    def test_shrinks_at_most_one_halving_per_step(self):
-        # 8 points in 4s -> 2 points/s; a 1s target wants 2 but the step
-        # is clamped to one halving.
-        assert _next_chunk_size(8, 8, 4.0, 1.0) == 4
-
-    def test_clamps_to_bounds(self):
-        assert _next_chunk_size(1, 1, 100.0, 1e-6) == ADAPTIVE_MIN_CHUNK
-        assert (
-            _next_chunk_size(ADAPTIVE_MAX_CHUNK, 100_000, 0.001, 10.0)
-            == ADAPTIVE_MAX_CHUNK
+    def test_defaults_are_serial_and_local(self):
+        policy = ExecutionPolicy()
+        assert (policy.workers, policy.executor, policy.chunk_size) == (
+            1,
+            "local",
+            None,
         )
-
-    def test_adaptive_sweep_results_equal_fixed(self, tmp_path):
-        registry = Registry()
-        fixed = run_sweep(
-            small_sweep(),
-            registry=registry,
-            cache=EstimateCache(),
-            chunk_size=2,
-        )
-        adaptive = run_sweep(
-            small_sweep(),
-            registry=registry,
-            cache=EstimateCache(),
-            chunk_size=2,
-            chunk_target_s=0.25,
-        )
-        assert adaptive.to_dict() == fixed.to_dict()
+        assert policy.lease_ttl > 0
 
 
 class TestWorkerDeathChaos:
@@ -237,7 +226,7 @@ class TestWorkerDeathChaos:
             registry=registry,
             store=serial_store,
             cache=EstimateCache(),
-            chunk_size=2,
+            policy=ExecutionPolicy(chunk_size=2),
         )
         chaos_store = ResultStore(tmp_path / "chaos")
         with worker_dies_once(tmp_path) as marker:
@@ -247,7 +236,7 @@ class TestWorkerDeathChaos:
                     registry=registry,
                     store=chaos_store,
                     cache=EstimateCache(),
-                    chunk_size=2,
+                    policy=ExecutionPolicy(chunk_size=2),
                     engine=engine,
                 )
                 stats = engine.stats()
@@ -311,7 +300,7 @@ class TestExecutionEquivalenceProperty:
                 registry=registry,
                 store=store,
                 cache=EstimateCache(),
-                chunk_size=2,
+                policy=ExecutionPolicy(chunk_size=2),
                 **kwargs,
             )
             return result.to_dict()

@@ -18,14 +18,15 @@ refactor must never bend:
   bit-for-bit identical logical counts on sampled multipliers (the
   property that justifies excluding ``backend`` from spec hashes).
 * **Kernel agreement** — the scalar walk and the vectorized
-  struct-of-arrays kernel produce bit-for-bit identical sweep documents
-  (result fields, error strings, and content hashes) over random
+  struct-of-arrays kernel (``estimate_batch(backend=...)``) produce
+  bit-for-bit identical results and error strings over random
   workloads, budgets (including infeasibly tight ones that exercise the
   kernel's scalar fallback), and constraints — the property that lets
-  ``kernel=`` stay an execution hint outside the spec hash.
+  the batch engine pick a backend by batch size alone.
 
-All sweeps run through the declarative layer (:class:`SweepSpec` /
-:func:`run_sweep`), the same path as the CLI and the service.
+Sweeps run through the declarative layer (:class:`SweepSpec` /
+:func:`run_sweep`), the same path as the CLI and the service; the
+kernel-agreement points are that layer's resolved requests.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LogicalCounts, Registry, estimate_frontier
+from repro.estimator.batch import EstimateCache, estimate_batch
 from repro.estimator.sweep import SweepAxis, SweepSpec, run_sweep
 
 #: One small workload shared by every property (fast per-point solves).
@@ -226,7 +228,7 @@ KERNEL_BUDGETS = (1e-25, 1e-10, 1e-6, 1e-4, 1e-3, 1e-1)
 
 
 class TestKernelAgreement:
-    """Scalar and vectorized kernels: bit-for-bit identical sweeps."""
+    """Scalar and vectorized kernels: bit-for-bit identical outcomes."""
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -238,7 +240,7 @@ class TestKernelAgreement:
         max_t_factories=st.sampled_from((None, 1, 7)),
         depth_factor=st.sampled_from((1.0, 64.0)),
     )
-    def test_sweep_documents_identical(
+    def test_batch_outcomes_identical(
         self, pair, workload, budgets, max_t_factories, depth_factor
     ):
         profile, scheme = pair
@@ -256,8 +258,16 @@ class TestKernelAgreement:
                 SweepAxis("qubit", (profile,)),
             ),
         )
-        scalar = run_sweep(sweep, kernel="scalar")
-        vectorized = run_sweep(sweep, kernel="vectorized")
-        # Full documents: results, per-point error strings, and the
-        # content hashes every point is stored under.
-        assert scalar.to_dict() == vectorized.to_dict(), (profile, scheme)
+        registry = Registry()
+        requests = [point.spec.to_request(registry) for point in sweep.expand()]
+
+        def outcomes(backend: str) -> list:
+            return [
+                (outcome.result.to_dict() if outcome.ok else None, outcome.error)
+                for outcome in estimate_batch(
+                    requests, cache=EstimateCache(), backend=backend
+                )
+            ]
+
+        # Full result documents and per-point error strings.
+        assert outcomes("scalar") == outcomes("vectorized"), (profile, scheme)

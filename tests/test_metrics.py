@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro import EstimateSpec, LogicalCounts, ResultStore
+from repro.estimator.engine import ExecutionPolicy
 from repro.jsonlog import StructuredLogger
 from repro.metrics import MetricsRegistry, normalize_route
 from repro.registry import Registry
@@ -156,6 +157,70 @@ class TestRegistry:
         assert "g 42" in registry.render_prometheus()
         state["fail"] = True
         assert "g 42" in registry.render_prometheus()  # stale beats absent
+
+    def test_provider_refresh_does_not_block_counters(self):
+        # A provider walking the disk runs outside the registry lock: a
+        # handler's inc() returns while the walk is stuck, and the scrape
+        # that ran the walk then serves the new samples.
+        entered = threading.Event()
+        release = threading.Event()
+        calls = {"n": 0}
+
+        def slow():
+            calls["n"] += 1
+            if calls["n"] > 1:
+                entered.set()
+                assert release.wait(10), "test never released the provider"
+            return [("walked", None, float(calls["n"]))]
+
+        registry = MetricsRegistry()
+        registry.register_provider(slow, ttl=0.0)
+        assert "walked 1" in registry.render_prometheus()
+        scraped: list[str] = []
+        scraper = threading.Thread(
+            target=lambda: scraped.append(registry.render_prometheus())
+        )
+        scraper.start()
+        try:
+            assert entered.wait(10), "provider refresh never started"
+            incremented = threading.Event()
+            counter = threading.Thread(
+                target=lambda: (registry.inc("hits"), incremented.set())
+            )
+            counter.start()
+            assert incremented.wait(2), "inc() waited on a provider refresh"
+            counter.join()
+            assert registry.counter_value("hits") == 1
+        finally:
+            release.set()
+            scraper.join(10)
+        assert "walked 2" in scraped[0]
+        assert "hits 1" in scraped[0]
+
+    def test_concurrent_scrapes_share_one_ttl_refresh(self):
+        calls = {"n": 0}
+        started = threading.Event()
+        release = threading.Event()
+
+        def expensive():
+            calls["n"] += 1
+            started.set()
+            release.wait(10)
+            return [("g", None, 1.0)]
+
+        registry = MetricsRegistry()
+        registry.register_provider(expensive, ttl=3600.0)
+        scrapers = [
+            threading.Thread(target=registry.render_prometheus) for _ in range(3)
+        ]
+        for thread in scrapers:
+            thread.start()
+        assert started.wait(10)
+        time.sleep(0.05)  # let the other scrapers queue on the provider
+        release.set()
+        for thread in scrapers:
+            thread.join(10)
+        assert calls["n"] == 1
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
@@ -416,7 +481,7 @@ class TestStructuredLogging:
             registry=Registry(),
             store=ResultStore(tmp_path),
             log=StructuredLogger(stream),
-            executor="local",
+            policy=ExecutionPolicy(),
         )
         try:
             record = service.submit_job(
@@ -527,7 +592,9 @@ class TestStructuredLogging:
 
 class TestPoolMetrics:
     def test_pool_gauge_family_present_with_engine(self, tmp_path):
-        with live_service(tmp_path, max_workers=2) as (service, base_url):
+        with live_service(
+            tmp_path, policy=ExecutionPolicy(workers=2, executor="queue")
+        ) as (service, base_url):
             body, _ = scrape(base_url)
             executor = service.cache_stats()["executor"]
         assert_valid_exposition(body)
@@ -547,7 +614,9 @@ class TestPoolMetrics:
 
     def test_pool_samples_zero_with_single_worker(self, tmp_path):
         # A one-worker engine runs serially and never spawns a pool.
-        with live_service(tmp_path, max_workers=1) as (service, base_url):
+        with live_service(
+            tmp_path, policy=ExecutionPolicy(executor="queue")
+        ) as (service, base_url):
             client = ServiceClient(base_url)
             spec = EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3")
             assert client.submit(spec)["ok"]

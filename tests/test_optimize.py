@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LogicalCounts, Registry, ResultStore
+from repro.estimator.engine import ExecutionPolicy
 from repro.estimator.optimize import (
     EXHAUSTIVE_LIMIT,
     OptimizeConstraints,
@@ -144,11 +145,9 @@ class TestOptimizeSpecParsing:
         with pytest.raises(ValueError, match="optimize result document"):
             OptimizeResult.from_dict({"schema": "repro-sweep-v1"})
 
-    def test_bad_executor_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_optimize(small_optimize(), executor="cloud")
+    def test_queue_executor_requires_a_store(self, tmp_path):
         with pytest.raises(ValueError, match="requires a result store"):
-            run_optimize(small_optimize(), executor="queue")
+            run_optimize(small_optimize(), policy=ExecutionPolicy(executor="queue"))
 
 
 class TestContentHash:
@@ -476,7 +475,9 @@ class TestQueueExecutor:
         spec = small_optimize()
         local = run_optimize(spec, store=ResultStore(tmp_path / "local"))
         queued = run_optimize(
-            spec, store=ResultStore(tmp_path / "queue"), executor="queue"
+            spec,
+            store=ResultStore(tmp_path / "queue"),
+            policy=ExecutionPolicy(executor="queue"),
         )
         assert queued.to_dict() == local.to_dict()
         assert queued.num_evaluations == local.num_evaluations
@@ -493,7 +494,9 @@ class TestQueueExecutor:
         shutil.copytree(tmp_path / "local", tmp_path / "queue")
         local = run_optimize(spec, store=ResultStore(tmp_path / "local"))
         queued = run_optimize(
-            spec, store=ResultStore(tmp_path / "queue"), executor="queue"
+            spec,
+            store=ResultStore(tmp_path / "queue"),
+            policy=ExecutionPolicy(executor="queue"),
         )
         assert any(not probe.ok for probe in local.probes)
         assert all(probe.from_store for probe in local.probes)

@@ -19,6 +19,7 @@ import pytest
 
 import faults
 from repro import LogicalCounts, Registry, ResultStore
+from repro.estimator.engine import ExecutionPolicy
 from repro.estimator.queue import (
     FAULT_STAGES,
     SweepQueue,
@@ -187,7 +188,10 @@ class TestWorkerExecution:
         job_id, serial_bytes = serial_result_bytes(tmp_path)
         store = ResultStore(tmp_path / "queued")
         result = run_sweep(
-            small_sweep(), registry=Registry(), store=store, executor="queue"
+            small_sweep(),
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue"),
         )
         assert result.sweep_hash == job_id
         assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
@@ -346,10 +350,12 @@ class TestServiceRecovery:
         assert store.get_sweep(job.job_id) is None
 
         service = EstimationService(
-            registry=Registry(), store=store, lease_ttl=0.3
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue", lease_ttl=0.3),
         )
         try:
-            assert service.sweep_executor == "queue"
+            assert service.policy.executor == "queue"
             record = self._wait_done(service, job.job_id)
             assert record["status"] == "done", record
             assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
@@ -363,11 +369,15 @@ class TestServiceRecovery:
         job_id, serial_bytes = serial_result_bytes(tmp_path)
         store = ResultStore(tmp_path / "queued")
         queue = SweepQueue(store)
-        first = EstimationService(registry=Registry(), store=store, lease_ttl=0.5)
+        first = EstimationService(
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue", lease_ttl=0.5),
+        )
         try:
             # Hold the engine lock so the job blocks before its first chunk,
             # then stop the service — the job aborts at the chunk boundary.
-            with first._lock:
+            with first._engine.lock:
                 record = first.submit_job("sweep", self._submit_doc())
                 assert record["jobId"] == job_id
                 deadline = time.monotonic() + 30
@@ -381,7 +391,11 @@ class TestServiceRecovery:
         assert store.get_sweep(job_id) is None  # genuinely mid-flight
         assert queue.load_job(job_id).status == "submitted"
 
-        second = EstimationService(registry=Registry(), store=store, lease_ttl=0.5)
+        second = EstimationService(
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue", lease_ttl=0.5),
+        )
         try:
             record = self._wait_done(second, job_id)
             assert record["status"] == "done", record
@@ -393,7 +407,12 @@ class TestServiceRecovery:
         """Crash between put_sweep and mark_finished: recovery just closes
         the journal instead of requeueing anything."""
         store = ResultStore(tmp_path / "queued")
-        run_sweep(small_sweep(), registry=Registry(), store=store, executor="queue")
+        run_sweep(
+            small_sweep(),
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue"),
+        )
         queue = SweepQueue(store)
         job = queue.load_job(next(iter(queue.job_ids())))
         # Reopen the journal as if the finalizer died mid-way.
@@ -414,10 +433,10 @@ class TestServiceRecovery:
     def test_local_executor_still_available(self, tmp_path):
         store = ResultStore(tmp_path / "queued")
         service = EstimationService(
-            registry=Registry(), store=store, executor="local"
+            registry=Registry(), store=store, policy=ExecutionPolicy()
         )
         try:
-            assert service.sweep_executor == "local"
+            assert service.policy.executor == "local"
             record = service.submit_job("sweep", self._submit_doc())
             done = self._wait_done(service, record["jobId"])
             assert done["status"] == "done"
@@ -428,4 +447,8 @@ class TestServiceRecovery:
 
     def test_queue_executor_requires_store(self):
         with pytest.raises(ValueError, match="requires a result store"):
-            EstimationService(registry=Registry(), store=None, executor="queue")
+            EstimationService(
+                registry=Registry(),
+                store=None,
+                policy=ExecutionPolicy(executor="queue"),
+            )

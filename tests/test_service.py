@@ -774,58 +774,6 @@ class TestSweepJobs:
         assert all("no_such_profile" in e for e in errors)
 
 
-class TestKernelByteIdentity:
-    """A sweep served with either estimation kernel persists identically.
-
-    The ``kernel=`` choice is an execution hint: results, spec hashes,
-    and therefore every byte the store writes (result documents, the
-    sweep document, the counts cache) must not depend on it. The job
-    status document's ``cacheStats.kernel`` counters are where the
-    choice *is* allowed to show.
-    """
-
-    def _run_sweep_service(self, store_root, kernel):
-        service = EstimationService(
-            registry=Registry(), store=ResultStore(store_root), kernel=kernel
-        )
-        try:
-            job_id = service.submit_job("sweep", SWEEP_DOC)["jobId"]
-            deadline = time.monotonic() + 120
-            while service.job_record(job_id)["status"] not in ("done", "failed"):
-                assert time.monotonic() < deadline, "sweep job did not finish"
-                time.sleep(0.02)
-            status = service.job_record(job_id)
-            assert status["status"] == "done", status.get("error")
-            return status
-        finally:
-            service.close()
-
-    def test_store_entries_byte_identical_across_kernels(self, tmp_path):
-        scalar_root = tmp_path / "scalar"
-        vector_root = tmp_path / "vectorized"
-        scalar_status = self._run_sweep_service(scalar_root, "scalar")
-        vector_status = self._run_sweep_service(vector_root, "vectorized")
-
-        scalar_files = {
-            path.relative_to(scalar_root): path.read_bytes()
-            for path in scalar_root.rglob("*.json")
-        }
-        vector_files = {
-            path.relative_to(vector_root): path.read_bytes()
-            for path in vector_root.rglob("*.json")
-        }
-        assert scalar_files.keys() == vector_files.keys()
-        assert scalar_files == vector_files
-        assert len(scalar_files) > 0
-
-        # The kernel counters on the job status tell the two runs apart.
-        assert scalar_status["cacheStats"]["kernel"]["vectorized"] == 0
-        assert scalar_status["cacheStats"]["kernel"]["scalar"] == 4
-        vector_kernel = vector_status["cacheStats"]["kernel"]
-        assert vector_kernel["scalar"] == 0
-        assert vector_kernel["vectorized"] + vector_kernel["scalarFallback"] == 4
-
-
 OPTIMIZE_DOC = {
     "base": {
         "program": {"counts": None},  # counts filled in below
@@ -936,6 +884,41 @@ class TestOptimizeJobs:
         # The job status document carries the same counters.
         job_stats = client.job(record["jobId"])["cacheStats"]
         assert job_stats["optimize"] == after
+
+    def test_storeless_optimize_probes_wait_for_the_engine_lock(self):
+        # Optimize probes run on the service's shared engine and cache,
+        # so they take its lock like every submission and sweep chunk:
+        # while another evaluation holds it, the job evaluates nothing.
+        from repro.estimator.optimize import OptimizeSpec, run_optimize
+
+        service = EstimationService(registry=Registry(), store=None)
+        try:
+            with service._engine.lock:
+                job_id = service.submit_job("optimize", OPTIMIZE_DOC)["jobId"]
+                held_until = time.monotonic() + 2.0
+                while time.monotonic() < held_until:
+                    record = service.job_record(job_id)
+                    assert record["status"] in ("queued", "running"), record
+                    time.sleep(0.05)
+                assert service._engine.stats()["runs"] == 0
+                assert service.cache_stats()["optimize"] == {
+                    "probes": 0,
+                    "evaluations": 0,
+                }
+            deadline = time.monotonic() + 120
+            while service.job_record(job_id)["status"] not in ("done", "failed"):
+                assert time.monotonic() < deadline, "optimize job did not finish"
+                time.sleep(0.02)
+            record = service.job_record(job_id)
+            assert record["status"] == "done", record.get("error")
+            assert record["evaluations"] > 0
+            document, _ = service.job_result_document("optimize", job_id)
+            expected = run_optimize(
+                OptimizeSpec.from_dict(OPTIMIZE_DOC), registry=Registry()
+            )
+            assert document == expected.to_dict()
+        finally:
+            service.close()
 
     def test_storeless_resubmission_is_done_without_recomputing(self):
         # Without a store the answer lives only in the finished job; a

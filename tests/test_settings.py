@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.estimator.engine import ExecutionPolicy
 from repro.registry import Registry
 from repro.settings import (
     DEFAULT_MAX_BODY_BYTES,
@@ -21,7 +22,6 @@ class TestDefaults:
         assert settings.port == 8000
         assert settings.workers == 1
         assert settings.sweep_workers == 2
-        assert settings.kernel == "auto"
         assert settings.executor == "auto"
         assert settings.lease_ttl is None
         assert settings.max_body_bytes == DEFAULT_MAX_BODY_BYTES
@@ -44,7 +44,6 @@ class TestValidation:
             ("port", "8000"),
             ("workers", 0),
             ("sweep_workers", 0),
-            ("kernel", "gpu"),
             ("executor", "remote"),
             ("lease_ttl", 0.0),
             ("lease_ttl", -1.0),
@@ -61,13 +60,13 @@ class TestValidation:
 
 class TestOverridden:
     def test_none_means_not_given(self):
-        settings = ServerSettings().overridden(port=None, kernel=None)
+        settings = ServerSettings().overridden(port=None, executor=None)
         assert settings == ServerSettings()
 
     def test_non_none_wins(self):
-        settings = ServerSettings().overridden(port=9000, kernel="scalar")
+        settings = ServerSettings().overridden(port=9000, executor="local")
         assert settings.port == 9000
-        assert settings.kernel == "scalar"
+        assert settings.executor == "local"
         assert settings.sweep_workers == 2  # untouched
 
     def test_unknown_key_rejected(self):
@@ -75,8 +74,8 @@ class TestOverridden:
             ServerSettings().overridden(threads=4)
 
     def test_override_values_are_validated(self):
-        with pytest.raises(ValueError, match="kernel"):
-            ServerSettings().overridden(kernel="gpu")
+        with pytest.raises(ValueError, match="executor"):
+            ServerSettings().overridden(executor="remote")
 
 
 class TestScenarioSection:
@@ -98,6 +97,10 @@ class TestScenarioSection:
         # A removed setting is just another unknown key.
         with pytest.raises(ValueError, match=r"unknown server settings \['pool'\]"):
             ServerSettings().updated_from_dict({"pool": "keep"})
+        # Removed execution knobs: the kernel choice and adaptive chunking.
+        for key in ("kernel", "chunkTargetS"):
+            with pytest.raises(ValueError, match=rf"unknown server settings \['{key}'\]"):
+                ServerSettings().updated_from_dict({key: "scalar"})
 
     def test_null_values_are_ignored(self):
         settings = ServerSettings().updated_from_dict({"port": None})
@@ -188,7 +191,6 @@ class TestServeParserIntegration:
             "port",
             "workers",
             "sweep_workers",
-            "kernel",
             "executor",
             "lease_ttl",
             "max_body_bytes",
@@ -213,14 +215,23 @@ class TestServeParserIntegration:
         from repro.service import EstimationService
 
         settings = ServerSettings(
-            workers=2, sweep_workers=3, kernel="scalar", executor="local"
+            workers=2, sweep_workers=3, executor="local", lease_ttl=5.0
         )
         service = EstimationService.from_settings(
             settings, registry=Registry(), store=ResultStore(tmp_path)
         )
         try:
-            assert service.max_workers == 2
-            assert service.kernel == "scalar"
-            assert service.sweep_executor == "local"
+            assert service.policy == ExecutionPolicy(
+                workers=2, executor="local", lease_ttl=5.0
+            )
+            assert service._engine.max_workers == 2
         finally:
             service.close()
+
+    def test_auto_executor_is_the_queue_iff_a_store(self):
+        settings = ServerSettings()
+        assert settings.execution_policy(store=True).executor == "queue"
+        assert settings.execution_policy(store=False).executor == "local"
+        assert ServerSettings(executor="local").execution_policy(
+            store=True
+        ) == ExecutionPolicy()

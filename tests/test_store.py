@@ -367,6 +367,79 @@ class TestGcClockSkew:
         assert store.stats()["orphans"]["files"] == 0
 
 
+class TestGcQueueRecords:
+    """gc also reclaims a finished queue job's chunk and done records."""
+
+    SWEEP = {
+        "base": {
+            "program": {"counts": COUNTS.to_dict()},
+            "qubit": {"profile": "qubit_gate_ns_e3"},
+        },
+        "axes": [
+            {"field": "budget", "geom": {"start": 1e-6, "factor": 3, "count": 8}}
+        ],
+        "chunkSize": 2,
+    }
+
+    def _queue_sweep(self, store):
+        from repro.estimator.engine import ExecutionPolicy
+        from repro.estimator.sweep import SweepSpec, run_sweep
+
+        return run_sweep(
+            SweepSpec.from_dict(self.SWEEP),
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue"),
+        )
+
+    def test_finished_job_records_collected_and_rerun_identical(self, tmp_path):
+        from repro.estimator.store import QUEUE_SCHEMA
+
+        store = ResultStore(tmp_path)
+        first = self._queue_sweep(store)
+        assert len(first.points) == 8
+        queue = store.stats()["namespaces"]["queue"]
+        assert queue["documents"] == 8  # 4 chunk records + 4 done records
+        sweep_bytes = store.path_for(first.sweep_hash, "sweeps").read_bytes()
+
+        report = store.gc(older_than_s=0.0)
+        assert report["removedFiles"] == 8
+        assert report["reclaimedBytes"] == queue["bytes"]
+        assert store.stats()["namespaces"]["queue"]["bytes"] == 0
+        assert not (store.root / QUEUE_SCHEMA / first.sweep_hash).exists()
+        # The journal and the sweep document answer the re-run.
+        assert store.stats()["namespaces"]["jobs"]["documents"] == 1
+        again = self._queue_sweep(store)
+        assert store.path_for(first.sweep_hash, "sweeps").read_bytes() == sweep_bytes
+        assert json.dumps(again.to_dict()) == json.dumps(first.to_dict())
+        # Re-enqueueing a finished job writes no chunk records again.
+        assert store.stats()["namespaces"]["queue"]["bytes"] == 0
+
+    def test_records_spared_while_fresh(self, tmp_path):
+        store = ResultStore(tmp_path)
+        self._queue_sweep(store)
+        assert store.gc(older_than_s=3600.0)["removedFiles"] == 0
+        assert store.stats()["namespaces"]["queue"]["documents"] == 8
+
+    def test_unfinished_job_keeps_its_records(self, tmp_path):
+        from repro.estimator.queue import SweepQueue
+        from repro.estimator.sweep import SweepSpec
+
+        store = ResultStore(tmp_path)
+        SweepQueue(store).enqueue(SweepSpec.from_dict(self.SWEEP), registry=Registry())
+        assert store.gc(older_than_s=0.0)["removedFiles"] == 0
+        assert store.stats()["namespaces"]["queue"]["documents"] == 4
+
+    def test_job_without_its_sweep_document_keeps_its_records(self, tmp_path):
+        # An evicted sweep document is rebuilt from the done records.
+        store = ResultStore(tmp_path)
+        first = self._queue_sweep(store)
+        store.path_for(first.sweep_hash, "sweeps").unlink()
+        assert store.gc(older_than_s=0.0)["removedFiles"] == 0
+        assert store.stats()["namespaces"]["queue"]["documents"] == 8
+        assert self._queue_sweep(store).to_dict() == first.to_dict()
+
+
 class TestEviction:
     """LRU-by-mtime document eviction bounds the store's disk use."""
 

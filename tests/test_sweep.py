@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import LogicalCounts, Registry, ResultStore
+from repro.estimator.engine import ExecutionPolicy
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.sweep import (
     DEFAULT_CHUNK_SIZE,
@@ -386,7 +387,11 @@ class TestRunSweep:
 
     def test_progress_events_accumulate(self):
         events = []
-        run_sweep(small_sweep(), chunk_size=2, progress=events.append)
+        run_sweep(
+            small_sweep(),
+            policy=ExecutionPolicy(chunk_size=2),
+            progress=events.append,
+        )
         assert [e.chunk for e in events] == [1, 2, 3]
         assert events[-1].completed == events[-1].total == 6
         assert events[-1].ok == 6
@@ -438,12 +443,17 @@ class TestStoreBackedResume:
 
         with pytest.raises(KeyboardInterrupt):
             run_sweep(
-                sweep, store=store, chunk_size=2, progress=kill_after_first_chunk
+                sweep,
+                store=store,
+                policy=ExecutionPolicy(chunk_size=2),
+                progress=kill_after_first_chunk,
             )
         assert len(store) == 2, "the completed chunk must already be persisted"
 
         # Resume: the finished points answer from the store...
-        resumed = run_sweep(sweep, store=store, chunk_size=2)
+        resumed = run_sweep(
+            sweep, store=store, policy=ExecutionPolicy(chunk_size=2)
+        )
         assert resumed.num_from_store == 2
         assert resumed.num_ok == len(resumed.points)
         # ... and the final result — frontiers included — is bit-for-bit
