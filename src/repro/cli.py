@@ -290,20 +290,40 @@ def _add_execution_arguments(
         )
 
 
+def _policy_flags(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    names: tuple[str, ...] = ("workers", "executor", "chunk_size", "lease_ttl"),
+) -> dict[str, object]:
+    """The :class:`ExecutionPolicy` values typed on the command line.
+
+    Each is checked on its own, so a bad one is a usage error naming the
+    flag as typed (``repro work --ttl``, ``repro sweep --lease-ttl``),
+    not the policy field behind it.
+    """
+    given = {
+        name: value
+        for name in names
+        if (value := getattr(args, name, None)) is not None
+    }
+    for name, value in given.items():
+        try:
+            ExecutionPolicy(**{name: value})
+        except ValueError as exc:
+            flag = next(
+                action.option_strings[0]
+                for action in parser._actions
+                if action.dest == name and action.option_strings
+            )
+            parser.error(f"argument {flag}: {str(exc).removeprefix(name + ' ')}")
+    return given
+
+
 def _execution_policy(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> ExecutionPolicy:
-    """The command's one :class:`ExecutionPolicy`; a bad value is a usage error."""
-    given = {
-        name: getattr(args, name, None)
-        for name in ("workers", "executor", "chunk_size", "lease_ttl")
-    }
-    try:
-        return ExecutionPolicy(
-            **{name: value for name, value in given.items() if value is not None}
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    """The command's one :class:`ExecutionPolicy` (see ``_policy_flags``)."""
+    return ExecutionPolicy(**_policy_flags(parser, args))
 
 
 def _load_scenarios(paths: list[Path] | None) -> Registry:
@@ -1527,7 +1547,10 @@ def _store_main(argv: list[str]) -> int:
         parser.error(f"--older-than must be >= 0, got {args.older_than}")
     store = ResultStore(args.store or default_store_root())
     if args.action == "gc":
-        print(json.dumps(store.gc(older_than_s=args.older_than), indent=2))
+        from .estimator.queue import collect_garbage
+
+        report = collect_garbage(store, older_than_s=args.older_than)
+        print(json.dumps(report, indent=2))
     elif args.action == "evict":
         if args.max_bytes is None:
             parser.error("'evict' requires --max-bytes")
@@ -1646,6 +1669,8 @@ def _serve_main(argv: list[str]) -> int:
         parser.error("--store and --no-store are mutually exclusive")
     if args.executor == "queue" and args.no_store:
         parser.error("--executor queue requires a store")
+    # Serve's --executor also takes 'auto', which its argparse choices check.
+    _policy_flags(parser, args, ("workers", "lease_ttl"))
     try:
         # Precedence: CLI flag > scenario 'server' section > default.
         # None-valued args are flags the user did not type.

@@ -21,6 +21,12 @@ Everything lives under two store namespaces::
     <root>/repro-jobs-v1/<hh>/<sweep-hash>.json
         the job journal: sweep document, chunking, lifecycle status
 
+Every file is digest-enveloped (:func:`write_document`: SHA-256 over
+its canonical JSON, checked by :func:`read_document`) and published
+through a temporary file and :func:`os.replace`. These files are the
+store's only files besides its database; :func:`collect_garbage` (the
+``repro store gc`` CLI) reclaims their litter.
+
 The journal is the durable submission record: ``enqueue`` creates it
 with an *exclusive* atomic write (tmp file + :func:`os.link`), so
 concurrent submitters of an equivalent sweep agree on one chunking —
@@ -71,8 +77,10 @@ chunk (including the engine's replay of the lost one) sees it and runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 import uuid
@@ -88,15 +96,7 @@ from .engine import (
     chunk_size_for,
     engine_scope,
 )
-from .store import (
-    JOBS_SCHEMA,
-    QUEUE_SCHEMA,
-    ResultStore,
-    _compact_json,
-    _write_atomic,
-    read_document,
-    write_document,
-)
+from .store import JOBS_SCHEMA, QUEUE_SCHEMA, ResultStore, _compact_json
 from .sweep import (
     SweepPointOutcome,
     SweepProgress,
@@ -119,7 +119,10 @@ __all__ = [
     "QueueJob",
     "SweepQueue",
     "WorkerReport",
+    "collect_garbage",
+    "read_document",
     "run_worker",
+    "write_document",
 ]
 
 #: Default idle poll while waiting on chunks leased to other workers.
@@ -144,6 +147,13 @@ ENGINE_FAULT_STAGE = "engine-chunk"
 #: liveness is conveyed by leases, so a crashed worker cannot wedge a
 #: job in a stale status — anything not ``finished`` is resumable.
 JOB_STATUSES = ("submitted", "finished")
+
+#: Default tolerance for file mtimes in the *future* during ``gc``: up
+#: to this far ahead of the local clock a file is treated as fresh
+#: (tolerable writer/collector clock skew on a shared store); beyond it
+#: no live writer can plausibly have produced the timestamp, so the
+#: file is clock-skew litter and is collected rather than left immortal.
+DEFAULT_GC_FUTURE_SKEW = 3600.0
 
 
 def _fault_point(stage: str, chunk_index: int | None = None) -> None:
@@ -255,6 +265,21 @@ class SweepQueue:
     def done_path(self, job_id: str, index: int) -> Path:
         return self.job_dir(job_id) / "done" / f"{index:06d}.json"
 
+    def journal_path(self, job_id: str) -> Path:
+        ResultStore._check_hash(job_id)
+        return self.store.root.joinpath(JOBS_SCHEMA, job_id[:2], f"{job_id}.json")
+
+    def _read_journal(self, job_id: str) -> dict[str, Any] | None:
+        """The verified journal document of a job, or ``None``."""
+        document = read_document(self.journal_path(job_id))
+        if (
+            document is None
+            or document.get("schema") != JOBS_SCHEMA
+            or document.get("jobId") != job_id
+        ):
+            return None
+        return document
+
     # -- journal -----------------------------------------------------------
 
     def enqueue(
@@ -291,7 +316,7 @@ class SweepQueue:
                 "totalPoints": total,
                 "status": "submitted",
             }
-            path = self.store.path_for(job_id, "jobs")
+            path = self.journal_path(job_id)
             write_document(path, document, exclusive=True)
             # Whether we won or raced, the journal on disk is now the
             # single source of truth for this job's chunking.
@@ -320,7 +345,7 @@ class SweepQueue:
 
     def load_job(self, job_id: str) -> QueueJob | None:
         """The journaled job for an id, or ``None`` (missing/corrupt)."""
-        document = self.store.read("jobs", job_id)
+        document = self._read_journal(job_id)
         if document is None or document.get("status") not in JOB_STATUSES:
             return None
         try:
@@ -360,11 +385,11 @@ class SweepQueue:
 
     def mark_finished(self, job: QueueJob) -> bool:
         """Rewrite the journal with ``status: finished`` (idempotent)."""
-        document = self.store.read("jobs", job.job_id)
+        document = self._read_journal(job.job_id)
         if document is None:
             return False
         document["status"] = "finished"
-        return write_document(self.store.path_for(job.job_id, "jobs"), document)
+        return write_document(self.journal_path(job.job_id), document)
 
     # -- leases ------------------------------------------------------------
 
@@ -554,6 +579,188 @@ class SweepQueue:
 
 
 # -- low-level file plumbing ----------------------------------------------
+
+
+def _digest(document: dict[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of a document, sans its digest."""
+    body = {key: value for key, value in document.items() if key != "digest"}
+    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def read_document(path: Path) -> dict[str, Any] | None:
+    """Parse and integrity-check one queue or journal file (miss on failure)."""
+    try:
+        document = json.loads(path.read_bytes())
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    if not isinstance(document, dict):
+        return None
+    digest = document.get("digest")
+    if not isinstance(digest, str) or digest != _digest(document):
+        return None  # corrupt, tampered, or pre-digest document
+    return document
+
+
+def write_document(
+    path: Path, document: dict[str, Any], *, exclusive: bool = False
+) -> bool:
+    """Atomically persist a queue or journal file with its digest.
+
+    See :func:`_write_atomic`: concurrent writers and crashes can never
+    leave a torn document, and rewriting identical content is
+    idempotent. ``exclusive`` creates the file only if it is absent.
+    """
+    document = dict(document)
+    document["digest"] = _digest(document)
+    return _write_atomic(path, _compact_json(document), exclusive=exclusive)
+
+
+def _write_atomic(path: Path, data: bytes, *, exclusive: bool = False) -> bool:
+    """Publish ``data`` at ``path`` whole or not at all; returns success.
+
+    Writes a temporary file in the destination directory, then publishes
+    it with :func:`os.replace` — or, with ``exclusive``, with
+    :func:`os.link`, which fails if the path exists — so observers see
+    either the old file (or none) or the whole new one, never a partial
+    write. ``False`` when the path is unwritable, or exists under
+    ``exclusive``.
+    """
+    view = memoryview(data)
+    prefix = f".{path.stem[:8]}-"
+    try:
+        try:
+            fd, tmp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=prefix, suffix=".tmp"
+            )
+        except FileNotFoundError:
+            # First write into this directory (or the first since gc
+            # emptied it): create it and retry. Asking the filesystem on
+            # failure, instead of calling mkdir per write or remembering
+            # known directories, costs nothing on the common path and
+            # never goes stale.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=prefix, suffix=".tmp"
+            )
+        try:
+            try:
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+            if exclusive:
+                os.link(tmp_name, path)
+            else:
+                os.replace(tmp_name, path)
+        except BaseException:
+            _unlink_quietly(tmp_name)
+            raise
+        if exclusive:
+            _unlink_quietly(tmp_name)
+    except OSError:
+        return False
+    return True
+
+
+def _unlink_quietly(name: str) -> None:
+    try:
+        os.unlink(name)
+    except OSError:
+        pass
+
+
+
+def _finished_job_dirs(store: ResultStore) -> Iterator[Path]:
+    """Queue directories of jobs that are over.
+
+    A job is over when its journal says ``finished`` and its sweep
+    document is stored: the document answers every re-run, so the
+    per-chunk records (which repeat its outcomes) are litter. A job
+    whose sweep document was evicted keeps its records — its done
+    chunks still rebuild the document without re-evaluating.
+    """
+    queue_base = store.root / QUEUE_SCHEMA
+    if not queue_base.is_dir():
+        return
+    queue = SweepQueue(store)
+    for job_dir in sorted(queue_base.iterdir()):
+        try:
+            job = queue.load_job(job_dir.name)
+        except ValueError:
+            continue  # not a job directory
+        if (
+            job is not None
+            and job.status == "finished"
+            and store.read("sweeps", job.job_id) is not None
+        ):
+            yield job_dir
+
+
+def collect_garbage(
+    store: ResultStore,
+    *,
+    older_than_s: float = 3600.0,
+    future_skew_s: float = DEFAULT_GC_FUTURE_SKEW,
+) -> dict[str, Any]:
+    """Remove a store's orphaned queue ``.tmp``, expired lease and
+    tombstone files, plus the chunk and done records of finished queue
+    jobs; report bytes (``repro store gc``).
+
+    Only queue and journal files are candidates: the database leaves no
+    litter (a transaction commits whole or not at all), and
+    :meth:`ResultStore.evict` bounds it. Only files aged at least
+    ``older_than_s`` seconds are touched, so in-flight writes and live
+    leases (rewritten on every heartbeat, keeping their mtime fresh) are
+    never collected. Queue records are collected only for a job whose
+    journal is ``finished`` and whose sweep document is stored; their
+    emptied directories go too.
+
+    Clock contract: age is the local wall clock minus the file's mtime,
+    which on a shared store may have been stamped by a machine whose
+    clock disagrees with ours. A file whose mtime is *ahead* of our
+    clock by up to ``future_skew_s`` is treated as fresh — a writer
+    running slightly ahead (or our clock stepping back) must not get
+    its live files reaped — while one ahead by *more* cannot be live
+    work and is collected like any expired orphan instead of being
+    immortal. Files whose mtime appears *old* are indistinguishable
+    from genuinely old ones, so keep ``older_than_s`` larger than the
+    worst clock disagreement between writers (the 3600 s default dwarfs
+    realistic NTP drift). Returns ``{"removedFiles", "reclaimedBytes",
+    "olderThanSeconds"}``; an unremovable file is skipped, never an
+    error — gc on a shared store is safe at any time, from any process.
+    """
+    now = time.time()
+    older = max(older_than_s, 0.0)
+    skew = max(future_skew_s, 0.0)
+    removed = 0
+    reclaimed = 0
+    finished = list(_finished_job_dirs(store))
+    candidates = list(store.orphan_files())
+    for job_dir in finished:
+        candidates += [*job_dir.glob("chunks/*.json"), *job_dir.glob("done/*.json")]
+    for path in candidates:
+        try:
+            stat = path.stat()
+            age = now - stat.st_mtime
+            if -skew <= age < older:
+                continue  # fresh (within tolerated skew): possibly live
+            path.unlink()
+        except OSError:
+            continue  # vanished or unremovable; skip
+        removed += 1
+        reclaimed += stat.st_size
+    for job_dir in finished:
+        for name in ("chunks", "done", "leases", ""):
+            try:
+                (job_dir / name).rmdir()  # only succeeds once emptied
+            except OSError:
+                pass
+    return {
+        "removedFiles": removed,
+        "reclaimedBytes": reclaimed,
+        "olderThanSeconds": older_than_s,
+    }
 
 
 def _read_lease(path: Path) -> dict[str, Any] | None:
@@ -848,6 +1055,7 @@ def _drain_job(
                     )
                     report.chunks_evaluated += 1
                     report.points_evaluated += len(outcome_objs)
+                    engine.note_chunk_size(job.chunk_size)
                     if log is not None:
                         log.event(
                             "worker.chunk",

@@ -5,10 +5,9 @@ Every estimation result can be addressed by the content hash of the
 is deterministic, so the spec hash *is* the result identity. That holds
 for infeasibility too: a spec whose estimate fails (no T factory meets
 the budget, a constraint cannot be met) fails the same way every time.
-The store keeps one JSON document per hash on disk — either the result
-or, for an infeasible point, an *error document* — which buys three
-things the in-memory :class:`~repro.estimator.batch.EstimateCache`
-cannot:
+The store keeps one JSON document per hash — either the result or, for
+an infeasible point, an *error document* — which buys three things the
+in-memory :class:`~repro.estimator.batch.EstimateCache` cannot:
 
 * **cross-process reuse** — a second process (or a restarted service)
   re-running the same sweep grid answers from disk in milliseconds
@@ -28,55 +27,61 @@ cannot:
 
 Documents
 ---------
-A result document is ``{"schema", "specHash", "spec", "result",
-"digest"}``; an error document is ``{"schema", "specHash", "spec",
-"result": null, "error", "digest"}``, written only for estimation
-failures (:class:`~repro.estimator.stages.EstimationError`). Invalid
-specs — unknown names, malformed definitions — never reach the store:
-they have no resolved hash to file under. A hit on an error document
-answers with the same error the estimator would raise.
+A result document is ``{"schema", "specHash", "spec", "result"}``; an
+error document is ``{"schema", "specHash", "spec", "result": null,
+"error"}``, written only for estimation failures
+(:class:`~repro.estimator.stages.EstimationError`). Invalid specs —
+unknown names, malformed definitions — never reach the store: they have
+no resolved hash to file under. A hit on an error document answers with
+the same error the estimator would raise.
 
-Layout and durability
----------------------
-Each document kind lives in its own namespace, one directory per schema
-tag under the root, and one table (``_NAMESPACES``) says how each is
-filed and checked: its tag, the envelope field naming the document's
-key, the field a read hands back, and whether eviction may prune it.
-Entries live under ``<root>/<schema-tag>/<hh>/<key>.json`` where ``hh``
-is the first two key hex digits (fan-out keeps directories small) —
-results, sweep results (:data:`SWEEP_DOC_SCHEMA`), traced logical
+Layout
+------
+One table (``_NAMESPACES``) names every document kind the store caches
+— results, sweep results (:data:`SWEEP_DOC_SCHEMA`), traced logical
 counts keyed by resolved program content hash plus backend
 (:data:`COUNTS_SCHEMA`, the cross-run counts cache layered under
-:func:`~repro.estimator.spec.run_specs`), optimize probe traces, and
-the sweep job journal alike. The schema tag versions the document
-serialization: bumping :data:`RESULT_SCHEMA` (on any change to
-``to_dict`` output or the document envelope) makes a new namespace, so
-stale entries are never deserialized against new code — that is the
-cache-invalidation story, no migration needed. :meth:`ResultStore.stats`
-reports per-namespace document counts and bytes (the ``repro store
-stats`` CLI subcommand) from a fresh directory walk on every call.
+:func:`~repro.estimator.spec.run_specs`) and optimize probe traces —
+with the envelope field naming a document's key and the field a read
+hands back. Each is one table, named by its schema tag, in one SQLite
+database per root, ``<root>/``:data:`DATABASE_NAME`. A row is ``(key,
+digest, size, written_at, body)``: ``body`` is the document's compact
+JSON, ``digest`` the SHA-256 of those bytes, ``size`` their length.
+The schema tag versions the document serialization: bumping
+:data:`RESULT_SCHEMA` (on any change to ``to_dict`` output or the
+document envelope) makes a new table, so stale entries are never
+deserialized against new code — no migration needed. The database file
+name versions the layout itself: a root written by the earlier
+file-per-document layout has no database and reads as empty.
+
+WAL mode lets many processes read while one writes, through a
+shared-memory file next to the database, so the root must be on a local
+filesystem, not NFS. Each write call commits one transaction: a crash
+never leaves a torn row, and rewriting the same hash is idempotent. A
+read verifies the digest and the document's schema tag and key: a
+corrupt, truncated, bit-flipped or foreign row reads as a miss — a
+damaged store heals by recomputation, it never serves a mangled result.
+:meth:`ResultStore.stats` reports per-namespace document counts and
+body bytes (the ``repro store stats`` CLI subcommand) with one query.
+
+The sweep work queue (:data:`QUEUE_SCHEMA`: chunk records, leases,
+outcome markers) and the job journal (:data:`JOBS_SCHEMA`) are live
+coordination state, not cache: :mod:`repro.estimator.queue` claims work
+through exclusive file creation and renames, so they stay files under
+the root, written and garbage-collected by that module. ``stats``
+counts them too.
 
 Bounded disk
 ------------
 A store grows without bound by default — every distinct spec hash adds
-a document. :meth:`ResultStore.evict` (the ``repro store evict`` CLI)
-prunes the *document* namespaces — results, sweep results, counts,
-optimize traces — oldest mtime first until they fit a byte budget,
-and a store constructed with ``max_bytes=`` enforces that budget
-automatically as it writes. Eviction never touches live coordination
-state: queue chunk records, leases, and journal entries are not
-documents of record, they are the crash-safety substrate — evicting
-them could orphan a running sweep. An evicted document is simply a
-future cache miss: the store heals by recomputation, exactly like a
-corrupt file.
-
-Writes go through a temporary file in the destination directory followed
-by :func:`os.replace`, so concurrent writers and crashes can never leave
-a torn document; rewriting the same hash is idempotent. Every document
-embeds a SHA-256 ``digest`` over its canonical content, verified on
-read: corrupt, truncated, bit-flipped, or foreign files all read back as
-misses — a damaged store heals by recomputation, it never serves a
-mangled result.
+a row. :meth:`ResultStore.evict` (the ``repro store evict`` CLI) deletes
+rows oldest ``written_at`` first until the stored body bytes fit a
+budget, and a store constructed with ``max_bytes=`` enforces that budget
+automatically as it writes. Reads never touch ``written_at``, so the
+order is write time. Eviction never touches the queue or the journal:
+evicting them could orphan a running sweep. An evicted document is
+simply a future cache miss: the store heals by recomputation, exactly
+like a corrupt row.
 """
 
 from __future__ import annotations
@@ -85,10 +90,10 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -98,6 +103,7 @@ from .result import PhysicalResourceEstimates
 
 __all__ = [
     "COUNTS_SCHEMA",
+    "DATABASE_NAME",
     "DEFAULT_MEMORY_CACHE_SIZE",
     "JOBS_SCHEMA",
     "OPTIMIZE_DOC_SCHEMA",
@@ -107,8 +113,6 @@ __all__ = [
     "ResultStore",
     "StoredOutcome",
     "default_store_root",
-    "read_document",
-    "write_document",
 ]
 
 #: Version tag of the stored result document format. Bump when the
@@ -153,22 +157,38 @@ JOBS_SCHEMA = "repro-jobs-v1"
 #: :mod:`repro.estimator.optimize`).
 OPTIMIZE_DOC_SCHEMA = "repro-optimize-v1"
 
+#: File name of the database under a store root. The name versions the
+#: storage layout: a root written by another layout reads as empty.
+DATABASE_NAME = "repro-store-v1.sqlite3"
+
+#: Connection settings, fixed: commits skip the fsync (WAL keeps every
+#: commit atomic; a power cut can lose the last few, which a cache
+#: recomputes), a writer waits up to this long for another process's
+#: write lock before skipping its write, and the page cache stays at
+#: 256 KiB — a read-mostly key lookup gains nothing from SQLite's 2 MiB
+#: default, and every connection would pay for it in RSS.
+_BUSY_TIMEOUT_S = 10.0
+_PRAGMAS = (
+    "PRAGMA journal_mode=WAL",
+    "PRAGMA synchronous=NORMAL",
+    "PRAGMA cache_size=-256",
+)
+
+#: Row layout of every namespace table. ``body`` comes last, so queries
+#: over the small columns (stats, eviction) never read a body's pages.
+_COLUMNS = (
+    "key TEXT PRIMARY KEY, digest TEXT NOT NULL, size INTEGER NOT NULL, "
+    "written_at REAL NOT NULL, body BLOB NOT NULL"
+)
+
 #: Default capacity of the in-process read-through LRU in front of
 #: :meth:`ResultStore.get` and :meth:`ResultStore.get_counts`. Adaptive
 #: searches re-probe neighboring points many times within one process;
 #: the memory cache stops them re-reading and re-parsing the same JSON
-#: documents from disk. Entries are content-addressed and immutable, so
-#: a cached document can never go stale; only documents that passed the
-#: integrity digest on a real disk read are ever cached.
+#: documents. Entries are content-addressed and immutable, so a cached
+#: document can never go stale; only documents that passed the
+#: integrity digest on a real database read are ever cached.
 DEFAULT_MEMORY_CACHE_SIZE = 256
-
-#: Default tolerance for file mtimes in the *future* during ``gc``: up
-#: to this far ahead of the local clock a file is treated as fresh
-#: (tolerable writer/collector clock skew on a shared or NFS store);
-#: beyond it no live writer can plausibly have produced the timestamp,
-#: so the file is clock-skew litter and is collected rather than left
-#: immortal.
-DEFAULT_GC_FUTURE_SKEW = 3600.0
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_STORE_DIR"
@@ -179,33 +199,29 @@ _HASH_RE = re.compile(r"[0-9a-f]+")
 
 @dataclass(frozen=True)
 class _Namespace:
-    """How one store namespace files and checks its documents.
+    """How one cache namespace files and checks its documents.
 
     ``id_field`` names the envelope field that must equal the key a
     document is filed under, ``payload_field`` the field a read hands
-    back. ``evictable`` namespaces hold re-derivable cache documents;
-    the others are live coordination state for in-flight sweeps, which
-    eviction must never touch.
+    back.
     """
 
     schema: str
-    id_field: str | None
-    payload_field: str | None
-    evictable: bool
+    id_field: str
+    payload_field: str
 
 
-#: Every namespace under a store root, keyed as :meth:`ResultStore.stats`
-#: reports them. The queue namespace is laid out per sweep job by
-#: :mod:`repro.estimator.queue` rather than fanned out by key; it is here
-#: for ``stats``, and so eviction knows to leave it alone.
+#: Every database namespace, keyed as :meth:`ResultStore.stats` reports
+#: them. All of them are re-derivable cache, so all are evictable.
 _NAMESPACES: dict[str, _Namespace] = {
-    "results": _Namespace(RESULT_SCHEMA, "specHash", "result", True),
-    "sweeps": _Namespace(SWEEP_DOC_SCHEMA, "sweepHash", "result", True),
-    "counts": _Namespace(COUNTS_SCHEMA, "countsKey", "counts", True),
-    "queue": _Namespace(QUEUE_SCHEMA, None, None, False),
-    "jobs": _Namespace(JOBS_SCHEMA, "jobId", "sweep", False),
-    "optimize": _Namespace(OPTIMIZE_DOC_SCHEMA, "optimizeHash", "trace", True),
+    "results": _Namespace(RESULT_SCHEMA, "specHash", "result"),
+    "sweeps": _Namespace(SWEEP_DOC_SCHEMA, "sweepHash", "result"),
+    "counts": _Namespace(COUNTS_SCHEMA, "countsKey", "counts"),
+    "optimize": _Namespace(OPTIMIZE_DOC_SCHEMA, "optimizeHash", "trace"),
 }
+
+#: The file namespaces: the queue's and the journal's directories.
+_FILE_NAMESPACES = {"queue": QUEUE_SCHEMA, "jobs": JOBS_SCHEMA}
 
 
 def default_store_root() -> Path:
@@ -216,107 +232,19 @@ def default_store_root() -> Path:
     return Path.home() / ".cache" / "repro" / "store"
 
 
-def _digest(document: dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of a document, sans its digest."""
-    body = {key: value for key, value in document.items() if key != "digest"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _compact_json(document: dict[str, Any]) -> bytes:
-    """The on-disk encoding of a document: compact separators, ASCII.
+    """The stored encoding of a document: compact separators, ASCII.
 
-    Every byte of the file is significant, so corruption cannot hide in
-    formatting. ``json.dumps``, not ``json.dump``: only ``dumps`` uses
-    the C encoder; the bytes are the same.
+    Every byte is significant, so corruption cannot hide in formatting.
+    ``json.dumps``, not ``json.dump``: only ``dumps`` uses the C
+    encoder; the bytes are the same.
     """
     return json.dumps(document, separators=(",", ":")).encode()
 
 
-def read_document(path: Path) -> dict[str, Any] | None:
-    """Parse and integrity-check one document file (miss on failure).
-
-    The store's document envelope — digest-verified, corrupt-reads-as-
-    miss — shared by every namespace under a store root.
-    """
-    try:
-        document = json.loads(path.read_bytes())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(document, dict):
-        return None
-    digest = document.get("digest")
-    if not isinstance(digest, str) or digest != _digest(document):
-        return None  # corrupt, tampered, or pre-digest (v1) document
-    return document
-
-
-def write_document(
-    path: Path, document: dict[str, Any], *, exclusive: bool = False
-) -> bool:
-    """Atomically persist a document with its digest; returns success.
-
-    See :func:`_write_atomic`: concurrent writers and crashes can never
-    leave a torn document, and rewriting identical content is
-    idempotent. ``exclusive`` creates the file only if it is absent.
-    """
-    document = dict(document)
-    document["digest"] = _digest(document)
-    return _write_atomic(path, _compact_json(document), exclusive=exclusive)
-
-
-def _write_atomic(path: Path, data: bytes, *, exclusive: bool = False) -> bool:
-    """Publish ``data`` at ``path`` whole or not at all; returns success.
-
-    Writes a temporary file in the destination directory, then publishes
-    it with :func:`os.replace` — or, with ``exclusive``, with
-    :func:`os.link`, which fails if the path exists — so observers see
-    either the old file (or none) or the whole new one, never a partial
-    write. ``False`` when the path is unwritable, or exists under
-    ``exclusive``.
-    """
-    view = memoryview(data)
-    prefix = f".{path.stem[:8]}-"
-    try:
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=prefix, suffix=".tmp"
-            )
-        except FileNotFoundError:
-            # First write into this directory (or the first since
-            # clear/evict/gc emptied it): create it and retry. Asking the
-            # filesystem on failure, instead of calling mkdir per write or
-            # remembering known directories, costs nothing on the common
-            # path and never goes stale.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=prefix, suffix=".tmp"
-            )
-        try:
-            try:
-                while view:
-                    view = view[os.write(fd, view) :]
-            finally:
-                os.close(fd)
-            if exclusive:
-                os.link(tmp_name, path)
-            else:
-                os.replace(tmp_name, path)
-        except BaseException:
-            _unlink_quietly(tmp_name)
-            raise
-        if exclusive:
-            _unlink_quietly(tmp_name)
-    except OSError:
-        return False
-    return True
-
-
-def _unlink_quietly(name: str) -> None:
-    try:
-        os.unlink(name)
-    except OSError:
-        pass
+def _table(schema: str) -> str:
+    """A schema tag as a quoted SQL table name."""
+    return '"' + schema.replace('"', '""') + '"'
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,12 +266,12 @@ class StoredOutcome:
 class _MemoryCache:
     """Bounded thread-safe LRU of parsed documents with hit counters.
 
-    Populated only from *successful disk reads* — never from writes — so
-    every cached value passed the integrity digest at least once in this
-    process, and the corruption contract (a damaged file reads as a
-    miss) is preserved for entries that were never read back. Cached
-    values are frozen (:class:`StoredOutcome`, :class:`LogicalCounts`),
-    safe to hand out shared.
+    Populated only from *successful database reads* — never from
+    writes — so every cached value passed the integrity digest at least
+    once in this process, and the corruption contract (a damaged row
+    reads as a miss) is preserved for entries that were never read
+    back. Cached values are frozen (:class:`StoredOutcome`,
+    :class:`LogicalCounts`), safe to hand out shared.
     """
 
     __slots__ = ("capacity", "hits", "misses", "_entries", "_lock")
@@ -399,27 +327,30 @@ class ResultStore:
     ----------
     root:
         Store directory; created lazily on first write. Defaults to
-        :func:`default_store_root`. Multiple processes may share a root —
-        writes are atomic and entries immutable (same hash, same bytes).
+        :func:`default_store_root`. Multiple processes may share a root
+        on a local filesystem — each write is one transaction and
+        entries are immutable (same hash, same bytes).
     schema:
         Result-document schema tag; entries written under a different tag
         are invisible. Override only in tests.
     cache_size:
         Capacity of the in-process read-through LRU in front of
         :meth:`get` and :meth:`get_counts` (per namespace). ``0``
-        disables memory caching; every read goes to disk.
+        disables memory caching; every read goes to the database.
     max_bytes:
-        Disk budget for the evictable document namespaces (results,
-        sweeps, counts, optimize traces). When set, every write checks a
-        running byte estimate and triggers :meth:`evict` past the
-        budget, so the store stays bounded across arbitrarily large
-        sweeps. ``None`` (default) disables automatic eviction.
+        Budget for the stored body bytes of every namespace. When set,
+        every write checks a running byte estimate and triggers
+        :meth:`evict` past the budget, so the store stays bounded across
+        arbitrarily large sweeps. ``None`` (default) disables automatic
+        eviction.
+
+    One connection per process serves every thread, under the store's
+    lock. It opens on first use, and again in a forked child: a
+    connection must never cross a fork.
     """
 
     #: Namespace keys :meth:`evict` may prune (see ``_NAMESPACES``).
-    EVICTABLE_NAMESPACES = tuple(
-        key for key, namespace in _NAMESPACES.items() if namespace.evictable
-    )
+    EVICTABLE_NAMESPACES = tuple(_NAMESPACES)
 
     def __init__(
         self,
@@ -432,21 +363,97 @@ class ResultStore:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.root = Path(root) if root is not None else default_store_root()
+        self.database = self.root / DATABASE_NAME
         self.schema = schema
         self.max_bytes = max_bytes
         self._schemas = {key: entry.schema for key, entry in _NAMESPACES.items()}
         self._schemas["results"] = schema
+        self._tables = {key: _table(tag) for key, tag in self._schemas.items()}
         self._memory = {
             "results": _MemoryCache(cache_size),
             "counts": _MemoryCache(cache_size),
         }
         self._lock = threading.Lock()
+        self._db: Any = None  # sqlite3.Connection, opened by _connection()
+        self._pid = os.getpid()
+        self._inherited: Any = None
         self._evictions = {"files": 0, "bytes": 0}
-        # Running byte total of the evictable namespaces; None until the
-        # first budget check scans it. Writes add their sizes (an upper
+        # Running byte total of the stored bodies; None until the first
+        # budget check measures it. Writes add their sizes (an upper
         # bound — idempotent rewrites double-count, which only makes the
         # next evict() run early; evict() recomputes the exact total).
         self._evictable_bytes: int | None = None
+
+    # -- database ----------------------------------------------------------
+
+    @contextmanager
+    def _database(self, *, create: bool = False) -> Iterator[Any]:
+        """This process's connection under the store lock, or ``None``.
+
+        ``None`` when there is no database yet (unless ``create``) or it
+        cannot be opened. A database error inside the block ends it
+        quietly, so a damaged or foreign file reads as misses and an
+        unwritable one skips writes: a shared store must not be able to
+        crash a run.
+        """
+        if self._pid != os.getpid():
+            # A forked child: the parent's connection is not this
+            # process's to use, or even to close — closing would touch
+            # the parent's WAL state. Keep it referenced, never used.
+            self._inherited, self._db = self._db, None
+            self._lock = threading.Lock()
+            self._pid = os.getpid()
+        with self._lock:
+            db = self._connection(create)
+            if db is None:
+                yield None
+                return
+            import sqlite3  # loaded by _connection
+
+            try:
+                yield db
+            except sqlite3.DatabaseError:
+                pass
+
+    def _connection(self, create: bool) -> Any:
+        """Open (once) and return the connection; ``None`` on failure."""
+        if self._db is not None:
+            return self._db
+        if not create and not self.database.is_file():
+            return None
+        import sqlite3
+
+        db = None
+        try:
+            if create:
+                self.root.mkdir(parents=True, exist_ok=True)
+            db = sqlite3.connect(
+                self.database, timeout=_BUSY_TIMEOUT_S, check_same_thread=False
+            )
+            for statement in _PRAGMAS:
+                db.execute(statement)
+            for table in self._tables.values():
+                db.execute(f"CREATE TABLE IF NOT EXISTS {table} ({_COLUMNS})")
+        except (OSError, sqlite3.DatabaseError):
+            if db is not None:
+                db.close()
+            return None
+        self._db = db
+        return db
+
+    def close(self) -> None:
+        """Close this process's connection; the next use reopens it."""
+        with self._lock:
+            if self._db is not None and self._pid == os.getpid():
+                self._db.close()
+            self._db = None
+
+    def _union(self, columns: str) -> str:
+        """One query over every namespace table, tagged by namespace."""
+        return " UNION ALL ".join(
+            f"SELECT '{key}' AS namespace, {columns} FROM {table}"
+            for key, table in self._tables.items()
+        )
 
     # -- documents ---------------------------------------------------------
 
@@ -456,26 +463,38 @@ class ResultStore:
             raise ValueError(f"malformed spec hash {spec_hash!r}")
         return spec_hash
 
-    def path_for(self, key: str, namespace: str = "results") -> Path:
-        """Where the document for ``key`` in ``namespace`` lives (or would)."""
-        self._check_hash(key)
-        return self.root.joinpath(self._schemas[namespace], key[:2], f"{key}.json")
-
     def read(self, namespace: str, key: str) -> dict[str, Any] | None:
         """The verified document for ``key`` in ``namespace``, or ``None``.
 
-        A missing, corrupt, or foreign file — or one whose schema tag or
-        id field does not match — reads as a miss, never an error: a
-        shared store directory must not be able to crash (or corrupt) a
-        run.
+        The document carries its row's ``digest``. A missing, corrupt,
+        or foreign row — or one whose schema tag or id field does not
+        match — reads as a miss, never an error: a shared store must not
+        be able to crash (or corrupt) a run.
         """
-        document = read_document(self.path_for(key, namespace))
+        self._check_hash(key)
+        row = None
+        with self._database() as db:
+            if db is not None:
+                row = db.execute(
+                    f"SELECT digest, body FROM {self._tables[namespace]} WHERE key = ?",
+                    (key,),
+                ).fetchone()
+        if row is None:
+            return None
+        digest, body = row
+        if not isinstance(body, bytes) or hashlib.sha256(body).hexdigest() != digest:
+            return None
+        try:
+            document = json.loads(body)
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+            return None
         if (
-            document is None
+            not isinstance(document, dict)
             or document.get("schema") != self._schemas[namespace]
             or document.get(_NAMESPACES[namespace].id_field) != key
         ):
             return None
+        document["digest"] = digest
         return document
 
     def _payload(self, namespace: str, key: str) -> dict[str, Any] | None:
@@ -491,31 +510,37 @@ class ResultStore:
     ) -> int:
         """Persist ``(key, fields)`` documents; returns how many landed.
 
-        Each document is ``{"schema", <id field>: key, **fields}`` plus
-        its digest. An unwritable document is skipped — an unwritable
-        store degrades to a no-op instead of failing the run that
-        produced the data. The byte estimate and the eviction check run
-        once per call, however many documents it writes.
+        Each document is ``{"schema", <id field>: key, **fields}``, all
+        committed in one transaction. A write that fails is skipped — an
+        unwritable store degrades to a no-op instead of failing the run
+        that produced the data. The byte estimate and the eviction check
+        run once per call, however many documents it writes.
         """
+        schema = self._schemas[namespace]
         id_field = _NAMESPACES[namespace].id_field
-        written = 0
-        batch_bytes = 0
+        now = time.time()
+        rows = []
         for key, fields in entries:
-            path = self.path_for(key, namespace)
-            document = {"schema": self._schemas[namespace], id_field: key, **fields}
-            if write_document(path, document):
-                written += 1
-                if self.max_bytes is not None:
-                    try:
-                        batch_bytes += path.stat().st_size
-                    except OSError:
-                        pass
+            self._check_hash(key)
+            body = _compact_json({"schema": schema, id_field: key, **fields})
+            rows.append((key, hashlib.sha256(body).hexdigest(), len(body), now, body))
+        written = 0
+        if rows:
+            with self._database(create=True) as db:
+                if db is not None:
+                    with db:  # one transaction: commit, or roll back on error
+                        db.executemany(
+                            f"INSERT OR REPLACE INTO {self._tables[namespace]} "
+                            "(key, digest, size, written_at, body) VALUES (?, ?, ?, ?, ?)",
+                            rows,
+                        )
+                    written = len(rows)
         if written and self.max_bytes is not None:
             if self._evictable_bytes is None:
                 self.evict()  # first write under a budget: measure and prune
             else:
                 with self._lock:
-                    self._evictable_bytes += batch_bytes
+                    self._evictable_bytes += sum(row[2] for row in rows)
                     over = self._evictable_bytes > self.max_bytes
                 if over:
                     self.evict()
@@ -548,9 +573,9 @@ class ResultStore:
         :meth:`PhysicalResourceEstimates.from_dict`; one that fails to
         decode (written by an incompatible build) reads as a miss.
         Repeated lookups of one hash within a process answer from the
-        bounded in-memory LRU (populated only by verified disk reads —
-        see :class:`_MemoryCache`); hit counts appear under
-        ``memoryCache`` in :meth:`stats`.
+        bounded in-memory LRU (populated only by verified reads — see
+        :class:`_MemoryCache`); hit counts appear under ``memoryCache``
+        in :meth:`stats`.
         """
         self._check_hash(spec_hash)
         cached = self._memory["results"].get(spec_hash)
@@ -585,12 +610,14 @@ class ResultStore:
         return self.get_raw(spec_hash) is not None
 
     def keys(self) -> Iterator[str]:
-        """Hashes currently stored under this schema tag."""
-        base = self.root / self.schema
-        if not base.is_dir():
-            return
-        for path in sorted(base.glob("*/*.json")):
-            yield path.stem
+        """Hashes currently stored under this schema tag, sorted."""
+        rows = []
+        with self._database() as db:
+            if db is not None:
+                rows = db.execute(
+                    f"SELECT key FROM {self._tables['results']} ORDER BY key"
+                ).fetchall()
+        return iter([key for key, in rows])
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -602,7 +629,7 @@ class ResultStore:
         *,
         spec: dict[str, Any] | None = None,
     ) -> bool:
-        """Persist a result document atomically; returns success.
+        """Persist a result document; returns success.
 
         ``spec`` (the producing spec's ``to_dict``) is embedded for
         debuggability and re-queueing; it is not required to read the
@@ -621,7 +648,7 @@ class ResultStore:
             ]
         ],
     ) -> int:
-        """Persist many result or error documents with one bookkeeping pass.
+        """Persist many result or error documents in one transaction.
 
         Each entry is ``(spec_hash, outcome, spec)``. ``outcome`` is a
         result, or a :class:`StoredOutcome` — an error document when its
@@ -631,8 +658,8 @@ class ResultStore:
         per point — the chunk-write path of
         :func:`repro.estimator.spec.run_specs` uses this so persistence
         bookkeeping stays off the per-point hot path. Returns the number
-        of documents actually written (unwritable documents are skipped,
-        matching :meth:`put`).
+        of documents actually written (0 when the write fails, matching
+        :meth:`put`).
         """
         return self._write(
             "results",
@@ -643,26 +670,12 @@ class ResultStore:
         )
 
     def clear(self) -> int:
-        """Remove every entry under this schema tag; returns the count.
-
-        Fan-out directories left empty are removed too; the next write
-        into one recreates it.
-        """
+        """Remove every entry under this schema tag; returns the count."""
         removed = 0
-        emptied: set[Path] = set()
-        for spec_hash in list(self.keys()):
-            path = self.path_for(spec_hash)
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-            emptied.add(path.parent)
-        for directory in emptied:
-            try:
-                directory.rmdir()
-            except OSError:
-                pass  # not empty (a concurrent write, writer litter)
+        with self._database() as db:
+            if db is not None:
+                with db:
+                    removed = db.execute(f"DELETE FROM {self._tables['results']}").rowcount
         self._memory["results"].clear()
         return removed
 
@@ -700,7 +713,7 @@ class ResultStore:
         """Stored counts for a key, or ``None`` (missing/corrupt).
 
         Read-through cached like :meth:`get`: repeated lookups of one
-        workload's counts within a process skip the disk after the
+        workload's counts within a process skip the database after the
         first verified read.
         """
         self._check_hash(counts_key)
@@ -733,43 +746,68 @@ class ResultStore:
         """A stored probe-trace document, or ``None`` (missing/corrupt)."""
         return self._payload("optimize", optimize_hash)
 
-    # -- observability -----------------------------------------------------
+    # -- queue and journal files ------------------------------------------
 
-    def _walk(self, keys: Iterable[str]) -> Iterator[tuple[str, Path, os.stat_result]]:
-        """``(namespace key, path, stat)`` of every document under ``keys``."""
-        for key in keys:
-            base = self.root / self._schemas[key]
-            if not base.is_dir():
-                continue
-            for path in base.rglob("*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # deleted underneath us; skip
-                yield key, path, stat
+    def _files(self, namespace: str, pattern: str) -> Iterator[Path]:
+        """Files matching ``pattern`` under a file namespace's directory."""
+        base = self.root / _FILE_NAMESPACES[namespace]
+        if base.is_dir():
+            yield from base.rglob(pattern)
+
+    def orphan_files(self) -> Iterator[Path]:
+        """Queue writer leftovers and lease litter: the files
+        :func:`repro.estimator.queue.collect_garbage` may reclaim.
+
+        ``.tmp`` files are atomic-write staging that a crash stranded
+        (a live writer's tmp file exists only for the microseconds
+        between ``mkstemp`` and ``os.replace``); ``.lease`` files under
+        the queue namespace belong to workers that stopped heartbeating;
+        ``.stale-*`` are lease-takeover tombstones. None of them is ever
+        read as data, so removing old ones can only reclaim disk.
+        """
+        for key in _FILE_NAMESPACES:
+            yield from self._files(key, "*.tmp")
+        yield from self._files("queue", "*.lease")
+        yield from self._files("queue", ".*.stale-*")
+
+    # -- observability -----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Per-namespace document counts and bytes (operator visibility).
 
-        Covers every namespace in ``_NAMESPACES`` — results (under the
-        configured schema tag), sweep results, the logical-counts cache,
-        the sweep work queue, the job journal, and optimize probe traces
-        — plus the orphaned-file tally (leftover ``.tmp`` files from
-        crashed writers and ``.lease`` files from dead workers, the
-        population ``gc`` reclaims). Each call walks the store, O(files);
-        a caller that polls caches the result (the service's metrics
-        providers refresh once per ``metrics_ttl``). The ``memoryCache``
-        and ``evictions`` sections are this process's in-memory counters.
+        Covers the database namespaces — results (under the configured
+        schema tag), sweep results, the logical-counts cache, optimize
+        probe traces; ``bytes`` counts stored bodies — with one query,
+        and the queue and journal files with a directory walk, plus the
+        orphaned-file tally (leftover ``.tmp`` files from crashed queue
+        writers and ``.lease`` files from dead workers, the population
+        ``gc`` reclaims). A caller that polls caches the result (the
+        service's metrics providers refresh once per ``metrics_ttl``).
+        The ``memoryCache`` and ``evictions`` sections are this
+        process's in-memory counters.
         """
         namespaces = {
-            key: {"schema": self._schemas[key], "documents": 0, "bytes": 0}
-            for key in _NAMESPACES
+            key: {"schema": schema, "documents": 0, "bytes": 0}
+            for key, schema in {**self._schemas, **_FILE_NAMESPACES}.items()
         }
-        for key, _, stat in self._walk(_NAMESPACES):
-            namespaces[key]["documents"] += 1
-            namespaces[key]["bytes"] += stat.st_size
+        rows = []
+        with self._database() as db:
+            if db is not None:
+                rows = db.execute(
+                    "SELECT namespace, COUNT(*), SUM(size) "
+                    f"FROM ({self._union('size')}) GROUP BY namespace"
+                ).fetchall()
+        for key, documents, size in rows:
+            namespaces[key].update(documents=documents, bytes=size)
+        for key in _FILE_NAMESPACES:
+            for path in self._files(key, "*.json"):
+                try:
+                    namespaces[key]["bytes"] += path.stat().st_size
+                except OSError:
+                    continue  # deleted underneath us; skip
+                namespaces[key]["documents"] += 1
         orphans = {"files": 0, "bytes": 0}
-        for path in self._orphan_candidates():
+        for path in self.orphan_files():
             try:
                 orphans["bytes"] += path.stat().st_size
             except OSError:
@@ -798,148 +836,32 @@ class ResultStore:
         }
 
     def eviction_stats(self) -> dict[str, int]:
-        """Cumulative eviction tallies (cheap: counters, never a walk)."""
+        """Cumulative eviction tallies (cheap: counters, never a query)."""
         with self._lock:
             return dict(self._evictions)
-
-    # -- garbage collection ------------------------------------------------
-
-    def _orphan_candidates(self) -> Iterator[Path]:
-        """Files eligible for ``gc``: writer leftovers and lease litter.
-
-        ``.tmp`` files are atomic-write staging that a crash stranded
-        (a live writer's tmp file exists only for the microseconds
-        between ``mkstemp`` and ``os.replace``); ``.lease`` files under
-        the queue namespace belong to workers that stopped heartbeating;
-        ``.stale-*`` are lease-takeover tombstones. None of them is ever
-        read as data, so removing old ones can only reclaim disk.
-        """
-        if not self.root.is_dir():
-            return
-        yield from self.root.rglob("*.tmp")
-        queue_base = self.root / QUEUE_SCHEMA
-        if queue_base.is_dir():
-            yield from queue_base.rglob("*.lease")
-            yield from queue_base.rglob(".*.stale-*")
-
-    def _finished_queue_jobs(self) -> Iterator[Path]:
-        """Queue directories of jobs that are over.
-
-        A job is over when its journal says ``finished`` and its sweep
-        document is stored: the document answers every re-run, so the
-        per-chunk records (which repeat its outcomes) are litter. A job
-        whose sweep document was evicted keeps its records — its done
-        chunks still rebuild the document without re-evaluating.
-        """
-        queue_base = self.root / QUEUE_SCHEMA
-        if not queue_base.is_dir():
-            return
-        for job_dir in sorted(queue_base.iterdir()):
-            job_id = job_dir.name
-            if not (job_dir.is_dir() and _HASH_RE.fullmatch(job_id)):
-                continue
-            journal = self.read("jobs", job_id)
-            if (
-                journal is not None
-                and journal.get("status") == "finished"
-                and self.read("sweeps", job_id) is not None
-            ):
-                yield job_dir
-
-    def gc(
-        self,
-        *,
-        older_than_s: float = 3600.0,
-        future_skew_s: float = DEFAULT_GC_FUTURE_SKEW,
-    ) -> dict[str, Any]:
-        """Remove orphaned ``.tmp`` and expired lease files, plus the
-        chunk and done records of finished queue jobs; report bytes.
-
-        Only files aged at least ``older_than_s`` seconds are touched,
-        so in-flight writes and live leases (which are rewritten on
-        every heartbeat, keeping their mtime fresh) are never collected.
-        Queue records are collected only for a job whose journal is
-        ``finished`` and whose sweep document is stored (see
-        ``_finished_queue_jobs``); their emptied directories go too.
-
-        Clock contract: age is the local wall clock minus the file's
-        mtime, which on a shared (or NFS) store may have been stamped by
-        a machine whose clock disagrees with ours. Two protections make
-        the comparison skew-tolerant rather than trusting raw wall time:
-
-        * a file whose mtime is *ahead* of our clock by up to
-          ``future_skew_s`` is treated as fresh and spared — a writer
-          running slightly ahead (or our clock stepping backwards
-          between its write and this gc) must not get its live files
-          reaped;
-        * a file whose mtime is ahead by *more* than ``future_skew_s``
-          cannot be live work (no writer runs that far in the future) —
-          it is clock-skew litter, collected like any expired orphan
-          instead of being immortal (the raw ``now - older_than``
-          cutoff would never reach it).
-
-        Files whose mtime appears *old* are indistinguishable from
-        genuinely old ones, so the residual contract is on the caller:
-        keep ``older_than_s`` larger than the worst clock disagreement
-        between writers sharing the store (the 3600 s default dwarfs
-        realistic NTP drift). Returns ``{"removedFiles",
-        "reclaimedBytes"}``; an unremovable file is skipped, never an
-        error — gc on a shared store must be safe to run at any time,
-        from any process. Cache documents are never gc candidates, so
-        the read-through memory caches stay coherent by construction.
-        """
-        now = time.time()
-        older = max(older_than_s, 0.0)
-        skew = max(future_skew_s, 0.0)
-        removed = 0
-        reclaimed = 0
-        finished = list(self._finished_queue_jobs())
-        candidates = list(self._orphan_candidates())
-        for job_dir in finished:
-            candidates += [*job_dir.glob("chunks/*.json"), *job_dir.glob("done/*.json")]
-        for path in candidates:
-            try:
-                stat = path.stat()
-                age = now - stat.st_mtime
-                if -skew <= age < older:
-                    continue  # fresh (within tolerated skew): possibly live
-                path.unlink()
-            except OSError:
-                continue  # vanished or unremovable; skip
-            removed += 1
-            reclaimed += stat.st_size
-        for job_dir in finished:
-            for name in ("chunks", "done", "leases", ""):
-                try:
-                    (job_dir / name).rmdir()  # only succeeds once emptied
-                except OSError:
-                    pass
-        return {
-            "removedFiles": removed,
-            "reclaimedBytes": reclaimed,
-            "olderThanSeconds": older_than_s,
-        }
 
     # -- eviction (bounded disk) -------------------------------------------
 
     def evict(self, *, max_bytes: int | None = None) -> dict[str, Any]:
-        """Prune document namespaces, oldest mtime first, to a byte budget.
+        """Delete database rows, oldest first, to a byte budget.
 
-        ``max_bytes`` defaults to the store's configured budget. The
-        evictable population is every document under
-        :data:`EVICTABLE_NAMESPACES`; queue chunks, leases, and journal
-        entries are live coordination state for in-flight sweeps, not
-        re-derivable cache documents, and are never touched. The
-        LRU order is mtime — documents are immutable, so mtime is the
-        write time: the policy drops the longest-stored documents first.
+        ``max_bytes`` defaults to the store's configured budget and
+        counts stored body bytes over :data:`EVICTABLE_NAMESPACES`;
+        queue chunks, leases, and journal files are live coordination
+        state for in-flight sweeps, not re-derivable cache documents,
+        and are never touched. The order is ``written_at`` (reads never
+        update it, so the policy drops the longest-stored documents
+        first), then key, so concurrent evictors on one store agree on
+        the victims. Deleting rows frees database pages for reuse; the
+        write-ahead log is then checkpointed into the database and
+        truncated, so fill-and-evict cycles do not grow the files.
         Matching read-through memory-cache entries are invalidated, so a
-        ``get`` after eviction misses and recomputes instead of serving
-        a document the disk no longer has. Safe and idempotent on a
-        shared store: an unremovable (or concurrently removed) file is
-        skipped, and every removal is an ordinary cache miss to other
-        processes. Returns ``{"evictedFiles", "evictedBytes",
-        "totalBytes", "remainingBytes", "maxBytes"}``; cumulative
-        tallies appear under ``evictions`` in :meth:`stats`.
+        ``get`` after eviction misses and recomputes.
+        Safe and idempotent on a shared store: every deletion is an
+        ordinary cache miss to other processes. Returns
+        ``{"evictedFiles", "evictedBytes", "totalBytes",
+        "remainingBytes", "maxBytes"}`` (a "file" is one document);
+        cumulative tallies appear under ``evictions`` in :meth:`stats`.
         """
         limit = max_bytes if max_bytes is not None else self.max_bytes
         if limit is None:
@@ -949,38 +871,48 @@ class ResultStore:
             )
         if limit < 0:
             raise ValueError(f"max_bytes must be >= 0, got {limit}")
-        entries = [
-            (stat.st_mtime, stat.st_size, path, key)
-            for key, path, stat in self._walk(self.EVICTABLE_NAMESPACES)
-        ]
-        total = before = sum(entry[1] for entry in entries)
-        evicted_files = 0
-        evicted_bytes = 0
-        if total > limit:
-            # Deterministic order: oldest first, path as the tiebreak so
-            # concurrent evictors on one store agree on the victims.
-            entries.sort(key=lambda entry: (entry[0], str(entry[2])))
-            for _, size, path, key in entries:
-                if total <= limit:
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    continue  # vanished or unremovable; skip
-                total -= size
-                evicted_files += 1
-                evicted_bytes += size
-                if key in self._memory:
-                    self._memory[key].remove(path.stem)
+        rows = []
+        with self._database() as db:
+            if db is not None:
+                rows = db.execute(
+                    "SELECT namespace, key, size "
+                    f"FROM ({self._union('key, size, written_at')}) "
+                    "ORDER BY written_at, key, namespace"
+                ).fetchall()
+        total = sum(size for _, _, size in rows)
+        victims: dict[str, list[tuple[str]]] = {}
+        victim_bytes = 0
+        for namespace, key, size in rows:
+            if total - victim_bytes <= limit:
+                break
+            victims.setdefault(namespace, []).append((key,))
+            victim_bytes += size
+        deleted = False
+        if victims:
+            with self._database() as db:
+                if db is not None:
+                    with db:
+                        for namespace, keys in victims.items():
+                            db.executemany(
+                                f"DELETE FROM {self._tables[namespace]} WHERE key = ?",
+                                keys,
+                            )
+                    deleted = True
+                    db.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+            for namespace in victims.keys() & self._memory.keys():
+                for (key,) in victims[namespace]:
+                    self._memory[namespace].remove(key)
+        evicted_files = sum(map(len, victims.values())) if deleted else 0
+        evicted_bytes = victim_bytes if deleted else 0
         with self._lock:
             self._evictions["files"] += evicted_files
             self._evictions["bytes"] += evicted_bytes
-            self._evictable_bytes = total
+            self._evictable_bytes = total - evicted_bytes
         return {
             "evictedFiles": evicted_files,
             "evictedBytes": evicted_bytes,
-            "totalBytes": before,
-            "remainingBytes": total,
+            "totalBytes": total,
+            "remainingBytes": total - evicted_bytes,
             "maxBytes": limit,
         }
 

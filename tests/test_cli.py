@@ -409,3 +409,29 @@ class TestRemovedExecutionFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", str(tmp_path / "sweep.json"), *flags])
         assert excinfo.value.code == 2
+
+
+class TestPolicyFlagErrors:
+    """A bad execution value is reported under the flag that was typed."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["work", "store", "--ttl", "0"], "--ttl", "must be > 0, got 0.0"),
+            (["sweep", "sweep.json", "--lease-ttl", "0"], "--lease-ttl", "must be > 0"),
+            (["sweep", "sweep.json", "--workers", "0"], "--workers", "must be >= 1"),
+            (["work", "store", "--workers", "-1"], "--workers", "must be >= 1"),
+            (["sweep", "sweep.json", "--chunk-size", "0"], "--chunk-size", "must be >= 1"),
+            (["optimize", "optimize.json", "--lease-ttl", "-1"], "--lease-ttl", "must be > 0"),
+            (["serve", "--port", "0", "--lease-ttl", "0"], "--lease-ttl", "must be > 0"),
+            (["serve", "--port", "0", "--workers", "0"], "--workers", "must be >= 1"),
+        ],
+    )
+    def test_error_names_the_typed_flag(self, argv, flag, message, tmp_path, capsys):
+        argv = [str(tmp_path / arg) if arg.endswith((".json", "store")) else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {message}" in err
+        assert "lease_ttl" not in err and "chunk_size" not in err

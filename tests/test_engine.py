@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 
 import pytest
+import store_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,14 +63,6 @@ def portable(outcomes) -> list:
         outcome.result.to_dict() if outcome.result is not None else outcome.error
         for outcome in outcomes
     ]
-
-
-def store_documents(store: ResultStore) -> dict[str, bytes]:
-    """Every persisted result document, keyed by file name, as raw bytes."""
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(store.root.rglob("*.json"))
-    }
 
 
 @contextlib.contextmanager
@@ -243,7 +236,7 @@ class TestWorkerDeathChaos:
         assert marker.exists()
         assert stats["rebuilds"] == 1
         assert survivor.to_dict() == baseline.to_dict()
-        assert store_documents(chaos_store) == store_documents(serial_store)
+        assert store_rows.documents(chaos_store) == store_rows.documents(serial_store)
 
     def test_rebuild_budget_degrades_to_serial_not_forever(self, tmp_path):
         # Once the rebuild budget is spent the engine must not keep
@@ -314,6 +307,6 @@ class TestExecutionEquivalenceProperty:
         assert marker.exists()
         assert persistent == serial
         assert after_kill == serial
-        baseline_docs = store_documents(stores["serial"])
+        baseline_docs = store_rows.documents(stores["serial"])
         for name in ("persistent", "killed"):
-            assert store_documents(stores[name]) == baseline_docs, name
+            assert store_rows.documents(stores[name]) == baseline_docs, name

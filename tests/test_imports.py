@@ -36,6 +36,7 @@ DEFERRED = (
     "multiprocessing",
     "uuid",
     "numpy",
+    "sqlite3",
 )
 
 
@@ -96,6 +97,25 @@ def test_import_repro_loads_no_submodule():
     assert sorted(name for name in loaded if name.startswith("repro.")) == [
         "repro._exports"
     ]
+
+
+def test_sqlite3_loads_when_a_store_first_touches_its_database(tmp_path):
+    loaded = json.loads(
+        run_fresh(
+            """
+            import json, sys
+            from repro import ResultStore
+
+            store = ResultStore(sys.argv[1])
+            store.get("ab" * 32)  # no database yet: nothing to open
+            before = "sqlite3" in sys.modules
+            store.put_sweep("ab" * 32, {})
+            print(json.dumps([before, "sqlite3" in sys.modules]))
+            """,
+            str(tmp_path / "store"),
+        )
+    )
+    assert loaded == [False, True]
 
 
 def test_warm_sweep_never_imports_the_arithmetic_layer(tmp_path):

@@ -630,3 +630,30 @@ class TestPoolMetrics:
         assert executor["maxWorkers"] == 1
         assert executor["poolSpawns"] == 0
         assert executor["runs"] == 1
+
+    def test_queue_executed_chunks_set_the_chunk_size_gauge(self, tmp_path):
+        with live_service(
+            tmp_path, policy=ExecutionPolicy(executor="queue")
+        ) as (service, base_url):
+            record = service.submit_job(
+                "sweep",
+                {
+                    "base": {
+                        "program": {"counts": COUNTS.to_dict()},
+                        "qubit": {"profile": "qubit_gate_ns_e3"},
+                    },
+                    "axes": [
+                        {
+                            "field": "budget",
+                            "geom": {"start": 1e-6, "factor": 2, "count": 12},
+                        }
+                    ],
+                    "chunkSize": 4,
+                },
+            )
+            assert record["total"] == 12
+            document = ServiceClient(base_url).wait_for_job(record["jobId"], timeout=120)
+            assert document["counts"]["total"] == 12
+            body, _ = scrape(base_url)
+        assert_valid_exposition(body)
+        assert "repro_pool_chunk_size 4" in body

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import store_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -449,8 +450,7 @@ class TestStoreBackedResume:
         spec = small_optimize()
         store = ResultStore(tmp_path)
         cold = run_optimize(spec, store=store)
-        path = store.path_for(cold.optimize_hash, "optimize")
-        path.write_text("{not json")
+        store_rows.update(store, cold.optimize_hash, "optimize", body=b"{not json")
         healed = run_optimize(spec, store=store)
         assert healed.from_trace is False
         assert healed.to_dict() == cold.to_dict()

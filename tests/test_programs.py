@@ -14,6 +14,7 @@ import json
 import threading
 
 import pytest
+import store_rows
 
 from repro import (
     EstimateCache,
@@ -385,8 +386,8 @@ class TestCountsNamespace:
         store = ResultStore(tmp_path)
         key = "cd" * 32
         store.put_counts(key, COUNTS)
-        path = store.path_for(key, "counts")
-        path.write_text(path.read_text()[:-7] + "garbage")
+        data = store_rows.body(store, key, "counts")
+        store_rows.update(store, key, "counts", body=data[:-7] + b"garbage")
         assert store.get_counts(key) is None
 
     def test_run_specs_writes_counts_documents(self, tmp_path):
@@ -402,7 +403,7 @@ class TestCountsNamespace:
         assert stats["namespaces"]["counts"] == {
             "schema": COUNTS_SCHEMA,
             "documents": 1,
-            "bytes": store.path_for(key, "counts").stat().st_size,
+            "bytes": store_rows.row(store, key, "counts")["size"],
         }
 
     def test_cached_counts_are_used_instead_of_retracing(self, tmp_path):

@@ -18,14 +18,15 @@ import time
 import pytest
 
 import faults
+import store_rows
 from repro import LogicalCounts, Registry, ResultStore
 from repro.estimator.engine import ExecutionPolicy
 from repro.estimator.queue import (
     FAULT_STAGES,
     SweepQueue,
+    read_document,
     run_worker,
 )
-from repro.estimator.store import read_document
 from repro.estimator.sweep import SweepSpec, run_sweep
 from repro.service import EstimationService
 
@@ -60,13 +61,15 @@ def serial_result_bytes(tmp_path) -> tuple[str, bytes]:
     store = ResultStore(tmp_path / "serial")
     result = run_sweep(small_sweep(), registry=Registry(), store=store)
     assert store.put_sweep(result.sweep_hash, result.to_dict())
-    return result.sweep_hash, store.path_for(result.sweep_hash, "sweeps").read_bytes()
+    return result.sweep_hash, store_rows.body(store, result.sweep_hash, "sweeps")
 
 
 def assert_no_torn_documents(store: ResultStore) -> None:
-    """Every ``.json`` under the store root parses and digest-verifies."""
+    """Every queue file and database row parses and digest-verifies."""
     for path in store.root.rglob("*.json"):
         assert read_document(path) is not None, f"torn/corrupt document: {path}"
+    for namespace, key in store_rows.documents(store):
+        assert store.read(namespace, key) is not None, f"torn row: {namespace} {key}"
 
 
 class FakeClock:
@@ -194,7 +197,7 @@ class TestWorkerExecution:
             policy=ExecutionPolicy(executor="queue"),
         )
         assert result.sweep_hash == job_id
-        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
         assert SweepQueue(store).load_job(job_id).status == "finished"
         assert_no_torn_documents(store)
 
@@ -229,7 +232,7 @@ class TestWorkerExecution:
         )
         report = run_worker(store, job_id=job.job_id)
         assert report.jobs_finalized == 1
-        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
 
     def test_unknown_job_raises(self, store):
         with pytest.raises(ValueError, match="unknown sweep job"):
@@ -268,7 +271,7 @@ class TestFaultInjection:
             store.root, job_id=job.job_id, ttl=self.TTL
         )
         assert survivor.returncode == 0, survivor.stderr
-        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
         assert SweepQueue(store).load_job(job.job_id).status == "finished"
         assert_no_torn_documents(store)
 
@@ -295,7 +298,7 @@ class TestFaultInjection:
             )
             assert survivor.returncode == 0, survivor.stderr
         assert kills > 0, "chaos schedule never killed a worker"
-        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
         assert SweepQueue(store).load_job(job.job_id).status == "finished"
         assert_no_torn_documents(store)
 
@@ -320,7 +323,37 @@ class TestFaultInjection:
             assert worker.returncode == 0, stderr
             reports.append(json.loads(stdout))
         assert sum(report["chunksEvaluated"] for report in reports) == job.num_chunks
-        assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
+
+
+class TestSharedDatabase:
+    def test_two_workers_and_a_pooled_sweep_write_one_database(self, tmp_path):
+        """Two ``repro work`` processes drain a queued sweep while a pooled
+        local sweep writes other points into the same database: both
+        results equal their serial runs bit for bit, and no row is torn."""
+        job_id, serial_bytes = serial_result_bytes(tmp_path)
+        store = ResultStore(tmp_path / "shared")
+        job = SweepQueue(store).enqueue(
+            small_sweep(), registry=Registry(), chunk_size=1
+        )
+        workers = [
+            faults.spawn_worker_process(store.root, job_id=job.job_id, ttl=5.0)
+            for _ in range(2)
+        ]
+        other_doc = json.loads(json.dumps(SWEEP_DOC))
+        other_doc["axes"][0]["values"] = [3e-4, 3e-3, 3e-2, 1e-1]
+        other = SweepSpec.from_dict(other_doc)
+        pooled = run_sweep(
+            other, registry=Registry(), store=store, policy=ExecutionPolicy(workers=2)
+        )
+        for worker in workers:
+            _, stderr = worker.communicate(timeout=120)
+            assert worker.returncode == 0, stderr
+        serial = run_sweep(other, registry=Registry())
+        assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
+        assert store.stats()["namespaces"]["results"]["documents"] == 6 + 8
+        assert_no_torn_documents(store)
 
 
 class TestServiceRecovery:
@@ -358,7 +391,7 @@ class TestServiceRecovery:
             assert service.policy.executor == "queue"
             record = self._wait_done(service, job.job_id)
             assert record["status"] == "done", record
-            assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+            assert store_rows.body(store, job_id, "sweeps") == serial_bytes
         finally:
             service.close(wait=True)
 
@@ -399,7 +432,7 @@ class TestServiceRecovery:
         try:
             record = self._wait_done(second, job_id)
             assert record["status"] == "done", record
-            assert store.path_for(job_id, "sweeps").read_bytes() == serial_bytes
+            assert store_rows.body(store, job_id, "sweeps") == serial_bytes
         finally:
             second.close(wait=True)
 
@@ -416,12 +449,12 @@ class TestServiceRecovery:
         queue = SweepQueue(store)
         job = queue.load_job(next(iter(queue.job_ids())))
         # Reopen the journal as if the finalizer died mid-way.
-        document = read_document(store.path_for(job.job_id, "jobs"))
+        document = read_document(queue.journal_path(job.job_id))
         document.pop("digest")
         document["status"] = "submitted"
-        from repro.estimator.store import write_document
+        from repro.estimator.queue import write_document
 
-        assert write_document(store.path_for(job.job_id, "jobs"), document)
+        assert write_document(queue.journal_path(job.job_id), document)
 
         service = EstimationService(registry=Registry(), store=store, recover=False)
         try:

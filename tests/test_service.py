@@ -14,6 +14,7 @@ import threading
 import time
 
 import pytest
+import store_rows
 
 from repro import (
     EstimateSpec,
@@ -516,15 +517,14 @@ class TestConcurrentSubmissions:
                     assert record["specHash"] == expected["specHash"]
                     assert record["result"] == expected["result"]
 
-            # No torn store files: every document on disk parses and
-            # passes the integrity check.
-            files = list((tmp_path / "shared").rglob("*.json"))
-            assert len(files) == len(specs)
-            for path in files:
-                json.loads(path.read_text())  # whole JSON
-                assert shared_store.get_raw(path.stem) is not None, path
-            leftovers = [p for p in (tmp_path / "shared").rglob("*.tmp")]
-            assert leftovers == []
+            # No torn rows: every stored document parses and passes the
+            # integrity check.
+            rows = store_rows.documents(shared_store)
+            assert len(rows) == len(specs)
+            for (namespace, key), (_, body) in rows.items():
+                assert namespace == "results"
+                json.loads(body)  # whole JSON
+                assert shared_store.get_raw(key) is not None, key
         finally:
             server.shutdown()
             server.server_close()
@@ -732,7 +732,7 @@ class TestSweepJobs:
             while service.job_record(job_id)["status"] != "done":
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            store.path_for(job_id, "sweeps").unlink()
+            store_rows.delete(store, job_id, "sweeps")
 
             retried = service.submit_job("sweep", SWEEP_DOC)
             assert retried["jobId"] == job_id

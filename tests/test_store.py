@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
+import store_rows
 
 from repro import (
     Constraints,
@@ -15,12 +17,14 @@ from repro import (
     estimate,
     qubit_params,
 )
+from repro.estimator.queue import collect_garbage
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.store import (
+    DATABASE_NAME,
+    JOBS_SCHEMA,
     StoredOutcome,
     RESULT_SCHEMA,
     STORE_ENV_VAR,
-    _digest,
     default_store_root,
 )
 
@@ -64,34 +68,42 @@ class TestPutGet:
         assert len(store) == 1
         assert store.get(HASH_A) == result
 
-    def test_fanout_layout(self, tmp_path, result):
+    def test_database_layout(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
-        expected = tmp_path / RESULT_SCHEMA / HASH_A[:2] / f"{HASH_A}.json"
-        assert expected.is_file()
-        assert store.path_for(HASH_A) == expected
+        assert store.database == tmp_path / DATABASE_NAME
+        assert store.database.is_file()
+        row = store_rows.row(store, HASH_A)
+        assert set(row) == {"key", "digest", "size", "written_at", "body"}
+        assert row["size"] == len(row["body"])
 
-    def test_malformed_hash_rejected(self, tmp_path):
+    def test_malformed_hash_rejected(self, tmp_path, result):
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="malformed"):
-            store.path_for("../../etc/passwd")
+            store.read("results", "../../etc/passwd")
         with pytest.raises(ValueError, match="malformed"):
             store.get("")
+        with pytest.raises(ValueError, match="malformed"):
+            store.put("../evil", result)
 
     def test_no_temp_files_left_behind(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
         store.put(HASH_B, result)
-        leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
-        assert leftovers == []
+        names = {path.name for path in tmp_path.rglob("*")}
+        assert names <= {DATABASE_NAME, f"{DATABASE_NAME}-wal", f"{DATABASE_NAME}-shm"}
 
 
 class TestRobustness:
     def test_corrupt_file_reads_as_miss(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
-        store.path_for(HASH_A).write_text("{not json")
+        store_rows.update(store, HASH_A, body=b"{not json")
         assert store.get(HASH_A) is None
+        # Unparseable even with a matching digest.
+        digest = hashlib.sha256(b"{not json").hexdigest()
+        store_rows.update(store, HASH_A, digest=digest)
+        assert ResultStore(tmp_path).get(HASH_A) is None
 
     def test_wrong_schema_tag_is_invisible(self, tmp_path, result):
         old = ResultStore(tmp_path, schema="repro-result-v0")
@@ -105,9 +117,9 @@ class TestRobustness:
     def test_mismatched_hash_inside_document_is_a_miss(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
-        document = json.loads(store.path_for(HASH_A).read_text())
+        document = json.loads(store_rows.body(store, HASH_A))
         document["specHash"] = HASH_B
-        store.path_for(HASH_A).write_text(json.dumps(document))
+        store_rows.plant(store, HASH_A, document)
         assert store.get(HASH_A) is None
 
     def test_unwritable_root_degrades_to_noop(self, tmp_path, result):
@@ -131,13 +143,13 @@ class TestIntegrityDigest:
     def test_documents_carry_a_verified_digest(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
-        document = json.loads(store.path_for(HASH_A).read_text())
-        assert isinstance(document.get("digest"), str)
-        assert len(document["digest"]) == 64
+        row = store_rows.row(store, HASH_A)
+        assert row["digest"] == hashlib.sha256(row["body"]).hexdigest()
+        assert store.get_raw(HASH_A)["digest"] == row["digest"]
 
     def test_written_bytes_are_the_compact_encoding(self, tmp_path, result):
-        # The file is exactly the compact json.dumps of the document with
-        # its digest appended: the format corruption checks rely on.
+        # The body is exactly the compact json.dumps of the document: the
+        # format corruption checks rely on.
         store = ResultStore(tmp_path)
         store.put(HASH_A, result, spec={"label": "x"})
         document = {
@@ -146,17 +158,14 @@ class TestIntegrityDigest:
             "spec": {"label": "x"},
             "result": result.to_dict(),
         }
-        document["digest"] = _digest(document)
         expected = json.dumps(document, separators=(",", ":"))
-        assert store.path_for(HASH_A).read_bytes() == expected.encode()
+        assert store_rows.body(store, HASH_A) == expected.encode()
 
     def test_pre_digest_document_reads_as_miss(self, tmp_path, result):
-        # A v1-style document (no digest) must never be served.
+        # A row without a valid digest must never be served.
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
-        document = json.loads(store.path_for(HASH_A).read_text())
-        del document["digest"]
-        store.path_for(HASH_A).write_text(json.dumps(document))
+        store_rows.update(store, HASH_A, digest="")
         assert store.get(HASH_A) is None
 
     def test_sweep_namespace_round_trip(self, tmp_path):
@@ -172,7 +181,7 @@ class TestIntegrityDigest:
     def test_sweep_namespace_rejects_malformed_hash(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="malformed"):
-            store.path_for("../evil", "sweeps")
+            store.get_sweep("../evil")
 
 
 class TestCorruptionFuzz:
@@ -195,8 +204,7 @@ class TestCorruptionFuzz:
         registry = Registry()
         outcome = run_specs([self.SPEC], registry=registry, store=store)[0]
         assert outcome.ok and not outcome.from_store
-        path = store.path_for(outcome.spec_hash)
-        return store, registry, outcome, path, path.read_bytes()
+        return store, registry, outcome, store_rows.body(store, outcome.spec_hash)
 
     @staticmethod
     def _corrupt(pristine: bytes, rng: random.Random) -> bytes:
@@ -210,9 +218,9 @@ class TestCorruptionFuzz:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_every_corruption_reads_as_a_miss(self, warmed, seed):
-        store, _, outcome, path, pristine = warmed
+        store, _, outcome, pristine = warmed
         rng = random.Random(seed)
-        path.write_bytes(self._corrupt(pristine, rng))
+        store_rows.update(store, outcome.spec_hash, body=self._corrupt(pristine, rng))
         assert store.get(outcome.spec_hash) is None, (
             f"seed {seed}: corrupted document was served"
         )
@@ -220,9 +228,9 @@ class TestCorruptionFuzz:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_corrupted_points_are_recomputed_and_healed(self, warmed, seed):
-        store, registry, outcome, path, pristine = warmed
+        store, registry, outcome, pristine = warmed
         rng = random.Random(1000 + seed)
-        path.write_bytes(self._corrupt(pristine, rng))
+        store_rows.update(store, outcome.spec_hash, body=self._corrupt(pristine, rng))
         again = run_specs([self.SPEC], registry=registry, store=store)[0]
         assert again.ok
         assert again.from_store is False, "a corrupt entry must not be served"
@@ -233,10 +241,10 @@ class TestCorruptionFuzz:
     def test_byte_flip_in_embedded_spec_metadata_is_detected(self, warmed):
         # The digest covers the whole document, not just the result: a
         # flip inside the debug 'spec' section also reads as a miss.
-        store, _, outcome, path, pristine = warmed
+        store, _, outcome, pristine = warmed
         index = pristine.index(b'"spec"') + len(b'"spec"') + 4
         flipped = pristine[:index] + bytes([pristine[index] ^ 0x01]) + pristine[index + 1 :]
-        path.write_bytes(flipped)
+        store_rows.update(store, outcome.spec_hash, body=flipped)
         assert store.get_raw(outcome.spec_hash) is None
 
 
@@ -256,7 +264,7 @@ class TestStatsAndGc:
         lease_dir = store.root / QUEUE_SCHEMA / HASH_A / "leases"
         lease_dir.mkdir(parents=True, exist_ok=True)
         orphans = [
-            store.root / RESULT_SCHEMA / ".deadbeef-crashed.tmp",
+            lease_dir.parent / ".deadbeef-crashed.tmp",
             lease_dir / "000000.lease",
             lease_dir / ".000000.lease.stale-pid1-feedf00d",
         ]
@@ -285,7 +293,7 @@ class TestStatsAndGc:
 
     def test_gc_spares_fresh_files(self, store):
         self._plant_orphans(store)  # mtime = now: could be live
-        report = store.gc(older_than_s=3600.0)
+        report = collect_garbage(store, older_than_s=3600.0)
         assert report["removedFiles"] == 0
         assert report["reclaimedBytes"] == 0
         assert store.stats()["orphans"]["files"] == 3
@@ -293,7 +301,7 @@ class TestStatsAndGc:
     def test_gc_reclaims_expired_litter_and_reports_bytes(self, store, result):
         orphans = self._plant_orphans(store, age_s=7200.0)
         expected = sum(path.stat().st_size for path in orphans)
-        report = store.gc(older_than_s=3600.0)
+        report = collect_garbage(store, older_than_s=3600.0)
         assert report["removedFiles"] == len(orphans)
         assert report["reclaimedBytes"] == expected
         assert not any(path.exists() for path in orphans)
@@ -309,7 +317,7 @@ class TestStatsAndGc:
 
     def test_gc_zero_cutoff_takes_everything_orphaned(self, store):
         self._plant_orphans(store)
-        report = store.gc(older_than_s=0.0)
+        report = collect_garbage(store, older_than_s=0.0)
         assert report["removedFiles"] == 3
         assert store.stats()["orphans"]["files"] == 0
 
@@ -328,7 +336,7 @@ class TestGcClockSkew:
         import os
         import time
 
-        path = store.root / RESULT_SCHEMA / ".deadbeef-crashed.tmp"
+        path = store.root / JOBS_SCHEMA / ".deadbeef-crashed.tmp"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"torn":')
         when = time.time() + mtime_offset_s
@@ -339,7 +347,7 @@ class TestGcClockSkew:
         # Regression: a cutoff of now - older_than never reaches a file
         # stamped by a badly skewed clock, leaving it immortal litter.
         orphan = self._plant_orphan(store, mtime_offset_s=86_400.0)
-        report = store.gc(older_than_s=3600.0)
+        report = collect_garbage(store, older_than_s=3600.0)
         assert report["removedFiles"] == 1
         assert not orphan.exists()
 
@@ -348,13 +356,13 @@ class TestGcClockSkew:
         # back) must keep its in-flight files — PR 7's "fresh files
         # spared" guarantee, now skew-tolerant.
         orphan = self._plant_orphan(store, mtime_offset_s=120.0)
-        report = store.gc(older_than_s=3600.0)
+        report = collect_garbage(store, older_than_s=3600.0)
         assert report["removedFiles"] == 0
         assert orphan.exists()
 
     def test_future_skew_tolerance_is_configurable(self, store):
         orphan = self._plant_orphan(store, mtime_offset_s=120.0)
-        report = store.gc(older_than_s=3600.0, future_skew_s=60.0)
+        report = collect_garbage(store, older_than_s=3600.0, future_skew_s=60.0)
         assert report["removedFiles"] == 1
         assert not orphan.exists()
 
@@ -363,7 +371,7 @@ class TestGcClockSkew:
         store.put(HASH_A, result)
         self._plant_orphan(store, mtime_offset_s=-7200.0)
         assert store.stats()["orphans"]["files"] == 1
-        store.gc(older_than_s=3600.0)
+        collect_garbage(store, older_than_s=3600.0)
         assert store.stats()["orphans"]["files"] == 0
 
 
@@ -400,9 +408,9 @@ class TestGcQueueRecords:
         assert len(first.points) == 8
         queue = store.stats()["namespaces"]["queue"]
         assert queue["documents"] == 8  # 4 chunk records + 4 done records
-        sweep_bytes = store.path_for(first.sweep_hash, "sweeps").read_bytes()
+        sweep_bytes = store_rows.body(store, first.sweep_hash, "sweeps")
 
-        report = store.gc(older_than_s=0.0)
+        report = collect_garbage(store, older_than_s=0.0)
         assert report["removedFiles"] == 8
         assert report["reclaimedBytes"] == queue["bytes"]
         assert store.stats()["namespaces"]["queue"]["bytes"] == 0
@@ -410,7 +418,7 @@ class TestGcQueueRecords:
         # The journal and the sweep document answer the re-run.
         assert store.stats()["namespaces"]["jobs"]["documents"] == 1
         again = self._queue_sweep(store)
-        assert store.path_for(first.sweep_hash, "sweeps").read_bytes() == sweep_bytes
+        assert store_rows.body(store, first.sweep_hash, "sweeps") == sweep_bytes
         assert json.dumps(again.to_dict()) == json.dumps(first.to_dict())
         # Re-enqueueing a finished job writes no chunk records again.
         assert store.stats()["namespaces"]["queue"]["bytes"] == 0
@@ -418,7 +426,7 @@ class TestGcQueueRecords:
     def test_records_spared_while_fresh(self, tmp_path):
         store = ResultStore(tmp_path)
         self._queue_sweep(store)
-        assert store.gc(older_than_s=3600.0)["removedFiles"] == 0
+        assert collect_garbage(store, older_than_s=3600.0)["removedFiles"] == 0
         assert store.stats()["namespaces"]["queue"]["documents"] == 8
 
     def test_unfinished_job_keeps_its_records(self, tmp_path):
@@ -427,32 +435,30 @@ class TestGcQueueRecords:
 
         store = ResultStore(tmp_path)
         SweepQueue(store).enqueue(SweepSpec.from_dict(self.SWEEP), registry=Registry())
-        assert store.gc(older_than_s=0.0)["removedFiles"] == 0
+        assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
         assert store.stats()["namespaces"]["queue"]["documents"] == 4
 
     def test_job_without_its_sweep_document_keeps_its_records(self, tmp_path):
         # An evicted sweep document is rebuilt from the done records.
         store = ResultStore(tmp_path)
         first = self._queue_sweep(store)
-        store.path_for(first.sweep_hash, "sweeps").unlink()
-        assert store.gc(older_than_s=0.0)["removedFiles"] == 0
+        store_rows.delete(store, first.sweep_hash, "sweeps")
+        assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
         assert store.stats()["namespaces"]["queue"]["documents"] == 8
         assert self._queue_sweep(store).to_dict() == first.to_dict()
 
 
 class TestEviction:
-    """LRU-by-mtime document eviction bounds the store's disk use."""
+    """Oldest-written-first eviction bounds the store's disk use."""
 
     def _put_aged(self, store, result, hashes, *, step_s=100.0):
-        """Documents with strictly increasing mtimes (oldest first)."""
-        import os
+        """Documents with strictly increasing write times (oldest first)."""
         import time
 
         base = time.time() - step_s * (len(hashes) + 1)
         for index, spec_hash in enumerate(hashes):
             store.put(spec_hash, result)
-            when = base + index * step_s
-            os.utime(store.path_for(spec_hash), (when, when))
+            store_rows.update(store, spec_hash, written_at=base + index * step_s)
 
     def _document_bytes(self, store):
         namespaces = store.stats()["namespaces"]
@@ -462,9 +468,10 @@ class TestEviction:
 
     def test_evicts_oldest_first_down_to_the_budget(self, tmp_path, result):
         store = ResultStore(tmp_path)
-        hashes = [f"{i:02x}" + "0" * 62 for i in range(4)]
+        # Written newest key first, so key order alone would pick wrong.
+        hashes = [f"{i:02x}" + "0" * 62 for i in reversed(range(4))]
         self._put_aged(store, result, hashes)
-        size = store.path_for(hashes[0]).stat().st_size
+        size = store_rows.row(store, hashes[0])["size"]
         report = store.evict(max_bytes=2 * size)
         assert report["evictedFiles"] == 2
         assert report["remainingBytes"] <= 2 * size
@@ -528,7 +535,7 @@ class TestEviction:
     ):
         probe = ResultStore(tmp_path / "probe")
         probe.put(HASH_A, result)
-        size = probe.path_for(HASH_A).stat().st_size
+        size = store_rows.row(probe, HASH_A)["size"]
         budget = 3 * size + size // 2
         store = ResultStore(tmp_path / "bounded", max_bytes=budget)
         hashes = [f"{i:02x}" + "3" * 62 for i in range(8)]
@@ -537,6 +544,34 @@ class TestEviction:
             assert self._document_bytes(store) <= budget
         # The newest document always survives its own write.
         assert store.get(hashes[-1]) == result
+
+    def test_fill_evict_cycles_reuse_the_files(self, tmp_path, result):
+        # Each cycle writes four budgets' worth of new documents in sweep
+        # sized chunks, evicting as it goes, then evicts explicitly: the
+        # first cycle already runs the store at its budget, so no later
+        # cycle may need more disk than the first one's high-water mark.
+        probe = ResultStore(tmp_path / "probe")
+        probe.put(HASH_A, result)
+        budget = 40 * store_rows.row(probe, HASH_A)["size"]
+        store = ResultStore(tmp_path / "bounded", max_bytes=budget)
+        files = [store.database, store.database.with_name(DATABASE_NAME + "-wal")]
+
+        def disk() -> int:
+            return sum(path.stat().st_size for path in files if path.exists())
+
+        marks = []
+        for cycle in range(10):
+            mark = 0
+            for start in range(0, 160, 16):
+                store.put_many(
+                    (hashlib.sha256(f"{cycle}/{i}".encode()).hexdigest(), result, {"i": i})
+                    for i in range(start, start + 16)
+                )
+                mark = max(mark, disk())
+            store.evict(max_bytes=budget)
+            marks.append(max(mark, disk()))
+            assert self._document_bytes(store) <= budget
+        assert max(marks[1:]) <= marks[0], marks
 
     def test_evict_without_budget_is_an_error(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -585,7 +620,7 @@ class TestMemoryCache:
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
         assert store.get(HASH_A) == result
-        store.path_for(HASH_A).write_text("{not json")
+        store_rows.update(store, HASH_A, body=b"{not json")
         assert store.get(HASH_A) == result
         # A fresh store (fresh cache) sees the corruption as a miss.
         assert ResultStore(tmp_path).get(HASH_A) is None
@@ -658,12 +693,12 @@ class TestOptimizeNamespace:
     def test_malformed_hash_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="malformed"):
-            store.path_for("../evil", "optimize")
+            store.get_optimize("../evil")
 
     def test_corrupt_trace_reads_as_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put_optimize(HASH_A, self.TRACE)
-        store.path_for(HASH_A, "optimize").write_text("{not json")
+        store_rows.update(store, HASH_A, "optimize", body=b"{not json")
         assert store.get_optimize(HASH_A) is None
 
     def test_stats_counts_the_namespace(self, tmp_path):
@@ -688,10 +723,11 @@ class TestPutMany:
             one.put(spec_hash, res, spec=spec)
         assert many.put_many(entries) == 2
         for spec_hash, _, _ in entries:
-            assert (
-                many.path_for(spec_hash).read_bytes()
-                == one.path_for(spec_hash).read_bytes()
-            )
+            row = store_rows.row(many, spec_hash)
+            assert row.pop("written_at") > 0
+            assert store_rows.row(one, spec_hash) | {"written_at": 0} == row | {
+                "written_at": 0
+            }
 
     def test_written_entries_are_retrievable_and_counted(self, tmp_path, result):
         store = ResultStore(tmp_path)
@@ -711,7 +747,7 @@ class TestPutMany:
         # the single batched bookkeeping pass.
         probe = ResultStore(tmp_path / "probe")
         probe.put(HASH_A, result)
-        document_bytes = probe.path_for(HASH_A).stat().st_size
+        document_bytes = store_rows.row(probe, HASH_A)["size"]
         store = ResultStore(tmp_path / "capped", max_bytes=document_bytes + 8)
         store.put_many([(HASH_A, result, None), (HASH_B, result, None)])
         assert len(store) == 1
@@ -732,11 +768,10 @@ class TestErrorDocuments:
         registry = Registry()
         outcome = run_specs([self.SPEC], registry=registry, store=store)[0]
         assert not outcome.ok and not outcome.from_store
-        path = store.path_for(outcome.spec_hash)
-        return store, registry, outcome, path, path.read_bytes()
+        return store, registry, outcome, store_rows.body(store, outcome.spec_hash)
 
     def test_written_bytes_are_the_compact_encoding(self, failed):
-        store, _, outcome, path, pristine = failed
+        store, _, outcome, pristine = failed
         document = {
             "schema": RESULT_SCHEMA,
             "specHash": outcome.spec_hash,
@@ -744,11 +779,10 @@ class TestErrorDocuments:
             "result": None,
             "error": outcome.error,
         }
-        document["digest"] = _digest(document)
         assert pristine == json.dumps(document, separators=(",", ":")).encode()
 
     def test_lookup_tells_errors_from_results(self, failed, result):
-        store, _, outcome, _, _ = failed
+        store, _, outcome, _ = failed
         entry = store.lookup(outcome.spec_hash)
         assert isinstance(entry, StoredOutcome)
         assert entry.result is None and entry.result_dict is None
@@ -771,19 +805,20 @@ class TestErrorDocuments:
 
     @pytest.mark.parametrize("damage", ["tamper", "truncate", "flip"])
     def test_damaged_error_document_is_a_miss_and_recomputed(self, failed, damage):
-        store, registry, outcome, path, pristine = failed
+        store, registry, outcome, pristine = failed
         if damage == "tamper":
             # Rewrite the error without updating the digest.
             document = json.loads(pristine)
             document["error"] = "served from a tampered store"
-            path.write_text(json.dumps(document, separators=(",", ":")))
+            damaged = json.dumps(document, separators=(",", ":")).encode()
         elif damage == "truncate":
-            path.write_bytes(pristine[: len(pristine) // 2])
+            damaged = pristine[: len(pristine) // 2]
         else:
             index = pristine.index(b'"error"') + len(b'"error"') + 3
-            path.write_bytes(
+            damaged = (
                 pristine[:index] + bytes([pristine[index] ^ 0x01]) + pristine[index + 1 :]
             )
+        store_rows.update(store, outcome.spec_hash, body=damaged)
         fresh = ResultStore(store.root)  # no memory-cache entry to hide behind
         assert fresh.lookup(outcome.spec_hash) is None
         assert fresh.get_raw(outcome.spec_hash) is None
@@ -791,7 +826,7 @@ class TestErrorDocuments:
         assert not again.ok and not again.from_store
         assert again.error == outcome.error
         # The store healed: the recomputed error document is byte-identical.
-        assert path.read_bytes() == pristine
+        assert store_rows.body(store, outcome.spec_hash) == pristine
 
     @pytest.mark.parametrize(
         "fields",
@@ -803,12 +838,10 @@ class TestErrorDocuments:
         ],
     )
     def test_malformed_envelopes_are_misses(self, tmp_path, fields):
-        from repro.estimator.store import write_document
-
         store = ResultStore(tmp_path)
         document = {"schema": RESULT_SCHEMA, "specHash": HASH_A, "spec": None}
         document.update(fields)
-        assert write_document(store.path_for(HASH_A), document)
+        store_rows.plant(store, HASH_A, document)
         assert store.get_raw(HASH_A) is None
         assert store.lookup(HASH_A) is None
         assert HASH_A not in store
@@ -820,10 +853,8 @@ class TestErrorDocuments:
         current = ResultStore(tmp_path)
         assert current.lookup(HASH_A) is None
         assert len(current) == 0
-        # Even copied into the v3 path, a v2-tagged document is a miss.
-        target = current.path_for(HASH_A)
-        target.parent.mkdir(parents=True)
-        target.write_bytes(old.path_for(HASH_A).read_bytes())
+        # Even copied into the v3 table, a v2-tagged document is a miss.
+        store_rows.plant(current, HASH_A, json.loads(store_rows.body(old, HASH_A)))
         assert current.get_raw(HASH_A) is None
         assert current.lookup(HASH_A) is None
 
@@ -837,56 +868,58 @@ class TestErrorDocuments:
         with pytest.raises(ValueError, match="exactly one"):
             store.put_many([(HASH_A, StoredOutcome(None, None, None), None)])
 
-    def test_write_after_clear_recreates_the_fanout_directory(self, tmp_path, result):
+    def test_write_after_clear_lands_again(self, tmp_path, result):
         store = ResultStore(tmp_path)
         assert store.put(HASH_A, result)
-        fanout = store.path_for(HASH_A).parent
         assert store.clear() == 1
-        assert not fanout.exists()
+        assert store_rows.row(store, HASH_A) is None
         assert store.put(HASH_A, result)
-        assert fanout.is_dir()
         assert store.get(HASH_A) == result
 
 
 class TestPinnedDocumentBytes:
-    """The exact on-disk bytes of every document kind the store writes.
+    """The exact stored bytes of every document kind the store writes.
 
-    Paths, key order, compact separators and digests are spelled out
-    literally, so a change to any write path that would make an
-    existing store unreadable (or rewrite it differently) fails here.
+    Rows (body and digest), file paths, key order and compact separators
+    are spelled out literally, so a change to any write path that would
+    make an existing store unreadable (or rewrite it differently) fails
+    here.
     """
 
     HASH_C = "cd" + "1" * 62
     JOB_ID = "7743fa46232d0811a1084252adb525ed219593e40edcca699f91edbd0492c7c8"
 
-    EXPECTED = {
-        f"repro-result-v3/ab/{HASH_A}.json": (
+    ROWS = {
+        ("results", HASH_A): (
+            "16550e385d2729f6364d46d8b51767727f5c8c18f66b2103cedf66b52d20e19e",
             '{"schema":"repro-result-v3","specHash":"' + HASH_A + '",'
-            '"spec":{"label":"x"},"result":null,"error":"no T factory",'
-            '"digest":"e482d8ae633c3d882bda21e4c57e540623066e9bbe4af99e5c470b9e02f9a794"}'
+            '"spec":{"label":"x"},"result":null,"error":"no T factory"}',
         ),
-        f"repro-result-v3/cd/{HASH_C}.json": (
+        ("results", HASH_C): (
+            "6466b13d70a7eee76f6277f8efd3fdb31106f5fd023deba4d57d6f0119f36f1d",
             '{"schema":"repro-result-v3","specHash":"' + HASH_C + '",'
-            '"spec":null,"result":{"physicalCounts":{"physicalQubits":7}},'
-            '"digest":"4c422c41e85b5246c858c77118aa8a7b1d077bb60bc48384f88840dbf5ee51ea"}'
+            '"spec":null,"result":{"physicalCounts":{"physicalQubits":7}}}',
         ),
-        f"repro-sweep-result-v1/ab/{HASH_A}.json": (
+        ("sweeps", HASH_A): (
+            "5f6ec08928c508065b27d546169dc9278caacc2e7b1a7540c8ec261cfd45bbda",
             '{"schema":"repro-sweep-result-v1","sweepHash":"' + HASH_A + '",'
-            '"result":{"counts":{"total":0},"points":[]},'
-            '"digest":"8992b038ef285de0b7c962d75b675aaa4a667fe250c0232cdb258459fe940423"}'
+            '"result":{"counts":{"total":0},"points":[]}}',
         ),
-        f"repro-counts-v1/ab/{HASH_A}.json": (
+        ("counts", HASH_A): (
+            "10ec457c5d0063368f7bab29da1358a552934e85957f979cd12aa090756675aa",
             '{"schema":"repro-counts-v1","countsKey":"' + HASH_A + '",'
             '"backend":"formula","counts":{"num_qubits":2,"t_count":3,'
             '"rotation_count":0,"rotation_depth":0,"ccz_count":0,'
-            '"ccix_count":0,"measurement_count":0},'
-            '"digest":"7c483d8e2ef95307fd53cc3eec8b6e967e857a41ccbec811657fcb05da9f6756"}'
+            '"ccix_count":0,"measurement_count":0}}',
         ),
-        f"repro-optimize-v1/ab/{HASH_A}.json": (
+        ("optimize", HASH_A): (
+            "7b0231b7c390151c57a3f69378b724542beb05e23c75d67c2362bc1672eb3ac9",
             '{"schema":"repro-optimize-v1","optimizeHash":"' + HASH_A + '",'
-            '"trace":{"status":"done","probes":[["ab",true]]},'
-            '"digest":"7f686f4685ec933f423591a571a762e959dd9ab4874f0adfe17662b0b7456062"}'
+            '"trace":{"status":"done","probes":[["ab",true]]}}',
         ),
+    }
+
+    FILES = {
         f"repro-jobs-v1/77/{JOB_ID}.json": (
             '{"schema":"repro-jobs-v1","jobId":"' + JOB_ID + '",'
             '"sweep":{"schema":"repro-sweep-v1","base":{"program":{"counts":'
@@ -938,15 +971,27 @@ class TestPinnedDocumentBytes:
         return store, queue, job
 
     def test_every_namespace_writes_the_pinned_bytes(self, tmp_path):
-        self._populate(tmp_path)
+        store, _, _ = self._populate(tmp_path)
+        for (namespace, key), (digest, body) in self.ROWS.items():
+            row = store_rows.row(store, key, namespace)
+            assert (row["digest"], row["body"], row["size"]) == (
+                digest,
+                body.encode(),
+                len(body),
+            )
+        assert store.stats()["namespaces"]["results"]["documents"] == 2
         written = {
             path.relative_to(tmp_path).as_posix(): path.read_text()
             for path in tmp_path.rglob("*.json")
         }
-        assert written == self.EXPECTED
+        assert written == self.FILES
 
     def test_pinned_documents_read_back(self, tmp_path):
-        for relative, text in self.EXPECTED.items():
+        store = ResultStore(tmp_path)
+        for (namespace, key), (_, body) in self.ROWS.items():
+            store_rows.plant(store, key, json.loads(body), namespace)
+            assert store_rows.row(store, key, namespace)["body"] == body.encode()
+        for relative, text in self.FILES.items():
             path = tmp_path / relative
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
@@ -967,7 +1012,7 @@ class TestPinnedDocumentBytes:
         assert queue.mark_finished(job)
         journal = tmp_path / f"repro-jobs-v1/77/{self.JOB_ID}.json"
         assert journal.read_text() == (
-            self.EXPECTED[f"repro-jobs-v1/77/{self.JOB_ID}.json"]
+            self.FILES[f"repro-jobs-v1/77/{self.JOB_ID}.json"]
             .replace('"status":"submitted"', '"status":"finished"')
             .replace(
                 "0c8abd6f2fdb8ea1d1cd2695d4bffd5efb1d5df52f671b1427595583d61da96c",
@@ -980,3 +1025,117 @@ class TestPinnedDocumentBytes:
         queue.clock = lambda: 110.0
         assert queue.renew(lease)
         assert lease_path.read_text() == '{"owner":"w1","deadline":140.0}'
+
+
+#: A store inherited by forked pool workers (set before the pool forks).
+_FORKED_STORE: ResultStore | None = None
+
+
+def _use_inherited_store(key: str) -> tuple[bool, bool, bool, bool]:
+    """In a forked worker: read the parent's row, write one, read it back."""
+    store = _FORKED_STORE
+    seen = store.get(HASH_A) is not None
+    counts = LogicalCounts(num_qubits=2, t_count=3)
+    wrote = store.put_counts(key, counts)
+    # The parent's connection was set aside, never used here.
+    fresh = store._inherited is not None and store._db is not store._inherited
+    return seen, wrote, store.get_counts(key) == counts, fresh
+
+
+class TestDatabaseFailureModes:
+    """Fork, foreign files: the database must never crash or change a run."""
+
+    def test_handle_opened_in_parent_works_in_forked_workers(self, tmp_path, result):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        global _FORKED_STORE
+        store = ResultStore(tmp_path)
+        assert store.put(HASH_A, result)  # the parent's connection is open
+        _FORKED_STORE = store
+        keys = [f"{i:02x}" + "e" * 62 for i in range(4)]
+        try:
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(2, mp_context=context) as pool:
+                answers = list(pool.map(_use_inherited_store, keys))
+        finally:
+            _FORKED_STORE = None
+        assert answers == [(True, True, True, True)] * len(keys)
+        # The parent's connection still reads and writes, and sees the
+        # children's rows.
+        assert all(store.get_counts(key) is not None for key in keys)
+        assert store.put(HASH_B, result)
+        assert ResultStore(tmp_path).get(HASH_B) == result
+        assert store.stats()["namespaces"]["counts"]["documents"] == len(keys)
+
+    def test_threads_share_one_connection_without_lost_writes(self, tmp_path, result):
+        import sys
+        import threading
+
+        store = ResultStore(tmp_path, cache_size=0)
+        errors = []
+
+        def writer(thread: int) -> None:
+            try:
+                for batch in range(10):
+                    keys = [f"{thread:02x}{batch:02x}{i:02x}" + "0" * 58 for i in range(4)]
+                    assert store.put_many((key, result, None) for key in keys) == 4
+                    assert all(store.get(key) == result for key in keys)
+                    store.stats()
+            except Exception as exc:  # reported below, from the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 8 * 10 * 4
+        assert len(store_rows.documents(store)) == 8 * 10 * 4
+
+    def test_non_database_file_reads_as_misses(self, tmp_path, result):
+        tmp_path.joinpath(DATABASE_NAME).write_bytes(b"not a database\n" * 512)
+        store = ResultStore(tmp_path)
+        assert store.put(HASH_A, result) is False
+        assert store.get(HASH_A) is None
+        assert store.put_sweep(HASH_A, {"points": []}) is False
+        assert store.get_sweep(HASH_A) is None
+        assert list(store.keys()) == [] and store.clear() == 0
+        assert store.stats()["namespaces"]["results"]["documents"] == 0
+        assert store.evict(max_bytes=0)["evictedFiles"] == 0
+        assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
+
+    def test_non_database_file_leaves_sweep_output_unchanged(self, tmp_path, capsys):
+        from repro.cli import main
+
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(
+            json.dumps(
+                {
+                    "base": {
+                        "program": {"counts": COUNTS.to_dict()},
+                        "qubit": {"profile": "qubit_gate_ns_e3"},
+                    },
+                    "axes": [
+                        {"field": "budget", "values": [1e-4, 1e-3]},
+                        {"field": "constraints.maxPhysicalQubits", "values": [100, None]},
+                    ],
+                }
+            )
+        )
+        root = tmp_path / "store"
+        root.mkdir()
+        root.joinpath(DATABASE_NAME).write_bytes(b"\x00garbage" * 1000)
+        outputs = []
+        for extra in ([], ["--store", str(root)], ["--store", str(root)]):
+            code = main(["sweep", str(sweep), "--json", "--quiet", *extra])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] == 1  # the 100-qubit points are infeasible
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
