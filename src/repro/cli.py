@@ -125,6 +125,7 @@ from .estimator.spec import EstimateSpec, ProgramRef, run_specs
 from .estimator.stages import resolve_counts
 from .estimator.store import ResultStore, default_store_root
 from .estimator.sweep import SweepSpec, run_sweep
+from .jsonlog import dumps_indented
 from .qubits import PREDEFINED_PROFILES
 from .registry import Registry, default_registry
 
@@ -632,7 +633,7 @@ def _batch_main(argv: list[str]) -> int:
                 record["error"] = outcome.error
                 failures += 1
             records.append(record)
-        print(json.dumps(records, indent=2))
+        print(dumps_indented(records))
     else:
         header = (
             f"{'program':<20} {'profile':<17} {'budget':>8} {'depth':>6} "
@@ -839,7 +840,7 @@ def _sweep_main(argv: list[str]) -> int:
                 proc.kill()
 
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
+        print(dumps_indented(result.to_dict()))
     elif args.csv is not None:
         csv_text = result.to_csv()
         if str(args.csv) == "-":
@@ -1003,7 +1004,7 @@ def _optimize_main(argv: list[str]) -> int:
         )
 
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
+        print(dumps_indented(result.to_dict()))
     else:
         grid = spec.num_points()
         print(
@@ -1137,7 +1138,7 @@ def _work_main(argv: list[str]) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(dumps_indented(report.to_dict()))
     elif not args.quiet:
         print(
             f"worker {report.owner}: {report.chunks_evaluated} chunks "
@@ -1361,7 +1362,7 @@ def _bench_main(argv: list[str]) -> int:
             }
         else:
             record["estimateError"] = estimate_error
-        print(json.dumps(record, indent=2))
+        print(dumps_indented(record))
     else:
         workload = args.program or f"{args.algorithm}/{args.bits}"
         print(f"{workload} via {args.backend} backend on {args.profile}")
@@ -1459,7 +1460,7 @@ def main(argv: list[str] | None = None) -> int:
         report = result.to_dict()
         if verdict is not None:
             report["advantageAssessment"] = verdict.to_dict()
-        print(json.dumps(report, indent=2))
+        print(dumps_indented(report))
     else:
         print(result.summary())
         if verdict is not None:
@@ -1489,7 +1490,7 @@ def build_registry_parser() -> argparse.ArgumentParser:
 def _registry_main(argv: list[str]) -> int:
     args = build_registry_parser().parse_args(argv)
     registry = _load_scenarios(args.scenario)
-    print(json.dumps(registry.describe(), indent=2))
+    print(dumps_indented(registry.describe()))
     return 0
 
 
@@ -1550,15 +1551,15 @@ def _store_main(argv: list[str]) -> int:
         from .estimator.queue import collect_garbage
 
         report = collect_garbage(store, older_than_s=args.older_than)
-        print(json.dumps(report, indent=2))
+        print(dumps_indented(report))
     elif args.action == "evict":
         if args.max_bytes is None:
             parser.error("'evict' requires --max-bytes")
         if args.max_bytes < 0:
             parser.error(f"--max-bytes must be >= 0, got {args.max_bytes}")
-        print(json.dumps(store.evict(max_bytes=args.max_bytes), indent=2))
+        print(dumps_indented(store.evict(max_bytes=args.max_bytes)))
     else:
-        print(json.dumps(store.stats(), indent=2))
+        print(dumps_indented(store.stats()))
     return 0
 
 
@@ -1797,7 +1798,7 @@ def _submit_main(argv: list[str]) -> int:
 
     records = response["results"] if "results" in response else [response]
     if args.json:
-        print(json.dumps(response, indent=2))
+        print(dumps_indented(response))
     else:
         for record in records:
             label = record.get("label") or record.get("specHash") or "(spec)"

@@ -77,11 +77,13 @@ A store grows without bound by default — every distinct spec hash adds
 a row. :meth:`ResultStore.evict` (the ``repro store evict`` CLI) deletes
 rows oldest ``written_at`` first until the stored body bytes fit a
 budget, and a store constructed with ``max_bytes=`` enforces that budget
-automatically as it writes. Reads never touch ``written_at``, so the
-order is write time. Eviction never touches the queue or the journal:
-evicting them could orphan a running sweep. An evicted document is
-simply a future cache miss: the store heals by recomputation, exactly
-like a corrupt row.
+automatically as it writes: a write that takes the store past its
+budget prunes it to :data:`EVICTION_HEADROOM` below, so the next
+eviction scan waits until that share of the budget has been written
+again. Reads never touch ``written_at``, so the order is write time.
+Eviction never touches the queue or the journal: evicting them could
+orphan a running sweep. An evicted document is simply a future cache
+miss: the store heals by recomputation, exactly like a corrupt row.
 """
 
 from __future__ import annotations
@@ -189,6 +191,12 @@ _COLUMNS = (
 #: document can never go stale; only documents that passed the
 #: integrity digest on a real database read are ever cached.
 DEFAULT_MEMORY_CACHE_SIZE = 256
+
+#: The share of ``max_bytes`` an automatic eviction frees below the
+#: budget. Pruning to exactly the budget would rerun the full scan, sort
+#: and WAL checkpoint on every later write; this headroom runs them once
+#: per that many bytes written.
+EVICTION_HEADROOM = 0.25
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_STORE_DIR"
@@ -339,10 +347,10 @@ class ResultStore:
         disables memory caching; every read goes to the database.
     max_bytes:
         Budget for the stored body bytes of every namespace. When set,
-        every write checks a running byte estimate and triggers
-        :meth:`evict` past the budget, so the store stays bounded across
-        arbitrarily large sweeps. ``None`` (default) disables automatic
-        eviction.
+        every write checks a running byte estimate and, past the budget,
+        evicts down to :data:`EVICTION_HEADROOM` below it, so the store
+        stays bounded across arbitrarily large sweeps. ``None``
+        (default) disables automatic eviction.
 
     One connection per process serves every thread, under the store's
     lock. It opens on first use, and again in a forked child: a
@@ -377,7 +385,7 @@ class ResultStore:
         self._db: Any = None  # sqlite3.Connection, opened by _connection()
         self._pid = os.getpid()
         self._inherited: Any = None
-        self._evictions = {"files": 0, "bytes": 0}
+        self._evictions = {"documents": 0, "bytes": 0}
         # Running byte total of the stored bodies; None until the first
         # budget check measures it. Writes add their sizes (an upper
         # bound — idempotent rewrites double-count, which only makes the
@@ -536,14 +544,15 @@ class ResultStore:
                         )
                     written = len(rows)
         if written and self.max_bytes is not None:
-            if self._evictable_bytes is None:
-                self.evict()  # first write under a budget: measure and prune
-            else:
-                with self._lock:
+            with self._lock:
+                if self._evictable_bytes is not None:
                     self._evictable_bytes += sum(row[2] for row in rows)
-                    over = self._evictable_bytes > self.max_bytes
-                if over:
-                    self.evict()
+                # The first write under a budget measures the store.
+                total = self._evictable_bytes
+                over = total is None or total > self.max_bytes
+            if over:
+                low_water = int(self.max_bytes * (1 - EVICTION_HEADROOM))
+                self._evict(self.max_bytes, low_water)
         return written
 
     # -- results -----------------------------------------------------------
@@ -859,9 +868,9 @@ class ResultStore:
         ``get`` after eviction misses and recomputes.
         Safe and idempotent on a shared store: every deletion is an
         ordinary cache miss to other processes. Returns
-        ``{"evictedFiles", "evictedBytes", "totalBytes",
-        "remainingBytes", "maxBytes"}`` (a "file" is one document);
-        cumulative tallies appear under ``evictions`` in :meth:`stats`.
+        ``{"evictedDocuments", "evictedBytes", "totalBytes",
+        "remainingBytes", "maxBytes"}``; cumulative tallies appear under
+        ``evictions`` in :meth:`stats`.
         """
         limit = max_bytes if max_bytes is not None else self.max_bytes
         if limit is None:
@@ -871,6 +880,10 @@ class ResultStore:
             )
         if limit < 0:
             raise ValueError(f"max_bytes must be >= 0, got {limit}")
+        return self._evict(limit, limit)
+
+    def _evict(self, limit: int, target: int) -> dict[str, Any]:
+        """Delete the oldest rows down to ``target`` bytes if over ``limit``."""
         rows = []
         with self._database() as db:
             if db is not None:
@@ -880,10 +893,12 @@ class ResultStore:
                     "ORDER BY written_at, key, namespace"
                 ).fetchall()
         total = sum(size for _, _, size in rows)
+        if rows and rows[-1][2] <= limit:
+            target = max(target, rows[-1][2])  # the newest row fits: keep it
         victims: dict[str, list[tuple[str]]] = {}
         victim_bytes = 0
-        for namespace, key, size in rows:
-            if total - victim_bytes <= limit:
+        for namespace, key, size in rows if total > limit else ():
+            if total - victim_bytes <= target:
                 break
             victims.setdefault(namespace, []).append((key,))
             victim_bytes += size
@@ -902,14 +917,14 @@ class ResultStore:
             for namespace in victims.keys() & self._memory.keys():
                 for (key,) in victims[namespace]:
                     self._memory[namespace].remove(key)
-        evicted_files = sum(map(len, victims.values())) if deleted else 0
+        evicted_documents = sum(map(len, victims.values())) if deleted else 0
         evicted_bytes = victim_bytes if deleted else 0
         with self._lock:
-            self._evictions["files"] += evicted_files
+            self._evictions["documents"] += evicted_documents
             self._evictions["bytes"] += evicted_bytes
             self._evictable_bytes = total - evicted_bytes
         return {
-            "evictedFiles": evicted_files,
+            "evictedDocuments": evicted_documents,
             "evictedBytes": evicted_bytes,
             "totalBytes": total,
             "remainingBytes": total - evicted_bytes,

@@ -9,10 +9,10 @@ through plain CSV/JSON so results can be archived next to the paper data.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..jsonlog import dumps_indented
 from .runner import EstimateRow
 
 #: Column order of the CSV format (stable, append-only).
@@ -80,7 +80,7 @@ def write_rows_json(rows: Sequence[EstimateRow], path: str | Path) -> Path:
     """Write estimate rows as a JSON array of the tool-style dicts."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps([row.to_dict() for row in rows], indent=2) + "\n")
+    path.write_text(dumps_indented([row.to_dict() for row in rows]) + "\n")
     return path
 
 
@@ -106,7 +106,7 @@ def regenerate_all(directory: str | Path) -> dict[str, Path]:
     }
     claims_path = directory / "claims.json"
     claims_path.write_text(
-        json.dumps([c.to_dict() for c in claims], indent=2) + "\n"
+        dumps_indented([c.to_dict() for c in claims]) + "\n"
     )
     written["claims.json"] = claims_path
     return written

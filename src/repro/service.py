@@ -481,7 +481,7 @@ class EstimationService:
         metrics.describe(
             "repro_store_evicted_total",
             "counter",
-            "Documents evicted from the bounded store, by unit (files/bytes).",
+            "Documents evicted from the bounded store, by unit (documents/bytes).",
         )
         metrics.describe(
             "repro_store_documents",
@@ -603,7 +603,7 @@ class EstimationService:
                         )
                     )
             evictions = self.store.eviction_stats()
-            for unit in ("files", "bytes"):
+            for unit in ("documents", "bytes"):
                 samples.append(
                     ("repro_store_evicted_total", {"unit": unit}, evictions[unit])
                 )

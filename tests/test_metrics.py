@@ -284,7 +284,7 @@ class TestMetricsEndpoint:
             assert 'repro_store_documents{namespace="results"} 1' in text
             assert "repro_queue_depth 0" in text
             assert "repro_kernel_points_total" in text
-            assert 'repro_store_evicted_total{unit="files"} 0' in text
+            assert 'repro_store_evicted_total{unit="documents"} 0' in text
             assert 'repro_jobs{kind="sweep",state="running"} 0' in text
 
     def test_warm_submission_shows_cache_hits(self, tmp_path):
@@ -338,11 +338,11 @@ class TestMetricsEndpoint:
             client = ServiceClient(base_url)
             client.submit(EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3"))
             report = service.store.evict(max_bytes=0)
-            assert report["evictedFiles"] >= 1
+            assert report["evictedDocuments"] >= 1
             text, _ = scrape(base_url)
             assert (
-                f'repro_store_evicted_total{{unit="files"}} '
-                f'{report["evictedFiles"]}' in text
+                f'repro_store_evicted_total{{unit="documents"}} '
+                f'{report["evictedDocuments"]}' in text
             )
 
 

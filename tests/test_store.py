@@ -21,6 +21,7 @@ from repro.estimator.queue import collect_garbage
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.store import (
     DATABASE_NAME,
+    EVICTION_HEADROOM,
     JOBS_SCHEMA,
     StoredOutcome,
     RESULT_SCHEMA,
@@ -473,19 +474,19 @@ class TestEviction:
         self._put_aged(store, result, hashes)
         size = store_rows.row(store, hashes[0])["size"]
         report = store.evict(max_bytes=2 * size)
-        assert report["evictedFiles"] == 2
+        assert report["evictedDocuments"] == 2
         assert report["remainingBytes"] <= 2 * size
         assert store.get(hashes[0]) is None  # oldest two gone
         assert store.get(hashes[1]) is None
         assert store.get(hashes[2]) == result  # newest two kept
         assert store.get(hashes[3]) == result
-        assert store.stats()["evictions"]["files"] == 2
+        assert store.stats()["evictions"]["documents"] == 2
 
     def test_under_budget_is_a_no_op(self, tmp_path, result):
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
         report = store.evict(max_bytes=10**9)
-        assert report["evictedFiles"] == 0
+        assert report["evictedDocuments"] == 0
         assert store.get(HASH_A) == result
 
     def test_never_touches_queue_leases_or_journal(self, tmp_path, result):
@@ -572,6 +573,32 @@ class TestEviction:
             marks.append(max(mark, disk()))
             assert self._document_bytes(store) <= budget
         assert max(marks[1:]) <= marks[0], marks
+
+    def test_bounded_writes_scan_once_per_headroom(self, tmp_path, result):
+        # Past its budget a store prunes to EVICTION_HEADROOM below it, so
+        # the eviction scan and WAL checkpoint run once per that many
+        # bytes written, not on every chunk that lands at the budget.
+        probe = ResultStore(tmp_path / "probe")
+        probe.put(HASH_A, result)
+        size = store_rows.row(probe, HASH_A)["size"]
+        budget = 400 * size
+        store = ResultStore(tmp_path / "bounded", max_bytes=budget)
+        store.put(HASH_A, result)  # opens the connection to trace
+        statements: list[str] = []
+        store._connection(create=True).set_trace_callback(statements.append)
+        for start in range(0, 2000, 16):
+            store.put_many(
+                (hashlib.sha256(str(i).encode()).hexdigest(), result, None)
+                for i in range(start, start + 16)
+            )
+            assert self._document_bytes(store) <= budget
+        scans = sum("ORDER BY written_at" in sql for sql in statements)
+        checkpoints = sum("wal_checkpoint" in sql for sql in statements)
+        # Pruning to exactly the budget scanned on each of the ~100
+        # chunks written after the store first filled.
+        assert 1 <= checkpoints <= scans <= 2001 / (EVICTION_HEADROOM * 400) + 1
+        assert store.eviction_stats()["documents"] == 2001 - len(store)
+        assert store.get(hashlib.sha256(b"1999").hexdigest()) == result
 
     def test_evict_without_budget_is_an_error(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -1109,7 +1136,7 @@ class TestDatabaseFailureModes:
         assert store.get_sweep(HASH_A) is None
         assert list(store.keys()) == [] and store.clear() == 0
         assert store.stats()["namespaces"]["results"]["documents"] == 0
-        assert store.evict(max_bytes=0)["evictedFiles"] == 0
+        assert store.evict(max_bytes=0)["evictedDocuments"] == 0
         assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
 
     def test_non_database_file_leaves_sweep_output_unchanged(self, tmp_path, capsys):
