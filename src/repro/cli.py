@@ -120,7 +120,7 @@ from .budget import ErrorBudget
 from .counts import COUNT_BACKENDS, LogicalCounts
 from .estimator import Constraints
 from .estimator.batch import EstimateCache
-from .estimator.engine import ExecutionPolicy
+from .estimator.engine import ExecutionPolicy, chunk_size_for
 from .estimator.spec import EstimateSpec, ProgramRef, run_specs
 from .estimator.stages import resolve_counts
 from .estimator.store import ResultStore, default_store_root
@@ -751,10 +751,19 @@ def _sweep_main(argv: list[str]) -> int:
     point_hashes = None
     if args.resume and store is not None:
         # Hashed once here and handed to run_sweep, which would otherwise
-        # hash every point again. Stored error documents (infeasible
-        # points) count: a re-run answers them from disk too.
+        # hash every point again. A point counts when the sweep will
+        # answer it from disk: a stored error document (an infeasible
+        # point) counts, an undecodable document does not. One lookup per
+        # chunk, as the sweep reads them.
         point_hashes = sweep.point_hashes(registry)
-        stored = sum(1 for spec_hash in point_hashes if spec_hash in store)
+        size = chunk_size_for(
+            policy.chunk_size, sweep.chunk_size, len(points), store=True
+        )
+        stored = sum(
+            entry is not None
+            for start in range(0, len(point_hashes), size)
+            for entry in store.lookup_many(point_hashes[start : start + size])
+        )
         print(
             f"resume: {stored}/{len(points)} points already stored",
             file=sys.stderr,

@@ -945,7 +945,7 @@ def run_optimize(
                     hashes.append(point_spec.content_hash())
             # A stored error document is a hit too, exactly as the local
             # executor's run_specs reports it (from_store on failures).
-            already = [store.lookup(point_hash) is not None for point_hash in hashes]
+            already = [entry is not None for entry in store.lookup_many(hashes)]
             probe_sweep = SweepSpec(
                 axes=tuple(
                     SweepAxis(

@@ -4,14 +4,46 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from ..budget import ErrorBudgetPartition
 from ..counts import LogicalCounts
 from ..distillation import TFactory
+from ..jsonlog import _COMPACT
 from ..layout import AlgorithmicLogicalResources
 from ..qec import LogicalQubit
 from ..qubits import PhysicalQubitParams
+
+_T = TypeVar("_T")
+
+#: Most sub-documents :func:`_shared` keeps decoded; past it the memo
+#: starts over. A sweep's results repeat a few dozen (the reference
+#: sweep's 684: 30 T factories, 17 logical qubits, 4 qubit parameter
+#: sets, 1 pre-layout count set).
+_SHARED_LIMIT = 256
+_SHARED: dict[tuple[str, ...], Any] = {}
+
+
+def _shared(kind: str, decode: Callable[[], _T], *parts: Any) -> _T:
+    """``decode()``, shared with every earlier decode of the same input.
+
+    ``parts`` are the JSON sub-documents ``decode`` reads; the memo key
+    is ``kind`` plus their exact compact JSON, so equal keys mean equal
+    input (``1`` and ``1.0``, or ``-0.0`` and ``0.0``, never share). The
+    decoded objects are frozen, so sharing one equals a fresh decode. A
+    decode that raises leaves nothing behind.
+    """
+    try:
+        key = (kind, *("".join(_COMPACT(part, 0)) for part in parts))  # type: ignore[misc]
+    except Exception:  # not JSON data, or no C encoder: decode unshared
+        return decode()
+    found = _SHARED.get(key)
+    if found is None:
+        found = decode()
+        if len(_SHARED) >= _SHARED_LIMIT:
+            _SHARED.clear()
+        _SHARED[key] = found
+    return found
 
 
 @dataclass(frozen=True)
@@ -66,8 +98,9 @@ class TFactoryUsage:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TFactoryUsage":
+        factory = data["factory"]
         return cls(
-            factory=TFactory.from_dict(data["factory"]),
+            factory=_shared("factory", lambda: TFactory.from_dict(factory), factory),
             copies=data["copies"],
             total_runs=data["totalRuns"],
             runs_per_copy=data["runsPerCopy"],
@@ -185,15 +218,31 @@ class PhysicalResourceEstimates:
         every sub-object (including the full T-factory design and the QEC
         scheme formulas) is reconstructed, so stored results can be served
         and post-processed without re-running the estimator.
+
+        Sub-documents that repeat across results — the qubit parameters,
+        the logical qubit with its qubit, the T factory and the pre-layout
+        counts — decode once per process and are shared (see
+        :func:`_shared`).
         """
-        qubit = PhysicalQubitParams.from_dict(data["physicalQubitParameters"])
+        qubit_data = data["physicalQubitParameters"]
+        qubit = _shared("qubit", lambda: PhysicalQubitParams.from_dict(qubit_data), qubit_data)
+        logical_data = data["logicalQubit"]
+        logical_qubit = _shared(
+            "logicalQubit",
+            lambda: LogicalQubit.from_dict(logical_data, qubit),
+            logical_data,
+            qubit_data,
+        )
         breakdown = ResourceBreakdown.from_dict(data["breakdown"])
-        pre_layout = LogicalCounts.from_dict(data["preLayoutLogicalResources"])
+        pre_layout_data = data["preLayoutLogicalResources"]
+        pre_layout = _shared(
+            "preLayout", lambda: LogicalCounts.from_dict(pre_layout_data), pre_layout_data
+        )
         t_factory = data.get("tFactory")
         return cls(
             physical_counts=PhysicalCounts.from_dict(data["physicalCounts"]),
             breakdown=breakdown,
-            logical_qubit=LogicalQubit.from_dict(data["logicalQubit"], qubit),
+            logical_qubit=logical_qubit,
             t_factory=TFactoryUsage.from_dict(t_factory) if t_factory else None,
             algorithmic_resources=AlgorithmicLogicalResources(
                 logical_qubits=breakdown.algorithmic_logical_qubits,

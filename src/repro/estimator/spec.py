@@ -557,14 +557,15 @@ def run_specs(
 ) -> list[SpecOutcome]:
     """Evaluate declarative specs through the store and the batch engine.
 
-    For each spec (order preserved): resolve names through the registry
-    and compute the *resolved* content hash, answer from ``store`` when
-    it holds a valid document, otherwise run through
-    :func:`estimate_batch` (sharing its in-memory cross-point memos and
-    process fan-out) and write the outcome back — the result, or for an
-    infeasible point an error document, so a warm re-run answers
-    infeasibility from disk too (``from_store`` is then set on the
-    failed outcome). Keying the store on the resolved hash means a
+    For each spec (order preserved): compute the *resolved* content
+    hash (names resolved through the registry), answer from ``store``
+    when it holds a valid document — one :meth:`ResultStore.lookup_many`
+    for the whole call — otherwise resolve the spec into a request, run
+    it through :func:`estimate_batch` (sharing its in-memory cross-point
+    memos and process fan-out) and write the outcome back — the result,
+    or for an infeasible point an error document, so a warm re-run
+    answers infeasibility from disk too (``from_store`` is then set on
+    the failed outcome). Keying the store on the resolved hash means a
     scenario file redefining a profile or scheme name changes the
     address — a stale result computed for the old definition can never
     be served. Duplicate hashes within one call are computed once.
@@ -579,7 +580,8 @@ def run_specs(
     still report their syntactic hash.
 
     Store lookups are counted on the cache's :meth:`EstimateCache.stats`
-    under ``store``; passing no cache uses the module-shared one.
+    under ``store``, once per distinct valid hash; passing no cache uses
+    the module-shared one.
 
     ``engine`` runs the misses through a caller-owned
     :class:`~repro.estimator.engine.ExecutionEngine` (one persistent
@@ -594,6 +596,37 @@ def run_specs(
         return _run_specs(
             specs, registry, store, cache, max_workers, engine, spec_hashes
         )
+
+
+def _error_message(exc: Exception) -> str:
+    """An invalid spec's error: the message, without ``KeyError`` quotes."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
+
+
+def _miss_request(
+    spec: EstimateSpec, registry: "Registry", store: "ResultStore | None"
+) -> EstimateRequest:
+    """The batch-engine request of a spec the store does not hold."""
+    request = spec.to_request(registry)
+    if store is not None and isinstance(spec.program, ProgramRef):
+        # Layer the persistent counts namespace under the program
+        # factory: even when this *result* is a store miss (new profile,
+        # budget, ...), the workload's traced counts answer from disk —
+        # an n-bit modexp is traced once ever per store, not once per
+        # process or sweep chunk.
+        request = replace(
+            request,
+            program=partial(
+                _counts_via_store,
+                str(store.root),
+                spec.program.counts_cache_key(registry, spec.backend),
+                request.program,
+                spec.backend,
+            ),
+        )
+    return request
 
 
 def _run_specs(
@@ -617,56 +650,53 @@ def _run_specs(
 
     hashes: list[str] = []
     invalid: dict[int, str] = {}
-    # Spec hash -> (outcome, from store): one answer per distinct hash,
-    # shared by its duplicates.
-    answers: dict[str, tuple[StoredOutcome, bool]] = {}
-    to_run: list[tuple[int, str, EstimateRequest]] = []
-    queued: set[str] = set()
-
+    # Spec hash -> indices of its specs, in order: each distinct hash is
+    # looked up once and, on a miss, computed once.
+    groups: dict[str, list[int]] = {}
     for index, spec in enumerate(specs):
         try:
-            request = spec.to_request(resolved_registry)
             spec_hash = (
                 spec_hashes[index]
                 if spec_hashes is not None
                 else spec.content_hash(resolved_registry)
             )
-            if store is not None and isinstance(spec.program, ProgramRef):
-                # Layer the persistent counts namespace under the program
-                # factory: even when this *result* is a store miss (new
-                # profile, budget, ...), the workload's traced counts
-                # answer from disk — an n-bit modexp is traced once ever
-                # per store, not once per process or sweep chunk.
-                request = replace(
-                    request,
-                    program=partial(
-                        _counts_via_store,
-                        str(store.root),
-                        spec.program.counts_cache_key(
-                            resolved_registry, spec.backend
-                        ),
-                        request.program,
-                        spec.backend,
-                    ),
-                )
         except (KeyError, ValueError, TypeError) as exc:
-            message = str(exc)
-            if isinstance(exc, KeyError) and exc.args:
-                message = str(exc.args[0])  # KeyError str() adds quotes
-            invalid[index] = message
+            try:  # report the error resolving the spec raises, if any
+                spec.to_request(resolved_registry)
+            except (KeyError, ValueError, TypeError) as request_exc:
+                exc = request_exc
+            invalid[index] = _error_message(exc)
             hashes.append(spec.content_hash())  # syntactic; no store I/O
             continue
         hashes.append(spec_hash)
-        if spec_hash in answers or spec_hash in queued:
-            continue  # duplicate of an earlier hit/miss; computed once
-        if store is not None:
-            entry = store.lookup(spec_hash)
-            stats_cache.record_store_lookup(entry is not None)
-            if entry is not None:
-                answers[spec_hash] = (entry, True)
+        groups.setdefault(spec_hash, []).append(index)
+
+    # Spec hash -> (outcome, from store): one answer per distinct hash,
+    # shared by its duplicates.
+    answers: dict[str, tuple[StoredOutcome, bool]] = {}
+    to_run: list[tuple[int, str, EstimateRequest]] = []
+    # One batched read answers every hit, and only misses are resolved
+    # into requests: to_request raises only where resolved hashing does,
+    # and an unresolvable point's syntactic hash is never stored, so a
+    # hit is always a valid spec.
+    stored = store.lookup_many(list(groups)) if store is not None else [None] * len(groups)
+    for (spec_hash, indices), entry in zip(groups.items(), stored):
+        if entry is not None:
+            stats_cache.record_store_lookup(True)
+            answers[spec_hash] = (entry, True)
+            continue
+        for index in indices:
+            try:
+                request = _miss_request(specs[index], resolved_registry, store)
+            except (KeyError, ValueError, TypeError) as exc:
+                invalid[index] = _error_message(exc)
+                hashes[index] = specs[index].content_hash()
                 continue
-        queued.add(spec_hash)
-        to_run.append((index, spec_hash, request))
+            if store is not None:
+                stats_cache.record_store_lookup(False)
+            to_run.append((index, spec_hash, request))
+            break  # later duplicates share this one's answer
+    to_run.sort(key=lambda item: item[0])  # spec order
 
     if to_run:
         outcomes = estimate_batch(

@@ -57,10 +57,13 @@ file-per-document layout has no database and reads as empty.
 WAL mode lets many processes read while one writes, through a
 shared-memory file next to the database, so the root must be on a local
 filesystem, not NFS. Each write call commits one transaction: a crash
-never leaves a torn row, and rewriting the same hash is idempotent. A
-read verifies the digest and the document's schema tag and key: a
-corrupt, truncated, bit-flipped or foreign row reads as a miss — a
-damaged store heals by recomputation, it never serves a mangled result.
+never leaves a torn row, and rewriting the same hash is idempotent.
+Every read passes one row check (:meth:`ResultStore._verify`): the
+digest, the JSON, the document's schema tag and key, and for results
+the result-or-error shape. A corrupt, truncated, bit-flipped or foreign
+row reads as a miss — a damaged store heals by recomputation, it never
+serves a mangled result. :meth:`ResultStore.lookup_many` reads a batch
+of results with one query per :data:`_QUERY_KEYS` hashes.
 :meth:`ResultStore.stats` reports per-namespace document counts and
 body bytes (the ``repro store stats`` CLI subcommand) with one query.
 
@@ -98,7 +101,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..counts import LogicalCounts
 from .result import PhysicalResourceEstimates
@@ -197,6 +200,11 @@ DEFAULT_MEMORY_CACHE_SIZE = 256
 #: and WAL checkpoint on every later write; this headroom runs them once
 #: per that many bytes written.
 EVICTION_HEADROOM = 0.25
+
+#: Most keys one ``IN (...)`` query binds: under SQLite's host-parameter
+#: limit (999 before SQLite 3.32), so a lookup of any size splits into
+#: queries every build accepts.
+_QUERY_KEYS = 900
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_STORE_DIR"
@@ -477,16 +485,42 @@ class ResultStore:
         The document carries its row's ``digest``. A missing, corrupt,
         or foreign row — or one whose schema tag or id field does not
         match — reads as a miss, never an error: a shared store must not
-        be able to crash (or corrupt) a run.
+        be able to crash (or corrupt) a run (see :meth:`_verify`).
         """
         self._check_hash(key)
-        row = None
+        return self._verify(namespace, key, self._rows(namespace, [key]).get(key))
+
+    def _rows(self, namespace: str, keys: list[str]) -> dict[str, tuple[Any, Any]]:
+        """``key -> (digest, body)`` of the stored rows among ``keys``.
+
+        One ``SELECT ... WHERE key IN (...)`` per :data:`_QUERY_KEYS`
+        keys, all under one hold of the connection.
+        """
+        rows: dict[str, tuple[Any, Any]] = {}
         with self._database() as db:
             if db is not None:
-                row = db.execute(
-                    f"SELECT digest, body FROM {self._tables[namespace]} WHERE key = ?",
-                    (key,),
-                ).fetchone()
+                table = self._tables[namespace]
+                for start in range(0, len(keys), _QUERY_KEYS):
+                    batch = keys[start : start + _QUERY_KEYS]
+                    query = (
+                        f"SELECT key, digest, body FROM {table} "
+                        f"WHERE key IN ({','.join('?' * len(batch))})"
+                    )
+                    for key, digest, body in db.execute(query, batch):
+                        rows[key] = (digest, body)
+        return rows
+
+    def _verify(
+        self, namespace: str, key: str, row: tuple[Any, Any] | None
+    ) -> dict[str, Any] | None:
+        """The one check every database read passes: the verified
+        document of a ``(digest, body)`` row, or ``None``.
+
+        The body must hash to the digest and parse as a JSON object
+        carrying the namespace's schema tag and ``key`` in its id field.
+        A result-namespace document must also hold either a result
+        object or, with ``result: null``, a non-empty ``error`` string.
+        """
         if row is None:
             return None
         digest, body = row
@@ -502,6 +536,13 @@ class ResultStore:
             or document.get(_NAMESPACES[namespace].id_field) != key
         ):
             return None
+        if namespace == "results":
+            result, error = document.get("result"), document.get("error")
+            if not (
+                (isinstance(result, dict) and error is None)
+                or (result is None and isinstance(error, str) and error)
+            ):
+                return None
         document["digest"] = digest
         return document
 
@@ -565,32 +606,43 @@ class ResultStore:
         ``"result": null`` and an ``"error"`` string instead. Anything
         else under the hash reads as a miss (see :meth:`read`).
         """
-        document = self.read("results", spec_hash)
-        if document is None:
-            return None
-        result, error = document.get("result"), document.get("error")
-        if isinstance(result, dict) and error is None:
-            return document
-        if result is None and isinstance(error, str) and error:
-            return document
-        return None
+        return self.read("results", spec_hash)
 
     def lookup(self, spec_hash: str) -> StoredOutcome | None:
         """The stored outcome for a hash — estimate or error — or ``None``.
 
-        A result document is decoded once with
-        :meth:`PhysicalResourceEstimates.from_dict`; one that fails to
-        decode (written by an incompatible build) reads as a miss.
-        Repeated lookups of one hash within a process answer from the
-        bounded in-memory LRU (populated only by verified reads — see
-        :class:`_MemoryCache`); hit counts appear under ``memoryCache``
-        in :meth:`stats`.
+        One key of :meth:`lookup_many`.
         """
-        self._check_hash(spec_hash)
-        cached = self._memory["results"].get(spec_hash)
-        if cached is not None:
-            return cached
-        document = self.get_raw(spec_hash)
+        return self.lookup_many([spec_hash])[0]
+
+    def lookup_many(self, spec_hashes: Sequence[str]) -> list[StoredOutcome | None]:
+        """The stored outcome of each hash, in order — or ``None`` for a miss.
+
+        Hashes resident in the bounded in-memory LRU answer from it
+        (populated only by verified reads — see :class:`_MemoryCache`;
+        hit counts appear under ``memoryCache`` in :meth:`stats`); the
+        rest are read with one query per :data:`_QUERY_KEYS` hashes and
+        pass :meth:`_verify`. A result document is decoded once with
+        :meth:`PhysicalResourceEstimates.from_dict`; one that fails to
+        decode (written by an incompatible build) reads as a miss. A hash
+        repeated in ``spec_hashes`` is looked up (and counted) once and
+        answers every position with the same outcome.
+        """
+        keys = [self._check_hash(spec_hash) for spec_hash in spec_hashes]
+        memory = self._memory["results"]
+        found = {key: memory.get(key) for key in dict.fromkeys(keys)}
+        missing = [key for key, entry in found.items() if entry is None]
+        if missing:
+            rows = self._rows("results", missing)
+            for key in missing:
+                found[key] = self._decoded(key, self._verify("results", key, rows.get(key)))
+        return [found[key] for key in keys]
+
+    def _decoded(
+        self, spec_hash: str, document: dict[str, Any] | None
+    ) -> StoredOutcome | None:
+        """A verified result or error document as an outcome, admitted to
+        the memory cache; ``None`` when it is ``None`` or fails to decode."""
         if document is None:
             return None
         result_dict = document["result"]
@@ -833,9 +885,9 @@ class ResultStore:
     def memory_cache_stats(self) -> dict[str, Any]:
         """This process's read-through LRU counters (satellite visibility).
 
-        ``hits``/``misses`` count :meth:`get` / :meth:`get_counts` calls
-        answered from (respectively, falling through) the in-memory
-        cache; ``entries`` is the current resident population. Counters
+        ``hits``/``misses`` count the hashes :meth:`lookup_many` (and so
+        :meth:`lookup` and :meth:`get`) and the keys :meth:`get_counts`
+        answered from (respectively, fell through) the in-memory cache; ``entries`` is the current resident population. Counters
         are per-``ResultStore`` instance, not persisted.
         """
         return {

@@ -11,6 +11,7 @@ import store_rows
 
 from repro import (
     Constraints,
+    EstimateCache,
     LogicalCounts,
     Registry,
     ResultStore,
@@ -696,6 +697,172 @@ class TestMemoryCache:
         block = store.stats()["memoryCache"]
         assert set(block) == {"capacity", "results", "counts"}
         assert block["results"]["entries"] == 1
+
+
+def _key(index: int) -> str:
+    return hashlib.sha256(str(index).encode()).hexdigest()
+
+
+def _same_outcome(one: StoredOutcome | None, other: StoredOutcome | None) -> bool:
+    if one is None or other is None:
+        return one is other
+    return (one.result, one.result_dict, one.error) == (
+        other.result,
+        other.result_dict,
+        other.error,
+    )
+
+
+class TestLookupMany:
+    """The batched read answers exactly as one-key lookups do."""
+
+    @pytest.fixture()
+    def rows(self, tmp_path, result):
+        """A store holding one row of every kind a read can meet."""
+        store = ResultStore(tmp_path)
+        envelope = {"schema": RESULT_SCHEMA, "spec": None}
+        keys = {name: _key(index) for index, name in enumerate(
+            [
+                "result",
+                "error",
+                "missing",
+                "bad digest",
+                "not json",
+                "foreign schema",
+                "wrong id",
+                "neither",
+                "undecodable",
+            ]
+        )}
+        store.put(keys["result"], result)
+        failed = StoredOutcome(None, None, "no T factory meets the budget")
+        store.put_many([(keys["error"], failed, None)])
+        store.put(keys["bad digest"], result)
+        store_rows.update(store, keys["bad digest"], digest="0" * 64)
+        garbage = b"{not json"
+        store.put(keys["not json"], result)
+        store_rows.update(
+            store,
+            keys["not json"],
+            body=garbage,
+            digest=hashlib.sha256(garbage).hexdigest(),
+        )
+        planted = {
+            "foreign schema": {
+                **envelope,
+                "schema": "repro-result-v2",
+                "result": result.to_dict(),
+            },
+            "wrong id": {**envelope, "specHash": HASH_A, "result": result.to_dict()},
+            "neither": {**envelope, "result": None},
+            "undecodable": {**envelope, "result": {"physicalCounts": {}}},
+        }
+        for name, document in planted.items():
+            document.setdefault("specHash", keys[name])
+            store_rows.plant(store, keys[name], document)
+        return store, keys
+
+    def test_every_outcome_matches_one_key_lookup(self, rows, result):
+        store, keys = rows
+        single = ResultStore(store.root)
+        batched = ResultStore(store.root).lookup_many(list(keys.values()))
+        for (name, key), entry in zip(keys.items(), batched):
+            assert _same_outcome(entry, single.lookup(key)), name
+        found = {name for name, entry in zip(keys, batched) if entry is not None}
+        assert found == {"result", "error"}
+        assert batched[0].result == result
+        assert batched[0].result_dict == result.to_dict()
+        assert batched[1].error == "no T factory meets the budget"
+
+    def test_read_and_get_raw_share_the_row_check(self, rows):
+        store, keys = rows
+        for name, key in keys.items():
+            document = store.read("results", key)
+            assert (document is not None) == (
+                name in {"result", "error", "undecodable"}
+            ), name
+            assert store.get_raw(key) == document
+
+    def test_duplicates_are_looked_up_once(self, rows):
+        store, keys = rows
+        fresh = ResultStore(store.root)
+        hit, missing = keys["result"], keys["missing"]
+        entries = fresh.lookup_many([hit, missing, hit, missing, hit])
+        assert entries[0] is entries[2] is entries[4] is not None
+        assert entries[1] is None and entries[3] is None
+        assert fresh.memory_cache_stats()["results"] == {
+            "hits": 0,
+            "misses": 2,
+            "entries": 1,
+        }
+        assert fresh.lookup_many([]) == []
+
+    def test_memory_hits_first_and_admission_from_verified_rows_only(self, rows):
+        store, keys = rows
+        fresh = ResultStore(store.root)
+        first = fresh.lookup(keys["result"])
+        entries = fresh.lookup_many(list(keys.values()))
+        assert entries[0] is first  # answered from memory
+        # One memory hit; nine misses, then eight more (all but the hit).
+        assert fresh.memory_cache_stats()["results"] == {
+            "hits": 1,
+            "misses": 9,
+            "entries": 2,  # the result and the error document
+        }
+        again = fresh.lookup_many(list(keys.values()))
+        assert [entry is not None for entry in again] == [
+            entry is not None for entry in entries
+        ]
+        assert fresh.memory_cache_stats()["results"]["hits"] == 3
+
+    def test_batches_past_the_parameter_limit(self, tmp_path, result):
+        store = ResultStore(tmp_path)
+        stored = StoredOutcome(result, result.to_dict(), None)
+        keys = [_key(index) for index in range(2500)]
+        assert store.put_many((key, stored, None) for key in keys[:1200]) == 1200
+        fresh = ResultStore(tmp_path, cache_size=0)
+        fresh.lookup(keys[0])  # opens the connection to trace
+        statements: list[str] = []
+        fresh._connection(create=False).set_trace_callback(statements.append)
+        entries = fresh.lookup_many(keys)
+        assert [entry is not None for entry in entries] == [True] * 1200 + [False] * 1300
+        assert all(entry.result == result for entry in entries[:1200])
+        selects = [sql for sql in statements if sql.startswith("SELECT")]
+        assert len(selects) == 3  # 2,500 keys, at most 900 a query
+        assert max(sql.count("'") // 2 for sql in selects) <= 900
+
+    def test_malformed_hash_raises_before_any_read(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="malformed"):
+            store.lookup_many([HASH_A, "../../etc/passwd"])
+        assert store.memory_cache_stats()["results"]["misses"] == 0
+
+    def test_run_specs_counts_one_store_lookup_per_distinct_hash(self, tmp_path):
+        cache = EstimateCache()
+        store = ResultStore(tmp_path)
+        specs = [
+            EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3", budget=1e-3),
+            EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3", budget=1e-3, label="dup"),
+            EstimateSpec(program=COUNTS, qubit="no_such_profile"),
+            EstimateSpec(
+                program=COUNTS,
+                qubit="qubit_gate_ns_e3",
+                constraints=Constraints(max_physical_qubits=100),
+            ),
+        ]
+        cold = run_specs(specs, store=store, cache=cache)
+        assert [outcome.from_store for outcome in cold] == [False] * 4
+        assert "no_such_profile" in cold[2].error
+        assert cache.stats()["store"] == {"hits": 0, "misses": 2}
+        warm = run_specs(specs, store=store, cache=cache)
+        assert [outcome.from_store for outcome in warm] == [True, True, False, True]
+        # A cold then a warm pass over the same points: a hit ratio of 0.5.
+        assert cache.stats()["store"] == {"hits": 2, "misses": 2}
+        assert warm[2].spec_hash == cold[2].spec_hash == specs[2].content_hash()
+        mixed = [EstimateSpec(program=COUNTS, qubit="qubit_maj_ns_e4"), *specs]
+        outcomes = run_specs(mixed, store=store, cache=cache)
+        assert [outcome.from_store for outcome in outcomes] == [False, True, True, False, True]
+        assert cache.stats()["store"] == {"hits": 4, "misses": 3}
 
 
 class TestOptimizeNamespace:

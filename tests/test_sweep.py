@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import store_rows
 
 from repro import LogicalCounts, Registry, ResultStore
 from repro.estimator.engine import ExecutionPolicy
@@ -627,6 +628,37 @@ class TestSweepCLI:
         assert "resume: 4/4 points already stored" in captured.err
         assert "(4 from store, 2 failed)" in captured.err
         assert captured.out == cold
+
+    def test_resume_skips_an_undecodable_document(self, tmp_path, capsys):
+        """A document the sweep cannot answer from (it fails to decode)
+        is not counted as stored: it is recomputed, and the store heals."""
+        from repro.cli import main
+        from repro.estimator.store import RESULT_SCHEMA
+
+        path = self._write_sweep(tmp_path)
+        store_dir = tmp_path / "store"
+        argv = ["sweep", str(path), "--store", str(store_dir), "--resume", "--json"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        spec_hash = json.loads(cold)["points"][0]["specHash"]
+        store = ResultStore(store_dir)
+        pristine = store_rows.body(store, spec_hash)
+        undecodable = {
+            "schema": RESULT_SCHEMA,
+            "specHash": spec_hash,
+            "spec": None,
+            "result": {"physicalCounts": {}},
+        }
+        store_rows.plant(store, spec_hash, undecodable)
+        assert store.get_raw(spec_hash) is not None  # verifies, then
+        assert store.lookup(spec_hash) is None  # fails to decode
+
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "resume: 5/6 points already stored" in captured.err
+        assert "(5 from store, 0 failed)" in captured.err
+        assert captured.out == cold
+        assert store_rows.body(store, spec_hash) == pristine
 
     def test_resume_hashes_each_point_once(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
