@@ -119,12 +119,10 @@ from pathlib import Path
 from .budget import ErrorBudget
 from .counts import COUNT_BACKENDS, LogicalCounts
 from .estimator import Constraints
-from .estimator.batch import EstimateCache
 from .estimator.engine import ExecutionPolicy, chunk_size_for
 from .estimator.spec import EstimateSpec, ProgramRef, run_specs
-from .estimator.stages import resolve_counts
 from .estimator.store import ResultStore, default_store_root
-from .estimator.sweep import SweepSpec, run_sweep
+from .estimator.sweep import SweepSpec, run_sweep, stored_sweep
 from .jsonlog import dumps_indented
 from .qubits import PREDEFINED_PROFILES
 from .registry import Registry, default_registry
@@ -751,7 +749,8 @@ def _sweep_main(argv: list[str]) -> int:
     point_hashes = None
     if args.resume and store is not None:
         # Hashed once here and handed to run_sweep, which would otherwise
-        # hash every point again. A point counts when the sweep will
+        # hash every point again. A finished sweep's stored row answers
+        # every point. Otherwise a point counts when the sweep will
         # answer it from disk: a stored error document (an infeasible
         # point) counts, an undecodable document does not. One lookup per
         # chunk, as the sweep reads them.
@@ -759,11 +758,14 @@ def _sweep_main(argv: list[str]) -> int:
         size = chunk_size_for(
             policy.chunk_size, sweep.chunk_size, len(points), store=True
         )
-        stored = sum(
-            entry is not None
-            for start in range(0, len(point_hashes), size)
-            for entry in store.lookup_many(point_hashes[start : start + size])
-        )
+        if stored_sweep(sweep, store, point_hashes=point_hashes) is not None:
+            stored = len(points)
+        else:
+            stored = sum(
+                entry is not None
+                for start in range(0, len(point_hashes), size)
+                for entry in store.lookup_many(point_hashes[start : start + size])
+            )
         print(
             f"resume: {stored}/{len(points)} points already stored",
             file=sys.stderr,
@@ -849,7 +851,7 @@ def _sweep_main(argv: list[str]) -> int:
                 proc.kill()
 
     if args.json:
-        print(dumps_indented(result.to_dict()))
+        print(result.to_json())
     elif args.csv is not None:
         csv_text = result.to_csv()
         if str(args.csv) == "-":
@@ -859,7 +861,7 @@ def _sweep_main(argv: list[str]) -> int:
                 args.csv.write_text(csv_text)
             except OSError as exc:
                 raise SystemExit(f"error: cannot write CSV: {exc}")
-            print(f"wrote {len(result.points)} points to {args.csv}")
+            print(f"wrote {result.num_points} points to {args.csv}")
     else:
         header = (
             f"{'point':<44} {'phys qubits':>12} {'runtime[s]':>11} {'d':>3} "
@@ -894,7 +896,7 @@ def _sweep_main(argv: list[str]) -> int:
                 )
     if result.num_failed:
         print(
-            f"{result.num_failed} of {len(result.points)} points infeasible",
+            f"{result.num_failed} of {result.num_points} points infeasible",
             file=sys.stderr,
         )
     return 1 if result.num_failed else 0
@@ -1327,6 +1329,8 @@ def _bench_main(argv: list[str]) -> int:
     # The estimate stage runs through the declarative spec path with an
     # explicit cache, so the timing baseline also reports cache/store
     # observability (and a --store warm re-run shows the store hit).
+    from .estimator.batch import EstimateCache
+
     cache = EstimateCache()
     store = ResultStore(args.store) if args.store else None
     start = time.perf_counter()
@@ -1408,6 +1412,8 @@ def _spec_from_program_args(args: argparse.Namespace) -> EstimateSpec:
     if getattr(args, "program", None):
         program: LogicalCounts | ProgramRef = ProgramRef(name=args.program)
     else:
+        from .estimator.stages import resolve_counts
+
         loaded = _load_program(args)
         try:
             program = resolve_counts(loaded)

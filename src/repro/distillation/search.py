@@ -485,6 +485,12 @@ class TFactoryDesigner:
         return frontier
 
 
+#: Shared default designer so parameter sweeps reuse its factory catalog
+#: (the registry's ``default`` designer; :mod:`repro.estimator.stages`
+#: re-exports it).
+DEFAULT_DESIGNER = TFactoryDesigner()
+
+
 def design_t_factory(
     qubit: PhysicalQubitParams,
     scheme: QECScheme,

@@ -384,9 +384,10 @@ class OptimizeResult:
 
     ``answer`` holds dense-grid indices into the question's grid; each
     one is backed by a probe in :attr:`probes` (sorted by index).
-    ``num_evaluations`` / ``from_trace`` are execution provenance — how
-    many probes actually ran the engine (store hits excluded) and whether
-    the whole answer came from a stored trace — excluded from
+    ``num_evaluations`` / ``from_trace`` / ``stored`` are execution
+    provenance — how many probes actually ran the engine (store hits
+    excluded), whether the whole answer came from a stored trace, and
+    whether the store holds the finished trace — excluded from
     :meth:`to_dict`.
     """
 
@@ -396,6 +397,7 @@ class OptimizeResult:
     answer: tuple[int, ...]
     num_evaluations: int = 0
     from_trace: bool = False
+    stored: bool = False
 
     @property
     def num_feasible(self) -> int:
@@ -926,7 +928,7 @@ def run_optimize(
             except (KeyError, TypeError, ValueError):
                 pass  # corrupt or stale trace: recompute (and overwrite)
             else:
-                result.from_trace = True
+                result.from_trace = result.stored = True
                 return result
 
     search = _Search(spec)
@@ -999,10 +1001,10 @@ def run_optimize(
             hits += bool(hit)
         return len(indices) - hits, hits
 
-    def persist(status: str, result: OptimizeResult | None = None) -> None:
+    def persist(status: str, result: OptimizeResult | None = None) -> bool:
         if store is None:
-            return
-        store.put_optimize(
+            return False
+        return store.put_optimize(
             optimize_hash,
             {
                 "status": status,
@@ -1095,5 +1097,5 @@ def run_optimize(
         answer=answer,
         num_evaluations=evaluations,
     )
-    persist("done", result)
+    result.stored = persist("done", result)
     return result

@@ -557,25 +557,22 @@ class SweepQueue:
             frontiers=frontiers,
         )
 
-    def finalize(self, job: QueueJob) -> dict[str, Any] | None:
-        """Assemble, persist the sweep result, and close the journal.
+    def finalize(self, job: QueueJob) -> bool:
+        """Assemble, persist the sweep's row, and close the journal.
 
-        Idempotent across racing finalizers — the assembled document is
-        deterministic, so concurrent ``put_sweep`` calls write the same
-        bytes. Returns the result document, or ``None`` if chunks are
+        Idempotent across racing finalizers — the assembled result is
+        deterministic, so concurrent :meth:`ResultStore.put_sweep` calls
+        write the same bytes, encoded once per finalizer
+        (:meth:`SweepResult.to_json`). Returns ``False`` while chunks are
         still missing.
         """
-        stored = self.store.get_sweep(job.job_id)
-        if stored is not None:
-            self.mark_finished(job)
-            return stored
-        result = self.assemble(job)
-        if result is None:
-            return None
-        document = result.to_dict()
-        self.store.put_sweep(job.job_id, document)
+        if self.store.get_sweep(job.job_id) is None:
+            result = self.assemble(job)
+            if result is None:
+                return False
+            self.store.put_sweep(job.job_id, result.to_json())
         self.mark_finished(job)
-        return document
+        return True
 
 
 # -- low-level file plumbing ----------------------------------------------
@@ -1080,10 +1077,10 @@ def _drain_job(
             made_progress = True
             emit()
         if len(accounted) == job.num_chunks:
-            if queue.finalize(job) is not None:
+            if queue.finalize(job):
                 report.jobs_finalized += 1
                 return True
-            return False  # store went unwritable under us
+            return False
         if not made_progress:
             if not wait or out_of_time():
                 return False

@@ -59,13 +59,13 @@ from ..programs import (
 from ..qec import QECScheme
 from ..qubits import PhysicalQubitParams
 from ..synthesis import RotationSynthesis
-from .batch import EstimateCache, EstimateRequest, estimate_batch
 from .constraints import Constraints
 from .result import PhysicalResourceEstimates
 from .store import StoredOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
+    from .batch import EstimateCache, EstimateRequest
     from .engine import ExecutionEngine
     from .store import ResultStore
 
@@ -480,7 +480,7 @@ class EstimateSpec:
 
     # -- resolution --------------------------------------------------------
 
-    def to_request(self, registry: "Registry | None" = None) -> EstimateRequest:
+    def to_request(self, registry: "Registry | None" = None) -> "EstimateRequest":
         """Resolve names through a registry into a batch-engine request.
 
         Raises :class:`KeyError` for unknown profile/scheme names and
@@ -489,6 +489,7 @@ class EstimateSpec:
         directly.
         """
         from ..registry import default_registry
+        from .batch import EstimateRequest
 
         registry = registry if registry is not None else default_registry()
         qubit = (
@@ -639,7 +640,7 @@ def _run_specs(
     spec_hashes: Sequence[str] | None,
 ) -> list[SpecOutcome]:
     from ..registry import default_registry
-    from .batch import _SHARED_CACHE  # shared instance also used by defaults
+    from .batch import _SHARED_CACHE, estimate_batch  # shared cache, as defaults use
 
     stats_cache = cache if cache is not None else _SHARED_CACHE
     resolved_registry = registry if registry is not None else default_registry()

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable
 from ..budget import ErrorBudget, ErrorBudgetPartition
 from ..counts import LogicalCounts
 from ..distillation import TFactory, TFactoryDesigner, TFactoryError
+from ..distillation.search import DEFAULT_DESIGNER
 from ..layout import AlgorithmicLogicalResources, layout_resources
 from ..qec import LogicalQubit, QECScheme, default_scheme_for
 from ..qubits import PhysicalQubitParams
@@ -71,10 +72,6 @@ MAX_FIXED_POINT_ITERATIONS = 64
 
 class EstimationError(RuntimeError):
     """Raised when no feasible estimate exists for the given inputs."""
-
-
-#: Shared default designer so parameter sweeps reuse its factory catalog.
-DEFAULT_DESIGNER = TFactoryDesigner()
 
 
 def resolve_counts(program: object) -> LogicalCounts:

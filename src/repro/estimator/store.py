@@ -47,6 +47,10 @@ hands back. Each is one table, named by its schema tag, in one SQLite
 database per root, ``<root>/``:data:`DATABASE_NAME`. A row is ``(key,
 digest, size, written_at, body)``: ``body`` is the document's compact
 JSON, ``digest`` the SHA-256 of those bytes, ``size`` their length.
+A finished sweep's row is the same compact envelope with the sweep's
+indented ``--json`` text as its ``result`` value
+(:meth:`ResultStore.put_sweep`), so a rerun prints the stored text
+instead of encoding the document again (:meth:`ResultStore.sweep_row`).
 The schema tag versions the document serialization: bumping
 :data:`RESULT_SCHEMA` (on any change to ``to_dict`` output or the
 document envelope) makes a new table, so stale entries are never
@@ -205,6 +209,10 @@ EVICTION_HEADROOM = 0.25
 #: limit (999 before SQLite 3.32), so a lookup of any size splits into
 #: queries every build accepts.
 _QUERY_KEYS = 900
+
+#: Characters of sweep text encoded, hashed and written at a time: a
+#: sweep row never exists as a second whole copy in memory.
+_SLICE_CHARS = 1 << 18
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_STORE_DIR"
@@ -584,17 +592,24 @@ class ResultStore:
                             rows,
                         )
                     written = len(rows)
-        if written and self.max_bytes is not None:
-            with self._lock:
-                if self._evictable_bytes is not None:
-                    self._evictable_bytes += sum(row[2] for row in rows)
-                # The first write under a budget measures the store.
-                total = self._evictable_bytes
-                over = total is None or total > self.max_bytes
-            if over:
-                low_water = int(self.max_bytes * (1 - EVICTION_HEADROOM))
-                self._evict(self.max_bytes, low_water)
+        if written:
+            self._account(sum(row[2] for row in rows))
         return written
+
+    def _account(self, size: int) -> None:
+        """Add ``size`` written bytes to the running total; past a
+        ``max_bytes`` budget, evict to :data:`EVICTION_HEADROOM` below it."""
+        if self.max_bytes is None:
+            return
+        with self._lock:
+            if self._evictable_bytes is not None:
+                self._evictable_bytes += size
+            # The first write under a budget measures the store.
+            total = self._evictable_bytes
+            over = total is None or total > self.max_bytes
+        if over:
+            low_water = int(self.max_bytes * (1 - EVICTION_HEADROOM))
+            self._evict(self.max_bytes, low_water)
 
     # -- results -----------------------------------------------------------
 
@@ -742,14 +757,112 @@ class ResultStore:
 
     # -- sweep results, logical counts, optimize probe traces --------------
 
-    def put_sweep(self, sweep_hash: str, result: dict[str, Any]) -> bool:
-        """Persist a finished sweep's result document under its hash.
+    def _sweep_prefix(self, sweep_hash: str) -> bytes:
+        """The body bytes of a sweep row up to its ``result`` value."""
+        envelope = {"schema": self._schemas["sweeps"], "sweepHash": sweep_hash}
+        return _compact_json(envelope)[:-1] + b',"result":'
 
-        ``result`` is a :meth:`repro.estimator.sweep.SweepResult.to_dict`
-        document; the restarted estimation service re-serves finished
-        sweeps from this namespace without recomputing anything.
+    def put_sweep(self, sweep_hash: str, text: str) -> bool:
+        """Persist a finished sweep under its hash; returns success.
+
+        ``text`` is the sweep's indented ``--json`` text
+        (:meth:`repro.estimator.sweep.SweepResult.to_json`), and becomes
+        the ``result`` value of the row's compact envelope, byte for byte,
+        so :meth:`sweep_row` can hand it back verbatim. The body is
+        hashed, then written in slices through SQLite's incremental blob
+        I/O, so a sweep of many megabytes never exists as a second whole
+        copy in memory. Like :meth:`put`, an unwritable store degrades to
+        a no-op (``False``).
         """
-        return self._write("sweeps", [(sweep_hash, {"result": result})]) == 1
+        prefix = self._sweep_prefix(self._check_hash(sweep_hash))
+
+        def parts() -> Iterator[bytes]:
+            yield prefix
+            for start in range(0, len(text), _SLICE_CHARS):
+                yield text[start : start + _SLICE_CHARS].encode()
+            yield b"}"
+
+        digest = hashlib.sha256()
+        size = 0
+        for part in parts():
+            digest.update(part)
+            size += len(part)
+        written = False
+        with self._database(create=True) as db:
+            if db is not None:
+                with db:  # one transaction: commit, or roll back on error
+                    rowid = db.execute(
+                        f"INSERT OR REPLACE INTO {self._tables['sweeps']} "
+                        "(key, digest, size, written_at, body) "
+                        "VALUES (?, ?, ?, ?, zeroblob(?))",
+                        (sweep_hash, digest.hexdigest(), size, time.time(), size),
+                    ).lastrowid
+                    with db.blobopen(self._schemas["sweeps"], "body", rowid) as blob:
+                        for part in parts():
+                            blob.write(part)
+                written = True
+        if written:
+            self._account(size)
+        return written
+
+    def sweep_row(
+        self, sweep_hash: str, point_hashes: Sequence[str] = ()
+    ) -> tuple[dict[str, Any], str | None] | None:
+        """A stored sweep's document and its ``--json`` text, or ``None``.
+
+        One row read and :meth:`_verify`. The per-point result documents
+        stay the source of truth and the row their assembled copy: once
+        any of ``point_hashes`` has a result document written after the
+        row (a point healed, replaced or recomputed since), the row is
+        stale and reads as a miss. That check reads only the points'
+        ``written_at``, one query per :data:`_QUERY_KEYS` hashes.
+
+        The text is the row's ``result`` value exactly as
+        :meth:`put_sweep` wrote it: the indented object between the
+        envelope prefix and the final ``}``, with no other field. It is
+        ``None`` for a row in any other layout, such as the compact
+        document earlier builds wrote; the caller then encodes the
+        document itself.
+        """
+        key = self._check_hash(sweep_hash)
+        row = None
+        with self._database() as db:
+            if db is not None:
+                found = db.execute(
+                    f"SELECT digest, body, written_at FROM {self._tables['sweeps']} "
+                    "WHERE key = ?",
+                    (key,),
+                ).fetchone()
+                keys = list(dict.fromkeys(point_hashes))
+                for start in range(0, len(keys) if found else 0, _QUERY_KEYS):
+                    batch = keys[start : start + _QUERY_KEYS]
+                    (latest,) = db.execute(
+                        f"SELECT MAX(written_at) FROM {self._tables['results']} "
+                        f"WHERE key IN ({','.join('?' * len(batch))})",
+                        batch,
+                    ).fetchone()
+                    if latest is not None and latest > found[2]:
+                        found = None
+                        break
+                if found is not None:
+                    row = found[:2]
+        document = self._verify("sweeps", key, row)
+        payload = document.get("result") if document is not None else None
+        if not isinstance(payload, dict):
+            return None
+        body = row[1]
+        prefix = self._sweep_prefix(key)
+        text = None
+        if (
+            len(document) == 4  # schema, sweepHash, result, digest
+            and body.startswith(prefix + b'{\n  "')
+            and body.endswith(b"\n}}")
+        ):
+            try:
+                text = str(memoryview(body)[len(prefix) : -1], "ascii")
+            except UnicodeDecodeError:
+                pass
+        return payload, text
 
     def get_sweep(self, sweep_hash: str) -> dict[str, Any] | None:
         """A stored sweep result document, or ``None`` (missing/corrupt)."""

@@ -15,7 +15,9 @@ persisted in the content-addressed
 :class:`~repro.estimator.store.ResultStore` before the next one starts,
 so a killed sweep resumes from its completed points for free — re-running
 the same sweep file answers stored points from disk and computes only the
-rest. The serialized :class:`SweepResult` carries no execution
+rest. A finished sweep is also stored whole, as one row holding its
+``--json`` text (:func:`stored_sweep`): a rerun of it reads that row
+instead of its points. The serialized :class:`SweepResult` carries no execution
 provenance (store hits, timings), so an interrupted-then-resumed sweep is
 bit-for-bit equal to an uninterrupted one.
 
@@ -52,9 +54,10 @@ import hashlib
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
+from ..jsonlog import dumps_indented
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     ExecutionEngine,
@@ -84,6 +87,7 @@ __all__ = [
     "SweepSpec",
     "pareto_min_indices",
     "run_sweep",
+    "stored_sweep",
 ]
 
 #: Version tag of the sweep canonical form (hashes, serialized results).
@@ -557,13 +561,13 @@ class SweepPointOutcome:
 
 
 def _outcome_from_dict(
-    entry: dict[str, Any], fields: list[str]
+    entry: dict[str, Any], fields: list[str], *, from_store: bool = False
 ) -> SweepPointOutcome:
     """Rebuild one point outcome from its serialized form.
 
-    Shared by :meth:`SweepResult.from_dict` and the work queue's chunk
-    assembly — one parser, so both paths reconstruct identical objects
-    from identical bytes.
+    Shared by :meth:`SweepResult.from_dict`, a result answered from a
+    stored sweep row, and the work queue's chunk assembly — one parser,
+    so every path reconstructs identical objects from identical bytes.
     """
     result_dict = entry.get("result")
     return SweepPointOutcome(
@@ -579,6 +583,7 @@ def _outcome_from_dict(
             else None
         ),
         error=entry.get("error"),
+        from_store=from_store,
         result_dict=result_dict,
     )
 
@@ -602,26 +607,180 @@ class FrontierGroup:
         }
 
 
-@dataclass(eq=False)
-class SweepResult:
-    """A finished sweep: per-point outcomes plus frontier reductions."""
+#: Key order of a serialized sweep result and of each of its points
+#: (:meth:`SweepResult.to_dict`): a stored row in this layout encodes to
+#: the same text a fresh run prints.
+_RESULT_KEYS = ["schema", "sweepHash", "sweep", "counts", "points", "frontiers"]
+_POINT_KEYS = ["index", "coords", "label", "specHash", "ok", "result", "error"]
 
-    sweep_hash: str
-    spec: SweepSpec
-    points: list[SweepPointOutcome]
-    frontiers: list[FrontierGroup] | None = None
+
+def _frontiers_from_dict(
+    raw: list[dict[str, Any]] | None, spec: SweepSpec
+) -> list[FrontierGroup] | None:
+    if raw is None:
+        return None
+    group_fields = list(spec.frontier.group_by) if spec.frontier else []
+    return [
+        FrontierGroup(
+            key=tuple((field_path, entry["key"][field_path]) for field_path in group_fields),
+            indices=tuple(entry["points"]),
+        )
+        for entry in raw
+    ]
+
+
+class SweepResult:
+    """A finished sweep: per-point outcomes plus frontier reductions.
+
+    ``stored`` says whether the result store holds this sweep's row
+    (:func:`run_sweep` sets it). A result answered from that row keeps
+    the row's document and text instead of outcomes: its counts come
+    from the document, :meth:`to_json` is the stored text, and
+    :attr:`points` and :attr:`frontiers` decode on first access (every
+    point ``from_store``). A finished result is not mutated;
+    :meth:`to_json` encodes it once.
+    """
+
+    def __init__(
+        self,
+        sweep_hash: str,
+        spec: SweepSpec,
+        points: list[SweepPointOutcome] | None,
+        frontiers: list[FrontierGroup] | None = None,
+    ) -> None:
+        self.sweep_hash = sweep_hash
+        self.spec = spec
+        self._points = points
+        self._frontiers = frontiers
+        self._document: dict[str, Any] | None = None
+        self._json: str | None = None
+        self.stored = False
+
+    @classmethod
+    def _from_store(
+        cls,
+        spec: SweepSpec,
+        store: "ResultStore",
+        sweep_hash: str,
+        point_hashes: Sequence[str],
+    ) -> "SweepResult | None":
+        """The result the stored sweep row answers for ``spec``, or ``None``.
+
+        One row read (:meth:`~repro.estimator.store.ResultStore.sweep_row`,
+        stale once any point's document is newer). The row must be this
+        sweep's finished result in the layout
+        :meth:`to_dict` writes: one entry per expanded point, in order,
+        with its index, coordinates and resolved spec hash, and counts
+        and frontiers that agree. The display fields the sweep hash
+        leaves out (the ``sweep`` block and the point labels) are
+        re-stamped from ``spec`` when they differ, which drops the
+        stored text: the document is then encoded again.
+        """
+        row = store.sweep_row(sweep_hash, point_hashes)
+        if row is None:
+            return None
+        document, text = row
+        points = spec.expand()
+        entries = document.get("points")
+        if (
+            list(document) != _RESULT_KEYS
+            or document["schema"] != SWEEP_SCHEMA
+            or document["sweepHash"] != sweep_hash
+            or not isinstance(entries, list)
+            or len(entries) != len(points)
+        ):
+            return None
+        ok = 0
+        labels = True
+        for point, spec_hash, entry in zip(points, point_hashes, entries):
+            if (
+                not isinstance(entry, dict)
+                or list(entry) != _POINT_KEYS
+                or entry["index"] != point.index
+                or entry["specHash"] != spec_hash
+                or entry["coords"] != dict(point.coords)
+            ):
+                return None
+            result, error = entry["result"], entry["error"]
+            if not (
+                (isinstance(result, dict) and error is None and entry["ok"] is True)
+                or (result is None and isinstance(error, str) and entry["ok"] is False)
+            ):
+                return None
+            ok += result is not None
+            labels = labels and entry["label"] == point.spec.label
+        frontiers = document["frontiers"]
+        if document["counts"] != {
+            "total": len(points),
+            "ok": ok,
+            "failed": len(points) - ok,
+        } or (frontiers is None) != (spec.frontier is None):
+            return None
+        if frontiers is not None and not (
+            isinstance(frontiers, list)
+            and all(
+                isinstance(group, dict)
+                and isinstance(group.get("key"), dict)
+                and list(group["key"]) == list(spec.frontier.group_by)
+                and isinstance(group.get("points"), list)
+                for group in frontiers
+            )
+        ):
+            return None
+        block = spec.to_dict()
+        if not labels or json.dumps(document["sweep"]) != json.dumps(block):
+            document["sweep"] = block
+            for point, entry in zip(points, entries):
+                entry["label"] = point.spec.label
+            text = None
+        result = cls(sweep_hash, spec, None)
+        result._document = document
+        result._json = text
+        result.stored = True
+        return result
+
+    def _decode(self) -> None:
+        document = self._document
+        fields = [axis.field for axis in self.spec.axes]
+        self._points = [
+            _outcome_from_dict(entry, fields, from_store=True)
+            for entry in document["points"]
+        ]
+        self._frontiers = _frontiers_from_dict(document["frontiers"], self.spec)
+
+    @property
+    def points(self) -> list[SweepPointOutcome]:
+        if self._points is None:
+            self._decode()
+        return self._points
+
+    @property
+    def frontiers(self) -> list[FrontierGroup] | None:
+        if self._points is None:
+            self._decode()
+        return self._frontiers
+
+    @property
+    def num_points(self) -> int:
+        if self._points is None:
+            return self._document["counts"]["total"]
+        return len(self._points)
 
     @property
     def num_ok(self) -> int:
-        return sum(1 for point in self.points if point.ok)
+        if self._points is None:
+            return self._document["counts"]["ok"]
+        return sum(1 for point in self._points if point.ok)
 
     @property
     def num_failed(self) -> int:
-        return len(self.points) - self.num_ok
+        return self.num_points - self.num_ok
 
     @property
     def num_from_store(self) -> int:
-        return sum(1 for point in self.points if point.from_store)
+        if self._points is None:
+            return self.num_points
+        return sum(1 for point in self._points if point.from_store)
 
     def frontier_indices(self) -> set[int]:
         if not self.frontiers:
@@ -629,13 +788,19 @@ class SweepResult:
         return {index for group in self.frontiers for index in group.indices}
 
     def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON form — independent of execution history."""
+        """Canonical JSON form — independent of execution history.
+
+        A result answered from a stored row returns that row's document;
+        callers must not mutate it.
+        """
+        if self._document is not None:
+            return self._document
         return {
             "schema": SWEEP_SCHEMA,
             "sweepHash": self.sweep_hash,
             "sweep": self.spec.to_dict(),
             "counts": {
-                "total": len(self.points),
+                "total": self.num_points,
                 "ok": self.num_ok,
                 "failed": self.num_failed,
             },
@@ -647,6 +812,16 @@ class SweepResult:
             ),
         }
 
+    def to_json(self) -> str:
+        """The ``--json`` text: :meth:`to_dict`, indented, encoded once.
+
+        The stored row holds this same text (:func:`run_sweep`), so a
+        sweep that is printed and stored pays one encode.
+        """
+        if self._json is None:
+            self._json = dumps_indented(self.to_dict())
+        return self._json
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SweepResult":
         if not isinstance(data, dict) or data.get("schema") != SWEEP_SCHEMA:
@@ -654,25 +829,11 @@ class SweepResult:
         spec = SweepSpec.from_dict(data["sweep"])
         fields = [axis.field for axis in spec.axes]
         points = [_outcome_from_dict(entry, fields) for entry in data["points"]]
-        raw_frontiers = data.get("frontiers")
-        frontiers = None
-        if raw_frontiers is not None:
-            group_fields = list(spec.frontier.group_by) if spec.frontier else []
-            frontiers = [
-                FrontierGroup(
-                    key=tuple(
-                        (field_path, entry["key"][field_path])
-                        for field_path in group_fields
-                    ),
-                    indices=tuple(entry["points"]),
-                )
-                for entry in raw_frontiers
-            ]
         return cls(
             sweep_hash=data["sweepHash"],
             spec=spec,
             points=points,
-            frontiers=frontiers,
+            frontiers=_frontiers_from_dict(data.get("frontiers"), spec),
         )
 
     def to_csv(self) -> str:
@@ -784,6 +945,22 @@ def _reduce_frontiers(
     return reduced
 
 
+def stored_sweep(
+    spec: SweepSpec, store: "ResultStore", *, point_hashes: Sequence[str]
+) -> SweepResult | None:
+    """The finished result of ``spec`` from its stored row, or ``None``.
+
+    One row read (:meth:`~repro.estimator.store.ResultStore.sweep_row`):
+    no point is looked up or decoded. A missing, corrupt, stale or
+    foreign row, or one that is not this sweep's finished result, is
+    ``None``. ``point_hashes`` are :meth:`SweepSpec.point_hashes` under
+    the registry the sweep runs with.
+    """
+    return SweepResult._from_store(
+        spec, store, spec.content_hash(point_hashes=point_hashes), point_hashes
+    )
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -796,6 +973,12 @@ def run_sweep(
     point_hashes: Sequence[str] | None = None,
 ) -> SweepResult:
     """Execute a sweep in store-backed chunks and reduce its frontiers.
+
+    With a ``store``, a sweep that finished before is answered from its
+    stored row (:func:`stored_sweep`) before any chunk runs, with one
+    progress event for all its points; otherwise it runs, and the
+    finished result is stored as that row (``result.stored`` says
+    whether the row landed), encoded once with :meth:`SweepResult.to_json`.
 
     Points run through :func:`run_specs` one chunk at a time, sized by
     :func:`~repro.estimator.engine.chunk_size_for` (the policy's
@@ -840,37 +1023,8 @@ def run_sweep(
 
     resolved_registry = registry if registry is not None else default_registry()
     policy = policy if policy is not None else ExecutionPolicy()
-    if policy.executor == "queue":
-        if store is None:
-            raise ValueError("executor='queue' requires a result store")
-        from .queue import SweepQueue, run_worker
-
-        queue = SweepQueue(store, ttl=policy.lease_ttl)
-        job = queue.enqueue(
-            spec, registry=resolved_registry, chunk_size=policy.chunk_size
-        )
-        if store.get_sweep(job.job_id) is None:
-            run_worker(
-                store,
-                job_id=job.job_id,
-                registry=resolved_registry,
-                cache=cache,
-                policy=policy,
-                progress=progress,
-                engine=engine,
-            )
-        document = store.get_sweep(job.job_id)
-        if document is not None:
-            return SweepResult.from_dict(document)
-        # Store went read-only under us: fall back to assembling the
-        # result straight from whatever chunk markers were persisted.
-        assembled = queue.assemble(job)
-        if assembled is None:
-            raise RuntimeError(
-                f"queue executor could not complete sweep {job.job_id}: "
-                f"store {store.root} is not writable"
-            )
-        return assembled
+    if policy.executor == "queue" and store is None:
+        raise ValueError("executor='queue' requires a result store")
     points = spec.expand()
     if point_hashes is None:
         point_hashes = spec.point_hashes(resolved_registry)
@@ -878,7 +1032,117 @@ def run_sweep(
     size = chunk_size_for(
         policy.chunk_size, spec.chunk_size, len(points), store=store is not None
     )
+    if store is not None:
+        result = SweepResult._from_store(spec, store, sweep_hash, point_hashes)
+        if result is not None:
+            if progress is not None:
+                num_chunks = -(-len(points) // size)
+                progress(
+                    SweepProgress(
+                        chunk=num_chunks,
+                        num_chunks=num_chunks,
+                        completed=len(points),
+                        total=len(points),
+                        ok=result.num_ok,
+                        failed=result.num_failed,
+                        from_store=len(points),
+                    )
+                )
+            return result
+    if policy.executor == "queue":
+        result = _run_queued(
+            spec,
+            store,
+            sweep_hash,
+            point_hashes,
+            registry=resolved_registry,
+            cache=cache,
+            policy=policy,
+            progress=progress,
+            engine=engine,
+        )
+    else:
+        result = _run_local(
+            spec,
+            store,
+            sweep_hash,
+            point_hashes,
+            size,
+            registry=resolved_registry,
+            cache=cache,
+            policy=policy,
+            progress=progress,
+            engine=engine,
+        )
+    if store is not None and not result.stored:
+        result.stored = store.put_sweep(sweep_hash, result.to_json())
+    return result
 
+
+def _run_queued(
+    spec: SweepSpec,
+    store: "ResultStore",
+    sweep_hash: str,
+    point_hashes: Sequence[str],
+    *,
+    registry: "Registry",
+    cache: "EstimateCache | None",
+    policy: ExecutionPolicy,
+    progress: Callable[[SweepProgress], None] | None,
+    engine: ExecutionEngine | None,
+) -> SweepResult:
+    """Journal the sweep, drain it as one queue worker, and answer from
+    the row the finalizing worker stored, re-stamped for ``spec``."""
+    from .queue import SweepQueue, run_worker
+
+    queue = SweepQueue(store, ttl=policy.lease_ttl)
+    job = queue.enqueue(spec, registry=registry, chunk_size=policy.chunk_size)
+    run_worker(
+        store,
+        job_id=job.job_id,
+        registry=registry,
+        cache=cache,
+        policy=policy,
+        progress=progress,
+        engine=engine,
+    )
+    result = SweepResult._from_store(spec, store, sweep_hash, point_hashes)
+    if result is not None:
+        return result
+    # The row did not land (a read-only store): assemble the result
+    # straight from the persisted chunk markers, labelled for ``spec``.
+    assembled = queue.assemble(job)
+    if assembled is None:
+        raise RuntimeError(
+            f"queue executor could not complete sweep {job.job_id}: "
+            f"store {store.root} is not writable"
+        )
+    return SweepResult(
+        sweep_hash,
+        spec,
+        [
+            replace(outcome, label=point.spec.label)
+            for outcome, point in zip(assembled.points, spec.expand())
+        ],
+        assembled.frontiers,
+    )
+
+
+def _run_local(
+    spec: SweepSpec,
+    store: "ResultStore | None",
+    sweep_hash: str,
+    point_hashes: Sequence[str],
+    size: int,
+    *,
+    registry: "Registry",
+    cache: "EstimateCache | None",
+    policy: ExecutionPolicy,
+    progress: Callable[[SweepProgress], None] | None,
+    engine: ExecutionEngine | None,
+) -> SweepResult:
+    """Run the sweep's chunks in this process, point by point."""
+    points = spec.expand()
     outcomes: list[SweepPointOutcome] = []
     ok = failed = from_store = 0
     chunk_index = 0
@@ -894,7 +1158,7 @@ def run_sweep(
             chunk = points[position : position + size]
             chunk_outcomes = run_specs(
                 [point.spec for point in chunk],
-                registry=resolved_registry,
+                registry=registry,
                 store=store,
                 cache=cache,
                 engine=runner,

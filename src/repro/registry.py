@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Any
 
 from .distillation import TFactoryDesigner
+from .distillation.search import DEFAULT_DESIGNER
 from .distillation.units import (
     PREDEFINED_UNITS,
     DistillationUnit,
@@ -116,9 +117,6 @@ class Registry:
                 self.register_unit(unit)
             for name, program in PREDEFINED_PROGRAMS.items():
                 self.register_program(name, program)
-            # Import deferred: stages pulls in the whole estimator package.
-            from .estimator.stages import DEFAULT_DESIGNER
-
             self.register_designer(DEFAULT_DESIGNER_NAME, DEFAULT_DESIGNER)
 
     # -- registration ------------------------------------------------------

@@ -250,6 +250,7 @@ def _sweep_counts(counts: dict[str, Any]) -> dict[str, Any]:
         "completed": total,
         "ok": int(counts.get("ok", 0)),
         "failed": int(counts.get("failed", 0)),
+        "from_store": total,  # every point answered by the stored row
     }
 
 
@@ -268,11 +269,11 @@ class _JobKind:
     run, result lookup, the client wait loop) is one shared lifecycle.
 
     ``run(spec, **engine_options)`` returns a result with
-    ``to_dict()``; ``progress`` and ``settle`` copy a progress event and
-    the finished result onto the job (under the jobs lock); ``persist``
-    returns whether the store now holds the finished document (by
-    default the run stored it itself), and ``stored_counts`` maps a
-    stored document's ``counts`` to the done job's count fields.
+    ``to_dict()`` and ``stored`` (whether the store took the finished
+    document); ``progress`` and ``settle`` copy a progress event and
+    the finished result onto the job (under the jobs lock), and
+    ``stored_counts`` maps a stored document's ``counts`` to the done
+    job's count fields.
     """
 
     prefix: str  # URL segment: /v1/<prefix> and /v1/<prefix>/<id>/result
@@ -283,9 +284,6 @@ class _JobKind:
     stored_counts: Callable[[dict[str, Any]], dict[str, Any]]
     done_fields: tuple[str, ...]  # job-record fields of the job.done event
     settle: Callable[[SweepJob, Any], None] = lambda job, result: None
-    persist: Callable[[ResultStore, str, dict[str, Any]], bool] = (
-        lambda store, job_id, document: True
-    )
 
 
 _JOB_KINDS: dict[str, _JobKind] = {
@@ -297,7 +295,6 @@ _JOB_KINDS: dict[str, _JobKind] = {
         stored=lambda store, job_id: store.get_sweep(job_id),
         stored_counts=_sweep_counts,
         done_fields=("completed", "ok", "failed", "fromStore"),
-        persist=lambda store, job_id, document: store.put_sweep(job_id, document),
     ),
     "optimize": _JobKind(
         prefix="optimize",
@@ -835,16 +832,12 @@ class EstimationService:
                 progress=on_progress,
                 engine=self._engine,
             )
-            document = result.to_dict()
-            persisted = self.store is not None and kind.persist(
-                self.store, job.job_id, document
-            )
+            # Keep the document in memory only when the store did not take
+            # it — a long-lived server serving many jobs must not pin every
+            # finished result; reads fall back to the store's copy.
+            document = None if result.stored else result.to_dict()
             with self._jobs_lock:
-                # Keep the document in memory only when the store did not
-                # take it — a long-lived server serving many jobs must not
-                # pin every finished result; reads fall back to the
-                # store's copy.
-                job.result_doc = None if persisted else document
+                job.result_doc = document
                 kind.settle(job, result)
                 job.status = "done"
             record = job.to_record()

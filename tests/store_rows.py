@@ -62,9 +62,15 @@ def plant(
     The store's envelope checks (schema tag, id field, payload shape)
     then decide alone whether the row reads back.
     """
+    plant_body(store, key, json.dumps(document, separators=(",", ":")).encode(), namespace)
+
+
+def plant_body(
+    store: ResultStore, key: str, data: bytes, namespace: str = "results"
+) -> None:
+    """Insert the body bytes ``data`` under ``key`` with a valid digest."""
     with store._database(create=True):
         pass  # the database and its tables exist from here on
-    data = json.dumps(document, separators=(",", ":")).encode()
     with _connect(store) as db, db:
         db.execute(
             f"INSERT OR REPLACE INTO {store._tables[namespace]} "

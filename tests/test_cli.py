@@ -311,6 +311,84 @@ class TestBatchSubcommand:
             main(["batch", str(grid)])
 
 
+class TestSweepRow:
+    """``repro sweep`` answered from a finished sweep's stored row."""
+
+    #: Two feasible and two infeasible points (a 100-qubit cap).
+    SWEEP = {
+        "base": {"program": {"counts": COUNTS}, "budget": 1e-3},
+        "axes": [
+            {"field": "qubit", "values": ["qubit_gate_ns_e3", "qubit_maj_ns_e4"]},
+            {"field": "constraints.maxPhysicalQubits", "values": [100, 100_000_000]},
+        ],
+        "frontier": {"objective": "qubits-runtime", "groupBy": ["qubit"]},
+    }
+
+    def _sweep_file(self, tmp_path, name, **fields):
+        path = tmp_path / name
+        path.write_text(json.dumps({**self.SWEEP, **fields}))
+        return path
+
+    def _run(self, capsys, *argv):
+        code = main(["sweep", *map(str, argv)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("executor", ["local", "queue"])
+    def test_each_file_prints_its_own_display_fields(self, tmp_path, capsys, executor):
+        alpha = self._sweep_file(tmp_path, "alpha.json", label="alpha", chunkSize=4)
+        beta = self._sweep_file(tmp_path, "beta.json", label="beta", chunkSize=8)
+        expected = {
+            path: self._run(capsys, path, "--json", "--quiet")[1] for path in (alpha, beta)
+        }
+        assert expected[alpha] != expected[beta]
+        store = tmp_path / "store"
+        for path in (alpha, beta, alpha, beta):
+            code, out, _ = self._run(
+                capsys, path, "--store", store, "--executor", executor, "--json", "--quiet"
+            )
+            assert code == 1 and out == expected[path]
+
+    def test_a_row_hit_reports_like_a_point_by_point_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.estimator.store import ResultStore
+
+        path = self._sweep_file(tmp_path, "sweep.json")
+        argv = (path, "--store", tmp_path / "store", "--resume", "--json")
+        code, cold, err = self._run(capsys, *argv)
+        assert code == 1
+        assert "resume: 0/4 points already stored" in err
+        assert "[chunk 1/1] 4/4 points (0 from store, 2 failed)" in err
+
+        def no_point_reads(self, spec_hashes):
+            raise AssertionError("a row hit reads no point")
+
+        monkeypatch.setattr(ResultStore, "lookup_many", no_point_reads)
+        code, warm, err = self._run(capsys, *argv)
+        assert code == 1 and warm == cold
+        assert err.splitlines() == [
+            "resume: 4/4 points already stored",
+            "[chunk 1/1] 4/4 points (4 from store, 2 failed)",
+            "2 of 4 points infeasible",
+        ]
+        code, _, err = self._run(capsys, path, "--store", tmp_path / "store", "--quiet")
+        assert code == 1 and err == "2 of 4 points infeasible\n"
+
+    def test_batch_points_from_the_row_are_from_store(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            json.dumps({"counts": COUNTS, "profiles": ["qubit_gate_ns_e3"], "budgets": [1e-3, 1e-4]})
+        )
+        argv = ["batch", str(grid), "--store", str(tmp_path / "store"), "--json"]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert [r["fromStore"] for r in warm] == [True, True]
+        assert [r["result"] for r in warm] == [r["result"] for r in cold]
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):

@@ -109,7 +109,7 @@ def test_sqlite3_loads_when_a_store_first_touches_its_database(tmp_path):
             store = ResultStore(sys.argv[1])
             store.get("ab" * 32)  # no database yet: nothing to open
             before = "sqlite3" in sys.modules
-            store.put_sweep("ab" * 32, {})
+            store.put_sweep("ab" * 32, "{}")
             print(json.dumps([before, "sqlite3" in sys.modules]))
             """,
             str(tmp_path / "store"),
@@ -147,6 +147,37 @@ def test_warm_sweep_never_imports_the_arithmetic_layer(tmp_path):
     assert "repro.arithmetic" in cold["layers"]  # the cold pass resolves counts
     assert warm["layers"] == []
     assert warm["out"] == cold["out"]
+
+
+#: Evaluation modules a sweep answered from its stored row never runs.
+ROW_DEFERRED = ("repro.estimator.batch", "repro.estimator.stages")
+
+
+def test_sweep_answered_from_its_row_imports_no_evaluation_engine(tmp_path):
+    sweep = {
+        "base": {
+            "program": {"counts": {"num_qubits": 40, "t_count": 20000}},
+            "qubit": {"profile": "qubit_gate_ns_e3"},
+        },
+        "axes": [{"field": "budget", "values": [1e-3, 1e-4]}],
+    }
+    (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+    code = """
+        import contextlib, io, json, sys
+        from repro.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["sweep", "sweep.json", "--store", "store", "--json"])
+        print(json.dumps({"code": code, "out": out.getvalue(), "loaded": sorted(
+            name for name in sys.modules if name.startswith("repro.estimator.")
+        )}))
+    """
+    cold = json.loads(run_fresh(code, cwd=tmp_path))
+    warm = json.loads(run_fresh(code, cwd=tmp_path))
+    assert cold["code"] == warm["code"] == 0 and warm["out"] == cold["out"]
+    assert set(ROW_DEFERRED) <= set(cold["loaded"])
+    assert sorted(set(warm["loaded"]).intersection(ROW_DEFERRED)) == []
 
 
 def test_exports_are_the_defining_objects():

@@ -52,15 +52,15 @@ def small_sweep() -> SweepSpec:
 
 
 def serial_result_bytes(tmp_path) -> tuple[str, bytes]:
-    """(job id, stored sweep document bytes) from an uninterrupted run.
+    """(job id, stored sweep row bytes) from an uninterrupted run.
 
-    The local executor does not persist the sweep document itself, so the
-    baseline stores it through the same ``put_sweep`` path the queue
-    finalizer uses — making the comparison byte-for-byte on disk.
+    The local executor stores its finished sweep through the same
+    ``put_sweep`` path the queue finalizer uses — making the comparison
+    byte-for-byte on disk.
     """
     store = ResultStore(tmp_path / "serial")
     result = run_sweep(small_sweep(), registry=Registry(), store=store)
-    assert store.put_sweep(result.sweep_hash, result.to_dict())
+    assert result.stored
     return result.sweep_hash, store_rows.body(store, result.sweep_hash, "sweeps")
 
 

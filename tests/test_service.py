@@ -612,6 +612,7 @@ class TestSweepJobs:
             assert restatus == "done"
             assert redocument == document
             assert second.job_record(job_id)["status"] == "done"
+            assert second.job_record(job_id)["fromStore"] == 4  # the row's points
             resubmitted = second.submit_job("sweep", SWEEP_DOC)
             assert resubmitted["jobId"] == job_id
             assert resubmitted["status"] == "done"

@@ -19,6 +19,7 @@ from repro import (
     qubit_params,
 )
 from repro.estimator.queue import collect_garbage
+from repro.jsonlog import dumps_indented
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.store import (
     DATABASE_NAME,
@@ -173,7 +174,7 @@ class TestIntegrityDigest:
     def test_sweep_namespace_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
         document = {"counts": {"total": 2, "ok": 2, "failed": 0}, "points": []}
-        assert store.put_sweep(HASH_A, document)
+        assert store.put_sweep(HASH_A, dumps_indented(document))
         assert store.get_sweep(HASH_A) == document
         assert store.get_sweep(HASH_B) is None
         # Sweep documents are invisible to the result namespace.
@@ -1095,9 +1096,9 @@ class TestPinnedDocumentBytes:
             '"spec":null,"result":{"physicalCounts":{"physicalQubits":7}}}',
         ),
         ("sweeps", HASH_A): (
-            "5f6ec08928c508065b27d546169dc9278caacc2e7b1a7540c8ec261cfd45bbda",
+            "d4e439c7247ed7ae81fbbe969b560a8635e763e0b8471c9ee3edd6dcbb24e728",
             '{"schema":"repro-sweep-result-v1","sweepHash":"' + HASH_A + '",'
-            '"result":{"counts":{"total":0},"points":[]}}',
+            '"result":{\n  "counts": {\n    "total": 0\n  },\n  "points": []\n}}',
         ),
         ("counts", HASH_A): (
             "10ec457c5d0063368f7bab29da1358a552934e85957f979cd12aa090756675aa",
@@ -1145,7 +1146,9 @@ class TestPinnedDocumentBytes:
                 ),
             ]
         ) == 2
-        assert store.put_sweep(HASH_A, {"counts": {"total": 0}, "points": []})
+        assert store.put_sweep(
+            HASH_A, dumps_indented({"counts": {"total": 0}, "points": []})
+        )
         assert store.put_counts(
             HASH_A, LogicalCounts(num_qubits=2, t_count=3), backend="formula"
         )
@@ -1182,9 +1185,9 @@ class TestPinnedDocumentBytes:
 
     def test_pinned_documents_read_back(self, tmp_path):
         store = ResultStore(tmp_path)
-        for (namespace, key), (_, body) in self.ROWS.items():
-            store_rows.plant(store, key, json.loads(body), namespace)
-            assert store_rows.row(store, key, namespace)["body"] == body.encode()
+        for (namespace, key), (digest, body) in self.ROWS.items():
+            store_rows.plant_body(store, key, body.encode(), namespace)
+            assert store_rows.row(store, key, namespace)["digest"] == digest
         for relative, text in self.FILES.items():
             path = tmp_path / relative
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -1299,7 +1302,7 @@ class TestDatabaseFailureModes:
         store = ResultStore(tmp_path)
         assert store.put(HASH_A, result) is False
         assert store.get(HASH_A) is None
-        assert store.put_sweep(HASH_A, {"points": []}) is False
+        assert store.put_sweep(HASH_A, dumps_indented({"points": []})) is False
         assert store.get_sweep(HASH_A) is None
         assert list(store.keys()) == [] and store.clear() == 0
         assert store.stats()["namespaces"]["results"]["documents"] == 0

@@ -14,7 +14,7 @@ import json
 import pytest
 import store_rows
 
-from repro import LogicalCounts, Registry, ResultStore
+from repro import LogicalCounts, Registry, ResultStore, default_registry
 from repro.estimator.engine import ExecutionPolicy
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.sweep import (
@@ -484,16 +484,24 @@ class TestStoreBackedResume:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(batch, "run_pipeline", counting)
+        # From the finished sweep's row: no point is even looked up.
+        row_cache = EstimateCache()
+        from_row = run_sweep(sweep, store=store, cache=row_cache)
+        assert from_row.num_from_store == 4
+        assert row_cache.stats()["store"] == {"hits": 0, "misses": 0}
+        # Point by point, once the row is gone: every point is a hit.
+        store_rows.delete(store, cold.sweep_hash, "sweeps")
         warm_cache = EstimateCache()
         warm = run_sweep(sweep, store=store, cache=warm_cache)
         assert warm.num_from_store == 4
         assert pipeline_calls == []
         assert warm_cache.stats()["factories"]["misses"] == 0
         assert warm_cache.stats()["store"] == {"hits": 4, "misses": 0}
-        assert [p.error for p in warm.points] == [p.error for p in cold.points]
-        assert json.dumps(warm.to_dict(), indent=2) == json.dumps(
-            cold.to_dict(), indent=2
-        )
+        for answer in (from_row, warm):
+            assert [p.error for p in answer.points] == [p.error for p in cold.points]
+            assert json.dumps(answer.to_dict(), indent=2) == json.dumps(
+                cold.to_dict(), indent=2
+            )
 
     def test_each_point_is_hashed_once_per_run(self, tmp_path, monkeypatch):
         from repro.estimator.spec import EstimateSpec as Spec
@@ -516,12 +524,271 @@ class TestStoreBackedResume:
     def test_sweep_document_survives_in_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
         result = run_sweep(small_sweep(), store=store)
-        document = result.to_dict()
-        assert store.put_sweep(result.sweep_hash, document)
+        assert result.stored
         assert store.get_sweep(result.sweep_hash) == json.loads(
-            json.dumps(document)
+            json.dumps(result.to_dict())
         )
         assert store.get_sweep("ab" * 32) is None
+
+
+def display_variant(doc: dict) -> dict:
+    """``doc`` with every field the sweep hash leaves out changed."""
+    variant = json.loads(json.dumps(doc))
+    variant["label"] = "beta"
+    variant["chunkSize"] = 1
+    variant["base"]["label"] = "renamed"
+    variant["base"]["backend"] = "counting"
+    return variant
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record every call of ``owner.name`` (still calling through)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestStoredSweepRow:
+    """A finished sweep is one stored row; a rerun answers from it."""
+
+    def test_warm_hit_reads_one_row_and_decodes_nothing(self, tmp_path, monkeypatch):
+        from repro.estimator import sweep as sweep_module
+        from repro.estimator.result import PhysicalResourceEstimates
+
+        store = ResultStore(tmp_path)
+        encodes = count_calls(monkeypatch, sweep_module, "dumps_indented")
+        cold = run_sweep(small_sweep(), store=store)
+        assert cold.stored and len(encodes) == 1  # the row's text
+        cold_text = cold.to_json()
+        assert len(encodes) == 1  # printed from the same encode
+
+        encodes.clear()
+        rows = count_calls(monkeypatch, ResultStore, "sweep_row")
+        verified = count_calls(monkeypatch, ResultStore, "_verify")
+        lookups = count_calls(monkeypatch, ResultStore, "lookup_many")
+        decodes = count_calls(
+            monkeypatch, PhysicalResourceEstimates, "from_dict"
+        )
+        warm = run_sweep(small_sweep(), store=store)
+        assert warm.to_json() == cold_text
+        assert (warm.num_points, warm.num_ok, warm.num_failed) == (6, 6, 0)
+        assert warm.num_from_store == 6 and warm.stored
+        assert len(rows) == len(verified) == 1
+        assert lookups == [] and decodes == [] and encodes == []
+
+    def test_points_rebuilt_from_the_row_come_from_the_store(self, tmp_path):
+        store = ResultStore(tmp_path)
+        cold = run_sweep(small_sweep(), store=store)
+        warm = run_sweep(small_sweep(), store=store)
+        assert all(point.from_store for point in warm.points)
+        assert warm.to_dict() == cold.to_dict()
+        assert [p.result for p in warm.points] == [p.result for p in cold.points]
+        assert warm.frontier_indices() == cold.frontier_indices()
+        assert warm.to_csv() == cold.to_csv()
+
+    def test_a_hit_emits_one_final_progress_event(self, tmp_path):
+        sweep = SweepSpec.from_dict(INFEASIBLE_SWEEP_DOC)
+        store = ResultStore(tmp_path)
+        policy = ExecutionPolicy(chunk_size=3)
+        cold_events, warm_events = [], []
+        run_sweep(sweep, store=store, policy=policy, progress=cold_events.append)
+        run_sweep(sweep, store=store, policy=policy, progress=warm_events.append)
+        assert len(cold_events) == 2
+        assert warm_events == [
+            type(cold_events[-1])(
+                chunk=2, num_chunks=2, completed=4, total=4, ok=2, failed=2,
+                from_store=4,
+            )
+        ]
+
+    @pytest.mark.parametrize("executor", ["local", "queue"])
+    def test_display_fields_come_from_the_callers_spec(self, tmp_path, executor):
+        first = small_sweep()
+        second = SweepSpec.from_dict(display_variant(SWEEP_DOC))
+        assert first.content_hash() == second.content_hash()
+        store = ResultStore(tmp_path)
+        policy = ExecutionPolicy(executor=executor)
+        for spec in (first, second, first):
+            answer = run_sweep(spec, store=store, policy=policy)
+            assert answer.to_json() == run_sweep(spec).to_json()
+            assert [p.label for p in answer.points] == [
+                p.spec.label for p in spec.expand()
+            ]
+
+    def test_a_row_from_either_executor_answers_the_other(self, tmp_path):
+        store = ResultStore(tmp_path)
+        local = run_sweep(small_sweep(), store=store)
+        queued = run_sweep(
+            small_sweep(), store=store, policy=ExecutionPolicy(executor="queue")
+        )
+        assert queued.to_json() == local.to_json()
+        assert not (tmp_path / "repro-jobs-v1").exists()  # nothing enqueued
+
+    def test_a_flipped_byte_reads_as_a_miss_and_the_row_heals(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        cold = run_sweep(small_sweep(), store=store)
+        pristine = store_rows.body(store, cold.sweep_hash, "sweeps")
+        damaged = bytearray(pristine)
+        damaged[len(damaged) // 2] ^= 0x01
+        store_rows.update(store, cold.sweep_hash, "sweeps", body=bytes(damaged))
+        assert store.sweep_row(cold.sweep_hash) is None
+        lookups = count_calls(monkeypatch, ResultStore, "lookup_many")
+        again = run_sweep(small_sweep(), store=store)
+        assert lookups  # point by point
+        assert again.to_json() == cold.to_json()
+        assert store_rows.body(store, cold.sweep_hash, "sweeps") == pristine
+
+    def test_a_compact_row_from_an_earlier_build_is_re_encoded(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.estimator.store import SWEEP_DOC_SCHEMA
+
+        store = ResultStore(tmp_path)
+        cold = run_sweep(small_sweep(), store=store)
+        store_rows.plant(
+            store,
+            cold.sweep_hash,
+            {
+                "schema": SWEEP_DOC_SCHEMA,
+                "sweepHash": cold.sweep_hash,
+                "result": json.loads(cold.to_json()),
+            },
+            "sweeps",
+        )
+        body = store_rows.body(store, cold.sweep_hash, "sweeps")
+        assert body.split(b'"result":', 1)[1].startswith(b'{"schema":')
+        document, text = store.sweep_row(cold.sweep_hash)
+        assert text is None and document == cold.to_dict()
+        lookups = count_calls(monkeypatch, ResultStore, "lookup_many")
+        again = run_sweep(small_sweep(), store=store)
+        assert lookups == [] and again.stored
+        assert again.to_json() == cold.to_json()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda document: {"counts": {"total": 0}, "points": []},
+            lambda document: {**document, "points": document["points"][:-1]},
+            lambda document: {
+                **document,
+                "points": [{**document["points"][0], "specHash": "ab" * 32}]
+                + document["points"][1:],
+            },
+            lambda document: {
+                **document,
+                "points": [{**document["points"][0], "ok": False}]
+                + document["points"][1:],
+            },
+            lambda document: {**document, "frontiers": None},
+        ],
+        ids=["not-a-sweep", "point-missing", "foreign-point", "ok-flag", "no-frontiers"],
+    )
+    def test_a_row_that_is_not_this_sweeps_result_reads_as_a_miss(
+        self, tmp_path, damage
+    ):
+        from repro.estimator.store import SWEEP_DOC_SCHEMA
+
+        store = ResultStore(tmp_path)
+        cold = run_sweep(small_sweep(), store=store)
+        pristine = store_rows.body(store, cold.sweep_hash, "sweeps")
+        store_rows.plant(
+            store,
+            cold.sweep_hash,
+            {
+                "schema": SWEEP_DOC_SCHEMA,
+                "sweepHash": cold.sweep_hash,
+                "result": damage(json.loads(cold.to_json())),
+            },
+            "sweeps",
+        )
+        assert store.get_sweep(cold.sweep_hash) is not None  # it verifies
+        again = run_sweep(small_sweep(), store=store)
+        assert all(point.from_store for point in again.points)  # point by point
+        assert again.to_json() == cold.to_json()
+        assert store_rows.body(store, cold.sweep_hash, "sweeps") == pristine
+
+    def test_a_point_written_after_the_row_makes_it_stale(self, tmp_path):
+        store = ResultStore(tmp_path)
+        cold = run_sweep(small_sweep(), store=store)
+        spec_hash = cold.points[0].spec_hash
+        store_rows.plant_body(store, spec_hash, store_rows.body(store, spec_hash))
+        assert store.sweep_row(cold.sweep_hash) is not None
+        assert store.sweep_row(cold.sweep_hash, [spec_hash]) is None
+        again = run_sweep(small_sweep(), store=store)
+        assert again.to_json() == cold.to_json()
+        assert store.sweep_row(cold.sweep_hash, [spec_hash]) is not None
+
+    def test_an_interrupted_sweep_writes_no_row(self, tmp_path):
+        sweep = small_sweep()
+        store = ResultStore(tmp_path)
+
+        def kill_after_first_chunk(event):
+            if event.chunk == 1:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(
+                sweep,
+                store=store,
+                policy=ExecutionPolicy(chunk_size=2),
+                progress=kill_after_first_chunk,
+            )
+        hash_ = sweep.content_hash(default_registry())
+        assert store_rows.row(store, hash_, "sweeps") is None
+        resumed = run_sweep(sweep, store=store, policy=ExecutionPolicy(chunk_size=2))
+        assert resumed.num_from_store == 2  # point by point
+        assert resumed.stored and store.sweep_row(hash_) is not None
+        assert resumed.to_json() == run_sweep(sweep).to_json()
+
+    def test_an_unwritable_store_skips_the_row_quietly(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        result = run_sweep(small_sweep(), store=ResultStore(blocker / "store"))
+        assert result.stored is False
+        assert result.to_json() == run_sweep(small_sweep()).to_json()
+
+    def test_queue_without_a_database_answers_with_the_callers_fields(
+        self, tmp_path
+    ):
+        # The journal and chunk markers are files; the database is not
+        # one, so no row lands and the result is assembled from markers.
+        from repro.estimator.store import DATABASE_NAME
+
+        tmp_path.joinpath(DATABASE_NAME).write_bytes(b"\x00garbage" * 1000)
+        store = ResultStore(tmp_path)
+        policy = ExecutionPolicy(executor="queue")
+        for doc in (SWEEP_DOC, display_variant(SWEEP_DOC)):
+            spec = SweepSpec.from_dict(doc)
+            answer = run_sweep(spec, store=store, policy=policy)
+            assert answer.stored is False
+            assert answer.to_json() == run_sweep(spec).to_json()
+
+    def test_the_row_counts_toward_a_bounded_store(self, tmp_path):
+        reference = ResultStore(tmp_path / "reference")
+        first = run_sweep(small_sweep(), store=reference)
+        expected = first.to_json()
+        namespaces = reference.stats()["namespaces"]
+        row_bytes = namespaces["sweeps"]["bytes"]
+        result_bytes = namespaces["results"]["bytes"]
+        assert row_bytes == len(store_rows.body(reference, first.sweep_hash, "sweeps"))
+
+        # Room for every point but not for the row as well: writing the
+        # row takes the store past its budget and evicts the oldest points.
+        store = ResultStore(tmp_path / "bounded", max_bytes=row_bytes + result_bytes - 1)
+        assert run_sweep(small_sweep(), store=store).to_json() == expected
+        assert store.eviction_stats()["documents"] > 0
+        assert run_sweep(small_sweep(), store=store).to_json() == expected
+        store.evict(max_bytes=0)  # the row goes too
+        assert store.sweep_row(first.sweep_hash) is None
+        assert run_sweep(small_sweep(), store=store).to_json() == expected
 
 
 class TestFrontierStoreIntegration:
