@@ -747,18 +747,24 @@ def _sweep_main(argv: list[str]) -> int:
 
     store = ResultStore(args.store) if args.store else None
     point_hashes = None
-    if args.resume and store is not None:
+    answered = None
+    if store is not None:
         # Hashed once here and handed to run_sweep, which would otherwise
-        # hash every point again. A finished sweep's stored row answers
-        # every point. Otherwise a point counts when the sweep will
-        # answer it from disk: a stored error document (an infeasible
-        # point) counts, an undecodable document does not. One lookup per
-        # chunk, as the sweep reads them.
+        # hash every point again. The finished sweep's stored row is read
+        # once, here, before anything is enqueued: when it answers, no
+        # job is journaled and no helper is spawned.
         point_hashes = sweep.point_hashes(registry)
+        if not args.enqueue_only:
+            answered = stored_sweep(sweep, store, point_hashes=point_hashes)
+    if args.resume and store is not None:
+        # The row answers every point. Otherwise a point counts when the
+        # sweep will answer it from disk: a stored error document (an
+        # infeasible point) counts, an undecodable document does not.
+        # One lookup per chunk, as the sweep reads them.
         size = chunk_size_for(
             policy.chunk_size, sweep.chunk_size, len(points), store=True
         )
-        if stored_sweep(sweep, store, point_hashes=point_hashes) is not None:
+        if answered is not None:
             stored = len(points)
         else:
             stored = sum(
@@ -781,7 +787,7 @@ def _sweep_main(argv: list[str]) -> int:
             )
 
     helper_procs: list = []
-    if policy.executor == "queue":
+    if policy.executor == "queue" and answered is None:
         from .estimator.queue import SweepQueue
 
         job = SweepQueue(store).enqueue(
@@ -833,6 +839,7 @@ def _sweep_main(argv: list[str]) -> int:
             policy=policy,
             progress=progress,
             point_hashes=point_hashes,
+            stored_result=answered,
         )
     except KeyboardInterrupt:
         print(

@@ -87,7 +87,7 @@ import uuid
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .engine import (
     DEFAULT_LEASE_TTL,
@@ -104,6 +104,7 @@ from .sweep import (
     SweepSpec,
     _outcome_from_dict,
     _reduce_frontiers,
+    stored_sweep,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -557,20 +558,22 @@ class SweepQueue:
             frontiers=frontiers,
         )
 
-    def finalize(self, job: QueueJob) -> bool:
+    def finalize(self, job: QueueJob, point_hashes: Sequence[str]) -> bool:
         """Assemble, persist the sweep's row, and close the journal.
 
-        Idempotent across racing finalizers — the assembled result is
-        deterministic, so concurrent :meth:`ResultStore.put_sweep` calls
-        write the same bytes, encoded once per finalizer
-        (:meth:`SweepResult.to_json`). Returns ``False`` while chunks are
-        still missing.
+        A row that already answers the job (:func:`stored_sweep`, given
+        the job's ``point_hashes``) is kept; a missing, stale or foreign
+        one is replaced. Idempotent across racing finalizers — the
+        assembled result is deterministic, so concurrent
+        :meth:`ResultStore.put_sweep` calls write the same bytes, encoded
+        once per finalizer (:meth:`SweepResult.to_json`). Returns
+        ``False`` while chunks are still missing.
         """
-        if self.store.get_sweep(job.job_id) is None:
+        if stored_sweep(job.spec, self.store, point_hashes=point_hashes) is None:
             result = self.assemble(job)
             if result is None:
                 return False
-            self.store.put_sweep(job.job_id, result.to_json())
+            self.store.put_sweep(job.job_id, result.to_json(), point_hashes)
         self.mark_finished(job)
         return True
 
@@ -848,7 +851,7 @@ def run_worker(
 ) -> WorkerReport:
     """Drain queued sweep chunks from a shared store; one worker process.
 
-    With ``job_id``, works that job until its result document exists
+    With ``job_id``, works that job until its stored row answers it
     (waiting out other workers' leases by default); without, makes one
     pass over every pending journaled job and returns when nothing more
     is claimable. Each claimed chunk runs through
@@ -961,8 +964,15 @@ def _drain_job(
     engine: ExecutionEngine,
     log: "StructuredLogger | None" = None,
 ) -> bool:
-    """Work one job to completion (or until blocked); True when finished."""
-    if queue.store.get_sweep(job.job_id) is not None:
+    """Work one job to completion (or until blocked); True when finished.
+
+    The job is finished when its stored row answers it by the same rule
+    :func:`~repro.estimator.sweep.run_sweep` applies
+    (:func:`stored_sweep`); a stale or foreign row is rebuilt from the
+    chunks instead, even for a job the journal already calls finished.
+    """
+    point_hashes = job.spec.point_hashes(registry)
+    if stored_sweep(job.spec, queue.store, point_hashes=point_hashes) is not None:
         queue.mark_finished(job)
         return True
     points = job.spec.expand()
@@ -1021,6 +1031,7 @@ def _drain_job(
                             store=queue.store,
                             cache=cache,
                             engine=engine,
+                            spec_hashes=point_hashes[start:stop],
                         )
                     _fault_point("evaluated", index)
                     outcome_objs = [
@@ -1077,7 +1088,7 @@ def _drain_job(
             made_progress = True
             emit()
         if len(accounted) == job.num_chunks:
-            if queue.finalize(job):
+            if queue.finalize(job, point_hashes):
                 report.jobs_finalized += 1
                 return True
             return False

@@ -762,7 +762,26 @@ class ResultStore:
         envelope = {"schema": self._schemas["sweeps"], "sweepHash": sweep_hash}
         return _compact_json(envelope)[:-1] + b',"result":'
 
-    def put_sweep(self, sweep_hash: str, text: str) -> bool:
+    def _latest_result(self, db: Any, point_hashes: Sequence[str]) -> float | None:
+        """The newest ``written_at`` of any of these points' result
+        documents (``None`` when none is stored); one query per
+        :data:`_QUERY_KEYS` hashes."""
+        keys = list(dict.fromkeys(point_hashes))
+        latest = None
+        for start in range(0, len(keys), _QUERY_KEYS):
+            batch = keys[start : start + _QUERY_KEYS]
+            (newest,) = db.execute(
+                f"SELECT MAX(written_at) FROM {self._tables['results']} "
+                f"WHERE key IN ({','.join('?' * len(batch))})",
+                batch,
+            ).fetchone()
+            if newest is not None and (latest is None or newest > latest):
+                latest = newest
+        return latest
+
+    def put_sweep(
+        self, sweep_hash: str, text: str, point_hashes: Sequence[str] = ()
+    ) -> bool:
         """Persist a finished sweep under its hash; returns success.
 
         ``text`` is the sweep's indented ``--json`` text
@@ -773,6 +792,11 @@ class ResultStore:
         I/O, so a sweep of many megabytes never exists as a second whole
         copy in memory. Like :meth:`put`, an unwritable store degrades to
         a no-op (``False``).
+
+        The row's ``written_at`` is never older than the result documents
+        of ``point_hashes`` (the points it was assembled from), whatever
+        the clocks of the processes that wrote them say, so
+        :meth:`sweep_row` never finds it stale against its own points.
         """
         prefix = self._sweep_prefix(self._check_hash(sweep_hash))
 
@@ -791,11 +815,19 @@ class ResultStore:
         with self._database(create=True) as db:
             if db is not None:
                 with db:  # one transaction: commit, or roll back on error
+                    latest = self._latest_result(db, point_hashes)
+                    now = time.time()
                     rowid = db.execute(
                         f"INSERT OR REPLACE INTO {self._tables['sweeps']} "
                         "(key, digest, size, written_at, body) "
                         "VALUES (?, ?, ?, ?, zeroblob(?))",
-                        (sweep_hash, digest.hexdigest(), size, time.time(), size),
+                        (
+                            sweep_hash,
+                            digest.hexdigest(),
+                            size,
+                            now if latest is None else max(now, latest),
+                            size,
+                        ),
                     ).lastrowid
                     with db.blobopen(self._schemas["sweeps"], "body", rowid) as blob:
                         for part in parts():
@@ -815,7 +847,10 @@ class ResultStore:
         any of ``point_hashes`` has a result document written after the
         row (a point healed, replaced or recomputed since), the row is
         stale and reads as a miss. That check reads only the points'
-        ``written_at``, one query per :data:`_QUERY_KEYS` hashes.
+        ``written_at``, one query per :data:`_QUERY_KEYS` hashes;
+        :meth:`put_sweep` stamps a row no older than the points it was
+        built from, so clock skew between writers cannot make a fresh
+        row stale.
 
         The text is the row's ``result`` value exactly as
         :meth:`put_sweep` wrote it: the indented object between the
@@ -833,19 +868,10 @@ class ResultStore:
                     "WHERE key = ?",
                     (key,),
                 ).fetchone()
-                keys = list(dict.fromkeys(point_hashes))
-                for start in range(0, len(keys) if found else 0, _QUERY_KEYS):
-                    batch = keys[start : start + _QUERY_KEYS]
-                    (latest,) = db.execute(
-                        f"SELECT MAX(written_at) FROM {self._tables['results']} "
-                        f"WHERE key IN ({','.join('?' * len(batch))})",
-                        batch,
-                    ).fetchone()
-                    if latest is not None and latest > found[2]:
-                        found = None
-                        break
                 if found is not None:
-                    row = found[:2]
+                    latest = self._latest_result(db, point_hashes)
+                    if latest is None or latest <= found[2]:
+                        row = found[:2]
         document = self._verify("sweeps", key, row)
         payload = document.get("result") if document is not None else None
         if not isinstance(payload, dict):

@@ -955,6 +955,11 @@ def stored_sweep(
     foreign row, or one that is not this sweep's finished result, is
     ``None``. ``point_hashes`` are :meth:`SweepSpec.point_hashes` under
     the registry the sweep runs with.
+
+    This is the one rule by which a row counts as the sweep's answer:
+    :func:`run_sweep` (both executors), the queue's workers and
+    finalizer, and the service's job recovery all ask it, so none of
+    them treats as finished a sweep whose row another would reject.
     """
     return SweepResult._from_store(
         spec, store, spec.content_hash(point_hashes=point_hashes), point_hashes
@@ -971,6 +976,7 @@ def run_sweep(
     progress: Callable[[SweepProgress], None] | None = None,
     engine: ExecutionEngine | None = None,
     point_hashes: Sequence[str] | None = None,
+    stored_result: SweepResult | None = None,
 ) -> SweepResult:
     """Execute a sweep in store-backed chunks and reduce its frontiers.
 
@@ -1017,7 +1023,11 @@ def run_sweep(
     (:meth:`SweepSpec.point_hashes`) and serves both the sweep's
     content hash and the store lookups. A caller that already has them
     under the same registry (``repro sweep --resume`` counts stored
-    points first) passes them as ``point_hashes``.
+    points first) passes them as ``point_hashes``. A caller that has
+    also already read the row (``repro sweep`` does, before it enqueues
+    anything) passes the answer :func:`stored_sweep` gave for them as
+    ``stored_result``: it is returned, with its one progress event,
+    without reading the row again.
     """
     from ..registry import default_registry
 
@@ -1033,7 +1043,9 @@ def run_sweep(
         policy.chunk_size, spec.chunk_size, len(points), store=store is not None
     )
     if store is not None:
-        result = SweepResult._from_store(spec, store, sweep_hash, point_hashes)
+        result = stored_result
+        if result is None:
+            result = SweepResult._from_store(spec, store, sweep_hash, point_hashes)
         if result is not None:
             if progress is not None:
                 num_chunks = -(-len(points) // size)
@@ -1075,7 +1087,7 @@ def run_sweep(
             engine=engine,
         )
     if store is not None and not result.stored:
-        result.stored = store.put_sweep(sweep_hash, result.to_json())
+        result.stored = store.put_sweep(sweep_hash, result.to_json(), point_hashes)
     return result
 
 

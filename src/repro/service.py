@@ -129,7 +129,7 @@ from .estimator.optimize import (
 )
 from .estimator.spec import EstimateSpec, run_specs
 from .estimator.store import ResultStore
-from .estimator.sweep import SweepProgress, SweepSpec, run_sweep
+from .estimator.sweep import SweepProgress, SweepSpec, run_sweep, stored_sweep
 from .jsonlog import StructuredLogger, new_request_id
 from .metrics import MetricsRegistry, normalize_route
 from .programs import forbid_file_programs
@@ -635,9 +635,10 @@ class EstimationService:
         requeues them on the sweep pool, so a restarted (or replacement)
         server picks up exactly where the dead one stopped — completed
         chunks are served from their persisted outcome documents, only
-        the remainder recomputes. A journaled job whose result document
-        already exists is just marked finished. Returns the number of
-        jobs requeued.
+        the remainder recomputes. A journaled job its stored row already
+        answers (:func:`~repro.estimator.sweep.stored_sweep`, the rule
+        every executor applies) is just marked finished. Returns the
+        number of jobs requeued.
         """
         if self.store is None:
             return 0
@@ -646,7 +647,10 @@ class EstimationService:
         queue = SweepQueue(self.store)
         requeued = 0
         for queued_job in queue.pending_jobs():
-            if self.store.get_sweep(queued_job.job_id) is not None:
+            point_hashes = queued_job.spec.point_hashes(self.registry)
+            if stored_sweep(
+                queued_job.spec, self.store, point_hashes=point_hashes
+            ) is not None:
                 queue.mark_finished(queued_job)
                 continue
             with self._jobs_lock:

@@ -375,6 +375,29 @@ class TestSweepRow:
         code, _, err = self._run(capsys, path, "--store", tmp_path / "store", "--quiet")
         assert code == 1 and err == "2 of 4 points infeasible\n"
 
+    def test_a_queue_rerun_answered_by_the_row_enqueues_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import subprocess
+
+        path = self._sweep_file(tmp_path, "sweep.json")
+        store = tmp_path / "store"
+        code, cold, _ = self._run(capsys, path, "--store", store, "--json", "--quiet")
+        assert code == 1
+
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a row hit spawns no worker")
+
+        monkeypatch.setattr(subprocess, "Popen", no_helper)
+        code, warm, err = self._run(
+            capsys, path, "--store", store, "--executor", "queue", "--workers", "2",
+            "--json",
+        )
+        assert code == 1 and warm == cold
+        assert "(4 from store, 2 failed)" in err
+        assert not (store / "repro-jobs-v1").exists()
+        assert not (store / "repro-queue-v1").exists()
+
     def test_batch_points_from_the_row_are_from_store(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(

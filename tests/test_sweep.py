@@ -691,13 +691,15 @@ class TestStoredSweepRow:
         ],
         ids=["not-a-sweep", "point-missing", "foreign-point", "ok-flag", "no-frontiers"],
     )
+    @pytest.mark.parametrize("executor", ["local", "queue"])
     def test_a_row_that_is_not_this_sweeps_result_reads_as_a_miss(
-        self, tmp_path, damage
+        self, tmp_path, damage, executor
     ):
         from repro.estimator.store import SWEEP_DOC_SCHEMA
 
         store = ResultStore(tmp_path)
-        cold = run_sweep(small_sweep(), store=store)
+        policy = ExecutionPolicy(executor=executor)
+        cold = run_sweep(small_sweep(), store=store, policy=policy)
         pristine = store_rows.body(store, cold.sweep_hash, "sweeps")
         store_rows.plant(
             store,
@@ -710,21 +712,57 @@ class TestStoredSweepRow:
             "sweeps",
         )
         assert store.get_sweep(cold.sweep_hash) is not None  # it verifies
-        again = run_sweep(small_sweep(), store=store)
+        again = run_sweep(small_sweep(), store=store, policy=policy)
         assert all(point.from_store for point in again.points)  # point by point
         assert again.to_json() == cold.to_json()
         assert store_rows.body(store, cold.sweep_hash, "sweeps") == pristine
 
-    def test_a_point_written_after_the_row_makes_it_stale(self, tmp_path):
+    @pytest.mark.parametrize("executor", ["local", "queue"])
+    def test_a_point_written_after_the_row_makes_it_stale(self, tmp_path, executor):
         store = ResultStore(tmp_path)
-        cold = run_sweep(small_sweep(), store=store)
+        policy = ExecutionPolicy(executor=executor)
+        cold = run_sweep(small_sweep(), store=store, policy=policy)
         spec_hash = cold.points[0].spec_hash
         store_rows.plant_body(store, spec_hash, store_rows.body(store, spec_hash))
         assert store.sweep_row(cold.sweep_hash) is not None
         assert store.sweep_row(cold.sweep_hash, [spec_hash]) is None
-        again = run_sweep(small_sweep(), store=store)
+        again = run_sweep(small_sweep(), store=store, policy=policy)
         assert again.to_json() == cold.to_json()
         assert store.sweep_row(cold.sweep_hash, [spec_hash]) is not None
+
+    def test_a_stale_row_of_a_collected_queue_job_is_rebuilt(self, tmp_path):
+        # The journal says finished and gc took the chunk and done
+        # records, so nothing but the chunks themselves can rebuild it.
+        from repro.estimator.queue import SweepQueue, collect_garbage
+
+        store = ResultStore(tmp_path)
+        policy = ExecutionPolicy(executor="queue", chunk_size=2)
+        cold = run_sweep(small_sweep(), store=store, policy=policy)
+        assert collect_garbage(store, older_than_s=0)["removedFiles"] > 0
+        spec_hash = cold.points[0].spec_hash
+        store_rows.plant_body(store, spec_hash, store_rows.body(store, spec_hash))
+        assert store.sweep_row(cold.sweep_hash, [spec_hash]) is None
+        again = run_sweep(small_sweep(), store=store, policy=policy)
+        assert again.to_json() == cold.to_json()
+        assert store.sweep_row(cold.sweep_hash, [spec_hash]) is not None
+        assert SweepQueue(store).load_job(cold.sweep_hash).status == "finished"
+
+    def test_points_stamped_by_a_clock_running_ahead_leave_the_row_fresh(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        cold = run_sweep(small_sweep(), store=store)
+        point_hashes = [point.spec_hash for point in cold.points]
+        ahead = store_rows.row(store, point_hashes[0])["written_at"] + 3600.0
+        for spec_hash in point_hashes:
+            store_rows.update(store, spec_hash, written_at=ahead)
+        store_rows.delete(store, cold.sweep_hash, "sweeps")
+        assert run_sweep(small_sweep(), store=store).to_json() == cold.to_json()
+        assert store_rows.row(store, cold.sweep_hash, "sweeps")["written_at"] >= ahead
+        assert store.sweep_row(cold.sweep_hash, point_hashes) is not None
+        lookups = count_calls(monkeypatch, ResultStore, "lookup_many")
+        assert run_sweep(small_sweep(), store=store).to_json() == cold.to_json()
+        assert lookups == []  # answered from the row
 
     def test_an_interrupted_sweep_writes_no_row(self, tmp_path):
         sweep = small_sweep()
@@ -926,6 +964,62 @@ class TestSweepCLI:
         assert "(5 from store, 0 failed)" in captured.err
         assert captured.out == cold
         assert store_rows.body(store, spec_hash) == pristine
+
+    def test_a_queue_rerun_recomputes_an_undecodable_document(
+        self, tmp_path, capsys
+    ):
+        """The plant is newer than the local run's row, so the row is
+        stale for the queue executor too: it reruns the chunks instead of
+        calling the job finished, and the store heals."""
+        from repro.cli import main
+        from repro.estimator.store import RESULT_SCHEMA
+
+        path = self._write_sweep(tmp_path)
+        store_dir = tmp_path / "store"
+        argv = ["sweep", str(path), "--store", str(store_dir), "--resume", "--json"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        spec_hash = json.loads(cold)["points"][0]["specHash"]
+        store = ResultStore(store_dir)
+        pristine = store_rows.body(store, spec_hash)
+        store_rows.plant(
+            store,
+            spec_hash,
+            {
+                "schema": RESULT_SCHEMA,
+                "specHash": spec_hash,
+                "spec": None,
+                "result": {"physicalCounts": {}},
+            },
+        )
+
+        assert main([*argv, "--executor", "queue"]) == 0
+        captured = capsys.readouterr()
+        assert "resume: 5/6 points already stored" in captured.err
+        assert "(5 from store, 0 failed)" in captured.err
+        assert captured.out == cold
+        assert store_rows.body(store, spec_hash) == pristine
+        assert main([*argv, "--executor", "queue"]) == 0
+        captured = capsys.readouterr()
+        assert "resume: 6/6 points already stored" in captured.err
+        assert captured.out == cold
+
+    def test_resume_reads_a_finished_sweeps_row_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        path = self._write_sweep(tmp_path)
+        argv = ["sweep", str(path), "--store", str(tmp_path / "store"), "--resume"]
+        assert main([*argv, "--json"]) == 0
+        cold = capsys.readouterr().out
+        rows = count_calls(monkeypatch, ResultStore, "sweep_row")
+        lookups = count_calls(monkeypatch, ResultStore, "lookup_many")
+        assert main([*argv, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "resume: 6/6 points already stored" in captured.err
+        assert captured.out == cold
+        assert len(rows) == 1 and lookups == []
 
     def test_resume_hashes_each_point_once(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
