@@ -2,11 +2,13 @@
 
 Times the closed-form ``logical_counts()`` of the paper's Fig. 3 grid
 (3 algorithms x 10 sizes, 32 to 16384 bits, fresh instances) against
-one fresh ``qubit_maj_ns_e4`` / floquet-code T-factory catalog build.
-Both run in this process, best of several repeats each, so machine
-speed cancels out. Exits 1 unless the 30 tallies take at most
-``CEILING`` times one catalog build: per-row or per-node tallies put
-them at ~20-25x, the closed forms at ~0.8-1.0x.
+one fresh ``qubit_maj_ns_e4`` / floquet-code T-factory catalog with
+every one of its Pareto entries built (``evaluate_pipeline`` on each of
+the 370), a yardstick that lazy catalog entries do not shorten. Both
+run in this process, best of several repeats each, so machine speed
+cancels out. Exits 1 unless the 30 tallies take at most ``CEILING``
+times that build: per-row or per-node tallies put them at ~20-25x, the
+closed forms at ~0.5-1.0x.
 
 Run with the repository's ``src`` on ``PYTHONPATH``::
 
@@ -47,14 +49,14 @@ def main() -> int:
                 multiplier_by_name(algorithm, bits).logical_counts()
 
     def catalog() -> None:
-        TFactoryDesigner()._catalog(QUBIT_MAJ_NS_E4, FLOQUET_CODE)
+        list(TFactoryDesigner()._catalog(QUBIT_MAJ_NS_E4, FLOQUET_CODE).factories)
 
     tallies_s = best_of(tallies)
     catalog_s = best_of(catalog)
     ratio = tallies_s / catalog_s
     print(
         f"{len(ALGORITHMS) * len(FIG3_BIT_SIZES)} Fig. 3 tallies "
-        f"{tallies_s:.3f} s, one catalog build {catalog_s:.3f} s: "
+        f"{tallies_s:.3f} s, one catalog with every entry built {catalog_s:.3f} s: "
         f"{ratio:.2f}x (ceiling {CEILING:.0f}x)"
     )
     return 0 if ratio <= CEILING else 1

@@ -14,16 +14,21 @@ The pipeline space does not depend on the required error, so each
 * every candidate's ``(physical_qubits, duration_ns, output_error_rate)``
   comes from one depth-first walk per unit tuple, without building a
   factory: candidates sharing a round prefix share its forward step and
-  footprint, an infeasible prefix skips its subtree, and a leaf costs one
-  memoized unit outcome plus one footprint lookup (:class:`_CatalogWalk`);
+  footprint (sibling families, whose last units take as many inputs,
+  share one footprint), an infeasible prefix skips its subtree, and a
+  leaf costs one memoized unit outcome plus one footprint lookup
+  (:class:`_CatalogWalk`);
 * in preference order ``(physical_qubits, duration_ns, enumeration
-  index)`` a candidate is kept only if no earlier one has both an output
-  error and a duration at most its own — the Pareto set, a few hundred
-  of ~10k candidates; only those are built with
-  :func:`~repro.distillation.factory.evaluate_pipeline`;
+  index)`` — two stable sorts on scalar keys — a candidate is kept only
+  if no earlier one has both an output error and a duration at most its
+  own: the Pareto set, a few hundred of ~10k candidates;
 * along that order the strict prefix minima of the output error form a
   staircase, so :meth:`TFactoryDesigner.design` is one bisection, shared
-  with the vectorized kernel (:mod:`repro.estimator.kernel`).
+  with the vectorized kernel (:mod:`repro.estimator.kernel`);
+* a kept candidate stays a scan tuple until it is read: only the
+  entries ``design``, ``frontier`` or the kernel hand out are built with
+  :func:`~repro.distillation.factory.evaluate_pipeline` (a Fig. 3/4 pass
+  builds 11 of the six catalogs' 905).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -68,7 +74,9 @@ class _CatalogWalk:
       for its whole subtree, and an infeasible prefix skips the subtree;
     * a *family* — a fixed prefix plus its last unit, over all last
       distances — shares the unit multiplicities, the prefix's maximum
-      round footprint and its round durations;
+      round footprint and its round durations, and sibling families (one
+      prefix, last units with equal ``num_input_ts``) share them too:
+      they are memoized per prefix, keyed on unit identity and distance;
     * a family's feasible last rounds (distance, footprint, output
       error) are memoized per last unit, input error and first distance,
       so families that differ only in their prefix units share them;
@@ -93,6 +101,7 @@ class _CatalogWalk:
         self.cycle_times: dict[int, float] = {}
         self.physical_durations: dict[Formula, float] = {}
         self.leaf_rounds: dict[tuple, list[tuple[int | None, int, float, float]]] = {}
+        self.prefix_footprints: dict[tuple, tuple[int, tuple[float, ...]]] = {}
         self.outcomes: dict[tuple[Formula, Formula], dict] = {}
         self.found: list[_Candidate] = []
 
@@ -128,6 +137,7 @@ class _CatalogWalk:
     def descend(
         self,
         prefix: _Spec,
+        key: tuple,
         failures: tuple[float, ...],
         error_rate: float,
         units: Sequence[DistillationUnit],
@@ -135,17 +145,20 @@ class _CatalogWalk:
         lo: int,
     ) -> None:
         """Walk the subtree below ``prefix``: ``units`` run at the
-        non-decreasing distances from ``distances[lo:]``."""
+        non-decreasing distances from ``distances[lo:]``. ``key`` spells
+        ``prefix`` as ``(id(unit), distance)`` pairs, flattened."""
         unit = units[0]
         if len(units) == 1:
-            self.family(prefix, failures, error_rate, unit, distances[lo:])
+            self.family(prefix, key, failures, error_rate, unit, distances[lo:])
             return
         table = self.table(unit)
+        unit_id = id(unit)
         for i in range(lo, len(distances)):
             outcome = self.step(unit, table, error_rate, distances[i])
             if outcome is not None:
                 self.descend(
                     prefix + ((unit, distances[i]),),
+                    key + (unit_id, distances[i]),
                     failures + (outcome[0],),
                     outcome[1],
                     units[1:],
@@ -156,18 +169,28 @@ class _CatalogWalk:
     def family(
         self,
         prefix: _Spec,
+        key: tuple,
         failures: tuple[float, ...],
         error_rate: float,
         unit: DistillationUnit,
         distances: Sequence[int | None],
     ) -> None:
-        """Record the feasible leaves ``prefix + ((unit, d),)``."""
+        """Record the feasible leaves ``prefix + ((unit, d),)``; ``key``
+        names ``prefix`` as in :meth:`descend`."""
         leaves = self.leaves(unit, error_rate, distances)
         if not leaves:
             return
         family = (prefix, unit)
-        prefix_qubits, durations = self.prefix_footprint(prefix, failures, unit)
-        durations.append(0.0)
+        # The prefix's footprint depends on the last unit only through
+        # its inputs, so sibling families share one computation.
+        key = (key, unit.num_input_ts)
+        footprint = self.prefix_footprints.get(key)
+        if footprint is None:
+            footprint = self.prefix_footprints[key] = self.prefix_footprint(
+                prefix, failures, unit
+            )
+        prefix_qubits, prefix_durations = footprint
+        durations = [*prefix_durations, 0.0]
         record = self.found.append
         for d, qubits, durations[-1], out_error in leaves:
             # sum() over the round list, as evaluate_pipeline adds them:
@@ -202,7 +225,7 @@ class _CatalogWalk:
 
     def prefix_footprint(
         self, prefix: _Spec, failures: tuple[float, ...], last: DistillationUnit
-    ) -> tuple[int, list[float]]:
+    ) -> tuple[int, tuple[float, ...]]:
         """Maximum footprint and per-round durations of ``prefix``'s rounds
         in a pipeline whose last round runs one ``last`` unit."""
         # Backward pass: unit multiplicities; the last round runs one.
@@ -218,7 +241,7 @@ class _CatalogWalk:
             round_qubits, duration = self.footprint(unit, d, mult)
             qubits = max(qubits, round_qubits)
             durations.append(duration)
-        return qubits, durations
+        return qubits, tuple(durations)
 
     def footprint(
         self, unit: DistillationUnit, d: int | None, mult: int
@@ -246,6 +269,73 @@ class _CatalogWalk:
         return qubits, unit.logical_spec.duration_in_cycles * cycle
 
 
+class _ParetoSet:
+    """A catalog's kept candidates, each built into a :class:`TFactory`
+    the first time it is read.
+
+    A build runs :func:`evaluate_pipeline` on the candidate's spec and
+    checks that the factory carries the scanned numbers. ``built`` maps
+    a candidate's position to its factory; ``dict.setdefault`` publishes
+    it, so threads racing on one unbuilt entry all get the same object.
+    """
+
+    __slots__ = ("candidates", "qubit", "scheme", "built")
+
+    def __init__(
+        self,
+        candidates: list[_Candidate],
+        qubit: PhysicalQubitParams,
+        scheme: QECScheme,
+    ) -> None:
+        self.candidates = candidates
+        self.qubit = qubit
+        self.scheme = scheme
+        self.built: dict[int, TFactory] = {}
+
+    def factory(self, i: int) -> TFactory:
+        factory = self.built.get(i)
+        if factory is None:
+            qubits, duration, error, (prefix, unit), d = self.candidates[i]
+            factory = evaluate_pipeline(
+                [DistillationRound(u, dist) for u, dist in prefix + ((unit, d),)],
+                self.qubit,
+                self.scheme,
+            )
+            assert factory is not None and (
+                factory.physical_qubits,
+                factory.duration_ns,
+                factory.output_error_rate,
+            ) == (qubits, duration, error), "scan diverged from evaluate_pipeline"
+            factory = self.built.setdefault(i, factory)
+        return factory
+
+
+class _Entries(SequenceABC):
+    """A read-only sequence of :class:`_ParetoSet` entries, by position."""
+
+    __slots__ = ("_pareto", "_positions")
+
+    def __init__(self, pareto: _ParetoSet, positions: Sequence[int]) -> None:
+        self._pareto = pareto
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, index: int) -> TFactory:  # type: ignore[override]
+        return self._pareto.factory(self._positions[index])
+
+    def scanned(self) -> list[tuple[float, float, int]]:
+        """``(output_error_rate, duration_ns, output_t_states)`` of each
+        entry, as scanned: reading them builds no factory."""
+        candidates = self._pareto.candidates
+        scanned = []
+        for i in self._positions:
+            _, duration, error, (_, unit), _ = candidates[i]
+            scanned.append((error, duration, unit.num_output_ts))
+        return scanned
+
+
 @dataclass(frozen=True)
 class FactoryCatalog:
     """The factories one (qubit, scheme) pair can ever be answered with.
@@ -262,14 +352,22 @@ class FactoryCatalog:
     its errors strictly decrease; ``neg_errors`` are their negations, in
     increasing order for :func:`bisect.bisect_left` or
     :func:`numpy.searchsorted`.
+
+    Both are read-only sequences over the same scanned candidates: an
+    entry is built with :func:`evaluate_pipeline` the first time it is
+    read, and ``staircase`` and ``factories`` hand out that one object
+    from then on. Their ``scanned()`` lists each entry's output error,
+    duration and output T states without building it, which is how
+    :meth:`TFactoryDesigner.frontier` and the vectorized kernel choose
+    entries; a catalog build itself builds no factory.
     """
 
-    factories: tuple[TFactory, ...]
-    staircase: tuple[TFactory, ...]
+    factories: _Entries
+    staircase: _Entries
     neg_errors: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TFactoryDesigner:
     """Searches the distillation design space for a cheapest factory.
 
@@ -283,6 +381,9 @@ class TFactoryDesigner:
         so even the noisiest predefined profile converges in 3 rounds.
     max_code_distance:
         Largest per-round code distance explored.
+
+    A designer is immutable, so its cached catalogs always answer for its
+    own settings; :func:`dataclasses.replace` makes a changed copy.
     """
 
     units: Sequence[DistillationUnit] = field(
@@ -299,33 +400,40 @@ class TFactoryDesigner:
         # One catalog per (qubit, scheme): the pipeline space does not
         # depend on the required output error, so sweeps (Fig. 3/4) search
         # it once and answer each query with a bisection.
-        self._catalog_cache: dict[tuple, FactoryCatalog] = {}
+        object.__setattr__(self, "_catalog_cache", {})
 
     def _catalog(self, qubit: PhysicalQubitParams, scheme: QECScheme) -> FactoryCatalog:
         """The (qubit, scheme) catalog: Pareto set plus staircase, cached.
 
         Candidates come from :meth:`_scan` in enumeration order and are
-        sorted stably by ``(physical_qubits, duration_ns)``, so the order
-        is ``(physical_qubits, duration_ns, enumeration index)`` — the
-        scalar scan's preference, where an earlier pipeline wins a tie.
-        A candidate is dropped when an earlier one in that order has
+        sorted stably by duration, then stably by physical qubits, so the
+        order is ``(physical_qubits, duration_ns, enumeration index)`` —
+        the scalar scan's preference, where an earlier pipeline wins a
+        tie. A candidate is dropped when an earlier one in that order has
         output error and duration both at most its own: for any
         requirement, the earlier one is feasible whenever it is, so it
         can be neither the first feasible candidate nor on a frontier.
         The test runs against a staircase of the candidates seen so far
         (error ascending, duration strictly descending), one bisection
-        per candidate. A kept candidate's spec tuple is built only here,
-        for its ``evaluate_pipeline`` build.
+        per candidate. Kept candidates stay scan tuples; each is built
+        with ``evaluate_pipeline`` only when read (:class:`_ParetoSet`).
         """
         key = (qubit, scheme)
         catalog = self._catalog_cache.get(key)
         if catalog is None:
             candidates = self._scan(qubit, scheme)
-            candidates.sort(key=itemgetter(0, 1))  # stable: index breaks ties
+            # Two stable scalar-key sorts: the same order as one sort on
+            # (qubits, duration), at a fraction of the tuple-key cost.
+            candidates.sort(key=itemgetter(1))
+            candidates.sort(key=itemgetter(0))
             seen_errors: list[float] = []
             seen_durations: list[float] = []
-            factories: list[TFactory] = []
-            for qubits, duration, error, (prefix, unit), d in candidates:
+            kept: list[_Candidate] = []
+            stair: list[int] = []
+            neg_errors: list[float] = []
+            best = math.inf
+            for candidate in candidates:
+                _, duration, error, _, _ = candidate
                 i = bisect.bisect_right(seen_errors, error)
                 if i and seen_durations[i - 1] <= duration:
                     continue
@@ -334,27 +442,19 @@ class TFactoryDesigner:
                     j += 1
                 seen_errors[i:j] = [error]
                 seen_durations[i:j] = [duration]
-                spec = prefix + ((unit, d),)
-                factory = evaluate_pipeline(
-                    [DistillationRound(u, dist) for u, dist in spec], qubit, scheme
-                )
-                assert factory is not None and (
-                    factory.physical_qubits,
-                    factory.duration_ns,
-                    factory.output_error_rate,
-                ) == (qubits, duration, error), "scan diverged from evaluate_pipeline"
-                factories.append(factory)
-            staircase: list[TFactory] = []
-            for factory in factories:
-                best = staircase[-1].output_error_rate if staircase else math.inf
-                if factory.output_error_rate < best:
-                    staircase.append(factory)
+                if error < best:
+                    best = error
+                    stair.append(len(kept))
+                    neg_errors.append(-error)
+                kept.append(candidate)
+            pareto = _ParetoSet(kept, qubit, scheme)
             catalog = FactoryCatalog(
-                factories=tuple(factories),
-                staircase=tuple(staircase),
-                neg_errors=tuple(-f.output_error_rate for f in staircase),
+                factories=_Entries(pareto, range(len(kept))),
+                staircase=_Entries(pareto, tuple(stair)),
+                neg_errors=tuple(neg_errors),
             )
-            self._catalog_cache[key] = catalog
+            # setdefault: threads racing on a first build share one catalog.
+            catalog = self._catalog_cache.setdefault(key, catalog)
         return catalog
 
     def _scan(
@@ -375,15 +475,18 @@ class TFactoryDesigner:
         t_error = qubit.t_gate_error_rate
         for physical, logical in self._unit_tuples():
             if physical is None:
-                walk.descend((), (), t_error, logical, distances, 0)
+                walk.descend((), (), (), t_error, logical, distances, 0)
             elif not logical:
-                walk.family((), (), t_error, physical, (None,))
+                walk.family((), (), (), t_error, physical, (None,))
             else:
                 outcome = walk.step(physical, walk.table(physical), t_error, None)
                 if outcome is not None:
                     failure, error_rate = outcome
                     head = ((physical, None),)
-                    walk.descend(head, (failure,), error_rate, logical, distances, 0)
+                    key = (id(physical), None)
+                    walk.descend(
+                        head, key, (failure,), error_rate, logical, distances, 0
+                    )
         return walk.found
 
     def _unit_tuples(
@@ -476,13 +579,14 @@ class TFactoryDesigner:
         Pareto set holds every such factory, and any candidate that
         would block one is matched by a catalog entry that blocks it too.
         """
-        frontier: list[TFactory] = []
-        for factory in self._catalog(qubit, scheme).factories:
-            if factory.output_error_rate <= required_output_error_rate and (
-                not frontier or factory.duration_ns < frontier[-1].duration_ns
-            ):
-                frontier.append(factory)
-        return frontier
+        entries = self._catalog(qubit, scheme).factories
+        kept: list[int] = []
+        fastest = math.inf
+        for k, (error, duration, _) in enumerate(entries.scanned()):
+            if error <= required_output_error_rate and (not kept or duration < fastest):
+                kept.append(k)
+                fastest = duration
+        return [entries[k] for k in kept]
 
 
 #: Shared default designer so parameter sweeps reuse its factory catalog

@@ -259,12 +259,15 @@ def _run_group(
     # index) whose output error undercuts every earlier one. "First
     # feasible candidate in preference order" is then one searchsorted
     # over the increasing negated errors, the same bisection
-    # TFactoryDesigner.design performs.
+    # TFactoryDesigner.design performs. The scanned durations and output
+    # T states build no factory: only the entries points select are
+    # built, at assembly.
     catalog = group.points[0].ctx.factory_designer._catalog(qubit, scheme)
     staircase = catalog.staircase
     neg_errors = np.array(catalog.neg_errors, dtype=float)
-    dur_sorted = np.array([float(f.duration_ns) for f in staircase])
-    out_sorted = np.array([float(f.output_t_states) for f in staircase])
+    scanned = staircase.scanned()
+    dur_sorted = np.array([float(duration) for _, duration, _ in scanned])
+    out_sorted = np.array([float(out_ts) for _, _, out_ts in scanned])
 
     # Struct-of-arrays columns over the group's points (stage B). All
     # integer-valued columns are exact: prep guarded their magnitudes.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -222,6 +223,22 @@ class TestDesigner:
         catalog = designer._catalog(QUBIT_MAJ_NS_E4, FLOQUET_CODE)
         factory = designer.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, math.inf)
         assert factory is catalog.staircase[0]
+
+    def test_designer_is_immutable(self):
+        # A designer answers from catalogs cached for its own settings, so
+        # a changed setting must make a new designer, not edit this one.
+        designer = TFactoryDesigner()
+        assert designer.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, 1e-15).num_rounds == 3
+        for name, value in [("max_rounds", 1), ("max_rounds", 0), ("units", ())]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(designer, name, value)
+        assert designer.max_rounds == 3
+        one_round = dataclasses.replace(designer, max_rounds=1)
+        with pytest.raises(TFactoryError, match="no T factory"):
+            one_round.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, 1e-15)
+        with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+            dataclasses.replace(designer, max_rounds=0)
+        assert designer.design(QUBIT_MAJ_NS_E4, FLOQUET_CODE, 1e-15).num_rounds == 3
 
     def test_gate_based_design(self):
         factory = design_t_factory(QUBIT_GATE_NS_E3, SURFACE_CODE_GATE_BASED, 1e-12)
