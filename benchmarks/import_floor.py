@@ -31,7 +31,7 @@ import json
 import subprocess
 import sys
 
-CLI_CEILING = 35
+CLI_CEILING = 26
 EXPERIMENTS_CEILING = 4
 FIGURE_CEILING = 36
 FIGURE_MODULE = "repro.experiments.fig3"

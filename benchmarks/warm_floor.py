@@ -35,7 +35,7 @@ import time
 
 from repro import ResultStore
 from repro.registry import default_registry
-from repro.estimator.spec import SpecOutcome, _miss_request, run_specs
+from repro.estimator.spec import SpecOutcome, _SpecTable, run_specs
 from repro.estimator.sweep import SweepSpec, run_sweep
 
 FLOOR = 1.25
@@ -95,7 +95,7 @@ def main() -> int:
             store = ResultStore(root)
             outcomes = []
             for spec, spec_hash in zip(specs, hashes):
-                _miss_request(spec, registry, store)
+                _SpecTable(registry).request(spec, store)  # resolved afresh
                 entry = store.lookup(spec_hash)
                 outcomes.append(
                     SpecOutcome(

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
 from .engine import ExecutionEngine, ExecutionPolicy, engine_scope
 from .result import PhysicalResourceEstimates
-from .spec import run_specs
+from .spec import _resolved_hashes, run_specs
 from .store import OPTIMIZE_DOC_SCHEMA
 from .sweep import (
     FRONTIER_OBJECTIVES,
@@ -290,15 +290,11 @@ class OptimizeSpec:
 
         from .spec import SPEC_SCHEMA
 
-        points = []
-        for point in self.sweep_spec().expand():
-            try:
-                spec_hash = point.spec.content_hash(registry)
-            except KeyError:
-                spec_hash = point.spec.content_hash()  # unresolvable names
-            points.append(
-                {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
-            )
+        sweep = self.sweep_spec()
+        points = [
+            {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
+            for point, spec_hash in zip(sweep.expand(), sweep.point_hashes(registry))
+        ]
         canonical = {
             "schema": OPTIMIZE_SCHEMA,
             "specSchema": SPEC_SCHEMA,
@@ -939,12 +935,7 @@ def run_optimize(
         """Probe a deduped batch of grid points; returns (evals, hits)."""
         specs = [search.points[index].spec for index in indices]
         if policy.executor == "queue":
-            hashes = []
-            for point_spec in specs:
-                try:
-                    hashes.append(point_spec.content_hash(resolved_registry))
-                except KeyError:
-                    hashes.append(point_spec.content_hash())
+            hashes = _resolved_hashes(specs, resolved_registry)
             # A stored error document is a hit too, exactly as the local
             # executor's run_specs reports it (from_store on failures).
             already = [entry is not None for entry in store.lookup_many(hashes)]

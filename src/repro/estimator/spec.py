@@ -44,9 +44,9 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
 from ..budget import ErrorBudget
 from ..counts import COUNT_BACKENDS, LogicalCounts
@@ -60,13 +60,13 @@ from ..qec import QECScheme
 from ..qubits import PhysicalQubitParams
 from ..synthesis import RotationSynthesis
 from .constraints import Constraints
-from .result import PhysicalResourceEstimates
 from .store import StoredOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
     from .batch import EstimateCache, EstimateRequest
     from .engine import ExecutionEngine
+    from .result import PhysicalResourceEstimates
     from .store import ResultStore
 
 __all__ = [
@@ -348,79 +348,9 @@ class EstimateSpec:
         """Parse a spec document (tolerates omitted optional fields)."""
         if not isinstance(data, dict):
             raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
-        known = {
-            "program",
-            "qubit",
-            "scheme",
-            "budget",
-            "constraints",
-            "synthesis",
-            "backend",
-            "label",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown spec fields {sorted(unknown)}; known: {sorted(known)}"
-            )
-
-        raw_program = data.get("program")
-        if not isinstance(raw_program, dict) or not raw_program:
-            raise ValueError(
-                "spec needs a 'program': inline {'counts': {...}}, a "
-                "registry reference {'name': ...}, or a program kind "
-                f"({program_kind_listing()})"
-            )
-        if "counts" in raw_program:
-            if len(raw_program) != 1:
-                raise ValueError(f"ambiguous program {raw_program!r}")
-            program: ProgramRef | LogicalCounts = LogicalCounts.from_dict(
-                raw_program["counts"]
-            )
-        else:
-            program = ProgramRef.from_dict(raw_program)
-
-        raw_qubit = data.get("qubit")
-        if isinstance(raw_qubit, dict) and set(raw_qubit) == {"profile"}:
-            qubit: str | PhysicalQubitParams = raw_qubit["profile"]
-        elif isinstance(raw_qubit, dict) and set(raw_qubit) == {"params"}:
-            qubit = PhysicalQubitParams.from_dict(raw_qubit["params"])
-        else:
-            raise ValueError(
-                "spec needs a 'qubit': {'profile': name} or {'params': {...}}"
-            )
-
-        raw_scheme = data.get("scheme")
-        if raw_scheme is None:
-            scheme: str | QECScheme | None = None
-        elif isinstance(raw_scheme, dict) and set(raw_scheme) == {"name"}:
-            scheme = raw_scheme["name"]
-        elif isinstance(raw_scheme, dict) and set(raw_scheme) == {"params"}:
-            scheme = QECScheme.from_dict(raw_scheme["params"])
-        else:
-            raise ValueError(
-                "spec 'scheme' must be null, {'name': name}, or {'params': {...}}"
-            )
-
-        raw_budget = data.get("budget", 1e-3)
-        budget = ErrorBudget.from_dict(raw_budget)
-
-        raw_constraints = data.get("constraints")
-        constraints = (
-            Constraints.from_dict(raw_constraints) if raw_constraints else None
-        )
-        raw_synthesis = data.get("synthesis")
-        synthesis = (
-            RotationSynthesis.from_dict(raw_synthesis) if raw_synthesis else None
-        )
+        _check_spec_fields(data)
         return cls(
-            program=program,
-            qubit=qubit,
-            scheme=scheme,
-            budget=budget,
-            constraints=constraints,
-            synthesis=synthesis,
-            backend=data.get("backend", "formula"),
+            **{name: parse(data) for name, parse in _FIELD_PARSERS.items()},
             label=data.get("label"),
         )
 
@@ -442,8 +372,15 @@ class EstimateSpec:
         Unknown names raise :class:`KeyError`, exactly as resolution
         would.
         """
+        data = self._canonical_parts(registry)
+        data["budget"] = self.budget.to_dict()
+        return data
+
+    def _canonical_parts(self, registry: "Registry | None") -> dict[str, Any]:
+        """:meth:`canonical_dict` without its budget: the part of a spec
+        that a sweep's budget ladder shares (see :class:`_SpecTable`)."""
         data = self.to_dict()
-        del data["label"], data["backend"]
+        del data["label"], data["backend"], data["budget"]
         data["constraints"] = (self.constraints or Constraints()).to_dict()
         data["synthesis"] = (self.synthesis or RotationSynthesis()).to_dict()
         if isinstance(self.program, ProgramRef):
@@ -464,9 +401,7 @@ class EstimateSpec:
 
     def canonical_json(self, registry: "Registry | None" = None) -> str:
         """Stable, compact serialization of :meth:`canonical_dict`."""
-        return json.dumps(
-            self.canonical_dict(registry), sort_keys=True, separators=(",", ":")
-        )
+        return _canonical_text(self.canonical_dict(registry))
 
     def content_hash(self, registry: "Registry | None" = None) -> str:
         """SHA-256 over the schema tag plus the canonical serialization.
@@ -489,9 +424,14 @@ class EstimateSpec:
         directly.
         """
         from ..registry import default_registry
-        from .batch import EstimateRequest
 
         registry = registry if registry is not None else default_registry()
+        return self._request(*self._resolved_parts(registry))
+
+    def _resolved_parts(
+        self, registry: "Registry"
+    ) -> tuple[object, Hashable | None, PhysicalQubitParams, QECScheme | None]:
+        """(program, program memo key, qubit, scheme) under ``registry``."""
         qubit = (
             registry.qubit(self.qubit) if isinstance(self.qubit, str) else self.qubit
         )
@@ -501,10 +441,19 @@ class EstimateSpec:
             else self.scheme
         )
         if isinstance(self.program, LogicalCounts):
-            program: object = self.program
-            program_key: Hashable | None = None
-        else:
-            program, program_key = self.program.resolve(self.backend, registry)
+            return self.program, None, qubit, scheme
+        program, program_key = self.program.resolve(self.backend, registry)
+        return program, program_key, qubit, scheme
+
+    def _request(
+        self,
+        program: object,
+        program_key: Hashable | None,
+        qubit: PhysicalQubitParams,
+        scheme: QECScheme | None,
+    ) -> "EstimateRequest":
+        from .batch import EstimateRequest
+
         return EstimateRequest(
             program=program,
             qubit=qubit,
@@ -515,6 +464,183 @@ class EstimateSpec:
             program_key=program_key,
             label=self.label,
         )
+
+
+def _check_spec_fields(data: dict[str, Any]) -> None:
+    """Reject fields a spec document does not have (``label`` is read as is)."""
+    unknown = set(data) - _FIELD_PARSERS.keys() - {"label"}
+    if unknown:
+        known = sorted([*_FIELD_PARSERS, "label"])
+        raise ValueError(f"unknown spec fields {sorted(unknown)}; known: {known}")
+
+
+def _parse_program(data: dict[str, Any]) -> ProgramRef | LogicalCounts:
+    raw_program = data.get("program")
+    if not isinstance(raw_program, dict) or not raw_program:
+        raise ValueError(
+            "spec needs a 'program': inline {'counts': {...}}, a "
+            "registry reference {'name': ...}, or a program kind "
+            f"({program_kind_listing()})"
+        )
+    if "counts" in raw_program:
+        if len(raw_program) != 1:
+            raise ValueError(f"ambiguous program {raw_program!r}")
+        return LogicalCounts.from_dict(raw_program["counts"])
+    return ProgramRef.from_dict(raw_program)
+
+
+def _parse_qubit(data: dict[str, Any]) -> str | PhysicalQubitParams:
+    raw_qubit = data.get("qubit")
+    if isinstance(raw_qubit, dict) and set(raw_qubit) == {"profile"}:
+        return raw_qubit["profile"]
+    if isinstance(raw_qubit, dict) and set(raw_qubit) == {"params"}:
+        return PhysicalQubitParams.from_dict(raw_qubit["params"])
+    raise ValueError("spec needs a 'qubit': {'profile': name} or {'params': {...}}")
+
+
+def _parse_scheme(data: dict[str, Any]) -> str | QECScheme | None:
+    raw_scheme = data.get("scheme")
+    if raw_scheme is None:
+        return None
+    if isinstance(raw_scheme, dict) and set(raw_scheme) == {"name"}:
+        return raw_scheme["name"]
+    if isinstance(raw_scheme, dict) and set(raw_scheme) == {"params"}:
+        return QECScheme.from_dict(raw_scheme["params"])
+    raise ValueError("spec 'scheme' must be null, {'name': name}, or {'params': {...}}")
+
+
+def _parse_constraints(data: dict[str, Any]) -> Constraints | None:
+    raw_constraints = data.get("constraints")
+    return Constraints.from_dict(raw_constraints) if raw_constraints else None
+
+
+def _parse_synthesis(data: dict[str, Any]) -> RotationSynthesis | None:
+    raw_synthesis = data.get("synthesis")
+    return RotationSynthesis.from_dict(raw_synthesis) if raw_synthesis else None
+
+
+#: Spec document fields and their parsers, in the order
+#: :meth:`EstimateSpec.from_dict` applies them. Each reads only its own
+#: field, so :meth:`~repro.estimator.sweep.SweepSpec.expand` parses a
+#: field once per distinct value and shares the result between points.
+_FIELD_PARSERS: dict[str, Callable[[dict[str, Any]], Any]] = {
+    "program": _parse_program,
+    "qubit": _parse_qubit,
+    "scheme": _parse_scheme,
+    "budget": lambda data: ErrorBudget.from_dict(data.get("budget", 1e-3)),
+    "constraints": _parse_constraints,
+    "synthesis": _parse_synthesis,
+    "backend": lambda data: data.get("backend", "formula"),
+}
+
+
+def _canonical_text(data: dict[str, Any]) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _part_key(part: object) -> Hashable:
+    """A spec part's key in a :class:`_SpecTable`: a name (profile,
+    scheme, registry program) by its value, anything else by identity.
+    Equal inline definitions can serialize differently (``1`` and
+    ``1.0`` compare equal), so only the same object shares an entry."""
+    if type(part) is str:
+        return part
+    if type(part) is ProgramRef and part.name is not None:
+        return part.name
+    return id(part)
+
+
+class _SpecTable:
+    """One call's resolved spec parts, each encoded and resolved once.
+
+    The points of a sweep, or of one :func:`run_specs` call, mostly
+    differ in their budget. The table keys the rest of a spec (program,
+    qubit, scheme, constraints and synthesis, by :func:`_part_key`),
+    encodes that part's resolved canonical JSON once, and splices each
+    point's budget in front of it: ``budget`` sorts first among the
+    canonical keys, so the payload is byte for byte the one
+    :meth:`EstimateSpec.content_hash` hashes. Miss requests reuse the
+    resolved program, qubit, scheme and counts address the same way.
+
+    A table lives for one call: a registry edit or a scenario file
+    between two calls changes the addresses. An entry holds its spec, so
+    the objects whose identities key it stay alive. A part that fails
+    to resolve is not kept; every point naming it raises, as its own
+    ``content_hash`` would.
+    """
+
+    def __init__(self, registry: "Registry | None") -> None:
+        self.registry = registry
+        self._encoded: dict[tuple[Hashable, ...], tuple[EstimateSpec, str]] = {}
+        self._budgets: dict[int, tuple[ErrorBudget, str]] = {}
+        self._resolved: dict[tuple[Hashable, ...], tuple[Any, ...]] = {}
+
+    def content_hash(self, spec: EstimateSpec) -> str:
+        """``spec.content_hash(registry)`` from the shared encodings."""
+        key = (
+            _part_key(spec.program),
+            _part_key(spec.qubit),
+            _part_key(spec.scheme),
+            id(spec.constraints),
+            id(spec.synthesis),
+        )
+        entry = self._encoded.get(key)
+        if entry is None:
+            text = _canonical_text(spec._canonical_parts(self.registry))
+            entry = self._encoded[key] = (spec, text[1:])  # after its "{"
+        budget = self._budgets.get(id(spec.budget))
+        if budget is None:
+            budget = (spec.budget, _canonical_text(spec.budget.to_dict()))
+            self._budgets[id(spec.budget)] = budget
+        payload = f'{SPEC_SCHEMA}\n{{"budget":{budget[1]},{entry[1]}'
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def request(
+        self, spec: EstimateSpec, store: "ResultStore | None"
+    ) -> "EstimateRequest":
+        """The batch-engine request of a spec the store does not hold."""
+        key = (
+            _part_key(spec.program),
+            _part_key(spec.qubit),
+            _part_key(spec.scheme),
+            spec.backend,
+        )
+        entry = self._resolved.get(key)
+        if entry is None:
+            parts = spec._resolved_parts(self.registry)
+            counts_key = (
+                spec.program.counts_cache_key(self.registry, spec.backend)
+                if store is not None and isinstance(spec.program, ProgramRef)
+                else None
+            )
+            entry = self._resolved[key] = (spec, parts, counts_key)
+        _, (program, program_key, qubit, scheme), counts_key = entry
+        if counts_key is not None:
+            # Layer the persistent counts namespace under the program
+            # factory: even when this *result* is a store miss (new
+            # profile, budget, ...), the workload's traced counts answer
+            # from disk — an n-bit modexp is traced once ever per store,
+            # not once per process or sweep chunk.
+            program = partial(
+                _counts_via_store, str(store.root), counts_key, program, spec.backend
+            )
+        return spec._request(program, program_key, qubit, scheme)
+
+
+def _resolved_hashes(
+    specs: Iterable[EstimateSpec], registry: "Registry | None"
+) -> list[str]:
+    """Each spec's resolved content hash under ``registry``, from one
+    :class:`_SpecTable`; a spec naming something the registry cannot
+    resolve keeps its syntactic hash (it can never have a stored result)."""
+    table = _SpecTable(registry)
+    hashes = []
+    for spec in specs:
+        try:
+            hashes.append(table.content_hash(spec))
+        except KeyError:
+            hashes.append(spec.content_hash())  # unresolvable names
+    return hashes
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,30 +732,6 @@ def _error_message(exc: Exception) -> str:
     return str(exc)
 
 
-def _miss_request(
-    spec: EstimateSpec, registry: "Registry", store: "ResultStore | None"
-) -> EstimateRequest:
-    """The batch-engine request of a spec the store does not hold."""
-    request = spec.to_request(registry)
-    if store is not None and isinstance(spec.program, ProgramRef):
-        # Layer the persistent counts namespace under the program
-        # factory: even when this *result* is a store miss (new profile,
-        # budget, ...), the workload's traced counts answer from disk —
-        # an n-bit modexp is traced once ever per store, not once per
-        # process or sweep chunk.
-        request = replace(
-            request,
-            program=partial(
-                _counts_via_store,
-                str(store.root),
-                spec.program.counts_cache_key(registry, spec.backend),
-                request.program,
-                spec.backend,
-            ),
-        )
-    return request
-
-
 def _run_specs(
     specs: Sequence[EstimateSpec],
     registry: "Registry | None",
@@ -644,6 +746,7 @@ def _run_specs(
 
     stats_cache = cache if cache is not None else _SHARED_CACHE
     resolved_registry = registry if registry is not None else default_registry()
+    table = _SpecTable(resolved_registry)
     if spec_hashes is not None and len(spec_hashes) != len(specs):
         raise ValueError(
             f"got {len(spec_hashes)} spec hashes for {len(specs)} specs"
@@ -659,7 +762,7 @@ def _run_specs(
             spec_hash = (
                 spec_hashes[index]
                 if spec_hashes is not None
-                else spec.content_hash(resolved_registry)
+                else table.content_hash(spec)
             )
         except (KeyError, ValueError, TypeError) as exc:
             try:  # report the error resolving the spec raises, if any
@@ -688,7 +791,7 @@ def _run_specs(
             continue
         for index in indices:
             try:
-                request = _miss_request(specs[index], resolved_registry, store)
+                request = table.request(specs[index], store)
             except (KeyError, ValueError, TypeError) as exc:
                 invalid[index] = _error_message(exc)
                 hashes[index] = specs[index].content_hash()

@@ -105,10 +105,12 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..counts import LogicalCounts
-from .result import PhysicalResourceEstimates
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .result import PhysicalResourceEstimates
 
 __all__ = [
     "COUNTS_SCHEMA",
@@ -664,6 +666,8 @@ class ResultStore:
         if result_dict is None:
             entry = StoredOutcome(None, None, document["error"])
         else:
+            from .result import PhysicalResourceEstimates
+
             try:
                 result = PhysicalResourceEstimates.from_dict(result_dict)
             except (KeyError, TypeError, ValueError):

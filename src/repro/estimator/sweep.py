@@ -55,6 +55,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..jsonlog import dumps_indented
@@ -65,12 +66,19 @@ from .engine import (
     chunk_size_for,
     engine_scope,
 )
-from .result import PhysicalResourceEstimates
-from .spec import SPEC_SCHEMA, EstimateSpec, run_specs
+from .spec import (
+    _FIELD_PARSERS,
+    SPEC_SCHEMA,
+    EstimateSpec,
+    _check_spec_fields,
+    _resolved_hashes,
+    run_specs,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
     from .batch import EstimateCache
+    from .result import PhysicalResourceEstimates
     from .store import ResultStore
 
 __all__ = [
@@ -305,6 +313,10 @@ def _coord_label(value: Any) -> str:
     return str(value)
 
 
+#: Marks a spec field a sweep has not parsed yet for a point's values.
+_UNPARSED = object()
+
+
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
     """A declarative sweep: base spec document, axes, and reductions.
@@ -339,6 +351,7 @@ class SweepSpec:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sweep base must be JSON-serializable: {exc}") from exc
         object.__setattr__(self, "_expanded", None)
+        object.__setattr__(self, "_hashed", None)
         if self.mode not in SWEEP_MODES:
             raise ValueError(
                 f"unknown sweep mode {self.mode!r}; available: {list(SWEEP_MODES)}"
@@ -417,10 +430,12 @@ class SweepSpec:
 
     # -- expansion ---------------------------------------------------------
 
-    def _combinations(self) -> Iterable[tuple[Any, ...]]:
+    def _positions(self) -> Iterable[tuple[int, ...]]:
+        """Each point's value position on every axis, in point order."""
         if self.mode == "zip":
-            return zip(*(axis.values for axis in self.axes))
-        return itertools.product(*(axis.values for axis in self.axes))
+            width = len(self.axes)
+            return ((i,) * width for i in range(len(self.axes[0].values)))
+        return itertools.product(*(range(len(axis.values)) for axis in self.axes))
 
     def num_points(self) -> int:
         if self.mode == "zip":
@@ -433,10 +448,19 @@ class SweepSpec:
     def expand(self) -> list[SweepPoint]:
         """The sweep's points, in deterministic first-axis-major order.
 
-        Each point deep-copies ``base``, applies its axis values, and
-        parses the document as an :class:`EstimateSpec`; a malformed
-        point raises :class:`ValueError` naming its coordinates — a typo
-        in a sweep file is a spec error, not a pile of failed points.
+        Each point is ``base`` with its axis values applied, parsed as an
+        :class:`EstimateSpec`; a malformed point raises
+        :class:`ValueError` naming its coordinates (the error
+        ``EstimateSpec.from_dict`` gives for its document) — a typo in a
+        sweep file is a spec error, not a pile of failed points.
+
+        A spec field's value depends only on ``base`` and the axes that
+        write into that field, so each field is parsed once per distinct
+        combination of those axes' values, and points with the same
+        combination share the parsed object: a budget ladder over four
+        profiles parses four qubit parts and one program, not a thousand
+        of each. A point's full document is built only when it has a
+        field not yet parsed (or when an axis writes its label).
 
         The expansion is computed once per spec (safe: the spec is
         frozen and owns its base document) — ``content_hash``, the
@@ -445,24 +469,56 @@ class SweepSpec:
         cached = self._expanded
         if cached is not None:
             return list(cached)
-        fields = [axis.field for axis in self.axes]
+        heads = [axis.field.split(".")[0] for axis in self.axes]
+        # Per axis and value: the point coordinate and its part of the
+        # label a point gets when its document sets none.
+        pairs = [[(axis.field, value) for value in axis.values] for axis in self.axes]
+        labels = [
+            [f"{axis.field}={_coord_label(value)}" for value in axis.values]
+            for axis in self.axes
+        ]
+        # Per spec field: its parser, the key of a point's value (the
+        # value positions of the axes writing into the field) and the
+        # values parsed so far by key. A field no axis writes into has
+        # one value, parsed at the first point and kept in ``fixed``.
+        slots = []
+        for name, parse in _FIELD_PARSERS.items():
+            where = [i for i, head in enumerate(heads) if head == name]
+            slots.append((name, parse, itemgetter(*where) if where else None, {}))
+        varying = [slot for slot in slots if slot[2] is not None]
+        fixed: dict[str, Any] = {}
+        label_axes = "label" in heads
+        base_label = self.base.get("label")
         points: list[SweepPoint] = []
-        for index, combo in enumerate(self._combinations()):
-            document = json.loads(json.dumps(dict(self.base)))
-            coords = tuple(zip(fields, combo))
-            for field_path, value in coords:
-                _apply_axis(document, field_path, value)
-            if not document.get("label"):
-                document["label"] = ", ".join(
-                    f"{field_path}={_coord_label(value)}"
-                    for field_path, value in coords
-                )
+        for index, positions in enumerate(self._positions()):
+            coords = tuple(map(list.__getitem__, pairs, positions))
+            values = dict(fixed)
+            unparsed = index == 0 or label_axes
+            for name, _, key, parsed in varying:
+                value = values[name] = parsed.get(key(positions), _UNPARSED)
+                unparsed = unparsed or value is _UNPARSED
+            default_label = ", ".join(map(list.__getitem__, labels, positions))
+            if unparsed:
+                document = json.loads(json.dumps(dict(self.base)))
+                for field_path, value in coords:
+                    _apply_axis(document, field_path, value)
+                if not document.get("label"):
+                    document["label"] = default_label
+                label = document["label"]
+            else:
+                label = base_label or default_label
             try:
-                spec = EstimateSpec.from_dict(document)
+                if unparsed:
+                    _check_spec_fields(document)
+                    for name, parse, key, parsed in slots:
+                        if key is None:
+                            if name not in fixed:
+                                fixed[name] = values[name] = parse(document)
+                        elif values[name] is _UNPARSED:
+                            values[name] = parsed[key(positions)] = parse(document)
+                spec = EstimateSpec(**values, label=label)
             except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"sweep point {index} ({document['label']}): {exc}"
-                ) from exc
+                raise ValueError(f"sweep point {index} ({label}): {exc}") from exc
             points.append(SweepPoint(index=index, coords=coords, spec=spec))
         object.__setattr__(self, "_expanded", tuple(points))
         return points
@@ -475,17 +531,17 @@ class SweepSpec:
         Names are inlined through ``registry``, exactly like the result
         store's keys; a point naming something the registry cannot
         resolve keeps its syntactic hash (it can never have a stored
-        result). :func:`run_sweep` computes these once per run and
-        shares them between :meth:`content_hash` and
+        result). Each distinct (program, qubit, scheme, constraints,
+        synthesis) part is resolved and encoded once per call and each
+        point's budget spliced in (see
+        :class:`~repro.estimator.spec._SpecTable`); the hashes equal
+        ``point.spec.content_hash(registry)``. Nothing is kept between
+        calls, so a registry edit changes the next call's hashes.
+        :func:`run_sweep` computes these once per run and shares them
+        between :meth:`content_hash` and
         :func:`~repro.estimator.spec.run_specs`.
         """
-        hashes = []
-        for point in self.expand():
-            try:
-                hashes.append(point.spec.content_hash(registry))
-            except KeyError:
-                hashes.append(point.spec.content_hash())  # unresolvable names
-        return hashes
+        return _resolved_hashes((point.spec for point in self.expand()), registry)
 
     def content_hash(
         self,
@@ -503,9 +559,20 @@ class SweepSpec:
         equivalent axis spellings (``range`` vs the explicit list) hash
         identically, so one finished sweep answers every equivalent
         resubmission.
+
+        The spec keeps its last answer with the point hashes it was
+        computed from, so asking again for the same hashes (``repro
+        sweep`` reads the stored row, then runs the sweep) encodes the
+        points once.
         """
         if point_hashes is None:
             point_hashes = self.point_hashes(registry)
+        key = tuple(point_hashes)
+        if self._hashed is None or self._hashed[0] != key:
+            object.__setattr__(self, "_hashed", (key, self._digest(key)))
+        return self._hashed[1]
+
+    def _digest(self, point_hashes: tuple[str, ...]) -> str:
         points = [
             {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
             for point, spec_hash in zip(self.expand(), point_hashes, strict=True)
@@ -569,6 +636,8 @@ def _outcome_from_dict(
     stored sweep row, and the work queue's chunk assembly — one parser,
     so every path reconstructs identical objects from identical bytes.
     """
+    from .result import PhysicalResourceEstimates
+
     result_dict = entry.get("result")
     return SweepPointOutcome(
         index=entry["index"],

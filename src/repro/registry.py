@@ -42,21 +42,19 @@ resolve against the scenario file's directory.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .distillation import TFactoryDesigner
-from .distillation.search import DEFAULT_DESIGNER
-from .distillation.units import (
-    PREDEFINED_UNITS,
-    DistillationUnit,
-    DistillationUnitError,
-)
 from .programs import ModexpProgram, Program, ProgramError, program_from_dict
 from .qec import QECScheme, QECSchemeError
 from .qec.predefined import PREDEFINED_SCHEMES
 from .qubits import InstructionSet, PhysicalQubitParams
 from .qubits.profiles import PREDEFINED_PROFILES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .distillation import TFactoryDesigner
+    from .distillation.units import DistillationUnit
 
 __all__ = [
     "Registry",
@@ -76,6 +74,9 @@ DEFAULT_DESIGNER_NAME = "default"
 class RegistryError(KeyError):
     """Raised for unknown registry entries (a :class:`KeyError` subtype)."""
 
+
+#: Serializes every registry's first fill of its unit and designer tables.
+_PREDEFINED_FACTORIES_LOCK = threading.Lock()
 
 #: Named workloads every registry starts with (the RSA benchmarks).
 PREDEFINED_PROGRAMS: dict[str, Program] = {
@@ -100,24 +101,58 @@ class Registry:
     * **programs** by name — declarative workloads
       (:class:`repro.programs.Program`) that specs, sweeps, the CLI, and
       the service reference via ``{"program": {"name": ...}}``.
+
+    The predefined units and the default designer are registered on the
+    first use of either table (a lookup, a listing, a registration or a
+    scenario's ``distillationUnits``/``factoryDesigners``), so resolving
+    specs by profile, scheme and program name never imports the T-factory
+    code (:mod:`repro.distillation`). The tables read exactly as if they
+    had been filled here: predefined entries first.
     """
 
     def __init__(self, *, include_predefined: bool = True) -> None:
         self._qubits: dict[str, PhysicalQubitParams] = {}
         self._schemes: dict[str, dict[InstructionSet | None, QECScheme]] = {}
-        self._units: dict[str, DistillationUnit] = {}
-        self._designers: dict[str, TFactoryDesigner] = {}
+        self._unit_table: dict[str, DistillationUnit] = {}
+        self._designer_table: dict[str, TFactoryDesigner] = {}
         self._programs: dict[str, Program] = {}
+        self._factories_pending = include_predefined
         if include_predefined:
             for params in PREDEFINED_PROFILES.values():
                 self.register_qubit(params)
             for scheme in PREDEFINED_SCHEMES.values():
                 self.register_scheme(scheme)
-            for unit in PREDEFINED_UNITS.values():
-                self.register_unit(unit)
             for name, program in PREDEFINED_PROGRAMS.items():
                 self.register_program(name, program)
-            self.register_designer(DEFAULT_DESIGNER_NAME, DEFAULT_DESIGNER)
+
+    def _register_predefined_factories(self) -> None:
+        """Register the predefined units and the default designer, once.
+
+        Every read or write of the two tables comes here first, so they
+        are still empty: the entries go straight in. Service threads
+        share a registry, hence the lock: none sees a half-filled table.
+        """
+        if not self._factories_pending:
+            return
+        with _PREDEFINED_FACTORIES_LOCK:
+            if not self._factories_pending:
+                return
+            from .distillation.search import DEFAULT_DESIGNER
+            from .distillation.units import PREDEFINED_UNITS
+
+            self._unit_table.update(PREDEFINED_UNITS)
+            self._designer_table[DEFAULT_DESIGNER_NAME] = DEFAULT_DESIGNER
+            self._factories_pending = False
+
+    @property
+    def _units(self) -> dict[str, DistillationUnit]:
+        self._register_predefined_factories()
+        return self._unit_table
+
+    @property
+    def _designers(self) -> dict[str, TFactoryDesigner]:
+        self._register_predefined_factories()
+        return self._designer_table
 
     # -- registration ------------------------------------------------------
 
@@ -355,6 +390,8 @@ class Registry:
                 self.register_scheme(scheme, replace=replace)
                 loaded.setdefault("qecSchemes", []).append(scheme.name)
             for entry in _entries(data, "distillationUnits"):
+                from .distillation.units import DistillationUnit
+
                 unit = DistillationUnit.from_dict(entry)
                 self.register_unit(unit, replace=replace)
                 loaded.setdefault("distillationUnits", []).append(unit.name)
@@ -364,12 +401,7 @@ class Registry:
             for entry in _entries(data, "programs"):
                 name = self._load_program(entry, replace=replace, base_dir=base_dir)
                 loaded.setdefault("programs", []).append(name)
-        except (
-            QECSchemeError,
-            DistillationUnitError,
-            ProgramError,
-            TypeError,
-        ) as exc:
+        except _scenario_entry_errors() as exc:
             raise ValueError(f"invalid scenario entry: {exc}") from exc
         except KeyError as exc:
             # e.g. a designer referencing an unknown unit name; keep the
@@ -397,6 +429,8 @@ class Registry:
             )
         else:
             units = tuple(self._units.values())
+        from .distillation import TFactoryDesigner
+
         designer = TFactoryDesigner(
             units=units,
             max_rounds=entry.get("maxRounds", 3),
@@ -425,6 +459,13 @@ class Registry:
         program = program_from_dict(entry)
         self.register_program(name, program, replace=replace)
         return name
+
+
+def _scenario_entry_errors() -> tuple[type[Exception], ...]:
+    """What an invalid scenario entry raises (read only when one does)."""
+    from .distillation.units import DistillationUnitError
+
+    return (QECSchemeError, DistillationUnitError, ProgramError, TypeError)
 
 
 def _entries(data: dict[str, Any], section: str) -> list[dict[str, Any]]:

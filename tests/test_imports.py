@@ -149,8 +149,15 @@ def test_warm_sweep_never_imports_the_arithmetic_layer(tmp_path):
     assert warm["out"] == cold["out"]
 
 
-#: Evaluation modules a sweep answered from its stored row never runs.
-ROW_DEFERRED = ("repro.estimator.batch", "repro.estimator.stages")
+#: Modules a sweep answered from its stored row never runs: the
+#: evaluation engine, the T-factory code, the result model and layout.
+ROW_DEFERRED = (
+    "repro.estimator.batch",
+    "repro.estimator.stages",
+    "repro.distillation",
+    "repro.estimator.result",
+    "repro.layout",
+)
 
 
 def test_sweep_answered_from_its_row_imports_no_evaluation_engine(tmp_path):
@@ -170,7 +177,7 @@ def test_sweep_answered_from_its_row_imports_no_evaluation_engine(tmp_path):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(["sweep", "sweep.json", "--store", "store", "--json"])
         print(json.dumps({"code": code, "out": out.getvalue(), "loaded": sorted(
-            name for name in sys.modules if name.startswith("repro.estimator.")
+            name for name in sys.modules if name.startswith("repro.")
         )}))
     """
     cold = json.loads(run_fresh(code, cwd=tmp_path))
@@ -178,6 +185,7 @@ def test_sweep_answered_from_its_row_imports_no_evaluation_engine(tmp_path):
     assert cold["code"] == warm["code"] == 0 and warm["out"] == cold["out"]
     assert set(ROW_DEFERRED) <= set(cold["loaded"])
     assert sorted(set(warm["loaded"]).intersection(ROW_DEFERRED)) == []
+    assert not any(name.startswith("repro.distillation.") for name in warm["loaded"])
 
 
 def test_exports_are_the_defining_objects():

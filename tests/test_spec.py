@@ -437,3 +437,113 @@ class TestRunSpecs:
         serial = run_specs(specs, max_workers=1)
         parallel = run_specs(specs, max_workers=2)
         assert [o.result for o in serial] == [o.result for o in parallel]
+
+
+class TestSpecTable:
+    """run_specs resolves and encodes each distinct spec part once per call."""
+
+    def mixed_specs(self) -> list[EstimateSpec]:
+        multiplier = ProgramRef(kind="multiplier", algorithm="schoolbook", bits=32)
+        inline = qubit_params("qubit_maj_ns_e4")
+        specs = []
+        for budget in (1e-3, ErrorBudget.explicit(logical=5e-4, t_states=5e-4, rotations=0)):
+            for program in (COUNTS, multiplier, ProgramRef(name="rsa_1024")):
+                for qubit in ("qubit_gate_ns_e3", inline, "bogus"):
+                    specs.append(
+                        EstimateSpec(program=program, qubit=qubit, budget=budget)
+                    )
+        specs.append(EstimateSpec(program=COUNTS, qubit="qubit_maj_ns_e4", scheme="floquet_code"))
+        specs.append(EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3", scheme="floquet_code"))
+        specs.append(
+            EstimateSpec(
+                program=COUNTS,
+                qubit="qubit_gate_ns_e3",
+                constraints=Constraints(logical_depth_factor=1),
+                synthesis=RotationSynthesis(a=0.5),
+            )
+        )
+        specs.append(
+            EstimateSpec(
+                program=COUNTS,
+                qubit="qubit_gate_ns_e3",
+                constraints=Constraints(logical_depth_factor=1.0),
+                synthesis=RotationSynthesis(a=0.5),
+            )
+        )
+        return specs
+
+    def test_hashes_equal_per_spec_content_hashes(self):
+        from repro.estimator.spec import _SpecTable
+
+        registry = Registry()
+        table = _SpecTable(registry)
+        for spec in self.mixed_specs():
+            try:
+                expected = spec.content_hash(registry)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    table.content_hash(spec)
+                continue
+            assert table.content_hash(spec) == expected
+            assert table.content_hash(spec) == expected  # from the table
+
+    def test_run_specs_reports_per_spec_hashes(self):
+        specs = [
+            spec
+            for spec in self.mixed_specs()
+            if not isinstance(spec.program, ProgramRef) or spec.program.name is None
+        ]
+        registry = Registry()
+        expected = []
+        for spec in specs:
+            try:
+                expected.append(spec.content_hash(registry))
+            except KeyError:
+                expected.append(spec.content_hash())
+        outcomes = run_specs(specs, registry=registry)
+        assert [outcome.spec_hash for outcome in outcomes] == expected
+        # 4 bogus-profile specs and floquet_code on a gate-based profile
+        assert [outcome.ok for outcome in outcomes].count(False) == 5
+
+    def test_a_registry_edit_between_calls_changes_the_address(self):
+        registry = Registry()
+        spec = EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3")
+        before = run_specs([spec], registry=registry)[0].spec_hash
+        registry.register_qubit(
+            qubit_params("qubit_gate_ns_e3").customized(
+                name="qubit_gate_ns_e3", t_gate_error_rate=5e-4
+            ),
+            replace=True,
+        )
+        after = run_specs([spec], registry=registry)[0].spec_hash
+        assert before != after == spec.content_hash(registry)
+
+    def test_miss_requests_resolve_each_distinct_part_once(self, tmp_path, monkeypatch):
+        program = ProgramRef(kind="multiplier", algorithm="schoolbook", bits=32)
+        specs = [
+            EstimateSpec(program=program, qubit=qubit, budget=budget)
+            for qubit in ("qubit_gate_ns_e3", "qubit_maj_ns_e4")
+            for budget in (1e-4, 1e-3, 1e-2)
+        ]
+        resolved, keyed = [], []
+        resolved_parts = EstimateSpec._resolved_parts
+        counts_cache_key = ProgramRef.counts_cache_key
+
+        def resolving(self, registry):
+            resolved.append(self.qubit)
+            return resolved_parts(self, registry)
+
+        def keying(self, registry, backend):
+            keyed.append(backend)
+            return counts_cache_key(self, registry, backend)
+
+        monkeypatch.setattr(EstimateSpec, "_resolved_parts", resolving)
+        monkeypatch.setattr(ProgramRef, "counts_cache_key", keying)
+        outcomes = run_specs(specs, store=ResultStore(tmp_path))
+        assert sorted(resolved) == ["qubit_gate_ns_e3", "qubit_maj_ns_e4"]
+        assert keyed == ["formula", "formula"]
+        monkeypatch.undo()
+        for spec, outcome in zip(specs, outcomes):
+            (alone,) = run_specs([spec])
+            assert outcome.ok and alone.ok
+            assert outcome.result.to_dict() == alone.result.to_dict()

@@ -9,12 +9,15 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 
 import pytest
 import store_rows
 
 from repro import LogicalCounts, Registry, ResultStore, default_registry
+from repro.estimator import sweep as sweep_module
 from repro.estimator.engine import ExecutionPolicy
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.sweep import (
@@ -25,6 +28,7 @@ from repro.estimator.sweep import (
     SweepSpec,
     pareto_min_indices,
     run_sweep,
+    stored_sweep,
 )
 
 COUNTS = LogicalCounts(
@@ -294,6 +298,325 @@ class TestContentHash:
         assert sweep.content_hash(hot) != baseline
 
 
+def part_sweeps() -> dict[str, dict]:
+    """Sweeps whose axes cover every spec part and spelling.
+
+    Program by name, by construction and inline; qubit by name and by
+    inline params; scheme (including one the profile has no variant of,
+    so unresolvable); budget as a number, as ``{"total"}`` and as an
+    explicit split; constraints and synthesis (``1`` and ``1.0`` compare
+    equal but encode differently); dotted paths into a part.
+    """
+    maj = default_registry().qubit("qubit_maj_ns_e4").to_dict()
+    maj["name"] = "inline_maj"
+    counts = COUNTS.to_dict()
+    return {
+        "program-qubit": {
+            "base": {"budget": 1e-3},
+            "axes": [
+                {
+                    "field": "program",
+                    "values": [
+                        "rsa_1024",
+                        {"multiplier": {"algorithm": "schoolbook", "bits": 32}},
+                        {"counts": counts},
+                    ],
+                },
+                {
+                    "field": "qubit",
+                    "values": ["qubit_gate_ns_e3", {"params": maj}, "qubit_maj_ns_e4"],
+                },
+            ],
+        },
+        "scheme-budget": {
+            "base": {
+                "program": {"counts": counts},
+                "qubit": {"profile": "qubit_maj_ns_e4"},
+            },
+            "axes": [
+                {"field": "scheme", "values": [None, "surface_code", "floquet_code"]},
+                {
+                    "field": "budget",
+                    "values": [
+                        1e-3,
+                        {"total": 1e-3},
+                        {"logical": 4e-4, "tStates": 4e-4, "rotations": 2e-4},
+                        {"logical": 5e-4, "tStates": 5e-4, "rotations": 0},
+                    ],
+                },
+            ],
+        },
+        "constraints-synthesis": {
+            "base": {
+                "program": {"counts": counts},
+                "qubit": {"profile": "qubit_gate_ns_e3"},
+            },
+            "mode": "zip",
+            "axes": [
+                {
+                    "field": "constraints",
+                    "values": [
+                        None,
+                        {"maxTFactories": 4},
+                        {"logicalDepthFactor": 1},
+                        {"logicalDepthFactor": 1.0},
+                    ],
+                },
+                {
+                    "field": "synthesis",
+                    "values": [None, {"a": 0.5}, {"a": 0.53, "b": 5.3}, {}],
+                },
+            ],
+        },
+        "dotted-paths": {
+            "base": {
+                "program": {"multiplier": {"algorithm": "karatsuba"}},
+                "qubit": {"profile": "qubit_gate_ns_e4"},
+                "budget": {"total": 1e-4},
+            },
+            "axes": [
+                {"field": "program.multiplier.bits", "values": [32, 64]},
+                {"field": "constraints.maxTFactories", "values": [1, 2, 1]},
+                {"field": "budget.total", "values": [1e-4, 1e-3]},
+            ],
+        },
+    }
+
+
+#: ``SweepSpec.content_hash(default_registry())`` of each
+#: :func:`part_sweeps` sweep, as computed when every point was parsed
+#: and hashed on its own: stored sweeps and points keep their addresses.
+PART_SWEEP_HASHES = {
+    "program-qubit": "8789d789f45a5e08565175d8ca531ceb408e90fa3c08910fa69b3753b0cd4978",
+    "scheme-budget": "edcdb890bdf8ba04f8a3e9815750cb82d0e229cee069f498e0d0ab125d83f188",
+    "constraints-synthesis": "0352328952828ca33a12451a6d27f574923f299d4525d77ad72ff67d8524ff93",
+    "dotted-paths": "b2af15589fed7a8a0d15159b1ec7bfae89a1dcfe84a6e51776fbf7d79d2d32d8",
+}
+
+
+def per_point_documents(doc: dict) -> list[dict]:
+    """Each point's spec document, built on its own from ``doc``."""
+    sweep = SweepSpec.from_dict(doc)
+    fields = [axis.field for axis in sweep.axes]
+    if sweep.mode == "zip":
+        combos = zip(*(axis.values for axis in sweep.axes))
+    else:
+        combos = itertools.product(*(axis.values for axis in sweep.axes))
+    documents = []
+    for combo in combos:
+        document = json.loads(json.dumps(sweep.base))
+        for field_path, value in zip(fields, combo):
+            sweep_module._apply_axis(document, field_path, value)
+        if not document.get("label"):
+            document["label"] = ", ".join(
+                f"{f}={sweep_module._coord_label(v)}" for f, v in zip(fields, combo)
+            )
+        documents.append(document)
+    return documents
+
+
+def per_point_error(doc: dict) -> str:
+    """The error of the first malformed point, one document at a time."""
+    try:
+        documents = per_point_documents(doc)
+    except ValueError as exc:  # an axis that cannot be applied
+        return str(exc)
+    for index, document in enumerate(documents):
+        try:
+            EstimateSpec.from_dict(document)
+        except (TypeError, ValueError) as exc:
+            return f"sweep point {index} ({document['label']}): {exc}"
+    raise AssertionError("no malformed point")
+
+
+class TestDistinctParts:
+    """Expansion and hashing per distinct spec part equal the per-point path."""
+
+    @pytest.mark.parametrize("name", sorted(PART_SWEEP_HASHES))
+    def test_expanded_specs_equal_per_point_parses(self, name):
+        doc = part_sweeps()[name]
+        points = SweepSpec.from_dict(doc).expand()
+        documents = per_point_documents(doc)
+        assert len(points) == len(documents)
+        for point, document in zip(points, documents):
+            assert point.spec.to_dict() == EstimateSpec.from_dict(document).to_dict()
+            assert point.spec == EstimateSpec.from_dict(document)
+
+    @pytest.mark.parametrize("name", sorted(PART_SWEEP_HASHES))
+    def test_point_hashes_equal_per_point_content_hashes(self, name):
+        registry = Registry()
+        sweep = SweepSpec.from_dict(part_sweeps()[name])
+        expected = []
+        for point in sweep.expand():
+            try:
+                expected.append(point.spec.content_hash(registry))
+            except KeyError:
+                expected.append(point.spec.content_hash())
+        assert sweep.point_hashes(registry) == expected
+        assert sweep.point_hashes() == [p.spec.content_hash() for p in sweep.expand()]
+        assert sweep.content_hash(registry) == PART_SWEEP_HASHES[name]
+
+    def test_equal_parts_that_encode_differently_never_share(self):
+        # logicalDepthFactor 1 and 1.0 compare equal, but the resolved
+        # canonical JSON keeps each as written: two addresses.
+        doc = {
+            "base": {
+                "program": {"counts": COUNTS.to_dict()},
+                "qubit": {"profile": "qubit_gate_ns_e3"},
+            },
+            "axes": [
+                {
+                    "field": "constraints",
+                    "values": [{"logicalDepthFactor": 1}, {"logicalDepthFactor": 1.0}],
+                }
+            ],
+        }
+        sweep = SweepSpec.from_dict(doc)
+        registry = Registry()
+        first, second = (point.spec for point in sweep.expand())
+        assert first.constraints == second.constraints
+        expected = [first.content_hash(registry), second.content_hash(registry)]
+        assert expected[0] != expected[1]
+        assert sweep.point_hashes(registry) == expected
+        outcomes = run_specs([first, second], registry=registry)
+        assert [outcome.spec_hash for outcome in outcomes] == expected
+
+    def test_unresolvable_names_keep_the_syntactic_hash(self):
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["axes"][1]["values"] = ["qubit_gate_ns_e3", "bogus_profile"]
+        # floquet_code has no gate-based variant: unresolvable there only.
+        doc["axes"].append({"field": "scheme", "values": ["surface_code", "floquet_code"]})
+        sweep = SweepSpec.from_dict(doc)
+        registry = Registry()
+        unresolvable = 0
+        for point, spec_hash in zip(sweep.expand(), sweep.point_hashes(registry)):
+            try:
+                expected = point.spec.content_hash(registry)
+            except KeyError:
+                expected = point.spec.content_hash()
+                unresolvable += 1
+            assert spec_hash == expected
+        assert unresolvable == 9  # 6 bogus-profile points + 3 floquet on gates
+
+    def test_a_scenario_redefining_a_profile_between_calls_changes_hashes(self):
+        sweep = small_sweep()
+        registry = Registry()
+        before = sweep.point_hashes(registry)
+        registry.load_scenario(
+            {
+                "qubitParams": [
+                    {
+                        **registry.qubit("qubit_gate_ns_e3").to_dict(),
+                        "t_gate_time_ns": 123.0,
+                    }
+                ]
+            }
+        )
+        after = sweep.point_hashes(registry)
+        for point, old, new in zip(sweep.expand(), before, after):
+            assert new == point.spec.content_hash(registry)
+            assert (old != new) == (point.spec.qubit == "qubit_gate_ns_e3")
+        assert sweep.content_hash(registry) != sweep.content_hash(
+            point_hashes=before
+        )
+
+    @pytest.mark.parametrize(
+        "axes, base",
+        [
+            # a malformed budget at a later point
+            ([{"field": "budget", "values": [1e-3, 1e-4, "x"]}], {}),
+            # a malformed qubit part at a later point
+            ([{"field": "qubit", "values": ["qubit_gate_ns_e3", {"bogus": 1}]}], {}),
+            # an unknown spec field
+            ([{"field": "colour", "values": [1, 2]}], {}),
+            # a count backend that does not exist, checked on construction
+            ([{"field": "backend", "values": ["formula", "nope"]}], {}),
+            # two malformed parts in one point: the first parsed reports
+            (
+                [
+                    {"field": "budget", "values": [1e-3, -1]},
+                    {"field": "qubit", "values": ["qubit_gate_ns_e3", {"x": 1}]},
+                ],
+                {"mode": "zip"},
+            ),
+            # an axis that cannot be applied to the base
+            ([{"field": "budget.total", "values": [1e-3]}], {"budget": 1e-3}),
+            # an axis that cannot be applied at one point only
+            (
+                [
+                    {
+                        "field": "program",
+                        "values": [
+                            {"multiplier": {"algorithm": "schoolbook"}},
+                            {"multiplier": 5},
+                        ],
+                    },
+                    {"field": "program.multiplier.bits", "values": [32]},
+                ],
+                {},
+            ),
+            # labels from an axis, one empty (the default label reports)
+            (
+                [
+                    {"field": "label", "values": ["first", ""]},
+                    {"field": "budget", "values": [1e-3, 2]},
+                ],
+                {"mode": "zip"},
+            ),
+        ],
+    )
+    def test_malformed_points_raise_the_per_point_message(self, axes, base):
+        doc = {
+            "base": {
+                "program": {"counts": COUNTS.to_dict()},
+                "qubit": {"profile": "qubit_gate_ns_e3"},
+                **{k: v for k, v in base.items() if k != "mode"},
+            },
+            "axes": axes,
+            "mode": base.get("mode", "cartesian"),
+        }
+        with pytest.raises(ValueError) as excinfo:
+            SweepSpec.from_dict(doc).expand()
+        assert str(excinfo.value) == per_point_error(doc)
+
+    def test_points_share_parsed_parts(self):
+        points = SweepSpec.from_dict(part_sweeps()["scheme-budget"]).expand()
+        assert len({id(p.spec.program) for p in points}) == 1
+        assert len({id(p.spec.budget) for p in points}) == 4
+        assert len({id(p.spec.qubit) for p in points}) == 1
+
+    def test_a_store_filled_before_parts_were_shared_is_answered_by_its_row(
+        self, tmp_path, capsys
+    ):
+        # The sweep hash and the --json text of SWEEP_DOC as computed when
+        # every point was parsed and hashed on its own: the row such a
+        # store holds is keyed by that hash and holds that text, so a
+        # rerun finds and prints it.
+        from repro.cli import main
+
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SWEEP_DOC))
+        argv = ["sweep", str(path), "--store", str(tmp_path / "store"), "--json", "--quiet"]
+        outputs = []
+        for _ in range(2):  # cold, then warm
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        for out in outputs:
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "7fc6d211c800f8c0c2cc0cf5bfa4dc2ec5a43d21f2164a46f853fc63487a3846"
+            )
+        assert json.loads(outputs[0])["sweepHash"] == (
+            "3c842b27ecce7aecf9128563c1bb74382510e88178b83fbca2e67c739ddd183f"
+        )
+        sweep = small_sweep()
+        answered = stored_sweep(
+            sweep,
+            ResultStore(tmp_path / "store"),
+            point_hashes=sweep.point_hashes(default_registry()),
+        )
+        assert answered is not None and answered.to_json() + "\n" == outputs[1]
+
+
 class TestParetoMinIndices:
     def test_non_dominated_points_kept_in_first_coord_order(self):
         values = [(3.0, 1.0), (1.0, 3.0), (2.0, 2.0), (2.5, 2.5)]
@@ -504,22 +827,17 @@ class TestStoreBackedResume:
             )
 
     def test_each_point_is_hashed_once_per_run(self, tmp_path, monkeypatch):
-        from repro.estimator.spec import EstimateSpec as Spec
-
-        calls = []
-        original = Spec.content_hash
-
-        def counting(self, registry=None):
-            calls.append(registry is not None)
-            return original(self, registry)
-
-        monkeypatch.setattr(Spec, "content_hash", counting)
+        # At most one resolved encoding per distinct (program, qubit,
+        # scheme, constraints, synthesis) part per run, none repeated
+        # within a run, and no point hashed on its own.
+        encoded, hashed = record_spec_hashing(monkeypatch)
         sweep = small_sweep()
         store = ResultStore(tmp_path)
         for _ in range(2):  # cold, then warm
-            calls.clear()
+            encoded.clear()
             run_sweep(sweep, store=store)
-            assert calls == [True] * len(sweep.expand())
+            assert len(set(encoded)) == len(encoded) <= 2  # two profiles
+            assert hashed == []
 
     def test_sweep_document_survives_in_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -539,6 +857,35 @@ def display_variant(doc: dict) -> dict:
     variant["base"]["label"] = "renamed"
     variant["base"]["backend"] = "counting"
     return variant
+
+
+def record_spec_hashing(monkeypatch) -> tuple[list, list]:
+    """Record resolved part encodings and per-point resolved hashes.
+
+    The first list gets the (program, qubit, scheme, constraints,
+    synthesis) part of every spec whose canonical form is encoded under
+    a registry; the second every spec hashed on its own under one.
+    """
+    encoded: list = []
+    hashed: list = []
+    parts = EstimateSpec._canonical_parts
+    content_hash = EstimateSpec.content_hash
+
+    def encoding(self, registry):
+        if registry is not None:
+            encoded.append(
+                (self.program, self.qubit, self.scheme, self.constraints, self.synthesis)
+            )
+        return parts(self, registry)
+
+    def hashing(self, registry=None):
+        if registry is not None:
+            hashed.append(self)
+        return content_hash(self, registry)
+
+    monkeypatch.setattr(EstimateSpec, "_canonical_parts", encoding)
+    monkeypatch.setattr(EstimateSpec, "content_hash", hashing)
+    return encoded, hashed
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
@@ -1024,20 +1371,17 @@ class TestSweepCLI:
     def test_resume_hashes_each_point_once(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
-        calls = []
-        original = EstimateSpec.content_hash
-
-        def counting(self, registry=None):
-            calls.append(registry is not None)
-            return original(self, registry)
-
-        monkeypatch.setattr(EstimateSpec, "content_hash", counting)
+        encoded, hashed = record_spec_hashing(monkeypatch)
+        digests = count_calls(monkeypatch, SweepSpec, "_digest")
         path = self._write_sweep(tmp_path)
         store_dir = str(tmp_path / "store")
         for _ in range(2):  # cold, then warm
-            calls.clear()
+            encoded.clear()
+            digests.clear()
             main(["sweep", str(path), "--store", store_dir, "--resume", "--quiet"])
-            assert calls == [True] * 6
+            assert len(set(encoded)) == len(encoded) <= 2  # two profiles
+            assert hashed == []
+            assert len(digests) == 1  # the sweep hash, once per run
         assert "resume: 6/6 points already stored" in capsys.readouterr().err
 
     def test_csv_output_to_file(self, tmp_path, capsys):
