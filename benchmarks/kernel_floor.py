@@ -17,7 +17,11 @@ Run with the repository's ``src`` on ``PYTHONPATH``::
 The file name keeps the timing out of the tier-1 pytest collection,
 where a 2-core host's noise made the ratio flaky;
 ``benchmarks/test_vectorized_kernel.py`` checks the same equality on the
-same grid there.
+same grid there, through this module's ``grid_requests`` and
+``mismatches``. No CI step runs the timing: the kernel runs only on an
+explicit ``backend="vectorized"``, so its lead over the scalar walk
+guards no default path (``benchmarks/scalar_default_floor.py`` times
+the default path instead).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .._exports import lazy_exports
 #: Public names by defining submodule, imported on first access.
 _EXPORTS = {
     "batch": (
-        "AUTO_BATCH_THRESHOLD",
         "BACKEND_CHOICES",
         "BatchOutcome",
         "EstimateCache",

@@ -60,7 +60,6 @@ from .stages import (
 )
 
 __all__ = [
-    "AUTO_BATCH_THRESHOLD",
     "BACKEND_CHOICES",
     "BatchOutcome",
     "EstimateCache",
@@ -68,14 +67,9 @@ __all__ = [
     "estimate_batch",
 ]
 
-#: Valid values of ``estimate_batch``'s ``backend`` parameter.
+#: Valid values of ``estimate_batch``'s ``backend`` parameter. ``auto``
+#: and ``scalar`` run the scalar walk; only ``vectorized`` loads numpy.
 BACKEND_CHOICES = ("auto", "scalar", "vectorized")
-
-#: Batch size at which ``backend="auto"`` switches from the scalar walk
-#: to the struct-of-arrays kernel. Below this the kernel's per-batch
-#: setup (distance/factory tables, column arrays) outweighs its per-point
-#: savings; small batches also keep their historical cache-stat traces.
-AUTO_BATCH_THRESHOLD = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +161,9 @@ class EstimateCache:
         # (designer id, ...) -> (designer ref, factory); the ref pins ids.
         self._factories: dict[tuple, tuple[TFactoryDesigner, TFactory]] = {}
         self._distances: dict[tuple, LogicalQubit] = {}
+        # (scheme, qubit, distance) -> the one instance every required
+        # error at that distance shares, with its derived quantities.
+        self._logical_qubits: dict[tuple, LogicalQubit] = {}
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Hits/misses per memo table (and the layered result store)."""
@@ -222,6 +219,7 @@ class EstimateCache:
         self._counts.clear()
         self._factories.clear()
         self._distances.clear()
+        self._logical_qubits.clear()
 
     def prune_unkeyed_counts(self) -> None:
         """Drop counts memoized by object identity (not ``program_key``).
@@ -291,6 +289,7 @@ class EstimateCache:
             return lq
         self._stats.distance_misses += 1
         lq = LogicalQubit.for_target_error_rate(scheme, qubit, required_error_rate)
+        lq = self._logical_qubits.setdefault((scheme, qubit, lq.code_distance), lq)
         self._distances[key] = lq
         return lq
 
@@ -368,21 +367,15 @@ def _run_request(
     return BatchOutcome(request=request, result=result, error=None)
 
 
-def _load_kernel(required: bool):
-    """Import the numpy kernel lazily (numpy stays a kernel-only import).
-
-    Returns ``None`` when numpy is unavailable and the caller can fall
-    back silently (``backend="auto"``); raises for an explicit request.
-    """
+def _load_kernel():
+    """Import the numpy kernel, which only ``backend="vectorized"`` runs."""
     try:
         from . import kernel
     except ImportError as exc:
-        if required:
-            raise RuntimeError(
-                "backend='vectorized' requires numpy, which is not "
-                "installed; use backend='scalar' or 'auto'"
-            ) from exc
-        return None
+        raise RuntimeError(
+            "backend='vectorized' requires numpy, which is not "
+            "installed; use backend='scalar' or 'auto'"
+        ) from exc
     return kernel
 
 
@@ -418,13 +411,8 @@ def _run_serial(
     cache: EstimateCache,
     backend: str = "scalar",
 ) -> list[BatchOutcome]:
-    kernel = None
-    if backend == "vectorized" or (
-        backend == "auto" and len(requests) >= AUTO_BATCH_THRESHOLD
-    ):
-        kernel = _load_kernel(required=backend == "vectorized")
-    if kernel is not None:
-        return kernel.run_batch_vectorized(list(requests), cache)
+    if backend == "vectorized":
+        return _load_kernel().run_batch_vectorized(list(requests), cache)
     cache.record_kernel_points(scalar=len(requests))
     return [_run_request(request, cache) for request in requests]
 
@@ -472,15 +460,13 @@ def estimate_batch(
         module-shared instance. Worker processes always use their own
         process-global caches.
     backend:
-        ``"auto"`` (default) evaluates batches (or, in parallel runs,
-        per-worker chunks) of at least :data:`AUTO_BATCH_THRESHOLD` points
-        through the vectorized struct-of-arrays kernel and smaller ones
-        through the scalar walk; ``"vectorized"`` and ``"scalar"`` force a
-        path. Backends are bit-for-bit interchangeable: the kernel falls
-        back to the scalar path per point for anything it does not model,
-        so outcomes (results *and* error messages) never depend on this
-        choice. ``"auto"`` also degrades silently to scalar when numpy is
-        unavailable; ``"vectorized"`` raises then.
+        ``"auto"`` (default) and ``"scalar"`` run every batch, at any
+        size and in every worker, through the scalar walk, which never
+        imports numpy. ``"vectorized"`` opts in to the struct-of-arrays
+        kernel (and raises when numpy is unavailable). Backends are bit
+        for bit interchangeable: the kernel falls back to the scalar path
+        per point for anything it does not model, so outcomes (results
+        *and* error messages) never depend on this choice.
 
     Input validation errors (bad program type, malformed budget or
     constraints) raise immediately — only :class:`EstimationError`

@@ -41,8 +41,9 @@ match verbatim), so a batch evaluated through this kernel can never fail
 where the scalar engine succeeded.
 
 This is the only module in the package that imports :mod:`numpy`;
-callers reach it through ``estimate_batch(..., backend=...)``, which
-falls back to the scalar engine when numpy is unavailable.
+callers reach it only through ``estimate_batch(...,
+backend="vectorized")``, which raises when numpy is unavailable. The
+default ``backend="auto"`` never loads it.
 """
 
 from __future__ import annotations

@@ -78,9 +78,13 @@ class Formula:
 
     def evaluate(self, env: Mapping[str, float] | None = None, /, **kwargs: float) -> float:
         """Evaluate with variables from ``env`` and/or keyword arguments."""
-        merged: dict[str, float] = dict(env) if env else {}
-        merged.update(kwargs)
-        return self._node.evaluate(merged)
+        # Nodes only read their bindings, so a plain dict passed alone is
+        # not copied; any other mapping is, so it reads as a dict does.
+        if kwargs or type(env) is not dict:
+            merged: dict[str, float] = dict(env) if env else {}
+            merged.update(kwargs)
+            env = merged
+        return self._node.evaluate(env)
 
     __call__ = evaluate
 

@@ -8,6 +8,7 @@ physical footprint, cycle time, and achieved logical error rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from ..qubits import PhysicalQubitParams
@@ -37,22 +38,27 @@ class LogicalQubit:
         distance = scheme.required_code_distance(qubit, required_error_rate)
         return cls(scheme=scheme, qubit=qubit, code_distance=distance)
 
-    @property
+    # The derived quantities are pure functions of the frozen fields.
+    # Each is computed on its first read (so a custom formula that raises
+    # does so on the read that needs it) and kept in the instance, which
+    # a pickle carries along.
+
+    @cached_property
     def physical_qubits(self) -> int:
         """Physical qubits forming this logical qubit."""
         return self.scheme.physical_qubits(self.qubit, self.code_distance)
 
-    @property
+    @cached_property
     def cycle_time_ns(self) -> float:
         """Duration of one logical cycle in nanoseconds."""
         return self.scheme.cycle_time_ns(self.qubit, self.code_distance)
 
-    @property
+    @cached_property
     def logical_error_rate(self) -> float:
         """Achieved logical error rate per qubit per cycle."""
         return self.scheme.logical_error_rate(self.qubit, self.code_distance)
 
-    @property
+    @cached_property
     def logical_cycles_per_second(self) -> float:
         """Logical clock rate in Hz (inverse of the cycle time)."""
         return 1e9 / self.cycle_time_ns

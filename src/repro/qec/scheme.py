@@ -72,6 +72,14 @@ class QECScheme:
             "physical_qubits_per_logical_qubit",
             Formula(self.physical_qubits_per_logical_qubit),
         )
+        # Every estimate checks compatibility (three times a point), so
+        # the variables the formulas read are collected once.
+        object.__setattr__(
+            self,
+            "_variables",
+            self.logical_cycle_time.free_variables
+            | self.physical_qubits_per_logical_qubit.free_variables,
+        )
 
     def check_compatible(self, qubit: PhysicalQubitParams) -> None:
         """Raise if the scheme cannot run on the given qubit technology."""
@@ -83,18 +91,15 @@ class QECScheme:
                 f"QEC scheme {self.name!r} requires {self.instruction_set.value} "
                 f"qubits but {qubit.name!r} is {qubit.instruction_set.value}"
             )
-        missing = self.formula_variables() - set(qubit.formula_environment(1))
-        if missing:
+        if not self._variables <= qubit.bound_variables:
+            missing = self._variables - qubit.bound_variables
             raise QECSchemeError(
                 f"QEC scheme {self.name!r} formulas reference parameters "
                 f"{sorted(missing)} not provided by qubit model {qubit.name!r}"
             )
 
     def formula_variables(self) -> set[str]:
-        return set(
-            self.logical_cycle_time.free_variables
-            | self.physical_qubits_per_logical_qubit.free_variables
-        )
+        return set(self._variables)
 
     def logical_error_rate(self, qubit: PhysicalQubitParams, code_distance: int) -> float:
         """Logical error rate per qubit per cycle, ``a (p/p*)^((d+1)/2)``."""

@@ -76,9 +76,18 @@ class PhysicalQubitParams:
                 "two_qubit_gate_error_rate",
                 "t_gate_time_ns",
             )
+            clifford_fields = (
+                "one_qubit_measurement_error_rate",
+                "one_qubit_gate_error_rate",
+                "two_qubit_gate_error_rate",
+            )
         else:
             required = (
                 "two_qubit_joint_measurement_time_ns",
+                "two_qubit_joint_measurement_error_rate",
+            )
+            clifford_fields = (
+                "one_qubit_measurement_error_rate",
                 "two_qubit_joint_measurement_error_rate",
             )
         missing = [f for f in required if getattr(self, f) is None]
@@ -87,42 +96,14 @@ class PhysicalQubitParams:
                 f"{self.instruction_set.value} qubit model {self.name!r} is "
                 f"missing required parameters: {missing}"
             )
-
-    @property
-    def clifford_error_rate(self) -> float:
-        """Worst-case error rate of a Clifford-level primitive.
-
-        This is the physical error rate ``p`` entering the QEC logical
-        error model. For gate-based qubits it is the max over gate and
-        measurement errors; for Majorana qubits the max over single and
-        joint measurement errors.
-        """
-        if self.instruction_set is InstructionSet.GATE_BASED:
-            assert self.one_qubit_gate_error_rate is not None
-            assert self.two_qubit_gate_error_rate is not None
-            return max(
-                self.one_qubit_measurement_error_rate,
-                self.one_qubit_gate_error_rate,
-                self.two_qubit_gate_error_rate,
-            )
-        assert self.two_qubit_joint_measurement_error_rate is not None
-        return max(
-            self.one_qubit_measurement_error_rate,
-            self.two_qubit_joint_measurement_error_rate,
-        )
-
-    def formula_environment(self, code_distance: int) -> dict[str, float]:
-        """Variable bindings exposed to QEC/distillation formulas.
-
-        Names follow the tool's camelCase convention so published custom
-        scheme strings work verbatim.
-        """
-        env: dict[str, float] = {
-            "codeDistance": float(code_distance),
+        # The formula bindings are pure functions of the frozen fields, so
+        # they are derived once here instead of on every formula read.
+        clifford = max(getattr(self, f) for f in clifford_fields)
+        bindings: dict[str, float] = {
             "oneQubitMeasurementTime": self.one_qubit_measurement_time_ns,
             "oneQubitMeasurementErrorRate": self.one_qubit_measurement_error_rate,
             "tGateErrorRate": self.t_gate_error_rate,
-            "cliffordErrorRate": self.clifford_error_rate,
+            "cliffordErrorRate": clifford,
         }
         optional = {
             "oneQubitGateTime": self.one_qubit_gate_time_ns,
@@ -134,8 +115,36 @@ class PhysicalQubitParams:
             "twoQubitJointMeasurementErrorRate": self.two_qubit_joint_measurement_error_rate,
             "idleErrorRate": self.idle_error_rate,
         }
-        env.update({k: v for k, v in optional.items() if v is not None})
-        return env
+        bindings.update({k: v for k, v in optional.items() if v is not None})
+        object.__setattr__(self, "_clifford_error_rate", clifford)
+        object.__setattr__(self, "_bindings", bindings)
+        object.__setattr__(
+            self, "_bound_variables", frozenset(("codeDistance", *bindings))
+        )
+
+    @property
+    def clifford_error_rate(self) -> float:
+        """Worst-case error rate of a Clifford-level primitive.
+
+        This is the physical error rate ``p`` entering the QEC logical
+        error model. For gate-based qubits it is the max over gate and
+        measurement errors; for Majorana qubits the max over single and
+        joint measurement errors.
+        """
+        return self._clifford_error_rate
+
+    @property
+    def bound_variables(self) -> frozenset[str]:
+        """Names :meth:`formula_environment` binds, at any distance."""
+        return self._bound_variables
+
+    def formula_environment(self, code_distance: int) -> dict[str, float]:
+        """Variable bindings exposed to QEC/distillation formulas.
+
+        Names follow the tool's camelCase convention so published custom
+        scheme strings work verbatim. Each call returns a new dict.
+        """
+        return {"codeDistance": float(code_distance), **self._bindings}
 
     def customized(self, **overrides: Any) -> "PhysicalQubitParams":
         """Copy with a subset of parameters replaced (paper IV-C.1).

@@ -118,6 +118,56 @@ def test_sqlite3_loads_when_a_store_first_touches_its_database(tmp_path):
     assert loaded == [False, True]
 
 
+#: A service-shaped batch: rsa_2048 on four profiles, 16 budgets each.
+SERVICE_BATCH = """
+    import json, sys
+    specs = [
+        {"program": {"name": "rsa_2048"}, "qubit": {"profile": profile},
+         "budget": budget}
+        for budget in (3e-4, 5e-4, 8e-4, 1e-3, 2e-3, 3e-3, 5e-3, 8e-3,
+                       1e-2, 1.2e-2, 1.4e-2, 4e-4, 6e-4, 7e-4, 9e-4, 1.5e-2)
+        for profile in ("qubit_gate_ns_e3", "qubit_gate_ns_e4",
+                        "qubit_maj_ns_e4", "qubit_maj_ns_e6")
+    ]
+    assert len(specs) == 64
+"""
+
+KERNEL_MODULES = ("numpy", "repro.estimator.kernel")
+
+
+def test_service_batch_loads_no_numpy():
+    loaded = json.loads(
+        run_fresh(
+            SERVICE_BATCH
+            + """
+    from repro.service import EstimationService
+
+    records = EstimationService().submit({"specs": specs})["results"]
+    assert len(records) == 64 and all(r["ok"] for r in records)
+    print(json.dumps(sorted(sys.modules)))
+    """
+        )
+    )
+    assert sorted(set(loaded).intersection(KERNEL_MODULES)) == []
+
+
+def test_default_estimate_batch_of_64_loads_no_numpy():
+    loaded = json.loads(
+        run_fresh(
+            SERVICE_BATCH
+            + """
+    from repro import EstimateSpec, estimate_batch, default_registry
+
+    registry = default_registry()
+    requests = [EstimateSpec.from_dict(s).to_request(registry) for s in specs]
+    assert all(o.ok for o in estimate_batch(requests))
+    print(json.dumps(sorted(sys.modules)))
+    """
+        )
+    )
+    assert sorted(set(loaded).intersection(KERNEL_MODULES)) == []
+
+
 def test_warm_sweep_never_imports_the_arithmetic_layer(tmp_path):
     sweep = {
         "base": {"program": {"name": "rsa_2048"}},

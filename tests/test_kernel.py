@@ -2,9 +2,10 @@
 
 The kernel's contract is bit-for-bit equality with the scalar pipeline
 (results *and* error messages), so most coverage here is about the
-dispatch machinery around it: backend validation, the ``auto`` batch-size
-threshold, the per-batch kernel counters, graceful degradation when
-numpy is missing, and the ``distance_table`` the kernel tabulates from.
+dispatch machinery around it: backend validation, ``auto`` running the
+scalar walk at every batch size (the kernel is opt-in), the per-batch
+kernel counters, the error when numpy is missing, and the
+``distance_table`` the kernel tabulates from.
 The property-based equality sweep lives in ``test_invariants.py``.
 """
 
@@ -17,7 +18,6 @@ import pytest
 
 from repro import Constraints, ErrorBudget, LogicalCounts, qubit_params
 from repro.estimator.batch import (
-    AUTO_BATCH_THRESHOLD,
     BACKEND_CHOICES,
     EstimateCache,
     EstimateRequest,
@@ -60,7 +60,7 @@ class TestBackendDispatch:
 
     def test_auto_small_batch_runs_scalar(self):
         cache = EstimateCache()
-        n = AUTO_BATCH_THRESHOLD - 1
+        n = 31
         outcomes = estimate_batch(request_ladder(n), cache=cache, backend="auto")
         assert all(o.ok for o in outcomes)
         assert kernel_stats(cache) == {
@@ -69,16 +69,21 @@ class TestBackendDispatch:
             "scalar": n,
         }
 
-    def test_auto_large_batch_runs_vectorized(self):
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_auto_large_batch_runs_scalar(self, n):
         cache = EstimateCache()
-        n = AUTO_BATCH_THRESHOLD
-        outcomes = estimate_batch(request_ladder(n), cache=cache, backend="auto")
+        requests = request_ladder(n)
+        outcomes = estimate_batch(requests, cache=cache, backend="auto")
+        assert kernel_stats(cache) == {
+            "vectorized": 0,
+            "scalarFallback": 0,
+            "scalar": n,
+        }
+        vectorized = estimate_batch(requests, backend="vectorized")
+        assert [o.result for o in outcomes] == [o.result for o in vectorized]
         assert all(o.ok for o in outcomes)
-        stats = kernel_stats(cache)
-        assert stats["scalar"] == 0
-        assert stats["vectorized"] + stats["scalarFallback"] == n
 
-    def test_explicit_vectorized_ignores_threshold(self):
+    def test_explicit_vectorized_runs_the_kernel_at_any_size(self):
         cache = EstimateCache()
         outcomes = estimate_batch(
             request_ladder(2), cache=cache, backend="vectorized"
@@ -86,9 +91,9 @@ class TestBackendDispatch:
         assert all(o.ok for o in outcomes)
         assert kernel_stats(cache)["vectorized"] == 2
 
-    def test_explicit_scalar_ignores_threshold(self):
+    def test_explicit_scalar_runs_scalar(self):
         cache = EstimateCache()
-        n = AUTO_BATCH_THRESHOLD + 8
+        n = 40
         estimate_batch(request_ladder(n), cache=cache, backend="scalar")
         assert kernel_stats(cache) == {
             "vectorized": 0,
@@ -106,7 +111,7 @@ class TestBackendDispatch:
 
 
 class TestMissingNumpy:
-    """`from . import kernel` failing must degrade exactly one way."""
+    """`from . import kernel` failing matters only to an explicit request."""
 
     @pytest.fixture(autouse=True)
     def hide_kernel_module(self, monkeypatch):
@@ -117,9 +122,9 @@ class TestMissingNumpy:
         monkeypatch.delattr(estimator_pkg, "kernel", raising=False)
         monkeypatch.setitem(sys.modules, "repro.estimator.kernel", None)
 
-    def test_auto_falls_back_to_scalar(self):
+    def test_auto_never_needs_the_kernel(self):
         cache = EstimateCache()
-        n = AUTO_BATCH_THRESHOLD
+        n = 64
         outcomes = estimate_batch(request_ladder(n), cache=cache, backend="auto")
         assert all(o.ok for o in outcomes)
         assert kernel_stats(cache)["scalar"] == n
