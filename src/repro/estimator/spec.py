@@ -698,7 +698,10 @@ def run_specs(
     be served. Duplicate hashes within one call are computed once.
     Invalid specs (unknown profile or scheme names, malformed inline
     definitions) become failed outcomes rather than aborting the batch —
-    a service must answer per spec — and are never persisted.
+    a service must answer per spec — and are never persisted. So is a
+    spec whose custom scheme formula is invalid at the distance it
+    reaches: it fails with the formula's message (see
+    :func:`_estimate_misses`).
 
     ``spec_hashes`` lets a caller that already computed every spec's
     resolved content hash under ``registry`` (a sweep, whose own content
@@ -732,6 +735,41 @@ def _error_message(exc: Exception) -> str:
     return str(exc)
 
 
+def _estimate_misses(
+    requests: list[EstimateRequest],
+    cache: EstimateCache | None,
+    max_workers: int | None,
+    engine: "ExecutionEngine | None",
+) -> list[Any]:
+    """``estimate_batch`` over a call's misses, one raising spec at a time.
+
+    A custom scheme whose formula is invalid at the distance a point
+    reaches raises :class:`~repro.formulas.formula.FormulaEvalError` out
+    of the whole batch. Only then are the misses evaluated one by one, so
+    every other spec is still answered; a raising one's entry is the
+    formula's message (a ``str``), which is reported but never stored.
+    """
+    from ..formulas.formula import FormulaEvalError
+    from .batch import estimate_batch
+
+    def run(batch: list[EstimateRequest]) -> list[Any]:
+        return estimate_batch(
+            batch, max_workers=max_workers, cache=cache, engine=engine
+        )
+
+    try:
+        return run(requests)
+    except FormulaEvalError:
+        pass
+    outcomes: list[Any] = []
+    for request in requests:
+        try:
+            outcomes.extend(run([request]))
+        except FormulaEvalError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
 def _run_specs(
     specs: Sequence[EstimateSpec],
     registry: "Registry | None",
@@ -742,7 +780,7 @@ def _run_specs(
     spec_hashes: Sequence[str] | None,
 ) -> list[SpecOutcome]:
     from ..registry import default_registry
-    from .batch import _SHARED_CACHE, estimate_batch  # shared cache, as defaults use
+    from .batch import _SHARED_CACHE  # shared cache, as defaults use
 
     stats_cache = cache if cache is not None else _SHARED_CACHE
     resolved_registry = registry if registry is not None else default_registry()
@@ -803,14 +841,14 @@ def _run_specs(
     to_run.sort(key=lambda item: item[0])  # spec order
 
     if to_run:
-        outcomes = estimate_batch(
-            [request for _, _, request in to_run],
-            max_workers=max_workers,
-            cache=cache,
-            engine=engine,
+        outcomes = _estimate_misses(
+            [request for _, _, request in to_run], cache, max_workers, engine
         )
         writes: list[tuple[str, StoredOutcome, dict[str, Any]]] = []
         for (index, spec_hash, _), outcome in zip(to_run, outcomes):
+            if isinstance(outcome, str):  # a raising custom formula
+                answers[spec_hash] = (StoredOutcome(None, None, outcome), False)
+                continue
             error = None if outcome.ok else outcome.error or "estimation failed"
             # With a store, one to_dict per miss: written to the store
             # and handed to the caller, which serializes it as is.

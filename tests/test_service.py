@@ -9,7 +9,10 @@ this against a real ``repro serve`` process.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
+import socketserver
+import sys
 import threading
 import time
 
@@ -28,9 +31,11 @@ from repro import (
 from repro.estimator.batch import EstimateRequest
 from repro.registry import Registry
 from repro.service import (
+    _PARKED_HANDLERS,
     EstimationService,
     ServiceClient,
     ServiceError,
+    _Server,
     make_server,
 )
 
@@ -187,6 +192,40 @@ class TestSubmit:
         assert records[1]["ok"] is False
         assert "rotations" in records[1]["error"]
 
+    def test_raising_custom_formula_fails_only_its_own_record(self, service):
+        # The scheme's cycle time is negative at distance 11, the distance
+        # a 1e-2 budget reaches: evaluating it raises FormulaEvalError.
+        from repro.qec import QECScheme
+
+        raising = QECScheme(
+            name="raising_cycle",
+            crossing_prefactor=0.03,
+            error_correction_threshold=0.01,
+            logical_cycle_time="codeDistance - 12",
+            physical_qubits_per_logical_qubit="2 * codeDistance^2",
+        )
+        counts = LogicalCounts(num_qubits=50, measurement_count=1_000)
+        good = EstimateSpec(program=counts, qubit="qubit_gate_ns_e3", budget=1e-2)
+        bad = dict(good.to_dict(), scheme={"params": raising.to_dict()})
+        records = service.submit({"specs": [good.to_dict(), bad]})["results"]
+        assert records[0]["ok"] is True
+        assert records[1] == {
+            "specHash": records[1]["specHash"],
+            "label": None,
+            "ok": False,
+            "fromStore": False,
+            "result": None,
+            "error": "formula 'codeDistance - 12' evaluated to non-positive value -1.0",
+        }
+        # The good spec is answered and stored as on its own; the raising
+        # one is never stored.
+        alone = EstimationService(registry=Registry(), store=None)
+        assert json.dumps(records[0]) == json.dumps(alone.submit(good.to_dict()))
+        assert service.result_document(records[0]["specHash"]) is not None
+        assert service.result_document(records[1]["specHash"]) is None
+        again = service.submit({"specs": [good.to_dict(), bad]})["results"]
+        assert again == [dict(records[0], fromStore=True), records[1]]
+
 
 class TestResultsEndpoint:
     def test_get_by_hash_round_trips(self, client):
@@ -269,6 +308,190 @@ class TestIntrospection:
         finally:
             connection.close()
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+
+@contextlib.contextmanager
+def running(server):
+    """Serve ``server`` on a daemon thread; yields its port, then closes it."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+class _ThreadPerConnection(_Server):
+    """The stdlib front: one new thread per accepted connection."""
+
+    process_request = socketserver.ThreadingMixIn.process_request
+
+
+def raw_exchange(port, method, path, body=None):
+    """One request on a fresh connection: status, headers but Date, body."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        headers = [(k, v) for k, v in response.getheaders() if k != "Date"]
+        return response.status, response.reason, headers, response.read()
+    finally:
+        connection.close()
+
+
+@contextlib.contextmanager
+def thread_starts():
+    """Every thread started inside the block, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threading.Thread, "start", counting_start)
+        yield started
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+class TestHandlerThreads:
+    """The server parks its handler threads and reuses them."""
+
+    def test_sequential_fresh_connections_reuse_a_thread(self, service):
+        server = make_server("127.0.0.1", 0, service=service)
+        with running(server) as port:
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            with thread_starts() as started:
+                for _ in range(200):
+                    assert client.health()["status"] == "ok"
+        assert len(started) <= 2, f"200 requests started {len(started)} threads"
+
+    def test_held_keep_alive_connections_never_starve_a_new_one(self, service):
+        server = make_server("127.0.0.1", 0, service=service)
+        held = []
+        with running(server) as port:
+            try:
+                for _ in range(_PARKED_HANDLERS + 2):
+                    connection = http.client.HTTPConnection(
+                        "127.0.0.1", port, timeout=10
+                    )
+                    connection.request("GET", "/v1/healthz")
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 200
+                    held.append(connection)
+                # Every earlier thread waits on its open connection.
+                client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10)
+                assert client.health()["status"] == "ok"
+            finally:
+                for connection in held:
+                    connection.close()
+            # Freed threads park up to the cap; the rest exit.
+            wait_until(lambda: len(server._parked) == _PARKED_HANDLERS)
+            assert len(server._parked) == _PARKED_HANDLERS
+
+    def test_no_handler_thread_outlives_server_close(self, service):
+        server = make_server("127.0.0.1", 0, service=service)
+        with running(server) as port:
+            connections = [
+                http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                for _ in range(3)
+            ]
+            for connection in connections:
+                connection.request("GET", "/v1/healthz")
+            for connection in connections:
+                connection.getresponse().read()
+                connection.close()
+            wait_until(lambda: len(server._parked) == 3)
+            handlers = [thread for thread, _ in server._parked]
+            assert all(thread.is_alive() for thread in handlers)
+        assert not any(thread.is_alive() for thread in handlers)
+        assert server._parked == []
+
+    def test_concurrent_clients_leave_every_idle_thread_parked(self, service):
+        # More clients than cores, with the thread switch interval
+        # shortened: a lost park or a double hand-off would leave a
+        # thread alive outside the parked list, or a request unanswered.
+        server = make_server("127.0.0.1", 0, service=service)
+        errors = []
+
+        def client_loop(port):
+            try:
+                client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+                for _ in range(25):
+                    assert client.health()["status"] == "ok"
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        with running(server) as port:
+            clients = [
+                threading.Thread(target=client_loop, args=(port,))
+                for _ in range(8)
+            ]
+            sys.setswitchinterval(1e-6)
+            try:
+                with thread_starts() as started:
+                    for thread in clients:
+                        thread.start()
+                    for thread in clients:
+                        thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in clients)
+            assert errors == []
+            handlers = [t for t in started if t not in clients]
+
+            def parked():
+                return {thread for thread, _ in server._parked}
+
+            wait_until(
+                lambda: {t for t in handlers if t.is_alive()} == parked()
+            )
+            assert 0 < len(parked()) <= _PARKED_HANDLERS
+        assert not any(thread.is_alive() for thread in handlers)
+
+    def test_responses_match_the_thread_per_connection_front(self, tmp_path):
+        spec = json.dumps(
+            EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3").to_dict()
+        ).encode()
+        exchanges = [
+            # First, while no request latency is recorded: later scrapes
+            # differ by the timings in their histograms.
+            ("GET", "/v1/metrics", None),
+            ("POST", "/v1/estimate", spec),  # miss
+            ("POST", "/v1/estimate", spec),  # hit
+            ("POST", "/v1/estimate", b"{not json"),
+            ("GET", "/v1/results/" + "ab" * 32, None),
+            ("GET", "/v1/bogus", None),
+        ]
+        answers = []
+        for name, server_class in (
+            ("reused", _Server),
+            ("per-connection", _ThreadPerConnection),
+        ):
+            service = EstimationService(
+                registry=Registry(), store=ResultStore(tmp_path / name)
+            )
+            server = server_class(("127.0.0.1", 0), service)
+            with running(server) as port:
+                answers.append(
+                    [raw_exchange(port, *exchange) for exchange in exchanges]
+                )
+            service.close()
+        reused, per_connection = answers
+        assert [a[0] for a in reused] == [200, 200, 200, 400, 404, 404]
+        assert json.loads(reused[2][3])["fromStore"] is True
+        assert reused == per_connection
 
 
 class TestProtocolErrors:
