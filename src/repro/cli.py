@@ -1524,16 +1524,15 @@ def build_store_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "action",
         choices=("stats", "gc", "evict"),
-        help="'stats' reports per-namespace document counts and bytes "
-        "(results, sweeps, the counts cache, the sweep queue, and the job "
-        "journal) plus the orphaned-file tally as JSON; 'gc' removes "
-        "orphaned .tmp files, expired lease files and the chunk records "
-        "of finished queue jobs older than --older-than and reports the "
-        "bytes reclaimed; 'evict' prunes "
+        help="'stats' reports per-namespace row counts and bytes "
+        "(results, sweeps, the counts cache, optimize traces, the job "
+        "journal and the sweep queue's chunks) as JSON; 'gc' deletes the "
+        "chunk rows of finished queue jobs whose sweep result is stored "
+        "and reports how many; 'evict' prunes "
         "result/sweep/counts/optimize documents oldest-first until the "
-        "store fits --max-bytes (live queue chunks, leases, and journal "
-        "entries are never touched — evicted documents are future cache "
-        "misses that heal by recomputation)",
+        "store fits --max-bytes (queue chunks and journal entries are "
+        "never touched — evicted documents are future cache misses that "
+        "heal by recomputation)",
     )
     parser.add_argument(
         "--store",
@@ -1542,15 +1541,6 @@ def build_store_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=f"store directory (default: $REPRO_STORE_DIR or "
         f"{Path('~') / '.cache' / 'repro' / 'store'})",
-    )
-    parser.add_argument(
-        "--older-than",
-        type=float,
-        default=3600.0,
-        metavar="SECONDS",
-        help="gc only: leave files younger than this alone — in-flight "
-        "writes and live leases (heartbeats keep their mtime fresh) must "
-        "never be collected (default: 3600)",
     )
     parser.add_argument(
         "--max-bytes",
@@ -1566,14 +1556,11 @@ def build_store_parser() -> argparse.ArgumentParser:
 def _store_main(argv: list[str]) -> int:
     parser = build_store_parser()
     args = parser.parse_args(argv)
-    if args.older_than < 0:
-        parser.error(f"--older-than must be >= 0, got {args.older_than}")
     store = ResultStore(args.store or default_store_root())
     if args.action == "gc":
         from .estimator.queue import collect_garbage
 
-        report = collect_garbage(store, older_than_s=args.older_than)
-        print(dumps_indented(report))
+        print(dumps_indented(collect_garbage(store)))
     elif args.action == "evict":
         if args.max_bytes is None:
             parser.error("'evict' requires --max-bytes")

@@ -10,54 +10,57 @@ every persisted artifact is content-addressed, so the reclaimed sweep
 is **bit-for-bit equal** to an uninterrupted single-process run — the
 sweep subsystem's resume invariant, extended across processes.
 
-Queue layout
-------------
-Everything lives under two store namespaces::
+Tables
+------
+The queue is two tables of the store's database, beside its cache
+namespaces (see :mod:`repro.estimator.store`):
 
-    <root>/repro-queue-v1/<sweep-hash>/
-        chunks/<index>.json    chunk records (point index ranges)
-        leases/<index>.lease   claim files: owner id + heartbeat deadline
-        done/<index>.json      per-chunk outcome documents
-    <root>/repro-jobs-v1/<hh>/<sweep-hash>.json
-        the job journal: sweep document, chunking, lifecycle status
+* the job journal (:data:`~repro.estimator.store.JOBS_SCHEMA`), one row
+  per submitted sweep: its hash, its sweep document, the chunking
+  (chunk size, chunk count, total points) and its status. ``digest`` is
+  the SHA-256 of the document, checked on every read; a damaged row
+  reads as no job, and the next ``enqueue`` of that sweep replaces it.
+* the chunks (:data:`~repro.estimator.store.QUEUE_SCHEMA`), one row per
+  (job, chunk index): the lease owner and deadline, ``done``, and the
+  ok/failed point counts that progress reports. A chunk's point range
+  is computed from the job's chunking (:meth:`QueueJob.chunk_range`).
 
-Every file is digest-enveloped (:func:`write_document`: SHA-256 over
-its canonical JSON, checked by :func:`read_document`) and published
-through a temporary file and :func:`os.replace`. These files are the
-store's only files besides its database; :func:`collect_garbage` (the
-``repro store gc`` CLI) reclaims their litter.
-
-The journal is the durable submission record: ``enqueue`` creates it
-with an *exclusive* atomic write (tmp file + :func:`os.link`), so
-concurrent submitters of an equivalent sweep agree on one chunking —
-losers adopt the winner's journal. A restarted ``repro serve`` scans
-the journal namespace and resumes every job not yet ``finished``
-(finished sweeps are already re-served from the sweep-result
-namespace).
+Each operation is one transaction. ``enqueue`` inserts the job row and
+its chunk rows with ``INSERT OR IGNORE``, so of N concurrent submitters
+of an equivalent sweep the first defines the chunking and the rest adopt
+it. A restarted ``repro serve`` resumes every job not yet ``finished``.
+The ``repro-queue-v1/`` and ``repro-jobs-v1/`` directories of a root
+written by earlier builds, which kept the queue in files, are ignored:
+a job journaled there is not resumed, but a rerun of its sweep answers
+from its stored points.
 
 Lease lifecycle
 ---------------
-A worker claims a chunk by atomically creating its lease file (full
-content first, then :func:`os.link` — a torn lease can never be
-observed), embedding its owner id and a deadline ``now + ttl`` on the
-shared monotonic clock. While evaluating, a heartbeat rewrites the
-lease (atomic replace) to push the deadline out; renewal refuses to
-run once the deadline has passed. A dead worker simply stops
-heartbeating: after the deadline, any other worker *takes over* by
-renaming the stale lease to a unique tombstone (exactly one concurrent
-reclaimer wins the rename) and claiming fresh. Because renewal stops
-at the deadline and takeover starts after it, two live leaseholders on
-one chunk would require a process pause straddling the exact expiry
+A claim is one conditional ``UPDATE`` of the chunk row: it sets the
+owner id and a deadline ``now + ttl`` on the shared monotonic clock
+where the chunk is not done and has no owner or an expired deadline,
+and it succeeds iff it changed one row. SQLite serializes writers, so
+of any number of concurrent claimers exactly one wins. While
+evaluating, a heartbeat pushes the deadline out; renewal and release
+change the row only while it still holds this lease (owner and
+deadline), and renewal refuses to run once the deadline has passed. A
+dead worker simply stops heartbeating: after the deadline, any other
+worker's claim takes the chunk over. Because renewal stops at the
+deadline and takeover starts after it, two live leaseholders on one
+chunk would require a process pause straddling the exact expiry
 instant — and even then the failure mode is duplicate work, never
-corruption: chunk outcomes are deterministic and all writes are
-idempotent (same path, same bytes).
+corruption: chunk outcomes are deterministic and every write is
+idempotent.
 
-Completion is a ``done/`` outcome document written *before* the lease
-is released; a crash at any point between claim and release leaves
-either no marker (chunk reclaimed and re-evaluated) or a whole,
-digest-verified marker (chunk observed as done). When every chunk has
-a marker, any worker assembles the :class:`SweepResult`, persists it
-under the sweep-result namespace, and marks the journal ``finished``.
+A claimed chunk runs through :func:`~repro.estimator.spec.run_specs`,
+which stores its points' results; then the chunk is marked done and its
+lease released. A crash at any point leaves the chunk either not done
+(reclaimed; its stored points answer from the store) or done. When
+every chunk is done, a worker assembles the sweep exactly as a local
+run does, against the store: every stored point is a hit, and a point
+without a stored row — an invalid spec, a raising custom formula, a row
+evicted from a bounded store — is evaluated again, deterministically.
+It stores the sweep's row and marks the job finished.
 
 Fault injection
 ---------------
@@ -65,14 +68,15 @@ The module exposes deterministic kill-points for the crash-safety
 tests: with ``REPRO_QUEUE_FAULT=<stage>[:<chunk>],...`` in the
 environment, a worker calls :func:`os._exit` at the named stage —
 ``claimed`` (after acquiring a lease), ``evaluated`` (after computing
-the chunk, before persisting it), or ``persisted`` (after persisting,
-before releasing the lease). ``tests/faults.py`` drives real worker
-subprocesses through these, and the chaos property test asserts the
-survivors' result equals the serial run bit for bit. The same variable
-arms one kill-point inside the execution engine's pool workers:
-``engine-chunk:<marker path>`` makes the first worker to start a chunk
-exit, once — it atomically creates the marker file, and every later
-chunk (including the engine's replay of the lost one) sees it and runs.
+and storing the chunk's points, before marking it done), or
+``persisted`` (after marking it done, before releasing the lease).
+``tests/faults.py`` drives real worker subprocesses through these, and
+the chaos property test asserts the survivors' result equals the
+serial run bit for bit. The same variable arms one kill-point inside
+the execution engine's pool workers: ``engine-chunk:<marker path>``
+makes the first worker to start a chunk exit, once — it atomically
+creates the marker file, and every later chunk (including the engine's
+replay of the lost one) sees it and runs.
 """
 
 from __future__ import annotations
@@ -80,14 +84,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 import uuid
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .engine import (
     DEFAULT_LEASE_TTL,
@@ -96,16 +98,8 @@ from .engine import (
     chunk_size_for,
     engine_scope,
 )
-from .store import JOBS_SCHEMA, QUEUE_SCHEMA, ResultStore, _compact_json
-from .sweep import (
-    SweepPointOutcome,
-    SweepProgress,
-    SweepResult,
-    SweepSpec,
-    _outcome_from_dict,
-    _reduce_frontiers,
-    stored_sweep,
-)
+from .store import CHUNKS_TABLE, JOBS_TABLE, ResultStore, _compact_json
+from .sweep import SweepProgress, SweepSpec, _run_local, stored_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..jsonlog import StructuredLogger
@@ -121,9 +115,7 @@ __all__ = [
     "SweepQueue",
     "WorkerReport",
     "collect_garbage",
-    "read_document",
     "run_worker",
-    "write_document",
 ]
 
 #: Default idle poll while waiting on chunks leased to other workers.
@@ -149,12 +141,8 @@ ENGINE_FAULT_STAGE = "engine-chunk"
 #: job in a stale status — anything not ``finished`` is resumable.
 JOB_STATUSES = ("submitted", "finished")
 
-#: Default tolerance for file mtimes in the *future* during ``gc``: up
-#: to this far ahead of the local clock a file is treated as fresh
-#: (tolerable writer/collector clock skew on a shared store); beyond it
-#: no live writer can plausibly have produced the timestamp, so the
-#: file is clock-skew litter and is collected rather than left immortal.
-DEFAULT_GC_FUTURE_SKEW = 3600.0
+#: The journal columns a job is read from, in :func:`_job_from_row` order.
+_JOB_COLUMNS = "key, digest, chunk_size, num_chunks, total_points, status, body"
 
 
 def _fault_point(stage: str, chunk_index: int | None = None) -> None:
@@ -194,7 +182,6 @@ class Lease:
     chunk: int
     owner: str
     deadline: float
-    path: Path
 
 
 @dataclass(frozen=True)
@@ -216,15 +203,38 @@ class QueueJob:
         return start, min(start + self.chunk_size, self.total_points)
 
 
+def _job_from_row(row: tuple[Any, ...] | None) -> QueueJob | None:
+    """The job a journal row holds, or ``None`` for a missing or damaged
+    row: its document must hash to its digest and parse as a sweep, and
+    its chunking must cover its points."""
+    if row is None:
+        return None
+    job_id, digest, chunk_size, num_chunks, total, status, body = row
+    if (
+        not isinstance(body, bytes)
+        or hashlib.sha256(body).hexdigest() != digest
+        or status not in JOB_STATUSES
+        or not all(isinstance(value, int) for value in (chunk_size, num_chunks, total))
+        or min(chunk_size, total) < 1
+        or num_chunks != -(-total // chunk_size)
+    ):
+        return None
+    try:
+        spec = SweepSpec.from_dict(json.loads(body))
+    except (TypeError, ValueError):  # JSON errors too: written by another build
+        return None
+    return QueueJob(job_id, spec, chunk_size, num_chunks, total, status)
+
+
 class SweepQueue:
-    """Lease-based chunk coordination over one shared store directory.
+    """Lease-based chunk coordination over one shared store database.
 
     Parameters
     ----------
     store:
-        The shared :class:`ResultStore`; the queue lives in sibling
-        namespaces under the same root, so every cooperating worker (or
-        service replica) pointed at that root sees the same queue.
+        The shared :class:`ResultStore`; the queue is two tables of its
+        database, so every cooperating worker (or service replica)
+        pointed at that root sees the same queue.
     owner:
         Lease owner id; defaults to a process-unique token.
     ttl:
@@ -251,35 +261,24 @@ class SweepQueue:
         self.ttl = ttl
         self.clock = clock
 
-    # -- paths -------------------------------------------------------------
+    # -- statements --------------------------------------------------------
 
-    def job_dir(self, job_id: str) -> Path:
-        ResultStore._check_hash(job_id)
-        return self.store.root / QUEUE_SCHEMA / job_id
+    def _query(self, statement: str, *parameters: Any) -> list[tuple[Any, ...]]:
+        """The rows of one read; none without a database."""
+        with self.store._database() as db:
+            if db is not None:
+                return db.execute(statement, parameters).fetchall()
+        return []
 
-    def chunk_path(self, job_id: str, index: int) -> Path:
-        return self.job_dir(job_id) / "chunks" / f"{index:06d}.json"
-
-    def lease_path(self, job_id: str, index: int) -> Path:
-        return self.job_dir(job_id) / "leases" / f"{index:06d}.lease"
-
-    def done_path(self, job_id: str, index: int) -> Path:
-        return self.job_dir(job_id) / "done" / f"{index:06d}.json"
-
-    def journal_path(self, job_id: str) -> Path:
-        ResultStore._check_hash(job_id)
-        return self.store.root.joinpath(JOBS_SCHEMA, job_id[:2], f"{job_id}.json")
-
-    def _read_journal(self, job_id: str) -> dict[str, Any] | None:
-        """The verified journal document of a job, or ``None``."""
-        document = read_document(self.journal_path(job_id))
-        if (
-            document is None
-            or document.get("schema") != JOBS_SCHEMA
-            or document.get("jobId") != job_id
-        ):
-            return None
-        return document
+    def _update(self, statement: str, *parameters: Any) -> bool:
+        """Run one write as its own transaction; whether it changed
+        exactly one row (``False`` too without a database, or when the
+        write fails)."""
+        with self.store._database() as db:
+            if db is not None:
+                with db:
+                    return db.execute(statement, parameters).rowcount == 1
+        return False
 
     # -- journal -----------------------------------------------------------
 
@@ -290,490 +289,270 @@ class SweepQueue:
         registry: "Registry | None" = None,
         chunk_size: int | None = None,
     ) -> QueueJob:
-        """Persist a sweep as a journaled job plus chunk records.
+        """Journal a sweep as a job row plus its chunk rows.
 
-        Idempotent and race-free: the journal is created with an
-        exclusive atomic write, so of N concurrent submitters exactly
-        one defines the chunking and the rest adopt it — mixed-size
-        chunk markers for one job cannot exist. Re-enqueueing a
-        finished job returns it as-is (the stored sweep result already
-        answers it).
+        One transaction, idempotent and race-free: the job row is
+        inserted only if absent, so of N concurrent submitters exactly
+        one defines the chunking and the rest adopt it, and the chunk
+        rows follow the chunking that won. A finished job keeps its
+        status (its stored row answers it); its chunk rows come back if
+        ``gc`` took them.
         """
         from ..registry import default_registry
 
         resolved = registry if registry is not None else default_registry()
         job_id = spec.content_hash(resolved)
-        existing = self.load_job(job_id)
-        if existing is None:
-            total = len(spec.expand())
-            size = chunk_size_for(chunk_size, spec.chunk_size, total, store=True)
-            num_chunks = max(1, -(-total // size))
-            document = {
-                "schema": JOBS_SCHEMA,
-                "jobId": job_id,
-                "sweep": spec.to_dict(),
-                "chunkSize": size,
-                "numChunks": num_chunks,
-                "totalPoints": total,
-                "status": "submitted",
-            }
-            path = self.journal_path(job_id)
-            write_document(path, document, exclusive=True)
-            # Whether we won or raced, the journal on disk is now the
-            # single source of truth for this job's chunking.
-            existing = self.load_job(job_id)
-            if existing is None:
-                raise RuntimeError(
-                    f"store {self.store.root} is not writable: cannot journal "
-                    f"sweep job {job_id}"
-                )
-        if existing.status == "finished":
-            return existing  # answered by its stored sweep, not by chunks
-        for index in range(existing.num_chunks):
-            start, stop = existing.chunk_range(index)
-            write_document(
-                self.chunk_path(job_id, index),
-                {
-                    "schema": QUEUE_SCHEMA,
-                    "kind": "chunk",
-                    "jobId": job_id,
-                    "chunk": index,
-                    "start": start,
-                    "stop": stop,
-                },
+        total = len(spec.expand())
+        size = chunk_size_for(chunk_size, spec.chunk_size, total, store=True)
+        num_chunks = -(-total // size)
+        body = _compact_json(spec.to_dict())
+        digest = hashlib.sha256(body).hexdigest()
+        values = (job_id, digest, len(body), size, num_chunks, total, body)
+        insert = (
+            f"INTO {JOBS_TABLE} (key, digest, size, chunk_size, num_chunks, "
+            "total_points, status, body) VALUES (?, ?, ?, ?, ?, ?, 'submitted', ?)"
+        )
+        job = None
+        with self.store._database(create=True) as db:
+            if db is not None:
+                with db:
+                    db.execute(f"INSERT OR IGNORE {insert}", values)
+                    job = _job_from_row(
+                        db.execute(
+                            f"SELECT {_JOB_COLUMNS} FROM {JOBS_TABLE} WHERE key = ?",
+                            (job_id,),
+                        ).fetchone()
+                    )
+                    if job is None:  # a damaged row: this submission replaces it
+                        db.execute(f"REPLACE {insert}", values)
+                        db.execute(f"DELETE FROM {CHUNKS_TABLE} WHERE job = ?", (job_id,))
+                        job = QueueJob(job_id, spec, size, num_chunks, total, "submitted")
+                    self._add_chunks(db, job)
+        if job is None:
+            raise RuntimeError(
+                f"store {self.store.root} is not writable: cannot journal "
+                f"sweep job {job_id}"
             )
-        return existing
+        return job
 
-    def load_job(self, job_id: str) -> QueueJob | None:
-        """The journaled job for an id, or ``None`` (missing/corrupt)."""
-        document = self._read_journal(job_id)
-        if document is None or document.get("status") not in JOB_STATUSES:
-            return None
-        try:
-            spec = SweepSpec.from_dict(document["sweep"])
-            chunk_size = int(document["chunkSize"])
-            num_chunks = int(document["numChunks"])
-            total = int(document["totalPoints"])
-        except (KeyError, TypeError, ValueError):
-            return None  # written by an incompatible (future) build
-        if chunk_size < 1 or num_chunks < 1 or total < 1:
-            return None
-        return QueueJob(
-            job_id=job_id,
-            spec=spec,
-            chunk_size=chunk_size,
-            num_chunks=num_chunks,
-            total_points=total,
-            status=str(document["status"]),
+    @staticmethod
+    def _add_chunks(db: Any, job: QueueJob) -> None:
+        """Insert the chunk rows of a job that are missing."""
+        db.executemany(
+            f"INSERT OR IGNORE INTO {CHUNKS_TABLE} (job, chunk) VALUES (?, ?)",
+            ((job.job_id, index) for index in range(job.num_chunks)),
         )
 
-    def job_ids(self) -> Iterator[str]:
-        """Ids of every journaled job under this store, sorted."""
-        base = self.store.root / JOBS_SCHEMA
-        if not base.is_dir():
-            return
-        for path in sorted(base.glob("*/*.json")):
-            yield path.stem
+    def reopen(self, job: QueueJob) -> QueueJob:
+        """Mark a job submitted again, with all its chunk rows present.
+
+        For a finished job whose stored row no longer answers it (stale
+        or evicted): it is in flight again, so ``gc`` leaves its chunk
+        rows alone and a restarted service resumes it.
+        """
+        with self.store._database() as db:
+            if db is not None:
+                with db:
+                    db.execute(
+                        f"UPDATE {JOBS_TABLE} SET status = 'submitted' WHERE key = ?",
+                        (job.job_id,),
+                    )
+                    self._add_chunks(db, job)
+        return replace(job, status="submitted")
+
+    def load_job(self, job_id: str) -> QueueJob | None:
+        """The journaled job for an id, or ``None`` (missing/damaged)."""
+        ResultStore._check_hash(job_id)
+        rows = self._query(
+            f"SELECT {_JOB_COLUMNS} FROM {JOBS_TABLE} WHERE key = ?", job_id
+        )
+        return _job_from_row(rows[0] if rows else None)
 
     def pending_jobs(self) -> list[QueueJob]:
-        """Journaled jobs not yet marked finished (restart recovery)."""
-        pending = []
-        for job_id in self.job_ids():
-            job = self.load_job(job_id)
-            if job is not None and job.status != "finished":
-                pending.append(job)
-        return pending
+        """Journaled jobs not yet finished, by id (restart recovery)."""
+        rows = self._query(
+            f"SELECT {_JOB_COLUMNS} FROM {JOBS_TABLE} "
+            "WHERE status != 'finished' ORDER BY key"
+        )
+        return [job for job in map(_job_from_row, rows) if job is not None]
+
+    def depth(self) -> int:
+        """How many journaled jobs are not finished: one ``COUNT(*)``."""
+        rows = self._query(
+            f"SELECT COUNT(*) FROM {JOBS_TABLE} WHERE status != 'finished'"
+        )
+        return rows[0][0] if rows else 0
 
     def mark_finished(self, job: QueueJob) -> bool:
-        """Rewrite the journal with ``status: finished`` (idempotent)."""
-        document = self._read_journal(job.job_id)
-        if document is None:
-            return False
-        document["status"] = "finished"
-        return write_document(self.journal_path(job.job_id), document)
+        """Set the job's status to ``finished`` (idempotent)."""
+        return self._update(
+            f"UPDATE {JOBS_TABLE} SET status = 'finished' WHERE key = ?", job.job_id
+        )
 
     # -- leases ------------------------------------------------------------
 
     def claim(self, job_id: str, index: int) -> Lease | None:
-        """Try to acquire the lease on one chunk; ``None`` if held.
+        """Try to acquire the lease on one chunk; ``None`` if held or done.
 
-        An expired (or unreadable) lease is taken over: the stale file
-        is renamed to a unique tombstone — of any number of concurrent
-        reclaimers exactly one wins the rename — and the winner claims
-        fresh. A live lease is never touched.
+        One conditional ``UPDATE``: a chunk with no owner, or whose
+        owner's deadline has passed, is taken; a live lease is never
+        touched.
         """
         now = self.clock()
-        path = self.lease_path(job_id, index)
-        payload = {"owner": self.owner, "deadline": now + self.ttl}
-        if _write_atomic(path, _compact_json(payload), exclusive=True):
-            return Lease(
-                job_id=job_id,
-                chunk=index,
-                owner=self.owner,
-                deadline=payload["deadline"],
-                path=path,
-            )
-        current = _read_lease(path)
-        if current is not None and current.get("deadline", 0.0) > now:
-            return None  # live holder
-        tombstone = path.parent / f".{path.name}.stale-{self.owner}-{uuid.uuid4().hex[:8]}"
-        try:
-            os.replace(path, tombstone)
-        except OSError:
-            return None  # another reclaimer won (or the holder released)
-        try:
-            tombstone.unlink()
-        except OSError:
-            pass
-        if _write_atomic(path, _compact_json(payload), exclusive=True):
-            return Lease(
-                job_id=job_id,
-                chunk=index,
-                owner=self.owner,
-                deadline=payload["deadline"],
-                path=path,
-            )
+        deadline = now + self.ttl
+        if self._update(
+            f"UPDATE {CHUNKS_TABLE} SET owner = ?, deadline = ? "
+            "WHERE job = ? AND chunk = ? AND done = 0 "
+            "AND (owner IS NULL OR deadline <= ?)",
+            self.owner,
+            deadline,
+            job_id,
+            index,
+            now,
+        ):
+            return Lease(job_id=job_id, chunk=index, owner=self.owner, deadline=deadline)
         return None
 
     def renew(self, lease: Lease) -> bool:
         """Heartbeat: push the lease deadline out; ``False`` if lost.
 
         Refuses to renew once the old deadline has passed — past it the
-        chunk is fair game for takeover, and rewriting then could
-        clobber a reclaimer's fresh lease. A worker whose renewal fails
-        must treat the lease as lost (its work is still safe to finish:
+        chunk is fair game for takeover — and changes the row only while
+        it still holds this lease. A worker whose renewal fails must
+        treat the lease as lost (its work is still safe to finish:
         outcomes are idempotent, the worst case is duplicate effort).
         """
         now = self.clock()
         if now >= lease.deadline:
             return False
-        current = _read_lease(lease.path)
-        if current is None or current.get("owner") != self.owner:
-            return False
         deadline = now + self.ttl
-        payload = {"owner": self.owner, "deadline": deadline}
-        if not _write_atomic(lease.path, _compact_json(payload)):
+        if not self._update(
+            f"UPDATE {CHUNKS_TABLE} SET deadline = ? "
+            "WHERE job = ? AND chunk = ? AND owner = ? AND deadline = ?",
+            deadline,
+            lease.job_id,
+            lease.chunk,
+            lease.owner,
+            lease.deadline,
+        ):
             return False
         lease.deadline = deadline
         return True
 
     def release(self, lease: Lease) -> None:
-        """Drop a held lease (only if still ours; losing it is benign)."""
-        current = _read_lease(lease.path)
-        if current is not None and current.get("owner") == self.owner:
-            try:
-                lease.path.unlink()
-            except OSError:
-                pass
+        """Drop a held lease (only while the row still holds it; losing
+        it is benign)."""
+        self._update(
+            f"UPDATE {CHUNKS_TABLE} SET owner = NULL, deadline = NULL "
+            "WHERE job = ? AND chunk = ? AND owner = ? AND deadline = ?",
+            lease.job_id,
+            lease.chunk,
+            lease.owner,
+            lease.deadline,
+        )
 
     def lease_holder(self, job_id: str, index: int) -> dict[str, Any] | None:
-        """The current lease document for a chunk, or ``None``."""
-        return _read_lease(self.lease_path(job_id, index))
+        """The current lease on a chunk as ``{"owner", "deadline"}``, or
+        ``None``."""
+        rows = self._query(
+            f"SELECT owner, deadline FROM {CHUNKS_TABLE} "
+            "WHERE job = ? AND chunk = ? AND owner IS NOT NULL",
+            job_id,
+            index,
+        )
+        return {"owner": rows[0][0], "deadline": rows[0][1]} if rows else None
 
     # -- chunk outcomes ----------------------------------------------------
 
-    def read_done(self, job: QueueJob, index: int) -> dict[str, Any] | None:
-        """A chunk's persisted outcome document, or ``None``.
+    def mark_done(self, lease: Lease, ok: int, failed: int) -> bool:
+        """Record a leased chunk as done, with its point counts.
 
-        Validates the marker against the *journal's* chunking (schema,
-        job id, point range): a marker from a lost chunking race is
-        invisible, so the chunk simply re-evaluates under the winning
-        decomposition.
+        Run after :func:`~repro.estimator.spec.run_specs` stored the
+        chunk's points. Not guarded by the lease: a worker whose lease
+        was taken over computed the same points and counts.
         """
-        document = read_document(self.done_path(job.job_id, index))
-        if document is None:
-            return None
-        start, stop = job.chunk_range(index)
-        if (
-            document.get("schema") != QUEUE_SCHEMA
-            or document.get("kind") != "outcomes"
-            or document.get("jobId") != job.job_id
-            or document.get("chunk") != index
-            or document.get("start") != start
-            or document.get("stop") != stop
-            or not isinstance(document.get("outcomes"), list)
-            or len(document["outcomes"]) != stop - start
-        ):
-            return None
-        return document
-
-    def chunk_done(self, job: QueueJob, index: int) -> bool:
-        return self.read_done(job, index) is not None
-
-    def write_done(
-        self, job: QueueJob, index: int, outcomes: list[dict[str, Any]]
-    ) -> bool:
-        """Persist one evaluated chunk's outcomes (atomic, idempotent).
-
-        Outcome entries are :meth:`SweepPointOutcome.to_dict` documents
-        — execution provenance excluded — so every worker that evaluates
-        this chunk writes byte-identical content.
-        """
-        start, stop = job.chunk_range(index)
-        return write_document(
-            self.done_path(job.job_id, index),
-            {
-                "schema": QUEUE_SCHEMA,
-                "kind": "outcomes",
-                "jobId": job.job_id,
-                "chunk": index,
-                "start": start,
-                "stop": stop,
-                "outcomes": outcomes,
-            },
+        return self._update(
+            f"UPDATE {CHUNKS_TABLE} SET done = 1, ok = ?, failed = ? "
+            "WHERE job = ? AND chunk = ?",
+            ok,
+            failed,
+            lease.job_id,
+            lease.chunk,
         )
+
+    def done_chunks(self, job: QueueJob) -> dict[int, tuple[int, int]]:
+        """``index -> (ok, failed)`` of every chunk of a job marked done."""
+        return {
+            index: (ok, failed)
+            for index, ok, failed in self._query(
+                f"SELECT chunk, ok, failed FROM {CHUNKS_TABLE} "
+                "WHERE job = ? AND done = 1",
+                job.job_id,
+            )
+            if 0 <= index < job.num_chunks
+        }
 
     # -- assembly ----------------------------------------------------------
 
-    def assemble(self, job: QueueJob) -> SweepResult | None:
-        """The full :class:`SweepResult` from the done markers, or ``None``.
-
-        Requires every chunk's marker; outcomes concatenate in chunk
-        order (= expansion order) and frontiers reduce exactly as the
-        single-process path does, so the assembled result serializes
-        bit-for-bit equal to an uninterrupted ``run_sweep``.
-        """
-        fields = [axis.field for axis in job.spec.axes]
-        outcomes: list[SweepPointOutcome] = []
-        for index in range(job.num_chunks):
-            document = self.read_done(job, index)
-            if document is None:
-                return None
-            try:
-                outcomes.extend(
-                    _outcome_from_dict(entry, fields)
-                    for entry in document["outcomes"]
-                )
-            except (KeyError, TypeError, ValueError):
-                return None  # torn-proof, but future-build markers parse here
-        frontiers = (
-            _reduce_frontiers(job.spec.frontier, outcomes)
-            if job.spec.frontier is not None
-            else None
-        )
-        return SweepResult(
-            sweep_hash=job.job_id,
-            spec=job.spec,
-            points=outcomes,
-            frontiers=frontiers,
-        )
-
-    def finalize(self, job: QueueJob, point_hashes: Sequence[str]) -> bool:
-        """Assemble, persist the sweep's row, and close the journal.
+    def finalize(
+        self,
+        job: QueueJob,
+        point_hashes: Sequence[str],
+        *,
+        registry: "Registry",
+        cache: "EstimateCache | None" = None,
+        engine: ExecutionEngine | None = None,
+    ) -> bool:
+        """Assemble the sweep, persist its row, and close the journal.
 
         A row that already answers the job (:func:`stored_sweep`, given
-        the job's ``point_hashes``) is kept; a missing, stale or foreign
-        one is replaced. Idempotent across racing finalizers — the
-        assembled result is deterministic, so concurrent
-        :meth:`ResultStore.put_sweep` calls write the same bytes, encoded
-        once per finalizer (:meth:`SweepResult.to_json`). Returns
-        ``False`` while chunks are still missing.
+        the job's ``point_hashes``) is kept. Otherwise the sweep runs as
+        a local run does, against the store: every stored point is a
+        hit, a point without a row is evaluated again. Its result is
+        encoded once (:meth:`SweepResult.to_json`) and stored with
+        :meth:`ResultStore.put_sweep`. Idempotent across racing
+        finalizers, which write the same bytes. Returns whether the row
+        landed.
         """
         if stored_sweep(job.spec, self.store, point_hashes=point_hashes) is None:
-            result = self.assemble(job)
-            if result is None:
+            result = _run_local(
+                job.spec,
+                self.store,
+                job.job_id,
+                point_hashes,
+                job.chunk_size,
+                registry=registry,
+                cache=cache,
+                policy=ExecutionPolicy(),
+                progress=None,
+                engine=engine,
+            )
+            if not self.store.put_sweep(job.job_id, result.to_json(), point_hashes):
                 return False
-            self.store.put_sweep(job.job_id, result.to_json(), point_hashes)
         self.mark_finished(job)
         return True
 
 
-# -- low-level file plumbing ----------------------------------------------
+def collect_garbage(store: ResultStore) -> dict[str, int]:
+    """Delete the chunk rows of finished jobs whose sweep row is stored
+    (``repro store gc``); returns ``{"removedChunks"}``.
 
-
-def _digest(document: dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of a document, sans its digest."""
-    body = {key: value for key, value in document.items() if key != "digest"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def read_document(path: Path) -> dict[str, Any] | None:
-    """Parse and integrity-check one queue or journal file (miss on failure)."""
-    try:
-        document = json.loads(path.read_bytes())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(document, dict):
-        return None
-    digest = document.get("digest")
-    if not isinstance(digest, str) or digest != _digest(document):
-        return None  # corrupt, tampered, or pre-digest document
-    return document
-
-
-def write_document(
-    path: Path, document: dict[str, Any], *, exclusive: bool = False
-) -> bool:
-    """Atomically persist a queue or journal file with its digest.
-
-    See :func:`_write_atomic`: concurrent writers and crashes can never
-    leave a torn document, and rewriting identical content is
-    idempotent. ``exclusive`` creates the file only if it is absent.
+    One statement. A finished job is not in flight — a job being rebuilt
+    is reopened first (:meth:`SweepQueue.reopen`) — and its stored sweep
+    row answers every rerun, so its chunk rows are litter. The job rows
+    stay: they are the journal. Safe at any time, from any process.
     """
-    document = dict(document)
-    document["digest"] = _digest(document)
-    return _write_atomic(path, _compact_json(document), exclusive=exclusive)
-
-
-def _write_atomic(path: Path, data: bytes, *, exclusive: bool = False) -> bool:
-    """Publish ``data`` at ``path`` whole or not at all; returns success.
-
-    Writes a temporary file in the destination directory, then publishes
-    it with :func:`os.replace` — or, with ``exclusive``, with
-    :func:`os.link`, which fails if the path exists — so observers see
-    either the old file (or none) or the whole new one, never a partial
-    write. ``False`` when the path is unwritable, or exists under
-    ``exclusive``.
-    """
-    view = memoryview(data)
-    prefix = f".{path.stem[:8]}-"
-    try:
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=prefix, suffix=".tmp"
-            )
-        except FileNotFoundError:
-            # First write into this directory (or the first since gc
-            # emptied it): create it and retry. Asking the filesystem on
-            # failure, instead of calling mkdir per write or remembering
-            # known directories, costs nothing on the common path and
-            # never goes stale.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=prefix, suffix=".tmp"
-            )
-        try:
-            try:
-                while view:
-                    view = view[os.write(fd, view) :]
-            finally:
-                os.close(fd)
-            if exclusive:
-                os.link(tmp_name, path)
-            else:
-                os.replace(tmp_name, path)
-        except BaseException:
-            _unlink_quietly(tmp_name)
-            raise
-        if exclusive:
-            _unlink_quietly(tmp_name)
-    except OSError:
-        return False
-    return True
-
-
-def _unlink_quietly(name: str) -> None:
-    try:
-        os.unlink(name)
-    except OSError:
-        pass
-
-
-
-def _finished_job_dirs(store: ResultStore) -> Iterator[Path]:
-    """Queue directories of jobs that are over.
-
-    A job is over when its journal says ``finished`` and its sweep
-    document is stored: the document answers every re-run, so the
-    per-chunk records (which repeat its outcomes) are litter. A job
-    whose sweep document was evicted keeps its records — its done
-    chunks still rebuild the document without re-evaluating.
-    """
-    queue_base = store.root / QUEUE_SCHEMA
-    if not queue_base.is_dir():
-        return
-    queue = SweepQueue(store)
-    for job_dir in sorted(queue_base.iterdir()):
-        try:
-            job = queue.load_job(job_dir.name)
-        except ValueError:
-            continue  # not a job directory
-        if (
-            job is not None
-            and job.status == "finished"
-            and store.read("sweeps", job.job_id) is not None
-        ):
-            yield job_dir
-
-
-def collect_garbage(
-    store: ResultStore,
-    *,
-    older_than_s: float = 3600.0,
-    future_skew_s: float = DEFAULT_GC_FUTURE_SKEW,
-) -> dict[str, Any]:
-    """Remove a store's orphaned queue ``.tmp``, expired lease and
-    tombstone files, plus the chunk and done records of finished queue
-    jobs; report bytes (``repro store gc``).
-
-    Only queue and journal files are candidates: the database leaves no
-    litter (a transaction commits whole or not at all), and
-    :meth:`ResultStore.evict` bounds it. Only files aged at least
-    ``older_than_s`` seconds are touched, so in-flight writes and live
-    leases (rewritten on every heartbeat, keeping their mtime fresh) are
-    never collected. Queue records are collected only for a job whose
-    journal is ``finished`` and whose sweep document is stored; their
-    emptied directories go too.
-
-    Clock contract: age is the local wall clock minus the file's mtime,
-    which on a shared store may have been stamped by a machine whose
-    clock disagrees with ours. A file whose mtime is *ahead* of our
-    clock by up to ``future_skew_s`` is treated as fresh — a writer
-    running slightly ahead (or our clock stepping back) must not get
-    its live files reaped — while one ahead by *more* cannot be live
-    work and is collected like any expired orphan instead of being
-    immortal. Files whose mtime appears *old* are indistinguishable
-    from genuinely old ones, so keep ``older_than_s`` larger than the
-    worst clock disagreement between writers (the 3600 s default dwarfs
-    realistic NTP drift). Returns ``{"removedFiles", "reclaimedBytes",
-    "olderThanSeconds"}``; an unremovable file is skipped, never an
-    error — gc on a shared store is safe at any time, from any process.
-    """
-    now = time.time()
-    older = max(older_than_s, 0.0)
-    skew = max(future_skew_s, 0.0)
     removed = 0
-    reclaimed = 0
-    finished = list(_finished_job_dirs(store))
-    candidates = list(store.orphan_files())
-    for job_dir in finished:
-        candidates += [*job_dir.glob("chunks/*.json"), *job_dir.glob("done/*.json")]
-    for path in candidates:
-        try:
-            stat = path.stat()
-            age = now - stat.st_mtime
-            if -skew <= age < older:
-                continue  # fresh (within tolerated skew): possibly live
-            path.unlink()
-        except OSError:
-            continue  # vanished or unremovable; skip
-        removed += 1
-        reclaimed += stat.st_size
-    for job_dir in finished:
-        for name in ("chunks", "done", "leases", ""):
-            try:
-                (job_dir / name).rmdir()  # only succeeds once emptied
-            except OSError:
-                pass
-    return {
-        "removedFiles": removed,
-        "reclaimedBytes": reclaimed,
-        "olderThanSeconds": older_than_s,
-    }
-
-
-def _read_lease(path: Path) -> dict[str, Any] | None:
-    """Parse a lease file; ``None`` for missing/corrupt (= reclaimable)."""
-    try:
-        document = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(document, dict) or not isinstance(
-        document.get("deadline"), (int, float)
-    ):
-        return None
-    return document
+    with store._database() as db:
+        if db is not None:
+            with db:
+                removed = db.execute(
+                    f"DELETE FROM {CHUNKS_TABLE} WHERE job IN ("
+                    f"SELECT jobs.key FROM {JOBS_TABLE} AS jobs "
+                    f"JOIN {store._tables['sweeps']} AS sweeps USING (key) "
+                    "WHERE jobs.status = 'finished')"
+                ).rowcount
+    return {"removedChunks": removed}
 
 
 class _Heartbeat:
@@ -857,7 +636,7 @@ def run_worker(
     is claimable. Each claimed chunk runs through
     :func:`~repro.estimator.spec.run_specs` against the shared store —
     so per-point results persist for resume and cross-worker reuse —
-    then its outcome document is written and the lease released.
+    then the chunk is marked done and the lease released.
 
     ``progress`` receives cumulative :class:`SweepProgress` events as
     chunks complete (evaluated here or observed done from another
@@ -867,11 +646,11 @@ def run_worker(
 
     Raising from ``progress`` aborts cleanly between chunks (leases
     released, completed work persisted) — the estimation service uses
-    this for shutdown, and a later worker resumes from the markers.
+    this for shutdown, and a later worker resumes from the done chunks.
 
     ``log`` (a :class:`~repro.jsonlog.StructuredLogger`) emits one JSON
     record per lifecycle step — ``worker.start``, ``worker.chunk`` (per
-    chunk evaluated or observed, with the job id), ``worker.done`` —
+    chunk evaluated, with the job id), ``worker.done`` —
     so ``repro work`` output joins the service's request/job records on
     ``jobId``. Defaults to disabled.
 
@@ -968,13 +747,15 @@ def _drain_job(
 
     The job is finished when its stored row answers it by the same rule
     :func:`~repro.estimator.sweep.run_sweep` applies
-    (:func:`stored_sweep`); a stale or foreign row is rebuilt from the
-    chunks instead, even for a job the journal already calls finished.
+    (:func:`stored_sweep`); a stale or foreign row is rebuilt instead,
+    even for a job the journal already calls finished (it is reopened).
     """
     point_hashes = job.spec.point_hashes(registry)
     if stored_sweep(job.spec, queue.store, point_hashes=point_hashes) is not None:
         queue.mark_finished(job)
         return True
+    if job.status == "finished":
+        job = queue.reopen(job)
     points = job.spec.expand()
     # Cumulative accounting per chunk: (points, ok, failed, from_store).
     accounted: dict[int, tuple[int, int, int, int]] = {}
@@ -997,98 +778,61 @@ def _drain_job(
 
     while True:
         made_progress = False
-        for index in range(job.num_chunks):
-            if index in accounted:
-                continue
-            marker = queue.read_done(job, index)
-            if marker is not None:
-                entries = marker["outcomes"]
-                ok = sum(1 for entry in entries if entry.get("ok"))
-                accounted[index] = (len(entries), ok, len(entries) - ok, len(entries))
+        # Chunks another worker finished count as read from the store.
+        for index, (ok, failed) in sorted(queue.done_chunks(job).items()):
+            if index not in accounted:
+                accounted[index] = (ok + failed, ok, failed, ok + failed)
                 report.chunks_observed += 1
                 made_progress = True
                 emit()
+        for index in range(job.num_chunks):
+            if index in accounted:
                 continue
             lease = queue.claim(job.job_id, index)
             if lease is None:
-                continue
+                continue  # leased elsewhere, or done since the read above
             try:
-                # Re-check under the lease: a worker that crashed between
-                # persisting the marker and releasing the lease leaves
-                # both behind; the chunk is done, not re-evaluable work.
-                marker = queue.read_done(job, index)
-                if marker is None:
-                    _fault_point("claimed", index)
-                    start, stop = job.chunk_range(index)
-                    chunk_points = points[start:stop]
-                    beat = _Heartbeat(queue, lease) if heartbeat else nullcontext()
-                    with beat:
-                        from .spec import run_specs
+                _fault_point("claimed", index)
+                start, stop = job.chunk_range(index)
+                beat = _Heartbeat(queue, lease) if heartbeat else nullcontext()
+                with beat:
+                    from .spec import run_specs
 
-                        chunk_outcomes = run_specs(
-                            [point.spec for point in chunk_points],
-                            registry=registry,
-                            store=queue.store,
-                            cache=cache,
-                            engine=engine,
-                            spec_hashes=point_hashes[start:stop],
-                        )
-                    _fault_point("evaluated", index)
-                    outcome_objs = [
-                        SweepPointOutcome(
-                            index=point.index,
-                            coords=point.coords,
-                            label=point.spec.label,
-                            spec_hash=outcome.spec_hash,
-                            result=outcome.result,
-                            error=outcome.error,
-                            from_store=outcome.from_store,
-                            result_dict=outcome.result_dict,
-                        )
-                        for point, outcome in zip(chunk_points, chunk_outcomes)
-                    ]
-                    queue.write_done(
-                        job, index, [outcome.to_dict() for outcome in outcome_objs]
+                    outcomes = run_specs(
+                        [point.spec for point in points[start:stop]],
+                        registry=registry,
+                        store=queue.store,
+                        cache=cache,
+                        engine=engine,
+                        spec_hashes=point_hashes[start:stop],
                     )
-                    _fault_point("persisted", index)
-                    ok = sum(1 for outcome in outcome_objs if outcome.ok)
-                    from_store = sum(
-                        1 for outcome in outcome_objs if outcome.from_store
+                _fault_point("evaluated", index)
+                ok = sum(1 for outcome in outcomes if outcome.ok)
+                failed = len(outcomes) - ok
+                queue.mark_done(lease, ok, failed)
+                _fault_point("persisted", index)
+                from_store = sum(1 for outcome in outcomes if outcome.from_store)
+                accounted[index] = (len(outcomes), ok, failed, from_store)
+                report.chunks_evaluated += 1
+                report.points_evaluated += len(outcomes)
+                engine.note_chunk_size(job.chunk_size)
+                if log is not None:
+                    log.event(
+                        "worker.chunk",
+                        jobId=job.job_id,
+                        chunk=index,
+                        points=len(outcomes),
+                        ok=ok,
+                        mode="evaluated",
                     )
-                    accounted[index] = (
-                        len(outcome_objs),
-                        ok,
-                        len(outcome_objs) - ok,
-                        from_store,
-                    )
-                    report.chunks_evaluated += 1
-                    report.points_evaluated += len(outcome_objs)
-                    engine.note_chunk_size(job.chunk_size)
-                    if log is not None:
-                        log.event(
-                            "worker.chunk",
-                            jobId=job.job_id,
-                            chunk=index,
-                            points=len(outcome_objs),
-                            ok=ok,
-                            mode="evaluated",
-                        )
-                else:
-                    entries = marker["outcomes"]
-                    ok = sum(1 for entry in entries if entry.get("ok"))
-                    accounted[index] = (
-                        len(entries),
-                        ok,
-                        len(entries) - ok,
-                        len(entries),
-                    )
-                    report.chunks_observed += 1
             finally:
                 queue.release(lease)
             made_progress = True
             emit()
         if len(accounted) == job.num_chunks:
-            if queue.finalize(job, point_hashes):
+            if queue.finalize(
+                job, point_hashes, registry=registry, cache=cache, engine=engine
+            ):
                 report.jobs_finalized += 1
                 return True
             return False

@@ -68,15 +68,15 @@ the result-or-error shape. A corrupt, truncated, bit-flipped or foreign
 row reads as a miss — a damaged store heals by recomputation, it never
 serves a mangled result. :meth:`ResultStore.lookup_many` reads a batch
 of results with one query per :data:`_QUERY_KEYS` hashes.
-:meth:`ResultStore.stats` reports per-namespace document counts and
-body bytes (the ``repro store stats`` CLI subcommand) with one query.
 
-The sweep work queue (:data:`QUEUE_SCHEMA`: chunk records, leases,
-outcome markers) and the job journal (:data:`JOBS_SCHEMA`) are live
-coordination state, not cache: :mod:`repro.estimator.queue` claims work
-through exclusive file creation and renames, so they stay files under
-the root, written and garbage-collected by that module. ``stats``
-counts them too.
+The same database holds the sweep work queue's two tables, the job
+journal (:data:`JOBS_SCHEMA`) and the chunk leases
+(:data:`QUEUE_SCHEMA`). They are live coordination state, not cache:
+:mod:`repro.estimator.queue` reads and writes them, and this module
+only creates them. :meth:`ResultStore.stats` reports per-namespace row
+counts and body bytes, the queue's tables included (the ``repro store
+stats`` CLI subcommand), with one query. The store writes no file but
+its database.
 
 Bounded disk
 ------------
@@ -149,16 +149,17 @@ SWEEP_DOC_SCHEMA = "repro-sweep-result-v1"
 #: submissions is traced once ever per store.
 COUNTS_SCHEMA = "repro-counts-v1"
 
-#: Version tag (and namespace) of the sweep work queue: per-sweep chunk
-#: records, lease files, and per-chunk outcome documents that let N
-#: worker processes drain one sweep cooperatively (see
-#: :mod:`repro.estimator.queue`).
-QUEUE_SCHEMA = "repro-queue-v1"
+#: Version tag (and table name) of the sweep work queue: one row per
+#: (job, chunk) with its lease owner and deadline and whether it is
+#: done, so N worker processes drain one sweep cooperatively (see
+#: :mod:`repro.estimator.queue`). v1 was a directory of files.
+QUEUE_SCHEMA = "repro-queue-v2"
 
-#: Version tag (and namespace) of the persistent job journal: one
-#: document per submitted sweep job, so in-flight sweeps are
-#: rediscovered (and resumed) after a worker or service restart.
-JOBS_SCHEMA = "repro-jobs-v1"
+#: Version tag (and table name) of the persistent job journal: one row
+#: per submitted sweep job, so in-flight sweeps are rediscovered (and
+#: resumed) after a worker or service restart. v1 was a directory of
+#: files.
+JOBS_SCHEMA = "repro-jobs-v2"
 
 #: Version tag (and namespace) of optimize probe-trace documents: one
 #: per :class:`~repro.estimator.optimize.OptimizeSpec` content hash,
@@ -191,6 +192,24 @@ _COLUMNS = (
     "key TEXT PRIMARY KEY, digest TEXT NOT NULL, size INTEGER NOT NULL, "
     "written_at REAL NOT NULL, body BLOB NOT NULL"
 )
+
+#: The queue's tables (see :mod:`repro.estimator.queue`): the journal's
+#: ``digest`` is the SHA-256 of ``body``, the job's sweep document; a
+#: chunk's ``ok``/``failed`` count its points once it is ``done``.
+_QUEUE_TABLES = {
+    "jobs": (
+        JOBS_SCHEMA,
+        "key TEXT PRIMARY KEY, digest TEXT NOT NULL, size INTEGER NOT NULL, "
+        "chunk_size INTEGER NOT NULL, num_chunks INTEGER NOT NULL, "
+        "total_points INTEGER NOT NULL, status TEXT NOT NULL, body BLOB NOT NULL",
+    ),
+    "queue": (
+        QUEUE_SCHEMA,
+        "job TEXT NOT NULL, chunk INTEGER NOT NULL, owner TEXT, deadline REAL, "
+        "done INTEGER NOT NULL DEFAULT 0, ok INTEGER NOT NULL DEFAULT 0, "
+        "failed INTEGER NOT NULL DEFAULT 0, PRIMARY KEY (job, chunk)",
+    ),
+}
 
 #: Default capacity of the in-process read-through LRU in front of
 #: :meth:`ResultStore.get` and :meth:`ResultStore.get_counts`. Adaptive
@@ -246,9 +265,6 @@ _NAMESPACES: dict[str, _Namespace] = {
     "optimize": _Namespace(OPTIMIZE_DOC_SCHEMA, "optimizeHash", "trace"),
 }
 
-#: The file namespaces: the queue's and the journal's directories.
-_FILE_NAMESPACES = {"queue": QUEUE_SCHEMA, "jobs": JOBS_SCHEMA}
-
 
 def default_store_root() -> Path:
     """``$REPRO_STORE_DIR`` or ``~/.cache/repro/store``."""
@@ -271,6 +287,11 @@ def _compact_json(document: dict[str, Any]) -> bytes:
 def _table(schema: str) -> str:
     """A schema tag as a quoted SQL table name."""
     return '"' + schema.replace('"', '""') + '"'
+
+
+#: The queue's tables as quoted SQL names.
+JOBS_TABLE = _table(JOBS_SCHEMA)
+CHUNKS_TABLE = _table(QUEUE_SCHEMA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +481,8 @@ class ResultStore:
                 db.execute(statement)
             for table in self._tables.values():
                 db.execute(f"CREATE TABLE IF NOT EXISTS {table} ({_COLUMNS})")
+            for schema, columns in _QUEUE_TABLES.values():
+                db.execute(f"CREATE TABLE IF NOT EXISTS {_table(schema)} ({columns})")
         except (OSError, sqlite3.DatabaseError):
             if db is not None:
                 db.close()
@@ -950,77 +973,42 @@ class ResultStore:
         """A stored probe-trace document, or ``None`` (missing/corrupt)."""
         return self._payload("optimize", optimize_hash)
 
-    # -- queue and journal files ------------------------------------------
-
-    def _files(self, namespace: str, pattern: str) -> Iterator[Path]:
-        """Files matching ``pattern`` under a file namespace's directory."""
-        base = self.root / _FILE_NAMESPACES[namespace]
-        if base.is_dir():
-            yield from base.rglob(pattern)
-
-    def orphan_files(self) -> Iterator[Path]:
-        """Queue writer leftovers and lease litter: the files
-        :func:`repro.estimator.queue.collect_garbage` may reclaim.
-
-        ``.tmp`` files are atomic-write staging that a crash stranded
-        (a live writer's tmp file exists only for the microseconds
-        between ``mkstemp`` and ``os.replace``); ``.lease`` files under
-        the queue namespace belong to workers that stopped heartbeating;
-        ``.stale-*`` are lease-takeover tombstones. None of them is ever
-        read as data, so removing old ones can only reclaim disk.
-        """
-        for key in _FILE_NAMESPACES:
-            yield from self._files(key, "*.tmp")
-        yield from self._files("queue", "*.lease")
-        yield from self._files("queue", ".*.stale-*")
-
     # -- observability -----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Per-namespace document counts and bytes (operator visibility).
+        """Per-namespace row counts and bytes (operator visibility).
 
-        Covers the database namespaces — results (under the configured
-        schema tag), sweep results, the logical-counts cache, optimize
-        probe traces; ``bytes`` counts stored bodies — with one query,
-        and the queue and journal files with a directory walk, plus the
-        orphaned-file tally (leftover ``.tmp`` files from crashed queue
-        writers and ``.lease`` files from dead workers, the population
-        ``gc`` reclaims). A caller that polls caches the result (the
+        One query over every table: the cache namespaces — results
+        (under the configured schema tag), sweep results, the
+        logical-counts cache, optimize probe traces — whose ``bytes``
+        count stored bodies, the job journal (``jobs``, its sweep
+        documents' bytes) and the queue's chunk rows (``queue``, no
+        body, so 0 bytes). A caller that polls caches the result (the
         service's metrics providers refresh once per ``metrics_ttl``).
         The ``memoryCache`` and ``evictions`` sections are this
         process's in-memory counters.
         """
+        schemas = dict(self._schemas)
+        schemas.update((key, schema) for key, (schema, _) in _QUEUE_TABLES.items())
         namespaces = {
             key: {"schema": schema, "documents": 0, "bytes": 0}
-            for key, schema in {**self._schemas, **_FILE_NAMESPACES}.items()
+            for key, schema in schemas.items()
         }
         rows = []
         with self._database() as db:
             if db is not None:
                 rows = db.execute(
-                    "SELECT namespace, COUNT(*), SUM(size) "
-                    f"FROM ({self._union('size')}) GROUP BY namespace"
+                    "SELECT namespace, COUNT(*), SUM(size) FROM ("
+                    f"{self._union('size')} "
+                    f"UNION ALL SELECT 'jobs', size FROM {JOBS_TABLE} "
+                    f"UNION ALL SELECT 'queue', 0 FROM {CHUNKS_TABLE}"
+                    ") GROUP BY namespace"
                 ).fetchall()
         for key, documents, size in rows:
             namespaces[key].update(documents=documents, bytes=size)
-        for key in _FILE_NAMESPACES:
-            for path in self._files(key, "*.json"):
-                try:
-                    namespaces[key]["bytes"] += path.stat().st_size
-                except OSError:
-                    continue  # deleted underneath us; skip
-                namespaces[key]["documents"] += 1
-        orphans = {"files": 0, "bytes": 0}
-        for path in self.orphan_files():
-            try:
-                orphans["bytes"] += path.stat().st_size
-            except OSError:
-                continue
-            orphans["files"] += 1
         return {
             "root": str(self.root),
             "namespaces": namespaces,
-            "orphans": orphans,
             "evictions": self.eviction_stats(),
             "memoryCache": self.memory_cache_stats(),
         }
@@ -1051,9 +1039,9 @@ class ResultStore:
 
         ``max_bytes`` defaults to the store's configured budget and
         counts stored body bytes over :data:`EVICTABLE_NAMESPACES`;
-        queue chunks, leases, and journal files are live coordination
-        state for in-flight sweeps, not re-derivable cache documents,
-        and are never touched. The order is ``written_at`` (reads never
+        the queue's chunk and journal rows are live coordination state
+        for in-flight sweeps, not re-derivable cache documents, and are
+        never touched. The order is ``written_at`` (reads never
         update it, so the policy drops the longest-stored documents
         first), then key, so concurrent evictors on one store agree on
         the victims. Deleting rows frees database pages for reuse; the

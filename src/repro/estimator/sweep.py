@@ -54,7 +54,7 @@ import hashlib
 import io
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -1136,6 +1136,7 @@ def run_sweep(
             store,
             sweep_hash,
             point_hashes,
+            size,
             registry=resolved_registry,
             cache=cache,
             policy=policy,
@@ -1165,6 +1166,7 @@ def _run_queued(
     store: "ResultStore",
     sweep_hash: str,
     point_hashes: Sequence[str],
+    size: int,
     *,
     registry: "Registry",
     cache: "EstimateCache | None",
@@ -1173,39 +1175,44 @@ def _run_queued(
     engine: ExecutionEngine | None,
 ) -> SweepResult:
     """Journal the sweep, drain it as one queue worker, and answer from
-    the row the finalizing worker stored, re-stamped for ``spec``."""
+    the row the finalizing worker stored, re-stamped for ``spec``.
+
+    Without a row to answer from — a bounded store evicted it, or the
+    store has no usable database to journal in — the sweep is assembled
+    as the finalizer does: a local run against the store, in which every
+    stored point is a hit.
+    """
     from .queue import SweepQueue, run_worker
 
     queue = SweepQueue(store, ttl=policy.lease_ttl)
-    job = queue.enqueue(spec, registry=registry, chunk_size=policy.chunk_size)
-    run_worker(
+    try:
+        job = queue.enqueue(spec, registry=registry, chunk_size=policy.chunk_size)
+    except RuntimeError:  # no database to coordinate through
+        job = None
+    if job is not None:
+        run_worker(
+            store,
+            job_id=job.job_id,
+            registry=registry,
+            cache=cache,
+            policy=policy,
+            progress=progress,
+            engine=engine,
+        )
+        result = SweepResult._from_store(spec, store, sweep_hash, point_hashes)
+        if result is not None:
+            return result
+    return _run_local(
+        spec,
         store,
-        job_id=job.job_id,
+        sweep_hash,
+        point_hashes,
+        size,
         registry=registry,
         cache=cache,
         policy=policy,
-        progress=progress,
+        progress=progress if job is None else None,
         engine=engine,
-    )
-    result = SweepResult._from_store(spec, store, sweep_hash, point_hashes)
-    if result is not None:
-        return result
-    # The row did not land (a read-only store): assemble the result
-    # straight from the persisted chunk markers, labelled for ``spec``.
-    assembled = queue.assemble(job)
-    if assembled is None:
-        raise RuntimeError(
-            f"queue executor could not complete sweep {job.job_id}: "
-            f"store {store.root} is not writable"
-        )
-    return SweepResult(
-        sweep_hash,
-        spec,
-        [
-            replace(outcome, label=point.spec.label)
-            for outcome, point in zip(assembled.points, spec.expand())
-        ],
-        assembled.frontiers,
     )
 
 

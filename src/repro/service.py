@@ -80,7 +80,7 @@ Endpoints
     queue depth, jobs by state, kernel path counters, and store
     eviction tallies. Prometheus text exposition by default;
     ``?format=json`` (or ``Accept: application/json``) returns the same
-    snapshot as JSON. Expensive gauges (anything walking the store on
+    snapshot as JSON. Expensive gauges (anything querying the store on
     disk) refresh on a TTL (``metrics_ttl``), never per scrape — see
     :mod:`repro.metrics`.
 
@@ -358,8 +358,8 @@ class EstimationService:
         engine counters, store namespaces, queue depth).
     metrics_ttl:
         Refresh interval for the *expensive* metric gauges — the ones
-        that walk the store on disk. A scrape inside the TTL does zero
-        filesystem work.
+        that query the store on disk. A scrape inside the TTL does zero
+        database work.
     log:
         Structured JSON logger for job lifecycle records; defaults to
         the silent :meth:`StructuredLogger.disabled`.
@@ -485,17 +485,12 @@ class EstimationService:
         metrics.describe(
             "repro_store_documents",
             "gauge",
-            "Documents on disk per store namespace (TTL-cached walk).",
+            "Rows on disk per store namespace (TTL-cached query).",
         )
         metrics.describe(
             "repro_store_bytes",
             "gauge",
-            "Bytes on disk per store namespace (TTL-cached walk).",
-        )
-        metrics.describe(
-            "repro_store_orphans",
-            "gauge",
-            "Orphaned tmp/lease files awaiting gc, by unit (TTL-cached walk).",
+            "Bytes on disk per store namespace (TTL-cached query).",
         )
         metrics.describe(
             "repro_queue_depth",
@@ -529,7 +524,7 @@ class EstimationService:
         )
         # Cheap in-memory counters refresh on every scrape; anything
         # that touches the disk sits behind the TTL so a scrape never
-        # pays a directory walk.
+        # pays a database query.
         metrics.register_provider(self._cheap_metric_samples, ttl=0.0)
         metrics.register_provider(self._disk_metric_samples, ttl=metrics_ttl)
 
@@ -623,26 +618,23 @@ class EstimationService:
                 samples.append(
                     ("repro_store_bytes", {"namespace": namespace}, info["bytes"])
                 )
-            for unit in ("files", "bytes"):
-                samples.append(
-                    ("repro_store_orphans", {"unit": unit}, stats["orphans"][unit])
-                )
         samples.append(("repro_queue_depth", None, self._queue_depth()))
         return samples
 
     def recover_jobs(self) -> int:
         """Resume journaled sweeps that were in flight at the last shutdown.
 
-        Scans the job journal for entries not marked finished and
-        requeues them on the sweep pool, so a restarted (or replacement)
-        server picks up exactly where the dead one stopped — completed
-        chunks are served from their persisted outcome documents, only
-        the remainder recomputes. A journaled job its stored row already
-        answers (:func:`~repro.estimator.sweep.stored_sweep`, the rule
-        every executor applies) is just marked finished. Returns the
-        number of jobs requeued.
+        Reads the job journal for jobs not marked finished and requeues
+        them on the sweep pool, so a restarted (or replacement) server
+        picks up exactly where the dead one stopped — points of completed
+        chunks answer from the store, only the remainder recomputes. A
+        journaled job its stored row already answers
+        (:func:`~repro.estimator.sweep.stored_sweep`, the rule every
+        executor applies) is just marked finished. Returns the number of
+        jobs requeued. A store with no database yet has no journal: that
+        costs no query, no file and no import.
         """
-        if self.store is None:
+        if self.store is None or not self.store.database.is_file():
             return 0
         from .estimator.queue import SweepQueue
 
@@ -916,7 +908,7 @@ class EstimationService:
         stats["storeMemory"] = (
             self.store.memory_cache_stats() if self.store is not None else None
         )
-        # The TTL-cached gauge, not a fresh journal listing: a job poller
+        # The TTL-cached gauge, not a fresh journal query: a job poller
         # calls this on every GET /v1/jobs/<id>.
         depth = self.metrics.gauge_value("repro_queue_depth")
         stats["queueDepth"] = int(depth) if depth is not None else 0
@@ -928,7 +920,7 @@ class EstimationService:
             return 0
         from .estimator.queue import SweepQueue
 
-        return len(SweepQueue(self.store).pending_jobs())
+        return SweepQueue(self.store).depth()
 
     def job_record(self, job_id: str) -> dict[str, Any] | None:
         """Status for ``GET /v1/jobs/<id>`` (or ``None`` if unknown)."""

@@ -91,3 +91,9 @@ def documents(store: ResultStore) -> dict[tuple[str, str], tuple[str, bytes]]:
                 f"SELECT key, digest, body FROM {table} ORDER BY key"
             )
         }
+
+
+def execute(store: ResultStore, statement: str, *parameters: Any) -> list[tuple[Any, ...]]:
+    """Run one statement on its own connection, committed; its rows."""
+    with _connect(store) as db, db:
+        return db.execute(statement, parameters).fetchall()

@@ -118,6 +118,40 @@ def test_sqlite3_loads_when_a_store_first_touches_its_database(tmp_path):
     assert loaded == [False, True]
 
 
+
+def test_queue_service_start_on_a_fresh_root_opens_no_database(tmp_path):
+    # `repro serve --store` resumes journaled jobs on every start; a root
+    # with no database has none, and finding that out costs no file and
+    # no sqlite3 import.
+    result = json.loads(
+        run_fresh(
+            """
+            import json, sys
+            from pathlib import Path
+            from repro import Registry, ResultStore
+            from repro.estimator.engine import ExecutionPolicy
+            from repro.service import EstimationService
+
+            store = ResultStore(sys.argv[1])
+            service = EstimationService(
+                registry=Registry(),
+                store=store,
+                policy=ExecutionPolicy(executor="queue"),
+            )
+            requeued = service.recover_jobs()
+            service.close(wait=True)
+            print(json.dumps([
+                requeued,
+                Path(sys.argv[1]).exists(),
+                "sqlite3" in sys.modules,
+                "repro.estimator.queue" in sys.modules,
+            ]))
+            """,
+            str(tmp_path / "store"),
+        )
+    )
+    assert result == [0, False, False, False]
+
 #: A service-shaped batch: rsa_2048 on four profiles, 16 budgets each.
 SERVICE_BATCH = """
     import json, sys

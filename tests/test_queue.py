@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -21,12 +23,8 @@ import faults
 import store_rows
 from repro import LogicalCounts, Registry, ResultStore
 from repro.estimator.engine import ExecutionPolicy
-from repro.estimator.queue import (
-    FAULT_STAGES,
-    SweepQueue,
-    read_document,
-    run_worker,
-)
+from repro.estimator.queue import FAULT_STAGES, SweepQueue, run_worker
+from repro.estimator.store import JOBS_TABLE
 from repro.estimator.sweep import SweepSpec, run_sweep
 from repro.service import EstimationService
 
@@ -65,11 +63,18 @@ def serial_result_bytes(tmp_path) -> tuple[str, bytes]:
 
 
 def assert_no_torn_documents(store: ResultStore) -> None:
-    """Every queue file and database row parses and digest-verifies."""
-    for path in store.root.rglob("*.json"):
-        assert read_document(path) is not None, f"torn/corrupt document: {path}"
+    """Every database row, journal rows included, digest-verifies, and
+    the store wrote no file but its database."""
     for namespace, key in store_rows.documents(store):
         assert store.read(namespace, key) is not None, f"torn row: {namespace} {key}"
+    queue = SweepQueue(store)
+    for (job_id,) in store_rows.execute(store, f"SELECT key FROM {JOBS_TABLE}"):
+        assert queue.load_job(job_id) is not None, f"torn journal row: {job_id}"
+    assert {path.name for path in store.root.iterdir()} <= {
+        store.database.name,
+        f"{store.database.name}-wal",
+        f"{store.database.name}-shm",
+    }
 
 
 class FakeClock:
@@ -151,10 +156,65 @@ class TestLeaseSemantics:
         # could clobber a concurrent reclaimer's fresh lease.
         assert alice.renew(lease) is False
 
-    def test_corrupt_lease_is_reclaimable(self, job, alice, bob):
+    def test_stale_handle_released_after_takeover_keeps_the_new_holder(
+        self, job, alice, bob, clock
+    ):
+        stale = alice.claim(job.job_id, 0)
+        clock.advance(self.TTL + 1)
+        held = bob.claim(job.job_id, 0)
+        alice.release(stale)
+        assert bob.lease_holder(job.job_id, 0) == {
+            "owner": "bob",
+            "deadline": held.deadline,
+        }
+        assert bob.renew(held) is True
+        # A handle is its lease, not its owner id: the same owner's
+        # expired handle cannot release the lease it took again later.
+        clock.advance(self.TTL + 1)
+        again = bob.claim(job.job_id, 0)
+        bob.release(held)
+        assert bob.lease_holder(job.job_id, 0)["deadline"] == again.deadline
+        assert alice.claim(job.job_id, 0) is None
+
+    def test_eight_threads_race_for_one_expired_chunk_one_wins(
+        self, store, job, alice, clock
+    ):
+        assert alice.claim(job.job_id, 0) is not None
+        clock.advance(self.TTL + 1)
+        # One store handle (one connection) per thread, as separate
+        # processes would have.
+        queues = [
+            SweepQueue(ResultStore(store.root), owner=f"t{i}", ttl=self.TTL, clock=clock)
+            for i in range(8)
+        ]
+        barrier = threading.Barrier(len(queues))
+        leases = [None] * len(queues)
+
+        def race(slot: int) -> None:
+            barrier.wait()
+            leases[slot] = queues[slot].claim(job.job_id, 0)
+
+        threads = [threading.Thread(target=race, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        winners = [lease for lease in leases if lease is not None]
+        assert len(winners) == 1
+        assert alice.lease_holder(job.job_id, 0)["owner"] == winners[0].owner
+
+    def test_a_done_chunk_is_never_claimed(self, job, alice, bob):
         lease = alice.claim(job.job_id, 0)
-        lease.path.write_text("{torn")
-        assert bob.claim(job.job_id, 0) is not None
+        assert alice.mark_done(lease, 2, 0)
+        alice.release(lease)
+        assert bob.claim(job.job_id, 0) is None
+        assert bob.done_chunks(job) == {0: (2, 0)}
 
     def test_leases_are_per_chunk(self, job, alice, bob):
         assert alice.claim(job.job_id, 0) is not None
@@ -181,9 +241,35 @@ class TestEnqueue:
     def test_pending_jobs_and_mark_finished(self, store, job):
         queue = SweepQueue(store)
         assert [pending.job_id for pending in queue.pending_jobs()] == [job.job_id]
+        assert queue.depth() == 1
         assert queue.mark_finished(job) is True
         assert queue.pending_jobs() == []
+        assert queue.depth() == 0
         assert queue.load_job(job.job_id).status == "finished"
+
+    def test_a_damaged_journal_row_reads_as_no_job_until_resubmitted(
+        self, store, job
+    ):
+        store_rows.execute(
+            store,
+            f"UPDATE {JOBS_TABLE} SET body = CAST(REPLACE(CAST(body AS TEXT), "
+            "'0.01', '0.02') AS BLOB) WHERE key = ?",
+            job.job_id,
+        )
+        queue = SweepQueue(store)
+        assert queue.load_job(job.job_id) is None
+        assert queue.pending_jobs() == []
+        again = queue.enqueue(small_sweep(), registry=Registry(), chunk_size=3)
+        assert (again.job_id, again.num_chunks) == (job.job_id, 2)
+        loaded = queue.load_job(job.job_id)
+        assert (loaded.chunk_size, loaded.num_chunks) == (3, 2)
+        assert loaded.spec.to_dict() == small_sweep().to_dict()
+
+    def test_jobs_and_chunks_are_rows_of_the_store_database(self, store, job):
+        namespaces = store.stats()["namespaces"]
+        assert namespaces["jobs"]["documents"] == 1
+        assert namespaces["queue"]["documents"] == job.num_chunks
+        assert_no_torn_documents(store)
 
 
 class TestWorkerExecution:
@@ -226,10 +312,8 @@ class TestWorkerExecution:
             run_worker(store, job_id=job.job_id, progress=abort_after_first_chunk)
         # Mid-flight: some chunks done, journal open, no leases left behind.
         assert queue.load_job(job.job_id).status == "submitted"
-        assert queue.chunk_done(job, 0)
-        assert not any(
-            queue.lease_path(job.job_id, index).exists() for index in range(3)
-        )
+        assert 0 in queue.done_chunks(job)
+        assert all(queue.lease_holder(job.job_id, index) is None for index in range(3))
         report = run_worker(store, job_id=job.job_id)
         assert report.jobs_finalized == 1
         assert store_rows.body(store, job_id, "sweeps") == serial_bytes
@@ -244,6 +328,102 @@ class TestWorkerExecution:
         assert report.jobs_finalized == 1
         assert report.incomplete_jobs == []
         assert store.get_sweep(job.job_id) is not None
+
+
+class TestAssembly:
+    """The finalizer assembles as a local run does: stored points are
+    hits, a point with no stored row is evaluated again."""
+
+    def test_results_evicted_before_finalize_are_evaluated_again(
+        self, tmp_path, monkeypatch
+    ):
+        local = run_sweep(small_sweep(), registry=Registry())
+        probe = ResultStore(tmp_path / "probe")
+        run_sweep(small_sweep(), registry=Registry(), store=probe)
+        size = max(store_rows.row(probe, p.spec_hash)["size"] for p in local.points)
+        # Room for two and a half result rows: every chunk written evicts
+        # the one before it, and the sweep row itself never fits.
+        store = ResultStore(tmp_path / "bounded", max_bytes=2 * size + size // 2)
+        hashes = [point.spec_hash for point in local.points]
+        missing_at_finalize = []
+        finalize = SweepQueue.finalize
+
+        def spy(queue, job, point_hashes, **kwargs):
+            missing_at_finalize.append(
+                sum(entry is None for entry in store.lookup_many(hashes[:2]))
+            )
+            return finalize(queue, job, point_hashes, **kwargs)
+
+        monkeypatch.setattr(SweepQueue, "finalize", spy)
+        queued = run_sweep(
+            small_sweep(),
+            registry=Registry(),
+            store=store,
+            policy=ExecutionPolicy(executor="queue"),
+        )
+        assert missing_at_finalize == [2]  # chunk 0 is done, its rows gone
+        # Nor does the sweep row stay: the answer is assembled again.
+        assert store.get_sweep(queued.sweep_hash) is None
+        assert queued.to_json() == local.to_json()
+
+    def test_a_raising_formula_point_prints_the_local_bytes(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.qec import QECScheme
+
+        # Negative cycle time at distance 11, which a 1e-2 budget reaches:
+        # that point fails and is never stored.
+        raising = QECScheme(
+            name="raising_cycle",
+            crossing_prefactor=0.03,
+            error_correction_threshold=0.01,
+            logical_cycle_time="codeDistance - 12",
+            physical_qubits_per_logical_qubit="2 * codeDistance^2",
+        )
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(
+            json.dumps(
+                {
+                    "base": {
+                        "program": {
+                            "counts": LogicalCounts(
+                                num_qubits=50, measurement_count=1_000
+                            ).to_dict()
+                        },
+                        "qubit": {"profile": "qubit_gate_ns_e3"},
+                        "scheme": {"params": raising.to_dict()},
+                    },
+                    "axes": [{"field": "budget", "values": [1e-2, 1e-3, 1e-4, 1e-5]}],
+                    "chunkSize": 2,
+                }
+            )
+        )
+
+        def printed(*flags: str) -> str:
+            assert main(["sweep", str(sweep), "--json", "--quiet", *flags]) == 1
+            return capsys.readouterr().out
+
+        local = printed()
+        assert "codeDistance - 12" in local
+        store = str(tmp_path / "store")
+        assert printed("--store", store, "--executor", "queue") == local
+        assert printed("--store", store, "--executor", "queue") == local  # warm
+
+    def test_a_collected_and_evicted_job_is_reopened_and_rebuilt(self, tmp_path):
+        from repro.estimator.queue import collect_garbage
+
+        job_id, serial_bytes = serial_result_bytes(tmp_path)
+        store = ResultStore(tmp_path / "queued")
+        policy = ExecutionPolicy(executor="queue")
+        run_sweep(small_sweep(), registry=Registry(), store=store, policy=policy)
+        assert collect_garbage(store) == {"removedChunks": 3}
+        store_rows.delete(store, job_id, "sweeps")
+        queue = SweepQueue(store)
+        assert queue.load_job(job_id).status == "finished"
+        report = run_worker(store, job_id=job_id)
+        assert report.jobs_finalized == 1
+        assert report.chunks_evaluated == 3
+        assert store_rows.body(store, job_id, "sweeps") == serial_bytes
+        assert queue.load_job(job_id).status == "finished"
 
 
 class TestFaultInjection:
@@ -447,14 +627,12 @@ class TestServiceRecovery:
             policy=ExecutionPolicy(executor="queue"),
         )
         queue = SweepQueue(store)
-        job = queue.load_job(next(iter(queue.job_ids())))
+        (job,) = [queue.load_job(key) for key, in store_rows.execute(
+            store, f"SELECT key FROM {JOBS_TABLE}"
+        )]
         # Reopen the journal as if the finalizer died mid-way.
-        document = read_document(queue.journal_path(job.job_id))
-        document.pop("digest")
-        document["status"] = "submitted"
-        from repro.estimator.queue import write_document
-
-        assert write_document(queue.journal_path(job.job_id), document)
+        store_rows.execute(store, f"UPDATE {JOBS_TABLE} SET status = 'submitted'")
+        assert queue.depth() == 1
 
         service = EstimationService(registry=Registry(), store=store, recover=False)
         try:

@@ -842,32 +842,32 @@ class TestSweepJobs:
         finally:
             second.close()
 
-    def test_job_polls_list_the_journal_at_most_once_per_ttl(
+    def test_job_polls_count_the_journal_at_most_once_per_ttl(
         self, tmp_path, monkeypatch
     ):
         # queueDepth in every job record comes from the TTL-cached
-        # metrics gauge, so a poller does not re-list the journal.
+        # metrics gauge, so a poller does not query the journal again.
         from repro.estimator.queue import SweepQueue
 
         poller = threading.current_thread()
-        listings = []
-        job_ids = SweepQueue.job_ids
+        counts = []
+        depth = SweepQueue.depth
 
-        def counted_job_ids(queue):
+        def counted_depth(queue):
             if threading.current_thread() is poller:
-                listings.append(1)
-            return job_ids(queue)
+                counts.append(1)
+            return depth(queue)
 
         service = EstimationService(
             registry=Registry(), store=ResultStore(tmp_path), metrics_ttl=3600.0
         )
         try:
             job_id = service.submit_job("sweep", SWEEP_DOC)["jobId"]
-            monkeypatch.setattr(SweepQueue, "job_ids", counted_job_ids)
+            monkeypatch.setattr(SweepQueue, "depth", counted_depth)
             for _ in range(50):
                 record = service.job_record(job_id)
                 assert isinstance(record["cacheStats"]["queueDepth"], int)
-            assert len(listings) <= 1
+            assert len(counts) <= 1
         finally:
             service.close(wait=True)
 

@@ -22,9 +22,10 @@ from repro.estimator.queue import collect_garbage
 from repro.jsonlog import dumps_indented
 from repro.estimator.spec import EstimateSpec, run_specs
 from repro.estimator.store import (
+    CHUNKS_TABLE,
     DATABASE_NAME,
     EVICTION_HEADROOM,
-    JOBS_SCHEMA,
+    JOBS_TABLE,
     StoredOutcome,
     RESULT_SCHEMA,
     STORE_ENV_VAR,
@@ -252,7 +253,7 @@ class TestCorruptionFuzz:
 
 
 class TestStatsAndGc:
-    """Operator visibility (`stats`) and litter reclamation (`gc`)."""
+    """Operator visibility (`stats`) and queue-row reclamation (`gc`)."""
 
     @pytest.fixture()
     def store(self, tmp_path, result):
@@ -260,57 +261,40 @@ class TestStatsAndGc:
         store.put(HASH_A, result)
         return store
 
-    def _plant_orphans(self, store, *, age_s=0.0):
-        """Strand a writer tmp file, a lease, and a takeover tombstone."""
-        from repro.estimator.store import QUEUE_SCHEMA
-
-        lease_dir = store.root / QUEUE_SCHEMA / HASH_A / "leases"
-        lease_dir.mkdir(parents=True, exist_ok=True)
-        orphans = [
-            lease_dir.parent / ".deadbeef-crashed.tmp",
-            lease_dir / "000000.lease",
-            lease_dir / ".000000.lease.stale-pid1-feedf00d",
-        ]
-        for path in orphans:
-            path.write_text('{"owner":"dead","deadline":0.0}')
-        if age_s:
-            import os
-            import time
-
-            stale = time.time() - age_s
-            for path in orphans:
-                os.utime(path, (stale, stale))
-        return orphans
-
-    def test_stats_counts_namespaces_and_orphans(self, store):
-        orphans = self._plant_orphans(store)
+    def test_stats_counts_every_namespace(self, store):
         stats = store.stats()
         assert stats["namespaces"]["results"]["documents"] == 1
         assert stats["namespaces"]["results"]["bytes"] > 0
-        for name in ("sweeps", "counts", "queue", "jobs"):
+        for name in ("sweeps", "counts", "optimize", "queue", "jobs"):
             assert stats["namespaces"][name]["documents"] == 0
-        assert stats["orphans"]["files"] == len(orphans)
-        assert stats["orphans"]["bytes"] == sum(
-            path.stat().st_size for path in orphans
-        )
+        assert stats["namespaces"]["jobs"]["schema"] == "repro-jobs-v2"
+        assert stats["namespaces"]["queue"]["schema"] == "repro-queue-v2"
+        assert "orphans" not in stats  # the store writes no file to orphan
 
-    def test_gc_spares_fresh_files(self, store):
-        self._plant_orphans(store)  # mtime = now: could be live
-        report = collect_garbage(store, older_than_s=3600.0)
-        assert report["removedFiles"] == 0
-        assert report["reclaimedBytes"] == 0
-        assert store.stats()["orphans"]["files"] == 3
+    def test_stats_reads_every_namespace_with_one_query(self, store):
+        class Spy:
+            def __init__(self, db):
+                self.db = db
+                self.statements = []
 
-    def test_gc_reclaims_expired_litter_and_reports_bytes(self, store, result):
-        orphans = self._plant_orphans(store, age_s=7200.0)
-        expected = sum(path.stat().st_size for path in orphans)
-        report = collect_garbage(store, older_than_s=3600.0)
-        assert report["removedFiles"] == len(orphans)
-        assert report["reclaimedBytes"] == expected
-        assert not any(path.exists() for path in orphans)
-        # Documents are never gc candidates.
-        assert store.get(HASH_A) == result
-        assert store.stats()["orphans"]["files"] == 0
+            def execute(self, statement, *args):
+                self.statements.append(statement)
+                return self.db.execute(statement, *args)
+
+            def __getattr__(self, name):
+                return getattr(self.db, name)
+
+        with store._database() as db:
+            spy = Spy(db)
+        store._db = spy
+        try:
+            namespaces = store.stats()["namespaces"]
+        finally:
+            store._db = spy.db
+        assert len(spy.statements) == 1
+        assert set(namespaces) == {
+            "results", "sweeps", "counts", "optimize", "queue", "jobs"
+        }
 
     def test_stats_reads_the_disk_on_every_call(self, store, result):
         assert store.stats()["namespaces"]["results"]["documents"] == 1
@@ -318,68 +302,14 @@ class TestStatsAndGc:
         ResultStore(store.root).put("ef" + "2" * 62, result)  # "another process"
         assert store.stats()["namespaces"]["results"]["documents"] == 3
 
-    def test_gc_zero_cutoff_takes_everything_orphaned(self, store):
-        self._plant_orphans(store)
-        report = collect_garbage(store, older_than_s=0.0)
-        assert report["removedFiles"] == 3
-        assert store.stats()["orphans"]["files"] == 0
-
-
-class TestGcClockSkew:
-    """gc compares ages, not raw wall-clock cutoffs (shared-store skew)."""
-
-    @pytest.fixture()
-    def store(self, tmp_path, result):
-        store = ResultStore(tmp_path)
-        store.put(HASH_A, result)
-        return store
-
-    def _plant_orphan(self, store, *, mtime_offset_s=0.0):
-        """One stranded writer tmp file with its mtime shifted by offset."""
-        import os
-        import time
-
-        path = store.root / JOBS_SCHEMA / ".deadbeef-crashed.tmp"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"torn":')
-        when = time.time() + mtime_offset_s
-        os.utime(path, (when, when))
-        return path
-
-    def test_far_future_mtime_is_collected_not_immortal(self, store):
-        # Regression: a cutoff of now - older_than never reaches a file
-        # stamped by a badly skewed clock, leaving it immortal litter.
-        orphan = self._plant_orphan(store, mtime_offset_s=86_400.0)
-        report = collect_garbage(store, older_than_s=3600.0)
-        assert report["removedFiles"] == 1
-        assert not orphan.exists()
-
-    def test_slightly_future_mtime_is_spared_as_fresh(self, store):
-        # A writer whose clock runs a little ahead (or our clock stepped
-        # back) must keep its in-flight files — PR 7's "fresh files
-        # spared" guarantee, now skew-tolerant.
-        orphan = self._plant_orphan(store, mtime_offset_s=120.0)
-        report = collect_garbage(store, older_than_s=3600.0)
-        assert report["removedFiles"] == 0
-        assert orphan.exists()
-
-    def test_future_skew_tolerance_is_configurable(self, store):
-        orphan = self._plant_orphan(store, mtime_offset_s=120.0)
-        report = collect_garbage(store, older_than_s=3600.0, future_skew_s=60.0)
-        assert report["removedFiles"] == 1
-        assert not orphan.exists()
-
-    def test_stats_after_gc_show_the_litter_gone(self, tmp_path, result):
-        store = ResultStore(tmp_path)
-        store.put(HASH_A, result)
-        self._plant_orphan(store, mtime_offset_s=-7200.0)
-        assert store.stats()["orphans"]["files"] == 1
-        collect_garbage(store, older_than_s=3600.0)
-        assert store.stats()["orphans"]["files"] == 0
+    def test_gc_on_a_fresh_root_creates_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "fresh")
+        assert collect_garbage(store) == {"removedChunks": 0}
+        assert not store.root.exists()
 
 
 class TestGcQueueRecords:
-    """gc also reclaims a finished queue job's chunk and done records."""
+    """gc deletes a finished queue job's chunk rows, in one statement."""
 
     SWEEP = {
         "base": {
@@ -404,33 +334,22 @@ class TestGcQueueRecords:
         )
 
     def test_finished_job_records_collected_and_rerun_identical(self, tmp_path):
-        from repro.estimator.store import QUEUE_SCHEMA
-
         store = ResultStore(tmp_path)
         first = self._queue_sweep(store)
         assert len(first.points) == 8
-        queue = store.stats()["namespaces"]["queue"]
-        assert queue["documents"] == 8  # 4 chunk records + 4 done records
+        assert store.stats()["namespaces"]["queue"]["documents"] == 4
         sweep_bytes = store_rows.body(store, first.sweep_hash, "sweeps")
 
-        report = collect_garbage(store, older_than_s=0.0)
-        assert report["removedFiles"] == 8
-        assert report["reclaimedBytes"] == queue["bytes"]
-        assert store.stats()["namespaces"]["queue"]["bytes"] == 0
-        assert not (store.root / QUEUE_SCHEMA / first.sweep_hash).exists()
-        # The journal and the sweep document answer the re-run.
+        assert collect_garbage(store) == {"removedChunks": 4}
+        assert collect_garbage(store) == {"removedChunks": 0}
+        assert store.stats()["namespaces"]["queue"]["documents"] == 0
+        # The journal and the sweep row answer the re-run.
         assert store.stats()["namespaces"]["jobs"]["documents"] == 1
         again = self._queue_sweep(store)
         assert store_rows.body(store, first.sweep_hash, "sweeps") == sweep_bytes
         assert json.dumps(again.to_dict()) == json.dumps(first.to_dict())
-        # Re-enqueueing a finished job writes no chunk records again.
-        assert store.stats()["namespaces"]["queue"]["bytes"] == 0
-
-    def test_records_spared_while_fresh(self, tmp_path):
-        store = ResultStore(tmp_path)
-        self._queue_sweep(store)
-        assert collect_garbage(store, older_than_s=3600.0)["removedFiles"] == 0
-        assert store.stats()["namespaces"]["queue"]["documents"] == 8
+        # A rerun answered by its row enqueues nothing.
+        assert store.stats()["namespaces"]["queue"]["documents"] == 0
 
     def test_unfinished_job_keeps_its_records(self, tmp_path):
         from repro.estimator.queue import SweepQueue
@@ -438,16 +357,15 @@ class TestGcQueueRecords:
 
         store = ResultStore(tmp_path)
         SweepQueue(store).enqueue(SweepSpec.from_dict(self.SWEEP), registry=Registry())
-        assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
+        assert collect_garbage(store) == {"removedChunks": 0}
         assert store.stats()["namespaces"]["queue"]["documents"] == 4
 
-    def test_job_without_its_sweep_document_keeps_its_records(self, tmp_path):
-        # An evicted sweep document is rebuilt from the done records.
+    def test_job_without_its_sweep_row_keeps_its_records(self, tmp_path):
         store = ResultStore(tmp_path)
         first = self._queue_sweep(store)
         store_rows.delete(store, first.sweep_hash, "sweeps")
-        assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
-        assert store.stats()["namespaces"]["queue"]["documents"] == 8
+        assert collect_garbage(store) == {"removedChunks": 0}
+        assert store.stats()["namespaces"]["queue"]["documents"] == 4
         assert self._queue_sweep(store).to_dict() == first.to_dict()
 
 
@@ -492,24 +410,22 @@ class TestEviction:
         assert store.get(HASH_A) == result
 
     def test_never_touches_queue_leases_or_journal(self, tmp_path, result):
-        from repro.estimator.store import JOBS_SCHEMA, QUEUE_SCHEMA
+        from repro.estimator.queue import SweepQueue
+        from repro.estimator.sweep import SweepSpec
 
         store = ResultStore(tmp_path)
         store.put(HASH_A, result)
-        chunk = store.root / QUEUE_SCHEMA / HASH_A / "chunks" / "000000.json"
-        chunk.parent.mkdir(parents=True)
-        chunk.write_text('{"chunk": 0}')
-        lease = store.root / QUEUE_SCHEMA / HASH_A / "leases" / "000000.lease"
-        lease.parent.mkdir(parents=True)
-        lease.write_text('{"owner": "w1"}')
-        journal = store.root / JOBS_SCHEMA / HASH_A[:2] / f"{HASH_A}.json"
-        journal.parent.mkdir(parents=True)
-        journal.write_text('{"status": "running"}')
+        queue = SweepQueue(store, owner="w1")
+        job = queue.enqueue(
+            SweepSpec.from_dict(TestGcQueueRecords.SWEEP), registry=Registry()
+        )
+        lease = queue.claim(job.job_id, 0)
         report = store.evict(max_bytes=0)
         assert store.get(HASH_A) is None  # documents evicted...
-        assert chunk.exists()  # ...crash-safety substrate untouched
-        assert lease.exists()
-        assert journal.exists()
+        # ...the crash-safety rows are untouched.
+        assert queue.load_job(job.job_id).spec.to_dict() == job.spec.to_dict()
+        assert queue.lease_holder(job.job_id, 0)["deadline"] == lease.deadline
+        assert store.stats()["namespaces"]["queue"]["documents"] == 4
         assert report["remainingBytes"] == 0
 
     def test_memory_cache_entries_die_with_their_documents(
@@ -1075,10 +991,9 @@ class TestErrorDocuments:
 class TestPinnedDocumentBytes:
     """The exact stored bytes of every document kind the store writes.
 
-    Rows (body and digest), file paths, key order and compact separators
-    are spelled out literally, so a change to any write path that would
-    make an existing store unreadable (or rewrite it differently) fails
-    here.
+    Rows (body and digest), key order and compact separators are
+    spelled out literally, so a change to any write path that would make
+    an existing store unreadable (or rewrite it differently) fails here.
     """
 
     HASH_C = "cd" + "1" * 62
@@ -1114,22 +1029,34 @@ class TestPinnedDocumentBytes:
         ),
     }
 
-    FILES = {
-        f"repro-jobs-v1/77/{JOB_ID}.json": (
-            '{"schema":"repro-jobs-v1","jobId":"' + JOB_ID + '",'
-            '"sweep":{"schema":"repro-sweep-v1","base":{"program":{"counts":'
-            '{"num_qubits":2,"t_count":3}},"qubit":{"profile":"qubit_gate_ns_e3"}},'
-            '"axes":[{"field":"budget","values":[0.001]}],"mode":"cartesian",'
-            '"frontier":null,"chunkSize":null,"label":null},"chunkSize":16,'
-            '"numChunks":1,"totalPoints":1,"status":"submitted",'
-            '"digest":"0c8abd6f2fdb8ea1d1cd2695d4bffd5efb1d5df52f671b1427595583d61da96c"}'
-        ),
-        f"repro-queue-v1/{JOB_ID}/chunks/000000.json": (
-            '{"schema":"repro-queue-v1","kind":"chunk","jobId":"' + JOB_ID + '",'
-            '"chunk":0,"start":0,"stop":1,'
-            '"digest":"6348536274319a92d9f73686990f031172ee6e74d84c4da63e6ce79361703851"}'
-        ),
-    }
+    #: The job journal row: (digest, size, chunking, status, body).
+    JOURNAL = (
+        "4598517920af6dc24bc2b5d41cb9b48ce5fc556b1b49df38fe4436155aa8e6e2",
+        235,
+        16,
+        1,
+        1,
+        "submitted",
+        '{"schema":"repro-sweep-v1","base":{"program":{"counts":'
+        '{"num_qubits":2,"t_count":3}},"qubit":{"profile":"qubit_gate_ns_e3"}},'
+        '"axes":[{"field":"budget","values":[0.001]}],"mode":"cartesian",'
+        '"frontier":null,"chunkSize":null,"label":null}',
+    )
+
+    def _journal(self, store):
+        (row,) = store_rows.execute(
+            store,
+            "SELECT digest, size, chunk_size, num_chunks, total_points, status, "
+            f"body FROM {JOBS_TABLE} WHERE key = ?",
+            self.JOB_ID,
+        )
+        return (*row[:-1], row[-1].decode())
+
+    def _chunks(self, store):
+        return store_rows.execute(
+            store,
+            f"SELECT job, chunk, owner, deadline, done, ok, failed FROM {CHUNKS_TABLE}",
+        )
 
     def _populate(self, root):
         from repro.estimator.queue import SweepQueue
@@ -1177,21 +1104,27 @@ class TestPinnedDocumentBytes:
                 len(body),
             )
         assert store.stats()["namespaces"]["results"]["documents"] == 2
-        written = {
-            path.relative_to(tmp_path).as_posix(): path.read_text()
-            for path in tmp_path.rglob("*.json")
+        assert self._journal(store) == self.JOURNAL
+        assert self._chunks(store) == [(self.JOB_ID, 0, None, None, 0, 0, 0)]
+        assert {path.name for path in tmp_path.iterdir()} <= {
+            DATABASE_NAME,
+            f"{DATABASE_NAME}-wal",
+            f"{DATABASE_NAME}-shm",
         }
-        assert written == self.FILES
 
     def test_pinned_documents_read_back(self, tmp_path):
         store = ResultStore(tmp_path)
         for (namespace, key), (digest, body) in self.ROWS.items():
             store_rows.plant_body(store, key, body.encode(), namespace)
             assert store_rows.row(store, key, namespace)["digest"] == digest
-        for relative, text in self.FILES.items():
-            path = tmp_path / relative
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+        digest, size, chunk_size, num_chunks, total, status, body = self.JOURNAL
+        store_rows.execute(
+            store,
+            f"INSERT INTO {JOBS_TABLE} (key, digest, size, chunk_size, num_chunks, "
+            "total_points, status, body) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            self.JOB_ID, digest, size, chunk_size, num_chunks, total, status,
+            body.encode(),
+        )
         store = ResultStore(tmp_path)
         assert store.lookup(HASH_A).error == "no T factory"
         assert store.get_raw(self.HASH_C)["result"] == {
@@ -1204,24 +1137,18 @@ class TestPinnedDocumentBytes:
 
         assert SweepQueue(store).load_job(self.JOB_ID).total_points == 1
 
-    def test_journal_close_and_lease_bytes(self, tmp_path):
+    def test_journal_close_and_lease_columns(self, tmp_path):
         store, queue, job = self._populate(tmp_path)
         assert queue.mark_finished(job)
-        journal = tmp_path / f"repro-jobs-v1/77/{self.JOB_ID}.json"
-        assert journal.read_text() == (
-            self.FILES[f"repro-jobs-v1/77/{self.JOB_ID}.json"]
-            .replace('"status":"submitted"', '"status":"finished"')
-            .replace(
-                "0c8abd6f2fdb8ea1d1cd2695d4bffd5efb1d5df52f671b1427595583d61da96c",
-                "86e8b3cfbe3abbddbf3548f601683593f1e5926435cbbdc16861bf6a3f56875d",
-            )
-        )
+        assert self._journal(store) == (*self.JOURNAL[:5], "finished", self.JOURNAL[6])
         lease = queue.claim(self.JOB_ID, 0)
-        lease_path = tmp_path / f"repro-queue-v1/{self.JOB_ID}/leases/000000.lease"
-        assert lease_path.read_text() == '{"owner":"w1","deadline":130.0}'
+        assert self._chunks(store) == [(self.JOB_ID, 0, "w1", 130.0, 0, 0, 0)]
         queue.clock = lambda: 110.0
         assert queue.renew(lease)
-        assert lease_path.read_text() == '{"owner":"w1","deadline":140.0}'
+        assert queue.mark_done(lease, 1, 0)
+        assert self._chunks(store) == [(self.JOB_ID, 0, "w1", 140.0, 1, 1, 0)]
+        queue.release(lease)
+        assert self._chunks(store) == [(self.JOB_ID, 0, None, None, 1, 1, 0)]
 
 
 #: A store inherited by forked pool workers (set before the pool forks).
@@ -1307,7 +1234,7 @@ class TestDatabaseFailureModes:
         assert list(store.keys()) == [] and store.clear() == 0
         assert store.stats()["namespaces"]["results"]["documents"] == 0
         assert store.evict(max_bytes=0)["evictedDocuments"] == 0
-        assert collect_garbage(store, older_than_s=0.0)["removedFiles"] == 0
+        assert collect_garbage(store) == {"removedChunks": 0}
 
     def test_non_database_file_leaves_sweep_output_unchanged(self, tmp_path, capsys):
         from repro.cli import main

@@ -1078,14 +1078,14 @@ class TestStoredSweepRow:
         assert store.sweep_row(cold.sweep_hash, [spec_hash]) is not None
 
     def test_a_stale_row_of_a_collected_queue_job_is_rebuilt(self, tmp_path):
-        # The journal says finished and gc took the chunk and done
-        # records, so nothing but the chunks themselves can rebuild it.
+        # The journal says finished and gc took the chunk rows: the job
+        # is reopened and rebuilt from its stored points.
         from repro.estimator.queue import SweepQueue, collect_garbage
 
         store = ResultStore(tmp_path)
         policy = ExecutionPolicy(executor="queue", chunk_size=2)
         cold = run_sweep(small_sweep(), store=store, policy=policy)
-        assert collect_garbage(store, older_than_s=0)["removedFiles"] > 0
+        assert collect_garbage(store)["removedChunks"] > 0
         spec_hash = cold.points[0].spec_hash
         store_rows.plant_body(store, spec_hash, store_rows.body(store, spec_hash))
         assert store.sweep_row(cold.sweep_hash, [spec_hash]) is None
@@ -1143,8 +1143,8 @@ class TestStoredSweepRow:
     def test_queue_without_a_database_answers_with_the_callers_fields(
         self, tmp_path
     ):
-        # The journal and chunk markers are files; the database is not
-        # one, so no row lands and the result is assembled from markers.
+        # The file is not a database, so no job is journaled and no row
+        # lands: the sweep runs locally against the store instead.
         from repro.estimator.store import DATABASE_NAME
 
         tmp_path.joinpath(DATABASE_NAME).write_bytes(b"\x00garbage" * 1000)
